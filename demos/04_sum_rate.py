@@ -19,7 +19,7 @@ print(f"baseline (no modulation, gamma = {GAMMA_DB:g} dB): {BASELINE:.2f} b/s/Hz
 print()
 for g in (1.0, 0.5):
     for rho in (0.1, 0.5, 0.9):
-        points = sweep_sum_rate(GAMMA_DB, rho, g, 64)
+        points = sweep_sum_rate(GAMMA_DB, rho, g)
         totals = [p.total for p in points]
         best = points[int(np.argmax(totals))]
         gain = best.total - BASELINE
@@ -31,7 +31,7 @@ for g in (1.0, 0.5):
     print()
 
 print("One curve in detail (g=1, |rho|=0.1):")
-points = sweep_sum_rate(GAMMA_DB, 0.1, 1.0, 64, alpha_grid=np.linspace(0.01, 0.9, 12))
+points = sweep_sum_rate(GAMMA_DB, 0.1, 1.0, alpha_grid=np.linspace(0.01, 0.9, 12))
 print(f"{'alpha':>7} {'N_alpha':>8} {'PU rate':>8} {'SU rate':>8} {'total':>7}")
 for p in points:
     n_str = str(p.n_alpha) if p.n_alpha is not None else "-"

@@ -15,22 +15,13 @@ from .channel import (
 )
 from .detector import (
     DetectorModel,
-    OfdmStats,
     energy_pdf,
     error_probability,
     mixture_energy_pdf,
     optimal_threshold,
-    received_power,
     regularized_lower_gamma,
 )
-from .simulator import (
-    BerResult,
-    ScenarioConfig,
-    detect_ook_bit,
-    generate_ofdm_samples,
-    run_ber,
-    transmit_ook_bit,
-)
+from .simulator import BerResult, ScenarioConfig, run_ber
 from .sumrate import SumRatePoint, default_alpha_grid, find_n_alpha, sweep_sum_rate
 from .weights import (
     TargetGains,
@@ -47,7 +38,6 @@ __all__ = [
     "ChannelPair",
     "DetectorModel",
     "IllConditionedCorrelationError",
-    "OfdmStats",
     "ScenarioConfig",
     "SumRatePoint",
     "TargetGains",
@@ -55,21 +45,17 @@ __all__ = [
     "build_weight_set",
     "closed_form_norms",
     "default_alpha_grid",
-    "detect_ook_bit",
     "energy_pdf",
     "error_probability",
     "find_n_alpha",
-    "generate_ofdm_samples",
     "inner_product",
     "make_correlated_pair",
     "mixture_energy_pdf",
     "optimal_threshold",
     "paper_closed_form_norms",
     "phase_align_targets",
-    "received_power",
     "regularized_lower_gamma",
     "run_ber",
     "solve_min_norm",
     "sweep_sum_rate",
-    "transmit_ook_bit",
 ]

@@ -16,7 +16,8 @@ Grid-valued flags accept either a comma list ("1,10,100") or a
 start:stop:count range ("0:1:11", linearly spaced, endpoints included).
 
 Config precedence: command-line flags > config-file values > defaults.
-The config file is flat "key = value" text; '#' starts a comment.
+The config file is flat "key = value" text; '#' starts a comment.  A key
+the subcommand does not read is rejected, as are non-finite numbers.
 
 Exit status: 0 on success; 2 for usage errors; 3 for invalid parameter
 values ("error: invalid-parameter: ..." on stderr); 4 for I/O failures
@@ -33,7 +34,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import IllConditionedCorrelationError
 from .detector import error_probability, mixture_energy_pdf, optimal_threshold
 from .simulator import ScenarioConfig, run_ber
 from .sumrate import default_alpha_grid, find_n_alpha, sweep_sum_rate
@@ -67,11 +67,15 @@ def parse_grid(spec: str, cast=float) -> list:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError(f"grid count must be >= 1 in {spec!r}")
-        return [cast(v) for v in np.linspace(start, stop, count)]
-    try:
-        return [cast(v) for v in spec.split(",") if v.strip() != ""]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad grid spec {spec!r}: {exc}") from exc
+        values = [cast(v) for v in np.linspace(start, stop, count)]
+    else:
+        try:
+            values = [cast(v) for v in spec.split(",") if v.strip() != ""]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad grid spec {spec!r}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid values must be finite in {spec!r}")
+    return values
 
 
 def load_config(path: str) -> dict:
@@ -89,6 +93,19 @@ def load_config(path: str) -> dict:
     return values
 
 
+def _read_config(args, keys) -> dict:
+    """The --config file's values; a key the subcommand does not read is an error."""
+    if not args.config:
+        return {}
+    config = load_config(args.config)
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise ValueError(
+            f"{args.config}: unknown config key(s) for {args.command}: {', '.join(unknown)}"
+        )
+    return config
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -100,12 +117,12 @@ def _fmt(value) -> str:
 
 
 def _resolve(args, config: dict, key: str, cast):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        return cast(config[key])
-    return DEFAULTS[key]
+    value = getattr(args, key)
+    if value is None:
+        value = cast(config[key]) if key in config else DEFAULTS[key]
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
 
 
 def _write_csv(path, command, params, header, rows, footer_comments=()):
@@ -131,7 +148,7 @@ def _manifest(command, args, extra):
 
 
 def cmd_weights(args) -> int:
-    config = load_config(args.config) if args.config else {}
+    config = _read_config(args, ("alpha_grid", "rho_grid"))
     alpha_grid = parse_grid(args.alpha_grid or config.get("alpha_grid", "0:0.9:19"))
     rho_grid = parse_grid(args.rho_grid or config.get("rho_grid", "0:0.9:19"))
     for alpha in alpha_grid:
@@ -163,7 +180,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    config = load_config(args.config) if args.config else {}
+    config = _read_config(args, ("n_grid", "snr_grid"))
     n_grid = parse_grid(args.n_grid or config.get("n_grid", "1,10,100"), cast=int)
     snr_grid = parse_grid(args.snr_grid or config.get("snr_grid", "-10:0:5"))
     rows = []
@@ -209,12 +226,9 @@ def cmd_theory(args) -> int:
     return 0
 
 
-def _ber_point(config: ScenarioConfig):
-    return run_ber(config)
-
-
 def cmd_ber(args) -> int:
-    config = load_config(args.config) if args.config else {}
+    config = _read_config(args, ("n_grid", "snr_grid", "bits", "seed", "jobs", "alpha",
+                                 "rho", "rho_phase", "g", "k", "m"))
     n_grid = parse_grid(args.n_grid or config.get("n_grid", "10,100"), cast=int)
     snr_grid = parse_grid(args.snr_grid or config.get("snr_grid", "-10:0:5"))
     bits = _resolve(args, config, "bits", int)
@@ -253,9 +267,9 @@ def cmd_ber(args) -> int:
         )
     if jobs > 1:
         with multiprocessing.Pool(processes=jobs) as pool:
-            results = pool.map(_ber_point, points)
+            results = pool.map(run_ber, points)
     else:
-        results = [_ber_point(p) for p in points]
+        results = [run_ber(p) for p in points]
 
     rows = []
     for (n, snr_db), res in zip(grid, results):
@@ -285,7 +299,9 @@ def cmd_ber(args) -> int:
 
 
 def cmd_sumrate(args) -> int:
-    config = load_config(args.config) if args.config else {}
+    config = _read_config(
+        args, ("rho_grid", "g_grid", "alpha_grid", "gamma_db", "pe_target", "n_max")
+    )
     rho_grid = parse_grid(args.rho_grid or config.get("rho_grid", "0.1,0.5,0.9"))
     g_grid = parse_grid(args.g_grid or config.get("g_grid", "1.0"))
     if args.alpha_grid or "alpha_grid" in config:
@@ -295,14 +311,13 @@ def cmd_sumrate(args) -> int:
     gamma_db = _resolve(args, config, "gamma_db", float)
     pe_target = _resolve(args, config, "pe_target", float)
     n_max = _resolve(args, config, "n_max", int)
-    m = _resolve(args, config, "m", int)
 
     rows = []
     footers = []
     for rho in rho_grid:
         for g in g_grid:
             curve = sweep_sum_rate(
-                gamma_db, rho, g, m,
+                gamma_db, rho, g,
                 alpha_grid=alpha_grid, pe_target=pe_target, n_max=n_max,
             )
             for pt in curve:
@@ -320,7 +335,7 @@ def cmd_sumrate(args) -> int:
         {"rho_grid": ";".join(_fmt(r) for r in rho_grid),
          "g_grid": ";".join(_fmt(g) for g in g_grid),
          "n_alpha_points": len(alpha_grid),
-         "gamma_db": gamma_db, "pe_target": pe_target, "n_max": n_max, "m": m},
+         "gamma_db": gamma_db, "pe_target": pe_target, "n_max": n_max},
     )
     _write_csv(
         args.out,
@@ -344,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output CSV path ('-' or omitted for stdout)")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-        p.add_argument("--jobs", type=int, help="parallel workers; never changes results")
 
     p_weights = sub.add_parser("weights", help="power-efficiency surface over (alpha, rho)")
     add_common(p_weights)
@@ -380,6 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ber.add_argument("--g", type=float, help="SU/PU gain ratio (default 1)")
     p_ber.add_argument("--k", type=int, help="antenna count (default 8)")
     p_ber.add_argument("--m", type=int, help="subcarrier count (default 64)")
+    p_ber.add_argument("--seed", type=int, help="master seed (default 0)")
+    p_ber.add_argument("--jobs", type=int, help="parallel workers; never changes results")
     p_ber.set_defaults(func=cmd_ber)
 
     p_sum = sub.add_parser("sumrate", help="sum-rate curves over alpha")
@@ -396,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="target error probability (default 1e-5)")
     p_sum.add_argument("--n-max", dest="n_max", type=int,
                        help="integration-length search cap (default 1e6)")
-    p_sum.add_argument("--m", type=int, help="subcarrier count (default 64)")
     p_sum.set_defaults(func=cmd_sumrate)
 
     return parser
@@ -407,7 +421,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, IllConditionedCorrelationError) as exc:
+    except ValueError as exc:
         print(f"error: invalid-parameter: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -24,25 +24,6 @@ _ITMAX = 10_000_000
 
 
 @dataclass(frozen=True)
-class OfdmStats:
-    """Per-sample statistics of the OFDM waveform.
-
-    With unit total block power split over m subcarriers, the per-sample
-    complex signal power is sample_var = 1/m.
-    """
-
-    m_subcarriers: int
-
-    def __post_init__(self):
-        if self.m_subcarriers < 1:
-            raise ValueError("m_subcarriers must be positive")
-
-    @property
-    def sample_var(self) -> float:
-        return 1.0 / self.m_subcarriers
-
-
-@dataclass(frozen=True)
 class DetectorModel:
     """Energy detector parameters: (N, sigma_r^2, sigma_n^2, threshold).
 
@@ -77,17 +58,6 @@ class DetectorModel:
         return error_probability(
             self.n_samples, self.sigma_r_sq, self.sigma_n_sq, self.threshold
         )
-
-
-def received_power(sample_var: float, alpha: float, norm1_sq: float, xi: float, g: float) -> float:
-    """Received OFDM signal power at the SU during an OOK one.
-
-    sigma_r^2 = sample_var * (alpha * |omega1|^2 / xi) * g^2, using the
-    solver-consistent |omega1|^2 and xi.
-    """
-    if min(sample_var, alpha, norm1_sq, g) < 0.0 or xi <= 0.0:
-        raise ValueError("all arguments must be nonnegative with xi > 0")
-    return sample_var * alpha * norm1_sq / xi * g * g
 
 
 def regularized_lower_gamma(s: float, x: float) -> float:

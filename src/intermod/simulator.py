@@ -20,13 +20,11 @@ import numpy as np
 
 from .channel import make_correlated_pair
 from .detector import error_probability, optimal_threshold
-from .weights import WeightSet, build_weight_set
+from .weights import build_weight_set
 
 #: Trials per RNG substream; fixed so chunk boundaries never depend on the
 #: execution environment.
 CHUNK_TRIALS = 8192
-
-_MIN_SUBCARRIERS = 16  # central-limit regime for the Gaussian sample model
 
 
 @dataclass(frozen=True)
@@ -49,6 +47,8 @@ class ScenarioConfig:
             raise ValueError("n_bits must be >= 1")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.m_subcarriers < 1:
+            raise ValueError("m_subcarriers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -63,94 +63,46 @@ class BerResult:
     per_point_ci95: float
 
 
-def generate_ofdm_samples(m: int, count: int, rng: np.random.Generator, constellation: str = "gaussian") -> np.ndarray:
-    """Time-domain OFDM samples with per-sample complex power 1/m.
+def _chunk_energies(rng, n_trials, n, m, gains, noise_std):
+    """(bits, energies) for ``n_trials`` equiprobable OOK bits.
 
-    Frequency-domain symbols on m subcarriers are transformed to the time
-    domain with a 1/m-scaled IFFT; blocks are emitted back-to-back and
-    trimmed to ``count`` samples.
-
-    constellation:
-        "gaussian" - CN(0, 1) symbols; time samples are exactly i.i.d.
-            complex Gaussian, matching the Gamma energy model at every N.
-        "phase" - unit-magnitude random-phase symbols; per-block energy is
-            exactly 1 (Parseval), but full blocks then carry zero energy
-            variance, so integration windows covering whole blocks deviate
-            from the Gamma model.  Kept for waveform studies, not used by
-            the BER simulator.
+    Each bit draws whole blocks of CN(0, 1) symbols on m subcarriers, takes
+    a 1/m-scaled IFFT (so time samples are i.i.d. complex Gaussian with
+    power 1/m), keeps the first n samples, scales them by ``gains[bit]``
+    (the SU response to the transmitted weight vector), adds complex AWGN
+    with per-component std ``noise_std`` and sums the sample powers.
     """
-    if m < _MIN_SUBCARRIERS:
-        raise ValueError(f"m must be >= {_MIN_SUBCARRIERS}, got {m}")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    n_blocks = -(-count // m)
-    if constellation == "gaussian":
-        symbols = (
-            rng.standard_normal((n_blocks, m)) + 1j * rng.standard_normal((n_blocks, m))
-        ) / math.sqrt(2.0)
-    elif constellation == "phase":
-        symbols = np.exp(2j * np.pi * rng.random((n_blocks, m)))
-    else:
-        raise ValueError(f"unknown constellation {constellation!r}")
-    samples = np.fft.ifft(symbols, axis=1)
-    return samples.reshape(-1)[:count]
-
-
-def transmit_ook_bit(
-    bit: int,
-    weights: WeightSet,
-    pair,
-    samples: np.ndarray,
-    sigma_n_sq: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Received SU sample stream for one OOK bit.
-
-    Returns ``g * (h_su^T omega_bit / sqrt(xi)) * s_i + n_i`` with complex
-    AWGN of total power sigma_n_sq.  For bit 0 the signal term is nulled by
-    construction.
-    """
-    samples = np.asarray(samples)
-    gain = pair.g * complex(pair.h_su @ weights.tx_weight(bit))
-    noise = math.sqrt(sigma_n_sq / 2.0) * (
-        rng.standard_normal(samples.shape) + 1j * rng.standard_normal(samples.shape)
+    bits = rng.integers(0, 2, size=n_trials)
+    blocks_per_trial = -(-n // m)
+    symbols = (
+        rng.standard_normal((n_trials, blocks_per_trial, m))
+        + 1j * rng.standard_normal((n_trials, blocks_per_trial, m))
+    ) / math.sqrt(2.0)
+    samples = np.fft.ifft(symbols, axis=2).reshape(n_trials, -1)[:, :n]
+    noise = noise_std * (
+        rng.standard_normal((n_trials, n)) + 1j * rng.standard_normal((n_trials, n))
     )
-    return gain * samples + noise
+    received = gains[bits][:, None] * samples + noise
+    return bits, np.sum(np.abs(received) ** 2, axis=1)
 
 
-def detect_ook_bit(received: np.ndarray, threshold: float) -> int:
-    """Energy decision: 1 iff the summed sample power exceeds the threshold.
-
-    Exact equality (a measure-zero tie) decides 0.
-    """
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
-    energy = float(np.sum(np.abs(np.asarray(received)) ** 2))
-    return int(energy > threshold)
-
-
-def _detector_params(config: ScenarioConfig, weights: WeightSet, pair):
-    """(sigma_r_sq, sigma_n_sq, threshold, analytic_pe) for a scenario.
+def _detector_params(config: ScenarioConfig, gain1: complex):
+    """(sigma_n_sq, threshold, analytic_pe) for a scenario.
 
     sigma_r^2 is taken from the actual solved SU response
-    |g * h_su^T omega1 / sqrt(xi)|^2 * sample_var, which equals
-    sample_var * alpha g^2 / xi by the constraint construction; sigma_n^2
-    is back-solved from the requested SNR.  For alpha = 0 the SNR is
-    undefined, the noise floor defaults to sample_var, and P_e = 0.5.
+    gain1 = g * h_su^T omega1 / sqrt(xi) as |gain1|^2 * sample_var, which
+    equals sample_var * alpha g^2 / xi by the constraint construction;
+    sigma_n^2 is back-solved from the requested SNR.  For alpha = 0 the SNR
+    is undefined, the noise floor defaults to sample_var, and P_e = 0.5.
     """
     sample_var = 1.0 / config.m_subcarriers
-    gain1 = pair.g * complex(pair.h_su @ weights.tx_weight(1))
-    sigma_r_sq = abs(gain1) ** 2 * sample_var
     if abs(gain1) ** 2 < 1e-18:  # nulled response leaves only solver residue
-        sigma_r_sq = 0.0
-    if sigma_r_sq == 0.0:
-        sigma_n_sq = sample_var
-        threshold = config.n_samples * sigma_n_sq
-        return sigma_r_sq, sigma_n_sq, threshold, 0.5
+        return sample_var, config.n_samples * sample_var, 0.5
+    sigma_r_sq = abs(gain1) ** 2 * sample_var
     sigma_n_sq = sigma_r_sq / 10.0 ** (config.snr_db / 10.0)
     threshold = optimal_threshold(config.n_samples, sigma_r_sq, sigma_n_sq)
     pe = error_probability(config.n_samples, sigma_r_sq, sigma_n_sq, threshold)
-    return sigma_r_sq, sigma_n_sq, threshold, pe
+    return sigma_n_sq, threshold, pe
 
 
 def run_ber(config: ScenarioConfig) -> BerResult:
@@ -163,39 +115,21 @@ def run_ber(config: ScenarioConfig) -> BerResult:
         seed=config.master_seed,
     )
     weights = build_weight_set(pair, config.alpha)
-    _, sigma_n_sq, threshold, analytic_pe = _detector_params(config, weights, pair)
-
-    n = config.n_samples
-    m = config.m_subcarriers
-    blocks_per_trial = -(-n // m)
-    gains = np.array(
-        [
-            pair.g * complex(pair.h_su @ weights.tx_weight(0)),
-            pair.g * complex(pair.h_su @ weights.tx_weight(1)),
-        ]
-    )
+    gains = np.array([pair.g * complex(pair.h_su @ weights.tx_weight(bit)) for bit in (0, 1)])
+    sigma_n_sq, threshold, analytic_pe = _detector_params(config, complex(gains[1]))
     noise_std = math.sqrt(sigma_n_sq / 2.0)
 
     n_errors = 0
     n_chunks = -(-config.n_bits // CHUNK_TRIALS)
     for chunk in range(n_chunks):
-        n_trials = min(CHUNK_TRIALS, config.n_bits - chunk * CHUNK_TRIALS)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.master_seed, spawn_key=(chunk,))
         )
-        bits = rng.integers(0, 2, size=n_trials)
-        symbols = (
-            rng.standard_normal((n_trials, blocks_per_trial, m))
-            + 1j * rng.standard_normal((n_trials, blocks_per_trial, m))
-        ) / math.sqrt(2.0)
-        samples = np.fft.ifft(symbols, axis=2).reshape(n_trials, -1)[:, :n]
-        noise = noise_std * (
-            rng.standard_normal((n_trials, n)) + 1j * rng.standard_normal((n_trials, n))
+        n_trials = min(CHUNK_TRIALS, config.n_bits - chunk * CHUNK_TRIALS)
+        bits, energies = _chunk_energies(
+            rng, n_trials, config.n_samples, config.m_subcarriers, gains, noise_std
         )
-        received = gains[bits][:, None] * samples + noise
-        energies = np.sum(np.abs(received) ** 2, axis=1)
-        decisions = (energies > threshold).astype(np.int64)
-        n_errors += int(np.count_nonzero(decisions != bits))
+        n_errors += int(np.count_nonzero((energies > threshold) != bits))
 
     ber = n_errors / config.n_bits
     ci95 = 1.96 * math.sqrt(ber * (1.0 - ber) / config.n_bits)

@@ -57,7 +57,6 @@ def find_n_alpha(
     rho_mag: float,
     g: float,
     gamma: float,
-    m: int,
     pe_target: float = DEFAULT_PE_TARGET,
     n_max: int = DEFAULT_N_MAX,
 ) -> int | None:
@@ -66,15 +65,12 @@ def find_n_alpha(
     P_e at the optimal threshold is monotone decreasing in N for a fixed
     SNR, so a binary search over [1, n_max] applies.  Returns None when
     even n_max misses the target (including alpha = 0, where the SU SNR is
-    zero and P_e = 0.5 for every N).  The subcarrier count m cancels in the
-    SU SNR and is accepted only for interface symmetry.
+    zero and P_e = 0.5 for every N).
     """
     if not (0.0 < pe_target < 0.5):
         raise ValueError("pe_target must be in (0, 0.5)")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
     snr = su_snr(alpha, rho_mag, g, gamma)
     if snr <= 0.0:
         return None
@@ -102,7 +98,6 @@ def sweep_sum_rate(
     gamma_db: float,
     rho_mag: float,
     g: float,
-    m: int,
     alpha_grid=None,
     pe_target: float = DEFAULT_PE_TARGET,
     n_max: int = DEFAULT_N_MAX,
@@ -126,7 +121,7 @@ def sweep_sum_rate(
         else:
             _, _, xi = closed_form_norms(alpha, rho_mag)
             pu_rate = math.log2(1.0 + gamma / xi * (1.0 - alpha))
-            n_alpha = find_n_alpha(alpha, rho_mag, g, gamma, m, pe_target, n_max)
+            n_alpha = find_n_alpha(alpha, rho_mag, g, gamma, pe_target, n_max)
             su_rate = 1.0 / n_alpha if n_alpha is not None else 0.0
         points.append(
             SumRatePoint(

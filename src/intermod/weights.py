@@ -169,8 +169,6 @@ def build_weight_set(pair: ChannelPair, alpha: float) -> WeightSet:
     Norms and xi are computed from the solved vectors, not the closed forms
     (the closed forms serve as an independent cross-check in tests).
     """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must be in [0, 1), got {alpha!r}")
     targets1 = phase_align_targets(alpha, pair.rho)
     targets0 = TargetGains(b_su=0.0, b_pu=targets1.b_pu)
     omega0 = solve_min_norm(pair.h_su, pair.h_pu, targets0)

@@ -188,7 +188,7 @@ def test_criterion_8_pu_invariance():
 
 
 def test_criterion_9_baseline_anchor():
-    points = sweep_sum_rate(30.0, 0.5, 1.0, 64, alpha_grid=[0.0])
+    points = sweep_sum_rate(30.0, 0.5, 1.0, alpha_grid=[0.0])
     rate = points[0].pu_rate
     assert rate == pytest.approx(BASELINE_30DB, abs=1e-12)
     assert f"{rate:.2f}" == "9.97"
@@ -199,7 +199,7 @@ def test_criterion_10_qualitative_sum_rate_curves():
     start = time.monotonic()
     peak_gain = {}
     for rho in (0.1, 0.5, 0.9):
-        pts = sweep_sum_rate(30.0, rho, 1.0, 64)
+        pts = sweep_sum_rate(30.0, rho, 1.0)
         totals = [pt.total for pt in pts]
         peak = int(np.argmax(totals))
         # rise above the small-alpha end to an interior peak, then decline

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -49,6 +51,14 @@ class TestConfigFile:
         path.write_text("novalue\n")
         with pytest.raises(ValueError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("command, key", [("ber", "bitz"), ("sumrate", "m")])
+    def test_unknown_key_rejected(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 5\n")
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "invalid-parameter" in err and key in err
 
     def test_cli_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -153,6 +163,31 @@ class TestBerCommand:
         assert any("seed=0" in c for c in comments)
 
 
+GOLDEN_ROWS = [
+    (["ber", "--n", "10,100", "--snr-db=-10:0:5", "--bits", "8192", "--seed", "7"],
+     "feeac0b490ba72b667ca45ff677c35e3fd65c7ed0ca09d4501d736e4cd0b49ac"),
+    (["ber", "--n", "20", "--snr-db=-2.5", "--bits", "20000", "--rho", "0.6",
+      "--rho-phase", "1.1", "--alpha", "0.4", "--m", "8", "--seed", "3"],
+     "06fce5de560c7c238b3fcc0175c55c125060235074da50964cadbccc1913b4d4"),
+    (["sumrate", "--gamma-db", "30", "--rho", "0.1,0.5", "--g", "1.0"],
+     "f3c59c0b99eb548e3c3b9fc2b9be1be65e45383ea1761e3d7122db384fc93163"),
+    (["sumrate", "--gamma-db", "0", "--rho", "0.3", "--g", "0.8,1.5", "--alpha", "0:0.9:10"],
+     "80a8bd5f5c2a234805846fe0050f73b5b76d392c804ec85b0252a2629d3867ca"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_ROWS, ids=["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db"]
+)
+def test_golden_rows(tmp_path, argv, digest):
+    # SHA-256 of the data rows (no '#' lines, joined by newlines) as released
+    # in schema version 1; a change here changes published numbers
+    out = tmp_path / "golden.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
 class TestSumrateCommand:
     def test_alpha_zero_row(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -186,6 +221,30 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["weights", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--seed", "1"],
+        ["theory", "--jobs", "2"],
+        ["sumrate", "--seed", "1"],
+        ["sumrate", "--m", "64"],
+    ])
+    def test_ber_only_flags_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["ber", "--m", "0"],
+        ["theory", "--snr-db=nan"],
+        ["sumrate", "--gamma-db=nan"],
+        ["sumrate", "--pe-target=inf"],
+        ["ber", "--n", "10", "--snr-db=nan:0:3"],
+    ])
+    def test_bad_number_rejected_at_once(self, argv, capsys):
+        start = time.monotonic()
+        assert main(argv) == 3
+        assert time.monotonic() - start < 1.0
+        assert "invalid-parameter" in capsys.readouterr().err
 
     def test_bad_grid_exit_code(self, capsys):
         assert main(["theory", "--n", "1:2"]) == 3

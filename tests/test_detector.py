@@ -7,12 +7,10 @@ from scipy.integrate import quad
 
 from intermod.detector import (
     DetectorModel,
-    OfdmStats,
     energy_pdf,
     error_probability,
     mixture_energy_pdf,
     optimal_threshold,
-    received_power,
     regularized_lower_gamma,
 )
 
@@ -73,25 +71,6 @@ class TestRegularizedLowerGamma:
             regularized_lower_gamma(0.0, 1.0)
         with pytest.raises(ValueError):
             regularized_lower_gamma(1.0, -1.0)
-
-
-class TestReceivedPower:
-    def test_zero_alpha(self):
-        assert received_power(1 / 64, 0.0, 1.0, 0.85, 1.0) == 0.0
-
-    def test_substitution_example(self):
-        # rho = 0: |omega1|^2 = 1, xi = (0.7 + 1)/2 = 0.85
-        got = received_power(1 / 64, 0.3, 1.0, 0.85, 1.0)
-        assert got == pytest.approx((1 / 64) * 0.3 / 0.85, abs=1e-15)
-        assert got == pytest.approx(0.005515, abs=5e-6)
-
-    def test_gain_squared_scaling(self):
-        base = received_power(0.01, 0.3, 1.0, 1.0, 1.0)
-        assert received_power(0.01, 0.3, 1.0, 1.0, 2.0) == pytest.approx(4 * base)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            received_power(0.01, 0.3, 1.0, 0.0, 1.0)
 
 
 class TestEnergyPdf:
@@ -209,9 +188,3 @@ class TestModels:
             DetectorModel(1, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             DetectorModel(1, 1.0, 1.0, 0.0)
-
-    def test_ofdm_stats(self):
-        s = OfdmStats(64)
-        assert s.sample_var * s.m_subcarriers == 1.0
-        with pytest.raises(ValueError):
-            OfdmStats(0)

@@ -5,62 +5,49 @@ import pytest
 
 from intermod.channel import make_correlated_pair
 from intermod.detector import regularized_lower_gamma
-from intermod.simulator import (
-    ScenarioConfig,
-    detect_ook_bit,
-    generate_ofdm_samples,
-    run_ber,
-    transmit_ook_bit,
-)
+from intermod.simulator import ScenarioConfig, _chunk_energies, run_ber
 from intermod.weights import build_weight_set
+
+UNIT_GAINS = np.array([1.0, 1.0], dtype=complex)  # both bits: bare OFDM samples
+
+
+def response_gains(pair, ws):
+    """SU responses g * h_su^T omega_bit / sqrt(xi) for bits 0 and 1, as run_ber builds them."""
+    return np.array([pair.g * complex(pair.h_su @ ws.tx_weight(bit)) for bit in (0, 1)])
 
 
 class TestGenerateOfdmSamples:
+    """OFDM sample generation inside the Monte Carlo kernel (noise off, unit gains)."""
+
     def test_per_sample_power(self):
         rng = np.random.default_rng(1)
-        x = generate_ofdm_samples(64, 10**6, rng)
-        assert np.mean(np.abs(x) ** 2) == pytest.approx(1 / 64, rel=0.02)
-
-    def test_per_sample_power_phase_mode(self):
-        rng = np.random.default_rng(1)
-        x = generate_ofdm_samples(64, 10**6, rng, constellation="phase")
-        assert np.mean(np.abs(x) ** 2) == pytest.approx(1 / 64, rel=0.02)
+        _, energies = _chunk_energies(rng, 10**4, 100, 64, UNIT_GAINS, 0.0)
+        assert energies.mean() / 100 == pytest.approx(1 / 64, rel=0.02)
 
     def test_marginals_near_gaussian(self):
-        # CLT sanity: excess kurtosis of the real marginal near 0 for m=256
+        # N = 1: the energy is one sample's power, exponential for a circular
+        # complex Gaussian sample, so its second moment is twice its squared mean
         rng = np.random.default_rng(2)
-        x = generate_ofdm_samples(256, 2 * 10**6, rng, constellation="phase")
-        r = x.real / x.real.std()
-        kurt = np.mean(r**4) - 3.0
-        assert abs(kurt) < 0.1
-
-    def test_phase_mode_unit_block_energy(self):
-        # constant-modulus subcarriers: Parseval fixes each block energy at 1
-        rng = np.random.default_rng(3)
-        m = 64
-        x = generate_ofdm_samples(m, 10 * m, rng, constellation="phase")
-        energies = np.abs(x.reshape(10, m)) ** 2
-        np.testing.assert_allclose(energies.sum(axis=1), 1.0, atol=1e-12)
+        _, energies = _chunk_energies(rng, 10**5, 1, 16, UNIT_GAINS, 0.0)
+        x = energies / energies.mean()
+        assert np.mean(x**2) == pytest.approx(2.0, abs=0.1)
 
     def test_gaussian_mode_mean_block_energy(self):
+        # N = m: each energy is one whole block
         rng = np.random.default_rng(4)
         m = 64
-        x = generate_ofdm_samples(m, 2000 * m, rng)
-        energies = (np.abs(x.reshape(2000, m)) ** 2).sum(axis=1)
+        _, energies = _chunk_energies(rng, 2000, m, m, UNIT_GAINS, 0.0)
         assert energies.mean() == pytest.approx(1.0, rel=0.02)
-        assert energies.std() > 0.05  # fluctuates, unlike phase mode
+        assert energies.std() > 0.05  # Gaussian symbols: block energy fluctuates
 
     def test_domain(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            generate_ofdm_samples(8, 100, rng)
-        with pytest.raises(ValueError):
-            generate_ofdm_samples(64, 0, rng)
-        with pytest.raises(ValueError):
-            generate_ofdm_samples(64, 10, rng, constellation="qam")
+            ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100, m_subcarriers=0)
 
 
 class TestTransmitOokBit:
+    """The per-bit SU signal in the kernel: gains[bit] * samples + AWGN."""
+
     @pytest.fixture
     def scenario(self):
         pair = make_correlated_pair(8, 0.0, 0.0, g=1.0, seed=5)
@@ -69,20 +56,22 @@ class TestTransmitOokBit:
     def test_bit0_is_noise_only(self, scenario):
         pair, ws = scenario
         rng = np.random.default_rng(6)
-        samples = generate_ofdm_samples(64, 10**5, rng)
         sigma_n_sq = 1e-3
-        rx = transmit_ook_bit(0, ws, pair, samples, sigma_n_sq, rng)
-        assert np.mean(np.abs(rx) ** 2) == pytest.approx(sigma_n_sq, rel=0.02)
+        bits, energies = _chunk_energies(
+            rng, 4000, 64, 64, response_gains(pair, ws), math.sqrt(sigma_n_sq / 2)
+        )
+        assert energies[bits == 0].mean() / 64 == pytest.approx(sigma_n_sq, rel=0.02)
 
     def test_bit1_power_matches_received_power(self, scenario):
         # rho = 0: sigma_r^2 = (1/64) * 0.3 / 0.85
         pair, ws = scenario
         rng = np.random.default_rng(7)
-        samples = generate_ofdm_samples(64, 10**5, rng)
         sigma_n_sq = 1e-3
-        rx = transmit_ook_bit(1, ws, pair, samples, sigma_n_sq, rng)
+        bits, energies = _chunk_energies(
+            rng, 4000, 64, 64, response_gains(pair, ws), math.sqrt(sigma_n_sq / 2)
+        )
         want = sigma_n_sq + (1 / 64) * 0.3 / 0.85
-        assert np.mean(np.abs(rx) ** 2) == pytest.approx(want, rel=0.02)
+        assert energies[bits == 1].mean() / 64 == pytest.approx(want, rel=0.02)
 
     def test_pu_side_power_identical_for_both_bits(self):
         pair = make_correlated_pair(8, 0.6, 0.8, seed=8)
@@ -95,16 +84,19 @@ class TestTransmitOokBit:
 
 
 class TestDetectOokBit:
+    """The energies run_ber compares against its threshold."""
+
     def test_all_zero_samples(self):
-        assert detect_ook_bit(np.zeros(10, dtype=complex), 1.0) == 0
+        # nulled response and no noise: zero energy, so every bit decides 0
+        rng = np.random.default_rng(0)
+        _, energies = _chunk_energies(rng, 100, 10, 64, np.zeros(2, dtype=complex), 0.0)
+        assert np.all(energies == 0.0)
 
     def test_energy_above_threshold(self):
-        x = np.full(8, 0.5 + 0.0j)  # energy 2.0
-        assert detect_ook_bit(x, 1.0) == 1
-
-    def test_tie_decides_zero(self):
-        x = np.array([1.0 + 0.0j])
-        assert detect_ook_bit(x, 1.0) == 0
+        # no noise: only bit 1 carries energy, so any small threshold decides right
+        rng = np.random.default_rng(1)
+        bits, energies = _chunk_energies(rng, 1000, 8, 64, np.array([0.0, 1.0 + 0.0j]), 0.0)
+        assert np.array_equal(energies > 1e-12, bits == 1)
 
     def test_false_alarm_rate(self):
         # noise-only symbols at delta*: rate = 1 - P(N, delta/sigma_n^2)
@@ -112,10 +104,10 @@ class TestDetectOokBit:
         delta = 1.4 * n * sigma_n_sq
         rng = np.random.default_rng(9)
         trials = 10**5
-        noise = math.sqrt(sigma_n_sq / 2) * (
-            rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
+        _, energies = _chunk_energies(
+            rng, trials, n, 16, np.zeros(2, dtype=complex), math.sqrt(sigma_n_sq / 2)
         )
-        rate = np.mean(np.sum(np.abs(noise) ** 2, axis=1) > delta)
+        rate = np.mean(energies > delta)
         want = 1.0 - regularized_lower_gamma(n, delta / sigma_n_sq)
         assert abs(rate - want) < 3 * math.sqrt(want * (1 - want) / trials)
 
@@ -175,17 +167,13 @@ class TestRunBer:
         pair = make_correlated_pair(8, 0.0, 0.0, seed=29)
         ws = build_weight_set(pair, 0.3)
         n, m = 10, 64
-        sigma_r_sq = abs(pair.h_su @ ws.tx_weight(1)) ** 2 / m
+        gain1 = response_gains(pair, ws)[1]
+        sigma_r_sq = abs(gain1) ** 2 / m
         sigma_n_sq = sigma_r_sq / 10 ** (-5.0 / 10.0)
         rng = np.random.default_rng(31)
-        trials = 10**5
-        gain = pair.g * complex(pair.h_su @ ws.tx_weight(1))
-        sym = (rng.standard_normal((trials, m)) + 1j * rng.standard_normal((trials, m))) / math.sqrt(2)
-        samples = np.fft.ifft(sym, axis=1)[:, :n]
-        noise = math.sqrt(sigma_n_sq / 2) * (
-            rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
+        _, energies = _chunk_energies(
+            rng, 10**5, n, m, np.full(2, gain1), math.sqrt(sigma_n_sq / 2)
         )
-        energies = np.sum(np.abs(gain * samples + noise) ** 2, axis=1)
         scale = sigma_r_sq + sigma_n_sq
         assert energies.mean() == pytest.approx(n * scale, rel=0.01)
         assert energies.var() == pytest.approx(n * scale**2, rel=0.05)
