@@ -181,6 +181,8 @@ def cmd_weights(args) -> int:
 
 def cmd_theory(args) -> int:
     config = _read_config(args, ("n_grid", "snr_grid"))
+    if args.pdf_points < 1:
+        raise ValueError(f"pdf_points must be >= 1, got {args.pdf_points}")
     n_grid = parse_grid(args.n_grid or config.get("n_grid", "1,10,100"), cast=int)
     snr_grid = parse_grid(args.snr_grid or config.get("snr_grid", "-10:0:5"))
     rows = []

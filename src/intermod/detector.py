@@ -65,8 +65,10 @@ def regularized_lower_gamma(s: float, x: float) -> float:
 
     Series expansion for x < s + 1, continued fraction otherwise; both are
     iterated to machine convergence with log-domain prefactors, accurate to
-    ~1e-12 absolute for s up to at least 1e6.
+    ~1e-12 absolute for s up to at least 1e6.  Raises ValueError for
+    non-finite arguments and when a loop exhausts its iteration cap.
     """
+    _require_finite(s=s, x=x)
     if s <= 0.0:
         raise ValueError(f"s must be positive, got {s!r}")
     if x < 0.0:
@@ -76,6 +78,16 @@ def regularized_lower_gamma(s: float, x: float) -> float:
     if x < s + 1.0:
         return _lower_gamma_series(s, x)
     return 1.0 - _upper_gamma_cf(s, x)
+
+
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _no_convergence(loop: str, s: float, x: float) -> ValueError:
+    return ValueError(f"{loop} did not converge in {_ITMAX} iterations for s={s!r}, x={x!r}")
 
 
 def _gamma_prefactor(s: float, x: float) -> float:
@@ -93,6 +105,8 @@ def _lower_gamma_series(s: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             break
+    else:
+        raise _no_convergence("incomplete gamma series", s, x)
     return total * _gamma_prefactor(s, x)
 
 
@@ -117,6 +131,8 @@ def _upper_gamma_cf(s: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
+    else:
+        raise _no_convergence("incomplete gamma continued fraction", s, x)
     return h * _gamma_prefactor(s, x)
 
 
@@ -127,13 +143,22 @@ def optimal_threshold(n: int, sigma_r_sq: float, sigma_n_sq: float) -> float:
              / (1/sigma_n^2 - 1/(sigma_r^2 + sigma_n^2)),
 
     the positive crossing point of the two conditional Gamma densities.
+    Raises ValueError when sigma_r^2 is too small against sigma_n^2 for the
+    two densities to differ in double precision.
     """
+    _require_finite(n=n, sigma_r_sq=sigma_r_sq, sigma_n_sq=sigma_n_sq)
     if n < 1:
         raise ValueError("n must be >= 1")
     if sigma_r_sq <= 0.0 or sigma_n_sq <= 0.0:
         raise ValueError("variances must be positive")
     s_total = sigma_r_sq + sigma_n_sq
-    return n * math.log(s_total / sigma_n_sq) / (1.0 / sigma_n_sq - 1.0 / s_total)
+    gap = 1.0 / sigma_n_sq - 1.0 / s_total
+    if gap <= 0.0:
+        raise ValueError(
+            f"sigma_r_sq / sigma_n_sq = {sigma_r_sq / sigma_n_sq:.3g} is too small "
+            "to place a threshold in double precision"
+        )
+    return n * math.log(s_total / sigma_n_sq) / gap
 
 
 def error_probability(n: int, sigma_r_sq: float, sigma_n_sq: float, threshold: float) -> float:
@@ -144,6 +169,7 @@ def error_probability(n: int, sigma_r_sq: float, sigma_n_sq: float, threshold: f
     with P the regularized lower incomplete gamma; result clamped to
     [0, 0.5].  Degenerate sigma_r^2 = 0 gives exactly 0.5.
     """
+    _require_finite(n=n, sigma_r_sq=sigma_r_sq, sigma_n_sq=sigma_n_sq, threshold=threshold)
     if n < 1:
         raise ValueError("n must be >= 1")
     if sigma_r_sq < 0.0 or sigma_n_sq <= 0.0:

@@ -24,6 +24,7 @@ from .weights import closed_form_norms
 
 DEFAULT_PE_TARGET = 1e-5
 DEFAULT_N_MAX = 10**6
+_PE_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,14 @@ def find_n_alpha(
     """Smallest integration length N with P_e below the target.
 
     P_e at the optimal threshold is monotone decreasing in N for a fixed
-    SNR, so a binary search over [1, n_max] applies.  Returns None when
-    even n_max misses the target (including alpha = 0, where the SU SNR is
-    zero and P_e = 0.5 for every N).
+    SNR, so every search that keeps the bracket pe(lo) >= target > pe(hi)
+    until hi - lo == 1 returns the same N.  This one probes with Illinois
+    steps (Dowell & Jarratt 1971) on f(N) = ln P_e(N) - ln target, which is
+    nearly linear in N because the error exponent is; a probe that leaves
+    more than half the bracket is followed by a bisection step, which caps
+    the cost at about 2 log2(n_max) evaluations.  Returns None when even
+    n_max misses the target (including alpha = 0, where the SU SNR is zero
+    and P_e = 0.5 for every N).
     """
     if not (0.0 < pe_target < 0.5):
         raise ValueError("pe_target must be in (0, 0.5)")
@@ -79,13 +85,35 @@ def find_n_alpha(
         return None
     if _pe_at(1, snr, cache) < pe_target:
         return 1
+    log_target = math.log(pe_target)
+
+    def excess(n):
+        # P_e underflows to exactly 0 at large N and high SNR
+        return math.log(max(_pe_at(n, snr, cache), _PE_FLOOR)) - log_target
+
     lo, hi = 1, n_max  # invariant: pe(lo) >= target > pe(hi)
+    f_lo, f_hi = excess(lo), excess(hi)
+    moved = None  # the end the last probe replaced
+    bisect = False  # set after a probe that left more than half the bracket
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _pe_at(mid, snr, cache) < pe_target:
-            hi = mid
+        width = hi - lo
+        # no slope to follow when the floored logs cannot tell the ends apart
+        if bisect or f_lo <= f_hi:
+            n = (lo + hi) // 2
         else:
-            lo = mid
+            n = min(max(lo + round(width * f_lo / (f_lo - f_hi)), lo + 1), hi - 1)
+        f_n = excess(n)
+        if _pe_at(n, snr, cache) < pe_target:
+            hi, f_hi = n, f_n
+            if moved == "hi":
+                f_lo *= 0.5
+            moved = "hi"
+        else:
+            lo, f_lo = n, f_n
+            if moved == "lo":
+                f_hi *= 0.5
+            moved = "lo"
+        bisect = not bisect and 2 * (hi - lo) > width
     return hi
 
 

@@ -131,6 +131,14 @@ class TestTheoryCommand:
             assert np.trapezoid(dens, eps) == pytest.approx(1.0, abs=1e-3)
 
 
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_nonpositive_pdf_points_rejected(self, tmp_path, capsys, points):
+        pdf = tmp_path / "p.csv"
+        assert main(["theory", "--pdf-out", str(pdf), "--pdf-points", points]) == 3
+        assert "pdf_points" in capsys.readouterr().err
+        assert not pdf.exists()
+
+
 class TestBerCommand:
     def test_jobs_do_not_change_results(self, tmp_path):
         out1 = tmp_path / "b1.csv"
@@ -239,6 +247,8 @@ class TestUsageErrors:
         ["sumrate", "--gamma-db=nan"],
         ["sumrate", "--pe-target=inf"],
         ["ber", "--n", "10", "--snr-db=nan:0:3"],
+        ["theory", "--n", "10", "--snr-db=-400"],
+        ["ber", "--n", "10", "--snr-db=-400", "--bits", "100"],
     ])
     def test_bad_number_rejected_at_once(self, argv, capsys):
         start = time.monotonic()

@@ -1,10 +1,12 @@
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from intermod import detector
 from intermod.detector import (
     DetectorModel,
     energy_pdf,
@@ -72,6 +74,21 @@ class TestRegularizedLowerGamma:
         with pytest.raises(ValueError):
             regularized_lower_gamma(1.0, -1.0)
 
+    @pytest.mark.parametrize("s, x", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0),
+    ])
+    def test_non_finite_rejected_at_once(self, s, x):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="finite"):
+            regularized_lower_gamma(s, x)
+        assert time.monotonic() - start < 0.1
+
+    @pytest.mark.parametrize("x", [50.0, 150.0])  # series branch, continued fraction
+    def test_exhausted_loop_raises(self, x, monkeypatch):
+        monkeypatch.setattr(detector, "_ITMAX", 3)
+        with pytest.raises(ValueError, match="did not converge"):
+            regularized_lower_gamma(100.0, x)
+
 
 class TestEnergyPdf:
     def test_shape_one_is_exponential(self):
@@ -130,6 +147,21 @@ class TestOptimalThreshold:
         with pytest.raises(ValueError):
             optimal_threshold(1, 0.0, 1.0)
 
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1.0, 1.0), (1, math.nan, 1.0), (1, 1.0, math.inf), (1, math.inf, 1.0),
+    ])
+    def test_non_finite_rejected_at_once(self, args):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="finite"):
+            optimal_threshold(*args)
+        assert time.monotonic() - start < 0.1
+
+    @pytest.mark.parametrize("sigma_r_sq", [1e-40, 1e-17])
+    def test_unresolvable_snr_rejected(self, sigma_r_sq):
+        # 1/sigma_n^2 - 1/(sigma_r^2 + sigma_n^2) rounds to 0
+        with pytest.raises(ValueError, match="too small"):
+            optimal_threshold(10, sigma_r_sq, 1.0)
+
 
 class TestErrorProbability:
     def test_n1_closed_form(self):
@@ -139,6 +171,16 @@ class TestErrorProbability:
 
     def test_degenerate_signal(self):
         assert error_probability(5, 0.0, 1.0, 5.0) == 0.5
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1.0, 1.0, 5.0), (5, math.nan, 1.0, 5.0), (5, 1.0, math.inf, 5.0),
+        (5, 1.0, 1.0, math.nan), (5, 1.0, 1.0, math.inf),
+    ])
+    def test_non_finite_rejected_at_once(self, args):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="finite"):
+            error_probability(*args)
+        assert time.monotonic() - start < 0.1
 
     def test_monotone_decreasing_in_n(self):
         values = []

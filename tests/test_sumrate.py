@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from intermod import sumrate
 from intermod.channel import make_correlated_pair
 from intermod.detector import error_probability, optimal_threshold
 from intermod.simulator import ScenarioConfig, run_ber
@@ -16,6 +17,40 @@ from intermod.sumrate import (
 from intermod.weights import build_weight_set
 
 GAMMA_30DB = 1000.0
+
+
+def bisect_n_alpha(alpha, rho_mag, g, gamma, pe_target, n_max):
+    """Reference search: plain bisection over [1, n_max] on the same bracket."""
+    snr = su_snr(alpha, rho_mag, g, gamma)
+    if snr <= 0.0:
+        return None
+    cache: dict = {}
+    if sumrate._pe_at(n_max, snr, cache) >= pe_target:
+        return None
+    if sumrate._pe_at(1, snr, cache) < pe_target:
+        return 1
+    lo, hi = 1, n_max
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sumrate._pe_at(mid, snr, cache) < pe_target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.fixture
+def pe_calls(monkeypatch):
+    """Count the P_e evaluations the sum-rate module makes."""
+    calls = [0]
+    real = sumrate.error_probability
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(sumrate, "error_probability", counted)
+    return calls
 
 
 class TestSuSnr:
@@ -73,6 +108,33 @@ class TestFindNAlpha:
             find_n_alpha(0.1, 0.1, 1.0, GAMMA_30DB, pe_target=0.6)
         with pytest.raises(ValueError):
             find_n_alpha(0.1, 0.1, 1.0, GAMMA_30DB, n_max=0)
+
+
+class TestSearchAgainstBisection:
+    ALPHAS = [0.0, *np.logspace(-4, math.log10(0.99), 20)]
+
+    @pytest.mark.parametrize("n_max", [100, 10**6])
+    @pytest.mark.parametrize("pe_target", [1e-2, 1e-5, 1e-9, 0.49])
+    @pytest.mark.parametrize("gamma_db", [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0])
+    def test_same_n_alpha_within_eval_bound(self, gamma_db, pe_target, n_max, pe_calls):
+        rng = np.random.default_rng([int(gamma_db) + 10, n_max, int(-math.log10(pe_target))])
+        rho, g = rng.uniform(0.0, 0.9), math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+        gamma = 10.0 ** (gamma_db / 10.0)
+        bound = 2 * math.ceil(math.log2(n_max)) + 2
+        for alpha in self.ALPHAS:
+            want = bisect_n_alpha(alpha, rho, g, gamma, pe_target, n_max)
+            pe_calls[0] = 0
+            assert find_n_alpha(alpha, rho, g, gamma, pe_target, n_max) == want
+            assert pe_calls[0] <= bound
+
+    def test_half_the_bisection_evaluations_at_30db(self, pe_calls):
+        counts = {}
+        for search in (bisect_n_alpha, find_n_alpha):
+            pe_calls[0] = 0
+            for alpha in default_alpha_grid():
+                search(alpha, 0.1, 1.0, GAMMA_30DB, 1e-5, 10**6)
+            counts[search] = pe_calls[0]
+        assert counts[find_n_alpha] < 0.5 * counts[bisect_n_alpha]
 
 
 class TestSweepSumRate:
