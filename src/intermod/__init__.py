@@ -14,7 +14,6 @@ from .channel import (
     make_correlated_pair,
 )
 from .detector import (
-    DetectorModel,
     energy_pdf,
     error_probability,
     mixture_energy_pdf,
@@ -36,7 +35,6 @@ from .weights import (
 __all__ = [
     "BerResult",
     "ChannelPair",
-    "DetectorModel",
     "IllConditionedCorrelationError",
     "ScenarioConfig",
     "SumRatePoint",

@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .detector import error_probability, mixture_energy_pdf, optimal_threshold
+from .detector import db_to_linear, error_probability, mixture_energy_pdf, optimal_threshold
 from .simulator import ScenarioConfig, run_ber
 from .sumrate import default_alpha_grid, find_n_alpha, sweep_sum_rate
 from .weights import closed_form_norms, paper_closed_form_norms
@@ -151,12 +151,6 @@ def cmd_weights(args) -> int:
     config = _read_config(args, ("alpha_grid", "rho_grid"))
     alpha_grid = parse_grid(args.alpha_grid or config.get("alpha_grid", "0:0.9:19"))
     rho_grid = parse_grid(args.rho_grid or config.get("rho_grid", "0:0.9:19"))
-    for alpha in alpha_grid:
-        if not (0.0 <= alpha < 1.0):
-            raise ValueError(f"alpha must be in [0, 1), got {alpha!r}")
-    for rho in rho_grid:
-        if not (0.0 <= rho < 1.0):
-            raise ValueError(f"rho must be in [0, 1), got {rho!r}")
     rows = []
     for alpha in alpha_grid:
         for rho in rho_grid:
@@ -190,7 +184,7 @@ def cmd_theory(args) -> int:
     for n in n_grid:
         for snr_db in snr_grid:
             sigma_n_sq = 1.0
-            sigma_r_sq = 10.0 ** (snr_db / 10.0)
+            sigma_r_sq = db_to_linear(snr_db)
             delta = optimal_threshold(n, sigma_r_sq, sigma_n_sq)
             pe = error_probability(n, sigma_r_sq, sigma_n_sq, delta)
             rows.append((n, snr_db, sigma_r_sq, sigma_n_sq, delta, pe))

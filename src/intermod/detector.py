@@ -15,7 +15,6 @@ All heavy-tailed quantities are evaluated in the log domain so that large N
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,41 +22,15 @@ _EPS = 1e-16
 _ITMAX = 10_000_000
 
 
-@dataclass(frozen=True)
-class DetectorModel:
-    """Energy detector parameters: (N, sigma_r^2, sigma_n^2, threshold).
-
-    sigma_r_sq = 0 is allowed only for degenerate cases (P_e = 0.5).
-    """
-
-    n_samples: int
-    sigma_r_sq: float
-    sigma_n_sq: float
-    threshold: float
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.sigma_r_sq < 0.0:
-            raise ValueError("sigma_r_sq must be nonnegative")
-        if self.sigma_n_sq <= 0.0:
-            raise ValueError("sigma_n_sq must be positive")
-        if self.threshold <= 0.0:
-            raise ValueError("threshold must be positive")
-
-    @classmethod
-    def with_optimal_threshold(cls, n_samples, sigma_r_sq, sigma_n_sq):
-        return cls(
-            n_samples=n_samples,
-            sigma_r_sq=sigma_r_sq,
-            sigma_n_sq=sigma_n_sq,
-            threshold=optimal_threshold(n_samples, sigma_r_sq, sigma_n_sq),
-        )
-
-    def error_probability(self) -> float:
-        return error_probability(
-            self.n_samples, self.sigma_r_sq, self.sigma_n_sq, self.threshold
-        )
+def db_to_linear(db: float) -> float:
+    """10^(db/10); raises ValueError unless the result is positive and finite."""
+    try:
+        value = 10.0 ** (db / 10.0)
+    except OverflowError:
+        value = math.inf
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{db!r} dB is not a positive finite ratio in double precision")
+    return value
 
 
 def regularized_lower_gamma(s: float, x: float) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import make_correlated_pair
-from .detector import error_probability, optimal_threshold
+from .detector import db_to_linear, error_probability, optimal_threshold
 from .weights import build_weight_set
 
 #: Trials per RNG substream; fixed so chunk boundaries never depend on the
@@ -99,7 +99,7 @@ def _detector_params(config: ScenarioConfig, gain1: complex):
     if abs(gain1) ** 2 < 1e-18:  # nulled response leaves only solver residue
         return sample_var, config.n_samples * sample_var, 0.5
     sigma_r_sq = abs(gain1) ** 2 * sample_var
-    sigma_n_sq = sigma_r_sq / 10.0 ** (config.snr_db / 10.0)
+    sigma_n_sq = sigma_r_sq / db_to_linear(config.snr_db)
     threshold = optimal_threshold(config.n_samples, sigma_r_sq, sigma_n_sq)
     pe = error_probability(config.n_samples, sigma_r_sq, sigma_n_sq, threshold)
     return sigma_n_sq, threshold, pe

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import error_probability, optimal_threshold
+from .detector import db_to_linear, error_probability, optimal_threshold
 from .weights import closed_form_norms
 
 DEFAULT_PE_TARGET = 1e-5
@@ -136,7 +136,7 @@ def sweep_sum_rate(
     with no SU rate; all other entries use the modulated-regime PU rate
     with the solver-consistent xi.
     """
-    gamma = 10.0 ** (gamma_db / 10.0)
+    gamma = db_to_linear(gamma_db)
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()
     points = []

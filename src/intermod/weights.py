@@ -30,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    NEAR_SINGULAR_TOL,
-    ChannelPair,
-    IllConditionedCorrelationError,
-    inner_product,
-)
-
-_NORM_TOL = 1e-9
+from .channel import ChannelPair, IllConditionedCorrelationError
 
 
 @dataclass(frozen=True)
@@ -76,34 +69,22 @@ class WeightSet:
         return omega / math.sqrt(self.xi)
 
 
-def _check_unit_norm(name: str, h: np.ndarray) -> None:
-    nrm = float(np.linalg.norm(h))
-    if abs(nrm - 1.0) > _NORM_TOL:
-        raise ValueError(f"{name} must be unit-norm, got ||{name}|| = {nrm!r}")
-
-
-def solve_min_norm(h_su, h_pu, targets: TargetGains) -> np.ndarray:
+def solve_min_norm(pair: ChannelPair, targets: TargetGains) -> np.ndarray:
     """Minimum-norm omega with ``h_su^T omega = b_su`` and ``h_pu^T omega = b_pu``.
 
     Solves the underdetermined 2-constraint system via the pseudoinverse,
     ``omega = C^H (C C^H)^{-1} b``; the result has no component in the
-    nullspace of the constraints.
+    nullspace of the constraints.  ``ChannelPair`` has already checked the
+    shapes, the unit norms and rho.
     """
-    h_su = np.asarray(h_su, dtype=complex)
-    h_pu = np.asarray(h_pu, dtype=complex)
-    if h_su.shape != h_pu.shape or h_su.ndim != 1:
-        raise ValueError("h_su and h_pu must be 1-D vectors of equal length")
-    if h_su.shape[0] < 3:
+    if pair.k < 3:
         raise ValueError("weight solving requires K >= 3 antennas")
-    _check_unit_norm("h_su", h_su)
-    _check_unit_norm("h_pu", h_pu)
-    rho = inner_product(h_su, h_pu)
-    if abs(rho) ** 2 > 1.0 - NEAR_SINGULAR_TOL:
+    if pair.near_singular:
         raise IllConditionedCorrelationError(
-            f"|rho|^2 = {abs(rho)**2!r} is too close to 1; "
+            f"|rho|^2 = {abs(pair.rho)**2!r} is too close to 1; "
             "the constraint Gram matrix is near-singular"
         )
-    c = np.stack([h_su, h_pu])  # rows apply as plain-transpose products
+    c = np.stack([pair.h_su, pair.h_pu])  # rows apply as plain-transpose products
     gram = c @ c.conj().T
     b = np.array([targets.b_su, targets.b_pu], dtype=complex)
     return c.conj().T @ np.linalg.solve(gram, b)
@@ -124,6 +105,19 @@ def phase_align_targets(alpha: float, rho: complex) -> TargetGains:
     return TargetGains(b_su=b_su, b_pu=math.sqrt(1.0 - alpha))
 
 
+def _norms(alpha: float, rho_mag: float, cross: float) -> tuple[float, float, float]:
+    # cross is the cross-term coefficient: 2 matches the solver, 1 is the literature's
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError(f"alpha must be in [0, 1), got {alpha!r}")
+    if not (0.0 <= rho_mag < 1.0):
+        raise ValueError(f"rho_mag must be in [0, 1), got {rho_mag!r}")
+    denom = 1.0 - rho_mag**2
+    norm0_sq = (1.0 - alpha) / denom
+    norm1_sq = (1.0 - cross * math.sqrt(alpha) * math.sqrt(1.0 - alpha) * rho_mag) / denom
+    xi = 0.5 * (norm0_sq + norm1_sq)
+    return norm0_sq, norm1_sq, xi
+
+
 def closed_form_norms(alpha: float, rho_mag: float) -> tuple[float, float, float]:
     """Closed-form (|omega0|^2, |omega1|^2, xi) for phase-aligned targets.
 
@@ -134,15 +128,7 @@ def closed_form_norms(alpha: float, rho_mag: float) -> tuple[float, float, float
     These match the solved vectors from ``solve_min_norm`` to machine
     precision (the cross term carries the factor 2; see module docstring).
     """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must be in [0, 1), got {alpha!r}")
-    if not (0.0 <= rho_mag < 1.0):
-        raise ValueError(f"rho_mag must be in [0, 1), got {rho_mag!r}")
-    denom = 1.0 - rho_mag**2
-    norm0_sq = (1.0 - alpha) / denom
-    norm1_sq = (1.0 - 2.0 * math.sqrt(alpha) * math.sqrt(1.0 - alpha) * rho_mag) / denom
-    xi = 0.5 * (norm0_sq + norm1_sq)
-    return norm0_sq, norm1_sq, xi
+    return _norms(alpha, rho_mag, 2.0)
 
 
 def paper_closed_form_norms(alpha: float, rho_mag: float) -> tuple[float, float, float]:
@@ -152,15 +138,7 @@ def paper_closed_form_norms(alpha: float, rho_mag: float) -> tuple[float, float,
     Kept for comparison only; it disagrees with the solved vectors whenever
     alpha > 0 and |rho| > 0.
     """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must be in [0, 1), got {alpha!r}")
-    if not (0.0 <= rho_mag < 1.0):
-        raise ValueError(f"rho_mag must be in [0, 1), got {rho_mag!r}")
-    denom = 1.0 - rho_mag**2
-    norm0_sq = (1.0 - alpha) / denom
-    norm1_sq = (1.0 - math.sqrt(alpha) * math.sqrt(1.0 - alpha) * rho_mag) / denom
-    xi = 0.5 * (norm0_sq + norm1_sq)
-    return norm0_sq, norm1_sq, xi
+    return _norms(alpha, rho_mag, 1.0)
 
 
 def build_weight_set(pair: ChannelPair, alpha: float) -> WeightSet:
@@ -171,8 +149,8 @@ def build_weight_set(pair: ChannelPair, alpha: float) -> WeightSet:
     """
     targets1 = phase_align_targets(alpha, pair.rho)
     targets0 = TargetGains(b_su=0.0, b_pu=targets1.b_pu)
-    omega0 = solve_min_norm(pair.h_su, pair.h_pu, targets0)
-    omega1 = solve_min_norm(pair.h_su, pair.h_pu, targets1)
+    omega0 = solve_min_norm(pair, targets0)
+    omega1 = solve_min_norm(pair, targets1)
     norm0_sq = float(np.vdot(omega0, omega0).real)
     norm1_sq = float(np.vdot(omega1, omega1).real)
     return WeightSet(

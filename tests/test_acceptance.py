@@ -80,8 +80,7 @@ def test_criterion_2_min_norm_oracle():
     norms = [
         float(
             np.vdot(w := solve_min_norm(
-                pair.h_su, pair.h_pu,
-                TargetGains(math.sqrt(alpha) * np.exp(1j * p), math.sqrt(1 - alpha)),
+                pair, TargetGains(math.sqrt(alpha) * np.exp(1j * p), math.sqrt(1 - alpha))
             ), w).real
         )
         for p in phases

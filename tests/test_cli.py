@@ -101,6 +101,9 @@ class TestWeightsCommand:
         out = tmp_path / "w.csv"
         assert main(["weights", "--alpha", "0,1.5", "--out", str(out)]) == 3
         assert "invalid-parameter" in capsys.readouterr().err
+        assert main(["weights", "--rho", "0,1.0", "--out", str(out)]) == 3
+        assert "rho_mag" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTheoryCommand:
@@ -181,11 +184,17 @@ GOLDEN_ROWS = [
      "f3c59c0b99eb548e3c3b9fc2b9be1be65e45383ea1761e3d7122db384fc93163"),
     (["sumrate", "--gamma-db", "0", "--rho", "0.3", "--g", "0.8,1.5", "--alpha", "0:0.9:10"],
      "80a8bd5f5c2a234805846fe0050f73b5b76d392c804ec85b0252a2629d3867ca"),
+    (["weights", "--alpha", "0:0.9:7", "--rho", "0:0.9:7"],
+     "e0d93f02c9bb78bf95b2357eb353e6fff329b8082b5694207bda9bf682eb7fca"),
+    (["theory"],
+     "a15a3018e9c388ce9846a4f8792a1755ac5362010974b1aa7b98bac92ee6f942"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, digest", GOLDEN_ROWS, ids=["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db"]
+    "argv, digest",
+    GOLDEN_ROWS,
+    ids=["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db", "weights", "theory"],
 )
 def test_golden_rows(tmp_path, argv, digest):
     # SHA-256 of the data rows (no '#' lines, joined by newlines) as released
@@ -249,6 +258,11 @@ class TestUsageErrors:
         ["ber", "--n", "10", "--snr-db=nan:0:3"],
         ["theory", "--n", "10", "--snr-db=-400"],
         ["ber", "--n", "10", "--snr-db=-400", "--bits", "100"],
+        ["sumrate", "--gamma-db", "4000", "--alpha", "0.1"],
+        ["theory", "--n", "10", "--snr-db=4000"],
+        ["ber", "--n", "10", "--snr-db=4000", "--bits", "100"],
+        ["ber", "--n", "10", "--snr-db=-4000", "--bits", "100"],
+        ["sumrate", "--gamma-db=-4000", "--alpha", "0.1", "--rho", "0.1"],
     ])
     def test_bad_number_rejected_at_once(self, argv, capsys):
         start = time.monotonic()

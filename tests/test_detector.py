@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from intermod import detector
 from intermod.detector import (
-    DetectorModel,
+    db_to_linear,
     energy_pdf,
     error_probability,
     mixture_energy_pdf,
@@ -173,6 +173,13 @@ class TestErrorProbability:
         assert error_probability(5, 0.0, 1.0, 5.0) == 0.5
 
     @pytest.mark.parametrize("args", [
+        (0, 1.0, 1.0, 1.0), (1, -1.0, 1.0, 1.0), (1, 1.0, 0.0, 1.0), (1, 1.0, 1.0, -1.0),
+    ])
+    def test_domain(self, args):
+        with pytest.raises(ValueError):
+            error_probability(*args)
+
+    @pytest.mark.parametrize("args", [
         (math.nan, 1.0, 1.0, 5.0), (5, math.nan, 1.0, 5.0), (5, 1.0, math.inf, 5.0),
         (5, 1.0, 1.0, math.nan), (5, 1.0, 1.0, math.inf),
     ])
@@ -215,18 +222,8 @@ class TestErrorProbability:
             assert f1 == pytest.approx(f0, rel=1e-9)
 
 
-class TestModels:
-    def test_detector_model_optimal_construction(self):
-        m = DetectorModel.with_optimal_threshold(10, 0.5, 0.2)
-        assert m.threshold == pytest.approx(optimal_threshold(10, 0.5, 0.2), abs=1e-12)
-        assert m.error_probability() == pytest.approx(
-            error_probability(10, 0.5, 0.2, m.threshold), abs=1e-15
-        )
-
-    def test_detector_model_validation(self):
-        with pytest.raises(ValueError):
-            DetectorModel(0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            DetectorModel(1, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            DetectorModel(1, 1.0, 1.0, 0.0)
+class TestDbToLinear:
+    @pytest.mark.parametrize("db", [4000.0, -4000.0, math.nan, math.inf, -math.inf])
+    def test_unrepresentable_rejected(self, db):
+        with pytest.raises(ValueError, match="dB"):
+            db_to_linear(db)

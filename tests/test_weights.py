@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from intermod.channel import IllConditionedCorrelationError, make_correlated_pair
+from intermod.channel import ChannelPair, IllConditionedCorrelationError, make_correlated_pair
 from intermod.weights import (
     TargetGains,
     build_weight_set,
@@ -24,7 +24,7 @@ def _nullspace_project(pair, v):
 class TestSolveMinNorm:
     def test_pu_only_orthogonal_channels(self):
         pair = make_correlated_pair(5, 0.0, seed=1)
-        omega = solve_min_norm(pair.h_su, pair.h_pu, TargetGains(0.0, 1.0))
+        omega = solve_min_norm(pair, TargetGains(0.0, 1.0))
         assert np.vdot(omega, omega).real == pytest.approx(1.0, abs=1e-10)
         assert abs(pair.h_pu @ omega - 1.0) < 1e-10
         assert abs(pair.h_su @ omega) < 1e-10
@@ -32,14 +32,14 @@ class TestSolveMinNorm:
     def test_norm_matches_closed_form(self):
         # |omega0|^2 = (1 - alpha) / (1 - |rho|^2) = 0.8 / 0.36
         pair = make_correlated_pair(6, 0.8, 0.9, seed=2)
-        omega = solve_min_norm(pair.h_su, pair.h_pu, TargetGains(0.0, math.sqrt(0.8)))
+        omega = solve_min_norm(pair, TargetGains(0.0, math.sqrt(0.8)))
         assert np.vdot(omega, omega).real == pytest.approx(0.8 / 0.36, abs=1e-9)
 
     def test_minimum_norm_property(self):
         rng = np.random.default_rng(9)
         pair = make_correlated_pair(8, 0.6, 1.1, seed=3)
         targets = phase_align_targets(0.4, pair.rho)
-        omega = solve_min_norm(pair.h_su, pair.h_pu, targets)
+        omega = solve_min_norm(pair, targets)
         base = np.vdot(omega, omega).real
         for _ in range(20):
             v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -51,16 +51,12 @@ class TestSolveMinNorm:
             assert np.vdot(perturbed, perturbed).real > base
 
     def test_rejects_bad_inputs(self):
-        pair = make_correlated_pair(4, 0.5, seed=0)
-        with pytest.raises(ValueError):
-            solve_min_norm(2 * pair.h_su, pair.h_pu, TargetGains(0.0, 1.0))
-        with pytest.raises(ValueError):
-            solve_min_norm(pair.h_su[:2] / np.linalg.norm(pair.h_su[:2]),
-                           pair.h_pu[:2] / np.linalg.norm(pair.h_pu[:2]),
-                           TargetGains(0.0, 1.0))
+        two = ChannelPair(h_pu=np.array([1.0, 0.0]), h_su=np.array([0.0, 1.0]), rho=0.0, g=1.0)
+        with pytest.raises(ValueError, match="K >= 3"):
+            solve_min_norm(two, TargetGains(0.0, 1.0))
         near = make_correlated_pair(4, 0.9999999, seed=0)
         with pytest.raises(IllConditionedCorrelationError):
-            solve_min_norm(near.h_su, near.h_pu, TargetGains(0.0, 1.0))
+            solve_min_norm(near, TargetGains(0.0, 1.0))
 
 
 class TestPhaseAlignTargets:
@@ -86,7 +82,7 @@ class TestPhaseAlignTargets:
         norms = []
         for p in phases:
             t = TargetGains(math.sqrt(alpha) * np.exp(1j * p), math.sqrt(1 - alpha))
-            omega = solve_min_norm(pair.h_su, pair.h_pu, t)
+            omega = solve_min_norm(pair, t)
             norms.append(np.vdot(omega, omega).real)
         best = phases[int(np.argmin(norms))]
         want = (-theta) % (2 * np.pi)
