@@ -15,6 +15,11 @@ invocations produce byte-identical files.
 Grid-valued flags accept either a comma list ("1,10,100") or a
 start:stop:count range ("0:1:11", linearly spaced, endpoints included).
 
+Each subcommand's options are declared once, in its OPTIONS table: one row
+gives the flag, the key, how a value is read, the default and the help
+text.  The key is the argparse dest, the --config key and the manifest key,
+so the table is the one place the command line's defaults live.
+
 Config precedence: command-line flags > config-file values > defaults.
 The config file is flat "key = value" text; '#' starts a comment.  A key
 the subcommand does not read is rejected, as are non-finite numbers.
@@ -27,6 +32,7 @@ values ("error: invalid-parameter: ..." on stderr); 4 for I/O failures
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import multiprocessing
 import sys
@@ -36,25 +42,10 @@ import numpy as np
 from . import __version__
 from .detector import db_to_linear, error_probability, mixture_energy_pdf, optimal_threshold
 from .simulator import ScenarioConfig, run_ber
-from .sumrate import default_alpha_grid, find_n_alpha, sweep_sum_rate
+from .sumrate import DEFAULT_N_MAX, DEFAULT_PE_TARGET, default_alpha_grid, sweep_sum_rate
 from .weights import closed_form_norms, paper_closed_form_norms
 
 SCHEMA_VERSION = 1
-
-DEFAULTS = {
-    "k": 8,
-    "m": 64,
-    "alpha": 0.3,
-    "rho": 0.0,
-    "rho_phase": 0.0,
-    "g": 1.0,
-    "gamma_db": 30.0,
-    "pe_target": 1e-5,
-    "n_max": 10**6,
-    "bits": 20000,
-    "seed": 0,
-    "jobs": 1,
-}
 
 
 def parse_grid(spec: str, cast=float) -> list:
@@ -93,17 +84,67 @@ def load_config(path: str) -> dict:
     return values
 
 
-def _read_config(args, keys) -> dict:
-    """The --config file's values; a key the subcommand does not read is an error."""
-    if not args.config:
-        return {}
-    config = load_config(args.config)
-    unknown = sorted(set(config) - set(keys))
+_int_grid = functools.partial(parse_grid, cast=int)
+
+# (flag, key, reader, default, help) per subcommand.  A grid's reader is
+# applied to the flag's text after parsing, so a bad grid exits 3; int and
+# float also serve as the argparse type, so "--bits abc" exits 2.
+OPTIONS = {
+    "weights": (
+        ("--alpha", "alpha_grid", parse_grid, "0:0.9:19", "alpha grid"),
+        ("--rho", "rho_grid", parse_grid, "0:0.9:19", "|rho| grid"),
+    ),
+    "theory": (
+        ("--n", "n_grid", _int_grid, "1,10,100", "integration-length grid"),
+        ("--snr-db", "snr_grid", parse_grid, "-10:0:5", "SNR grid in dB"),
+    ),
+    "ber": (
+        ("--n", "n_grid", _int_grid, "10,100", "integration-length grid"),
+        ("--snr-db", "snr_grid", parse_grid, "-10:0:5", "SNR grid in dB"),
+        ("--bits", "bits", int, 20000, "bits per grid point"),
+        ("--alpha", "alpha", float, 0.3, "SU power coefficient"),
+        ("--rho", "rho", float, 0.0, "|rho|"),
+        ("--rho-phase", "rho_phase", float, 0.0, "arg(rho) in radians"),
+        ("--g", "g", float, 1.0, "SU/PU gain ratio"),
+        ("--k", "k", int, 8, "antenna count"),
+        ("--m", "m", int, 64, "subcarrier count"),
+        ("--seed", "seed", int, 0, "master seed"),
+        ("--jobs", "jobs", int, 1, "parallel workers; never changes results"),
+    ),
+    "sumrate": (
+        ("--rho", "rho_grid", parse_grid, "0.1,0.5,0.9", "|rho| per curve"),
+        ("--g", "g_grid", parse_grid, "1.0", "gain ratios per curve"),
+        ("--alpha", "alpha_grid", parse_grid, None,
+         "alpha grid (default: 200 log-spaced in [1e-4, 0.99])"),
+        ("--gamma-db", "gamma_db", float, 30.0, "PU normal-operation SNR in dB"),
+        ("--pe-target", "pe_target", float, DEFAULT_PE_TARGET, "target error probability"),
+        ("--n-max", "n_max", int, DEFAULT_N_MAX, "integration-length search cap"),
+    ),
+}
+
+
+def _options(args) -> dict:
+    """Every option of the subcommand, resolved flag > --config > default.
+
+    The result, with the command and output path, becomes the CSV manifest.
+    """
+    table = OPTIONS[args.command]
+    config = load_config(args.config) if args.config else {}
+    unknown = sorted(set(config) - {key for _, key, _, _, _ in table})
     if unknown:
         raise ValueError(
             f"{args.config}: unknown config key(s) for {args.command}: {', '.join(unknown)}"
         )
-    return config
+    params = {"command": args.command, "out": args.out or "-"}
+    for _, key, reader, default, _ in table:
+        value = getattr(args, key)
+        if value in (None, ""):  # an empty grid flag counts as not given
+            value = config.get(key, default)
+        value = None if value is None else reader(value)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+        params[key] = value
+    return params
 
 
 def _fmt(value) -> str:
@@ -113,16 +154,9 @@ def _fmt(value) -> str:
         return "1" if value else "0"
     if isinstance(value, float):
         return f"{value:.12g}"
+    if isinstance(value, list):
+        return ";".join(_fmt(v) for v in value)
     return str(value)
-
-
-def _resolve(args, config: dict, key: str, cast):
-    value = getattr(args, key)
-    if value is None:
-        value = cast(config[key]) if key in config else DEFAULTS[key]
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {value!r}")
-    return value
 
 
 def _write_csv(path, command, params, header, rows, footer_comments=()):
@@ -141,28 +175,15 @@ def _write_csv(path, command, params, header, rows, footer_comments=()):
             fh.write(text)
 
 
-def _manifest(command, args, extra):
-    params = {"command": command, "out": args.out or "-"}
-    params.update(extra)
-    return params
-
-
 def cmd_weights(args) -> int:
-    config = _read_config(args, ("alpha_grid", "rho_grid"))
-    alpha_grid = parse_grid(args.alpha_grid or config.get("alpha_grid", "0:0.9:19"))
-    rho_grid = parse_grid(args.rho_grid or config.get("rho_grid", "0:0.9:19"))
+    """power-efficiency surface over (alpha, rho)"""
+    params = _options(args)
     rows = []
-    for alpha in alpha_grid:
-        for rho in rho_grid:
+    for alpha in params["alpha_grid"]:
+        for rho in params["rho_grid"]:
             n0, n1, xi = closed_form_norms(alpha, rho)
             _, _, xi_paper = paper_closed_form_norms(alpha, rho)
             rows.append((alpha, rho, n0, n1, xi, xi_paper))
-    params = _manifest(
-        "weights",
-        args,
-        {"alpha_grid": ";".join(_fmt(a) for a in alpha_grid),
-         "rho_grid": ";".join(_fmt(r) for r in rho_grid)},
-    )
     _write_csv(
         args.out,
         "weights",
@@ -174,15 +195,15 @@ def cmd_weights(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    config = _read_config(args, ("n_grid", "snr_grid"))
+    """analytic P_e and threshold tables"""
+    params = _options(args)
     if args.pdf_points < 1:
         raise ValueError(f"pdf_points must be >= 1, got {args.pdf_points}")
-    n_grid = parse_grid(args.n_grid or config.get("n_grid", "1,10,100"), cast=int)
-    snr_grid = parse_grid(args.snr_grid or config.get("snr_grid", "-10:0:5"))
+    params["pdf_points"] = args.pdf_points
     rows = []
     pdf_rows = []
-    for n in n_grid:
-        for snr_db in snr_grid:
+    for n in params["n_grid"]:
+        for snr_db in params["snr_grid"]:
             sigma_n_sq = 1.0
             sigma_r_sq = db_to_linear(snr_db)
             delta = optimal_threshold(n, sigma_r_sq, sigma_n_sq)
@@ -197,13 +218,6 @@ def cmd_theory(args) -> int:
                 pdf_rows.extend(
                     (n, snr_db, float(e), float(d)) for e, d in zip(eps_grid, dens)
                 )
-    params = _manifest(
-        "theory",
-        args,
-        {"n_grid": ";".join(str(n) for n in n_grid),
-         "snr_grid": ";".join(_fmt(s) for s in snr_grid),
-         "pdf_points": args.pdf_points},
-    )
     _write_csv(
         args.out,
         "theory",
@@ -223,46 +237,34 @@ def cmd_theory(args) -> int:
 
 
 def cmd_ber(args) -> int:
-    config = _read_config(args, ("n_grid", "snr_grid", "bits", "seed", "jobs", "alpha",
-                                 "rho", "rho_phase", "g", "k", "m"))
-    n_grid = parse_grid(args.n_grid or config.get("n_grid", "10,100"), cast=int)
-    snr_grid = parse_grid(args.snr_grid or config.get("snr_grid", "-10:0:5"))
-    bits = _resolve(args, config, "bits", int)
-    seed = _resolve(args, config, "seed", int)
-    jobs = _resolve(args, config, "jobs", int)
-    alpha = _resolve(args, config, "alpha", float)
-    rho = _resolve(args, config, "rho", float)
-    rho_phase = _resolve(args, config, "rho_phase", float)
-    g = _resolve(args, config, "g", float)
-    k = _resolve(args, config, "k", int)
-    m = _resolve(args, config, "m", int)
+    """Monte Carlo BER vs analytic prediction"""
+    params = _options(args)
+    jobs = params.pop("jobs")  # never changes the output, so not in the manifest
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
 
     points = []
-    grid = [(n, snr_db) for n in n_grid for snr_db in snr_grid]
+    grid = [(n, snr_db) for n in params["n_grid"] for snr_db in params["snr_grid"]]
     for idx, (n, snr_db) in enumerate(grid):
-        point_seed = int(
-            np.random.SeedSequence(entropy=seed, spawn_key=(idx,)).generate_state(
-                1, np.uint64
-            )[0]
-        )
+        seq = np.random.SeedSequence(entropy=params["seed"], spawn_key=(idx,))
+        point_seed = int(seq.generate_state(1, np.uint64)[0])
         points.append(
             ScenarioConfig(
                 n_samples=n,
                 snr_db=snr_db,
-                n_bits=bits,
-                alpha=alpha,
-                rho_mag=rho,
-                rho_phase=rho_phase,
-                g=g,
-                k_antennas=k,
-                m_subcarriers=m,
+                n_bits=params["bits"],
+                alpha=params["alpha"],
+                rho_mag=params["rho"],
+                rho_phase=params["rho_phase"],
+                g=params["g"],
+                k_antennas=params["k"],
+                m_subcarriers=params["m"],
                 master_seed=point_seed,
             )
         )
-    if jobs > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
+    workers = min(jobs, len(points))  # a worker with no point would sit idle
+    if workers > 1:
+        with multiprocessing.Pool(processes=workers) as pool:
             results = pool.map(run_ber, points)
     else:
         results = [run_ber(p) for p in points]
@@ -275,14 +277,6 @@ def cmd_ber(args) -> int:
             (n, snr_db, res.n_bits, res.n_errors, res.ber, res.analytic_pe,
              res.per_point_ci95, within)
         )
-    params = _manifest(
-        "ber",
-        args,
-        {"n_grid": ";".join(str(n) for n in n_grid),
-         "snr_grid": ";".join(_fmt(s) for s in snr_grid),
-         "bits": bits, "seed": seed, "alpha": alpha, "rho": rho,
-         "rho_phase": rho_phase, "g": g, "k": k, "m": m},
-    )
     _write_csv(
         args.out,
         "ber",
@@ -295,26 +289,20 @@ def cmd_ber(args) -> int:
 
 
 def cmd_sumrate(args) -> int:
-    config = _read_config(
-        args, ("rho_grid", "g_grid", "alpha_grid", "gamma_db", "pe_target", "n_max")
-    )
-    rho_grid = parse_grid(args.rho_grid or config.get("rho_grid", "0.1,0.5,0.9"))
-    g_grid = parse_grid(args.g_grid or config.get("g_grid", "1.0"))
-    if args.alpha_grid or "alpha_grid" in config:
-        alpha_grid = parse_grid(args.alpha_grid or config["alpha_grid"])
-    else:
+    """sum-rate curves over alpha"""
+    params = _options(args)
+    alpha_grid = params.pop("alpha_grid")  # the manifest records its length only
+    if alpha_grid is None:
         alpha_grid = [float(a) for a in default_alpha_grid()]
-    gamma_db = _resolve(args, config, "gamma_db", float)
-    pe_target = _resolve(args, config, "pe_target", float)
-    n_max = _resolve(args, config, "n_max", int)
+    params["n_alpha_points"] = len(alpha_grid)
 
     rows = []
     footers = []
-    for rho in rho_grid:
-        for g in g_grid:
+    for rho in params["rho_grid"]:
+        for g in params["g_grid"]:
             curve = sweep_sum_rate(
-                gamma_db, rho, g,
-                alpha_grid=alpha_grid, pe_target=pe_target, n_max=n_max,
+                params["gamma_db"], rho, g, alpha_grid=alpha_grid,
+                pe_target=params["pe_target"], n_max=params["n_max"],
             )
             for pt in curve:
                 rows.append(
@@ -325,14 +313,6 @@ def cmd_sumrate(args) -> int:
                 f"# max_total rho_mag={_fmt(rho)} g={_fmt(g)} "
                 f"alpha={_fmt(best.alpha)} total={_fmt(best.total)}"
             )
-    params = _manifest(
-        "sumrate",
-        args,
-        {"rho_grid": ";".join(_fmt(r) for r in rho_grid),
-         "g_grid": ";".join(_fmt(g) for g in g_grid),
-         "n_alpha_points": len(alpha_grid),
-         "gamma_db": gamma_db, "pe_target": pe_target, "n_max": n_max},
-    )
     _write_csv(
         args.out,
         "sumrate",
@@ -351,64 +331,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"intermod {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for func in (cmd_weights, cmd_theory, cmd_ber, cmd_sumrate):
+        command = func.__name__.removeprefix("cmd_")
+        p = sub.add_parser(command, help=func.__doc__)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output CSV path ('-' or omitted for stdout)")
-
-    p_weights = sub.add_parser("weights", help="power-efficiency surface over (alpha, rho)")
-    add_common(p_weights)
-    p_weights.add_argument("--alpha", dest="alpha_grid", metavar="GRID",
-                           help="alpha grid (default 0:0.9:19)")
-    p_weights.add_argument("--rho", dest="rho_grid", metavar="GRID",
-                           help="|rho| grid (default 0:0.9:19)")
-    p_weights.set_defaults(func=cmd_weights)
-
-    p_theory = sub.add_parser("theory", help="analytic P_e and threshold tables")
-    add_common(p_theory)
-    p_theory.add_argument("--n", dest="n_grid", metavar="GRID",
-                          help="integration-length grid (default 1,10,100)")
-    p_theory.add_argument("--snr-db", dest="snr_grid", metavar="GRID",
-                          help="SNR grid in dB (default -10:0:5)")
-    p_theory.add_argument("--pdf-out", help="also tabulate the mixture energy PDF here")
-    p_theory.add_argument("--pdf-points", type=int, default=2000,
-                          help="points per PDF tabulation (default 2000)")
-    p_theory.set_defaults(func=cmd_theory)
-
-    p_ber = sub.add_parser("ber", help="Monte Carlo BER vs analytic prediction")
-    add_common(p_ber)
-    p_ber.add_argument("--n", dest="n_grid", metavar="GRID",
-                       help="integration-length grid (default 10,100)")
-    p_ber.add_argument("--snr-db", dest="snr_grid", metavar="GRID",
-                       help="SNR grid in dB (default -10:0:5)")
-    p_ber.add_argument("--bits", type=int, help="bits per grid point (default 20000)")
-    p_ber.add_argument("--alpha", type=float, help="SU power coefficient (default 0.3)")
-    p_ber.add_argument("--rho", type=float, help="|rho| (default 0)")
-    p_ber.add_argument("--rho-phase", dest="rho_phase", type=float,
-                       help="arg(rho) in radians (default 0)")
-    p_ber.add_argument("--g", type=float, help="SU/PU gain ratio (default 1)")
-    p_ber.add_argument("--k", type=int, help="antenna count (default 8)")
-    p_ber.add_argument("--m", type=int, help="subcarrier count (default 64)")
-    p_ber.add_argument("--seed", type=int, help="master seed (default 0)")
-    p_ber.add_argument("--jobs", type=int, help="parallel workers; never changes results")
-    p_ber.set_defaults(func=cmd_ber)
-
-    p_sum = sub.add_parser("sumrate", help="sum-rate curves over alpha")
-    add_common(p_sum)
-    p_sum.add_argument("--rho", dest="rho_grid", metavar="GRID",
-                       help="|rho| per curve (default 0.1,0.5,0.9)")
-    p_sum.add_argument("--g", dest="g_grid", metavar="GRID",
-                       help="gain ratios per curve (default 1.0)")
-    p_sum.add_argument("--alpha", dest="alpha_grid", metavar="GRID",
-                       help="alpha grid (default: 200 log-spaced in [1e-4, 0.99])")
-    p_sum.add_argument("--gamma-db", dest="gamma_db", type=float,
-                       help="PU normal-operation SNR in dB (default 30)")
-    p_sum.add_argument("--pe-target", dest="pe_target", type=float,
-                       help="target error probability (default 1e-5)")
-    p_sum.add_argument("--n-max", dest="n_max", type=int,
-                       help="integration-length search cap (default 1e6)")
-    p_sum.set_defaults(func=cmd_sumrate)
-
+        for flag, key, reader, default, text in OPTIONS[command]:
+            scalar = reader in (int, float)
+            p.add_argument(
+                flag, dest=key, type=reader if scalar else None,
+                metavar=None if scalar else "GRID",
+                help=text if default is None else f"{text} (default {_fmt(default)})",
+            )
+        p.set_defaults(func=func)
+    # flags only, not config keys; cmd_theory records pdf_points in the manifest itself
+    theory = sub.choices["theory"]
+    theory.add_argument("--pdf-out", help="also tabulate the mixture energy PDF here")
+    theory.add_argument("--pdf-points", type=int, default=2000,
+                        help="points per PDF tabulation (default 2000)")
     return parser
 
 

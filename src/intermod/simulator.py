@@ -86,20 +86,28 @@ def _chunk_energies(rng, n_trials, n, m, gains, noise_std):
     return bits, np.sum(np.abs(received) ** 2, axis=1)
 
 
-def _detector_params(config: ScenarioConfig, gain1: complex):
+def _detector_params(config: ScenarioConfig, gains):
     """(sigma_n_sq, threshold, analytic_pe) for a scenario.
 
     sigma_r^2 is taken from the actual solved SU response
-    gain1 = g * h_su^T omega1 / sqrt(xi) as |gain1|^2 * sample_var, which
+    gains[1] = g * h_su^T omega1 / sqrt(xi) as |gains[1]|^2 * sample_var, which
     equals sample_var * alpha g^2 / xi by the constraint construction;
     sigma_n^2 is back-solved from the requested SNR.  For alpha = 0 the SNR
     is undefined, the noise floor defaults to sample_var, and P_e = 0.5.
+    Bit 0 is modelled as noise only, so an SNR whose noise floor is not far
+    above the power of the bit-0 response (solver residue) is rejected.
     """
     sample_var = 1.0 / config.m_subcarriers
+    gain0, gain1 = (complex(gain) for gain in gains)
     if abs(gain1) ** 2 < 1e-18:  # nulled response leaves only solver residue
         return sample_var, config.n_samples * sample_var, 0.5
     sigma_r_sq = abs(gain1) ** 2 * sample_var
     sigma_n_sq = sigma_r_sq / db_to_linear(config.snr_db)
+    if abs(gain0) ** 2 * sample_var >= 1e-12 * sigma_n_sq:
+        raise ValueError(
+            f"snr_db={config.snr_db:g} puts the noise floor within 1e12x of the power of "
+            "the bit-0 solver residue; the detector model needs bit 0 to be noise only"
+        )
     threshold = optimal_threshold(config.n_samples, sigma_r_sq, sigma_n_sq)
     pe = error_probability(config.n_samples, sigma_r_sq, sigma_n_sq, threshold)
     return sigma_n_sq, threshold, pe
@@ -116,7 +124,7 @@ def run_ber(config: ScenarioConfig) -> BerResult:
     )
     weights = build_weight_set(pair, config.alpha)
     gains = np.array([pair.g * complex(pair.h_su @ weights.tx_weight(bit)) for bit in (0, 1)])
-    sigma_n_sq, threshold, analytic_pe = _detector_params(config, complex(gains[1]))
+    sigma_n_sq, threshold, analytic_pe = _detector_params(config, gains)
     noise_std = math.sqrt(sigma_n_sq / 2.0)
 
     n_errors = 0

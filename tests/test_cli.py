@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from intermod import cli
 from intermod.cli import load_config, main, parse_grid
 
 
@@ -52,7 +53,9 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             load_config(str(path))
 
-    @pytest.mark.parametrize("command, key", [("ber", "bitz"), ("sumrate", "m")])
+    @pytest.mark.parametrize("command, key", [
+        ("ber", "bitz"), ("sumrate", "m"), ("theory", "pdf_points"), ("weights", "n_grid"),
+    ])
     def test_unknown_key_rejected(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 5\n")
@@ -153,14 +156,37 @@ class TestBerCommand:
         assert main(argv + ["--jobs", "4", "--out", str(out2)]) == 0
         assert out2.read_bytes() == first
 
+    @pytest.mark.parametrize("n_grid, pools", [("10", []), ("10,20", [2])])
+    def test_at_most_one_worker_per_point(self, tmp_path, monkeypatch, n_grid, pools):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return [func(item) for item in items]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+        assert main(["ber", "--n", n_grid, "--snr-db=-5", "--bits", "500", "--jobs", "4",
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        assert started == pools
+
     def test_high_snr_point_error_free(self, tmp_path):
         out = tmp_path / "b.csv"
-        assert main(["ber", "--n", "50", "--snr-db", "10", "--bits", "20000",
-                     "--out", str(out)]) == 0
-        _, rows = read_csv(out)
-        assert float(rows[0]["analytic_pe"]) < 1e-8
-        assert rows[0]["n_errors"] == "0"
-        assert rows[0]["within_3sigma"] == "1"
+        for snr_db in ("10", "100"):
+            assert main(["ber", "--n", "50", "--snr-db", snr_db, "--bits", "20000",
+                         "--out", str(out)]) == 0
+            _, rows = read_csv(out)
+            assert float(rows[0]["analytic_pe"]) < 1e-8
+            assert rows[0]["n_errors"] == "0"
+            assert rows[0]["within_3sigma"] == "1"
 
     def test_schema(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -176,25 +202,30 @@ class TestBerCommand:
 
 GOLDEN_ROWS = [
     (["ber", "--n", "10,100", "--snr-db=-10:0:5", "--bits", "8192", "--seed", "7"],
-     "feeac0b490ba72b667ca45ff677c35e3fd65c7ed0ca09d4501d736e4cd0b49ac"),
+     "feeac0b490ba72b667ca45ff677c35e3fd65c7ed0ca09d4501d736e4cd0b49ac",
+     "d77232b924f7521270dfc3b9c738d0095bcb79ba86cf3f31b84d01454086660c"),
     (["ber", "--n", "20", "--snr-db=-2.5", "--bits", "20000", "--rho", "0.6",
       "--rho-phase", "1.1", "--alpha", "0.4", "--m", "8", "--seed", "3"],
-     "06fce5de560c7c238b3fcc0175c55c125060235074da50964cadbccc1913b4d4"),
+     "06fce5de560c7c238b3fcc0175c55c125060235074da50964cadbccc1913b4d4",
+     "769a991bb7bcab8ba4f981e10bec3a0aec1c63284f967e3c5997f2e233e308dd"),
     (["sumrate", "--gamma-db", "30", "--rho", "0.1,0.5", "--g", "1.0"],
-     "f3c59c0b99eb548e3c3b9fc2b9be1be65e45383ea1761e3d7122db384fc93163"),
+     "f3c59c0b99eb548e3c3b9fc2b9be1be65e45383ea1761e3d7122db384fc93163",
+     "9aa1ed887d775c8deda2afc2bfa79f17ee27835d584ba15794b59f1fb40d8045"),
     (["sumrate", "--gamma-db", "0", "--rho", "0.3", "--g", "0.8,1.5", "--alpha", "0:0.9:10"],
-     "80a8bd5f5c2a234805846fe0050f73b5b76d392c804ec85b0252a2629d3867ca"),
+     "80a8bd5f5c2a234805846fe0050f73b5b76d392c804ec85b0252a2629d3867ca",
+     "cd0103c33e47397f50a3951f5f2339669d38ff0952e708d3cf0deacbd92f14af"),
     (["weights", "--alpha", "0:0.9:7", "--rho", "0:0.9:7"],
-     "e0d93f02c9bb78bf95b2357eb353e6fff329b8082b5694207bda9bf682eb7fca"),
+     "e0d93f02c9bb78bf95b2357eb353e6fff329b8082b5694207bda9bf682eb7fca",
+     "5632fa4f4406a228f5de414b8eac6c1627e078ea08994108d519e7a0b15c5031"),
     (["theory"],
-     "a15a3018e9c388ce9846a4f8792a1755ac5362010974b1aa7b98bac92ee6f942"),
+     "a15a3018e9c388ce9846a4f8792a1755ac5362010974b1aa7b98bac92ee6f942",
+     "f2052f2d0b41b4051f196f60b222d0743fdcec51d0e29b2fb64727e0c1d9bb10"),
 ]
+GOLDEN_IDS = ["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db", "weights", "theory"]
 
 
 @pytest.mark.parametrize(
-    "argv, digest",
-    GOLDEN_ROWS,
-    ids=["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db", "weights", "theory"],
+    "argv, digest", [case[:2] for case in GOLDEN_ROWS], ids=GOLDEN_IDS
 )
 def test_golden_rows(tmp_path, argv, digest):
     # SHA-256 of the data rows (no '#' lines, joined by newlines) as released
@@ -203,6 +234,35 @@ def test_golden_rows(tmp_path, argv, digest):
     assert main(argv + ["--out", str(out)]) == 0
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
+# Every key the ber subcommand reads, from a config file; jobs is not recorded
+GOLDEN_CONFIG = (
+    "n_grid = 10,30\nsnr_grid = -6:-2:3\nbits = 3000\nseed = 11\njobs = 2\n"
+    "alpha = 0.25\nrho = 0.4\nrho_phase = 0.7\ng = 1.2\nk = 6\nm = 16\n"
+)
+GOLDEN_FILES = [(argv, digest) for argv, _, digest in GOLDEN_ROWS] + [
+    (["ber", "--config", "{cfg}", "--g", "0.9"],
+     "328ee1a225850bd0fee8c42bd0734541e47a3d3a414555f3e290903116a4dd99"),
+    (["theory", "--n", "1,20", "--snr-db=-3,0", "--pdf-points", "50", "--pdf-out", "{pdf}"],
+     "94f5fd98a02953ceaa2d416f8aecff38c07ded33f936029a5344910168b0fb04"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_FILES, ids=GOLDEN_IDS + ["ber-config", "theory-pdf"]
+)
+def test_golden_files(tmp_path, capsys, argv, digest):
+    # SHA-256 of everything written: the CSV on stdout (manifest, rows and
+    # footers, with out=-) followed by the --pdf-out file, if any
+    cfg, pdf = tmp_path / "run.cfg", tmp_path / "pdf.csv"
+    cfg.write_text(GOLDEN_CONFIG)
+    argv = [arg.format(cfg=cfg, pdf=pdf) for arg in argv]
+    assert main(argv + ["--out", "-"]) == 0
+    written = capsys.readouterr().out.encode()
+    if "--pdf-out" in argv:
+        written += pdf.read_bytes()
+    assert hashlib.sha256(written).hexdigest() == digest
 
 
 class TestSumrateCommand:
@@ -263,6 +323,8 @@ class TestUsageErrors:
         ["ber", "--n", "10", "--snr-db=4000", "--bits", "100"],
         ["ber", "--n", "10", "--snr-db=-4000", "--bits", "100"],
         ["sumrate", "--gamma-db=-4000", "--alpha", "0.1", "--rho", "0.1"],
+        ["ber", "--n", "10", "--snr-db=3000", "--bits", "100"],
+        ["ber", "--n", "10", "--snr-db=340", "--bits", "100"],
     ])
     def test_bad_number_rejected_at_once(self, argv, capsys):
         start = time.monotonic()
