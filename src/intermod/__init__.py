@@ -16,9 +16,10 @@ from .channel import (
 from .detector import (
     energy_pdf,
     error_probability,
+    log_error_probability,
+    log_gamma_tails,
     mixture_energy_pdf,
     optimal_threshold,
-    regularized_lower_gamma,
 )
 from .simulator import BerResult, ScenarioConfig, run_ber
 from .sumrate import SumRatePoint, default_alpha_grid, find_n_alpha, sweep_sum_rate
@@ -47,12 +48,13 @@ __all__ = [
     "error_probability",
     "find_n_alpha",
     "inner_product",
+    "log_error_probability",
+    "log_gamma_tails",
     "make_correlated_pair",
     "mixture_energy_pdf",
     "optimal_threshold",
     "paper_closed_form_norms",
     "phase_align_targets",
-    "regularized_lower_gamma",
     "run_ber",
     "solve_min_norm",
     "sweep_sum_rate",

@@ -14,6 +14,7 @@ invocations produce byte-identical files.
 
 Grid-valued flags accept either a comma list ("1,10,100") or a
 start:stop:count range ("0:1:11", linearly spaced, endpoints included).
+An empty grid, or a fractional point in an integer grid, is rejected.
 
 Each subcommand's options are declared once, in its OPTIONS table: one row
 gives the flag, the key, how a value is read, the default and the help
@@ -58,7 +59,11 @@ def parse_grid(spec: str, cast=float) -> list:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError(f"grid count must be >= 1 in {spec!r}")
-        values = [cast(v) for v in np.linspace(start, stop, count)]
+        points = np.linspace(start, stop, count)
+        values = [cast(v) for v in points]
+        # a cast that changed a point truncated it; NaN goes to the check below
+        if any(v != p for v, p in zip(values, points) if math.isfinite(p)):
+            raise ValueError(f"grid points must be {cast.__name__}s in {spec!r}")
     else:
         try:
             values = [cast(v) for v in spec.split(",") if v.strip() != ""]
@@ -138,9 +143,11 @@ def _options(args) -> dict:
     params = {"command": args.command, "out": args.out or "-"}
     for _, key, reader, default, _ in table:
         value = getattr(args, key)
-        if value in (None, ""):  # an empty grid flag counts as not given
+        if value is None:
             value = config.get(key, default)
         value = None if value is None else reader(value)
+        if value == []:
+            raise ValueError(f"{key} is an empty grid")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value!r}")
         params[key] = value

@@ -5,11 +5,10 @@ circularly-symmetric complex Gaussian samples, the per-sample power is
 exponential and the N-sample energy is Gamma-distributed with shape N and
 scale (sigma_r^2 + sigma_n^2) under an OOK one, or sigma_n^2 under an OOK
 zero.  The minimum-error threshold equates the two conditional densities,
-and the error probability reduces to regularized lower incomplete gamma
-terms.
+and the error probability reduces to regularized incomplete gamma tails.
 
-All heavy-tailed quantities are evaluated in the log domain so that large N
-(up to ~1e6) works without overflowing Gamma(N).
+The tails and P_e are evaluated in the log domain, so N up to ~1e6 works
+without overflowing Gamma(N) and P_e far below 1e-308 keeps its exact log.
 """
 
 from __future__ import annotations
@@ -33,13 +32,14 @@ def db_to_linear(db: float) -> float:
     return value
 
 
-def regularized_lower_gamma(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s).
+def log_gamma_tails(s: float, x: float) -> tuple[float, float]:
+    """(ln P, ln Q) of the regularized incomplete gammas P(s, x) and Q = 1 - P.
 
-    Series expansion for x < s + 1, continued fraction otherwise; both are
-    iterated to machine convergence with log-domain prefactors, accurate to
-    ~1e-12 absolute for s up to at least 1e6.  Raises ValueError for
-    non-finite arguments and when a loop exhausts its iteration cap.
+    The series gives ln P for x < s + 1 and the Lentz continued fraction
+    gives ln Q otherwise; the other tail is the complement.  The prefactor
+    x^s e^-x / Gamma(s) stays a log, so no tail underflows; for s >= 1 the
+    relative error is a few ulp of s ln s (~1e-9 at s = 1e6).  Raises
+    ValueError for non-finite input and when a loop hits its iteration cap.
     """
     _require_finite(s=s, x=x)
     if s <= 0.0:
@@ -47,10 +47,13 @@ def regularized_lower_gamma(s: float, x: float) -> float:
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x!r}")
     if x == 0.0:
-        return 0.0
+        return -math.inf, 0.0
+    log_prefactor = s * math.log(x) - x - math.lgamma(s)
     if x < s + 1.0:
-        return _lower_gamma_series(s, x)
-    return 1.0 - _upper_gamma_cf(s, x)
+        log_p = math.log(_lower_gamma_series(s, x)) + log_prefactor
+        return log_p, _log_complement(log_p)
+    log_q = math.log(_upper_gamma_cf(s, x)) + log_prefactor
+    return _log_complement(log_q), log_q
 
 
 def _require_finite(**values) -> None:
@@ -63,10 +66,9 @@ def _no_convergence(loop: str, s: float, x: float) -> ValueError:
     return ValueError(f"{loop} did not converge in {_ITMAX} iterations for s={s!r}, x={x!r}")
 
 
-def _gamma_prefactor(s: float, x: float) -> float:
-    # exp(-x + s ln x - ln Gamma(s)); underflows cleanly to 0 for extreme tails
-    arg = -x + s * math.log(x) - math.lgamma(s)
-    return math.exp(arg) if arg > -745.0 else 0.0
+def _log_complement(log_tail: float) -> float:
+    # ln(1 - e^a); a tail that rounds to 1 leaves nothing for the other
+    return math.log(-math.expm1(log_tail)) if log_tail < 0.0 else -math.inf
 
 
 def _lower_gamma_series(s: float, x: float) -> float:
@@ -80,11 +82,11 @@ def _lower_gamma_series(s: float, x: float) -> float:
             break
     else:
         raise _no_convergence("incomplete gamma series", s, x)
-    return total * _gamma_prefactor(s, x)
+    return total
 
 
 def _upper_gamma_cf(s: float, x: float) -> float:
-    # modified Lentz continued fraction for Q(s, x), valid for x >= s + 1
+    # Q(s, x) without its prefactor by the modified Lentz method, x >= s + 1
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
@@ -106,7 +108,7 @@ def _upper_gamma_cf(s: float, x: float) -> float:
             break
     else:
         raise _no_convergence("incomplete gamma continued fraction", s, x)
-    return h * _gamma_prefactor(s, x)
+    return h
 
 
 def optimal_threshold(n: int, sigma_r_sq: float, sigma_n_sq: float) -> float:
@@ -134,13 +136,13 @@ def optimal_threshold(n: int, sigma_r_sq: float, sigma_n_sq: float) -> float:
     return n * math.log(s_total / sigma_n_sq) / gap
 
 
-def error_probability(n: int, sigma_r_sq: float, sigma_n_sq: float, threshold: float) -> float:
-    """OOK error probability for an N-sample energy detector at a threshold.
+def log_error_probability(n: int, sigma_r_sq: float, sigma_n_sq: float, threshold: float) -> float:
+    """ln P_e of the OOK N-sample energy detector at a threshold delta.
 
-    P_e = 0.5 * (1 - P(N, delta/sigma_n^2) + P(N, delta/(sigma_r^2+sigma_n^2)))
+    P_e = 0.5 * (Q(N, delta/sigma_n^2) + P(N, delta/(sigma_r^2+sigma_n^2)))
 
-    with P the regularized lower incomplete gamma; result clamped to
-    [0, 0.5].  Degenerate sigma_r^2 = 0 gives exactly 0.5.
+    summed in the log domain from the two incomplete gamma tails, so it is
+    exact in both tails.  Degenerate sigma_r^2 = 0 gives exactly ln 0.5.
     """
     _require_finite(n=n, sigma_r_sq=sigma_r_sq, sigma_n_sq=sigma_n_sq, threshold=threshold)
     if n < 1:
@@ -149,9 +151,16 @@ def error_probability(n: int, sigma_r_sq: float, sigma_n_sq: float, threshold: f
         raise ValueError("invalid variances")
     if threshold < 0.0:
         raise ValueError("threshold must be nonnegative")
-    false_alarm = 1.0 - regularized_lower_gamma(n, threshold / sigma_n_sq)
-    miss = regularized_lower_gamma(n, threshold / (sigma_r_sq + sigma_n_sq))
-    return min(max(0.5 * (false_alarm + miss), 0.0), 0.5)
+    if sigma_r_sq == 0.0:  # Q and P at one point sum to 1
+        return math.log(0.5)
+    log_fa = log_gamma_tails(n, threshold / sigma_n_sq)[1]  # false alarm: Q
+    log_miss = log_gamma_tails(n, threshold / (sigma_r_sq + sigma_n_sq))[0]
+    return math.log(0.5) + max(log_fa, log_miss) + math.log1p(math.exp(-abs(log_fa - log_miss)))
+
+
+def error_probability(n: int, sigma_r_sq: float, sigma_n_sq: float, threshold: float) -> float:
+    """exp(log_error_probability(...)); 0 where P_e underflows a double."""
+    return math.exp(log_error_probability(n, sigma_r_sq, sigma_n_sq, threshold))
 
 
 def energy_pdf(epsilon, n: int, scale: float):

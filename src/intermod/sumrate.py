@@ -14,17 +14,17 @@ definition.  The subcarrier count cancels in this ratio.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import db_to_linear, error_probability, optimal_threshold
+from .detector import db_to_linear, log_error_probability, optimal_threshold
 from .weights import closed_form_norms
 
 DEFAULT_PE_TARGET = 1e-5
 DEFAULT_N_MAX = 10**6
-_PE_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,6 @@ def su_snr(alpha: float, rho_mag: float, g: float, gamma: float) -> float:
     return gamma * g * g * alpha * norm1_sq / xi
 
 
-def _pe_at(n: int, snr: float, pe_cache: dict) -> float:
-    if n not in pe_cache:
-        delta = optimal_threshold(n, snr, 1.0)
-        pe_cache[n] = error_probability(n, snr, 1.0, delta)
-    return pe_cache[n]
-
-
 def find_n_alpha(
     alpha: float,
     rho_mag: float,
@@ -67,11 +60,11 @@ def find_n_alpha(
     SNR, so every search that keeps the bracket pe(lo) >= target > pe(hi)
     until hi - lo == 1 returns the same N.  This one probes with Illinois
     steps (Dowell & Jarratt 1971) on f(N) = ln P_e(N) - ln target, which is
-    nearly linear in N because the error exponent is; a probe that leaves
-    more than half the bracket is followed by a bisection step, which caps
-    the cost at about 2 log2(n_max) evaluations.  Returns None when even
-    n_max misses the target (including alpha = 0, where the SU SNR is zero
-    and P_e = 0.5 for every N).
+    exact for any target and nearly linear in N because the error exponent
+    is; a probe that leaves more than half the bracket is followed by a
+    bisection step, which caps the cost at about 2 log2(n_max) evaluations.
+    Returns None when even n_max misses the target (including alpha = 0,
+    where the SU SNR is zero and P_e = 0.5 for every N).
     """
     if not (0.0 < pe_target < 0.5):
         raise ValueError("pe_target must be in (0, 0.5)")
@@ -80,30 +73,26 @@ def find_n_alpha(
     snr = su_snr(alpha, rho_mag, g, gamma)
     if snr <= 0.0:
         return None
-    cache: dict = {}
-    if _pe_at(n_max, snr, cache) >= pe_target:
-        return None
-    if _pe_at(1, snr, cache) < pe_target:
-        return 1
     log_target = math.log(pe_target)
 
-    def excess(n):
-        # P_e underflows to exactly 0 at large N and high SNR
-        return math.log(max(_pe_at(n, snr, cache), _PE_FLOOR)) - log_target
+    @functools.cache
+    def excess(n):  # f(N), negative once N meets the target
+        return log_error_probability(n, snr, 1.0, optimal_threshold(n, snr, 1.0)) - log_target
 
-    lo, hi = 1, n_max  # invariant: pe(lo) >= target > pe(hi)
+    lo, hi = 1, n_max  # invariant: excess(lo) >= 0 > excess(hi)
+    if excess(hi) >= 0.0:
+        return None
+    if excess(lo) < 0.0:
+        return 1
     f_lo, f_hi = excess(lo), excess(hi)
     moved = None  # the end the last probe replaced
     bisect = False  # set after a probe that left more than half the bracket
     while hi - lo > 1:
         width = hi - lo
-        # no slope to follow when the floored logs cannot tell the ends apart
-        if bisect or f_lo <= f_hi:
-            n = (lo + hi) // 2
-        else:
-            n = min(max(lo + round(width * f_lo / (f_lo - f_hi)), lo + 1), hi - 1)
+        n = (lo + hi) // 2 if bisect else lo + round(width * f_lo / (f_lo - f_hi))
+        n = min(max(n, lo + 1), hi - 1)
         f_n = excess(n)
-        if _pe_at(n, snr, cache) < pe_target:
+        if f_n < 0.0:
             hi, f_hi = n, f_n
             if moved == "hi":
                 f_lo *= 0.5

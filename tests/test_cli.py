@@ -8,6 +8,7 @@ import pytest
 
 from intermod import cli
 from intermod.cli import load_config, main, parse_grid
+from test_detector import mpmath_error_probability
 
 
 def read_csv(path):
@@ -25,6 +26,7 @@ def read_csv(path):
 class TestParseGrid:
     def test_range_syntax(self):
         assert parse_grid("0:1:3") == [0.0, 0.5, 1.0]
+        assert parse_grid("1:3:3", cast=int) == [1, 2, 3]
 
     def test_comma_list(self):
         assert parse_grid("1,10,100", cast=int) == [1, 10, 100]
@@ -39,6 +41,8 @@ class TestParseGrid:
             parse_grid("a,b")
         with pytest.raises(ValueError):
             parse_grid("0:1:0")
+        with pytest.raises(ValueError):
+            parse_grid("1:2:3", cast=int)  # int grids take no fractional point
 
 
 class TestConfigFile:
@@ -59,6 +63,17 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 5\n")
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "invalid-parameter" in err and key in err
+
+    @pytest.mark.parametrize("command, key", [
+        ("weights", "alpha_grid"), ("theory", "n_grid"), ("sumrate", "alpha_grid"),
+        ("sumrate", "rho_grid"), ("ber", "snr_grid"),
+    ])
+    def test_empty_grid_rejected(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} =\n")
         assert main([command, "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "invalid-parameter" in err and key in err
@@ -110,6 +125,15 @@ class TestWeightsCommand:
 
 
 class TestTheoryCommand:
+    @pytest.mark.parametrize("n, snr_db", [(1000, 0.0), (2000, 0.0), (200, 10.0)])
+    def test_deep_tail_rows_against_mpmath(self, tmp_path, n, snr_db):
+        # P_e is 4.5e-28, 3.9e-54 and 2.7e-60 here, far below 1 - P's resolution
+        out = tmp_path / "t.csv"
+        assert main(["theory", "--n", str(n), f"--snr-db={snr_db}", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        want = mpmath_error_probability(n, 10 ** (snr_db / 10))
+        assert float(rows[0]["pe"]) == pytest.approx(float(want), rel=1e-10, abs=0.0)
+
     def test_n1_snr0(self, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["theory", "--n", "1", "--snr-db", "0", "--out", str(out)]) == 0
@@ -325,6 +349,12 @@ class TestUsageErrors:
         ["sumrate", "--gamma-db=-4000", "--alpha", "0.1", "--rho", "0.1"],
         ["ber", "--n", "10", "--snr-db=3000", "--bits", "100"],
         ["ber", "--n", "10", "--snr-db=340", "--bits", "100"],
+        ["theory", "--n", "1:2:3"],
+        ["theory", "--n", "2.7"],
+        ["weights", "--alpha="],
+        ["theory", "--n="],
+        ["sumrate", "--alpha="],
+        ["ber", "--snr-db", ","],
     ])
     def test_bad_number_rejected_at_once(self, argv, capsys):
         start = time.monotonic()

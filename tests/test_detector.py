@@ -5,15 +5,17 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincinv, gammainccinv
 
 from intermod import detector
 from intermod.detector import (
     db_to_linear,
     energy_pdf,
     error_probability,
+    log_error_probability,
+    log_gamma_tails,
     mixture_energy_pdf,
     optimal_threshold,
-    regularized_lower_gamma,
 )
 
 
@@ -38,41 +40,68 @@ def quadrature_lower_gamma(s: float, x: float) -> float:
     return float(mpmath.quad(integrand, points) * mpmath.e**log_peak)
 
 
+def mpmath_tails(s: float, x: float):
+    """(P, Q) at (s, x) from mpmath at 40 digits, each small tail computed
+    directly: Kummer's series for P below the mean, mpmath's upper
+    incomplete gamma above it."""
+    mpmath.mp.dps = 40
+    s, x = mpmath.mpf(s), mpmath.mpf(x)
+    if x < s:
+        p = mpmath.exp(s * mpmath.log(x) - x - mpmath.loggamma(s + 1)) * mpmath.hyp1f1(1, s + 1, x)
+        return p, 1 - p
+    q = mpmath.gammainc(s, x, mpmath.inf, regularized=True)
+    return 1 - q, q
+
+
+def mpmath_error_probability(n: int, snr: float):
+    """P_e at the optimal threshold for unit noise, from mpmath_tails."""
+    delta = optimal_threshold(n, snr, 1.0)
+    return (mpmath_tails(n, delta)[1] + mpmath_tails(n, delta / (1.0 + snr))[0]) / 2
+
+
+def lower_p(s: float, x: float) -> float:
+    """P(s, x) read off its log."""
+    return math.exp(log_gamma_tails(s, x)[0])
+
+
 class TestRegularizedLowerGamma:
+    """P(s, x) and Q(s, x) through log_gamma_tails."""
+
     @pytest.mark.parametrize("x", [0.5, 1.0, 3.0])
     def test_shape_one_identity(self, x):
-        assert regularized_lower_gamma(1.0, x) == pytest.approx(
+        assert lower_p(1.0, x) == pytest.approx(
             1.0 - math.exp(-x), abs=1e-14
         )
+        assert log_gamma_tails(1.0, x)[1] == pytest.approx(-x, rel=1e-14)
 
     def test_shape_two_at_one(self):
-        assert regularized_lower_gamma(2.0, 1.0) == pytest.approx(
+        assert lower_p(2.0, 1.0) == pytest.approx(
             1.0 - 2.0 * math.exp(-1.0), abs=1e-14
         )
 
     def test_limits(self):
-        assert regularized_lower_gamma(5.0, 0.0) == 0.0
-        assert regularized_lower_gamma(5.0, 1e4) == pytest.approx(1.0, abs=1e-14)
+        assert log_gamma_tails(5.0, 0.0) == (-math.inf, 0.0)
+        assert lower_p(5.0, 1e4) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("s", [1.0, 2.0, 10.0, 50.0, 200.0])
     @pytest.mark.parametrize("frac", [0.1, 1.0, 10.0])
     def test_against_quadrature_oracle(self, s, frac):
         x = frac * s
         want = quadrature_lower_gamma(s, x)
-        got = regularized_lower_gamma(s, x)
+        got = lower_p(s, x)
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_large_shape_no_overflow(self):
         # Gamma(N) overflows doubles near N=171; the regularized form must not
-        p = regularized_lower_gamma(10_000.0, 10_000.0)
+        p = lower_p(10_000.0, 10_000.0)
         assert 0.4 < p < 0.6
-        assert regularized_lower_gamma(1e6, 1e6 + 5e3) == pytest.approx(1.0, abs=1e-3)
+        assert lower_p(1e6, 1e6 + 5e3) == pytest.approx(1.0, abs=1e-3)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            regularized_lower_gamma(0.0, 1.0)
+            log_gamma_tails(0.0, 1.0)
         with pytest.raises(ValueError):
-            regularized_lower_gamma(1.0, -1.0)
+            log_gamma_tails(1.0, -1.0)
 
     @pytest.mark.parametrize("s, x", [
         (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0),
@@ -80,14 +109,28 @@ class TestRegularizedLowerGamma:
     def test_non_finite_rejected_at_once(self, s, x):
         start = time.monotonic()
         with pytest.raises(ValueError, match="finite"):
-            regularized_lower_gamma(s, x)
+            log_gamma_tails(s, x)
         assert time.monotonic() - start < 0.1
 
     @pytest.mark.parametrize("x", [50.0, 150.0])  # series branch, continued fraction
     def test_exhausted_loop_raises(self, x, monkeypatch):
         monkeypatch.setattr(detector, "_ITMAX", 3)
         with pytest.raises(ValueError, match="did not converge"):
-            regularized_lower_gamma(100.0, x)
+            log_gamma_tails(100.0, x)
+
+    @pytest.mark.parametrize("s", [1.0, 2.5, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6])
+    def test_both_tails_against_mpmath_down_to_1e_300(self, s):
+        # The prefactor's log is a difference of terms of size s ln s, so
+        # its absolute error, and the tails' relative error, is a few ulp
+        # of that: about 1e-13 at s = 100 and 2e-9 at s = 1e6.
+        rel = 1e-12 + 4 * math.ulp(s * math.log(s + 1.0))
+        for tail in (0.3, 1e-5, 1e-17, 1e-50, 1e-150, 1e-300):
+            for x in (gammaincinv(s, tail), gammainccinv(s, tail)):
+                want_p, want_q = mpmath_tails(s, x)
+                assert min(want_p, want_q) < 2 * tail
+                log_p, log_q = log_gamma_tails(s, x)
+                assert float(abs(mpmath.exp(log_p) / want_p - 1)) < rel, (s, x, "P")
+                assert float(abs(mpmath.exp(log_q) / want_q - 1)) < rel, (s, x, "Q")
 
 
 class TestEnergyPdf:
@@ -212,6 +255,16 @@ class TestErrorProbability:
                 grid = np.linspace(0.2 * delta_star, 5 * delta_star, 1000)
                 pes = [error_probability(n, sr, 1.0, d) for d in grid]
                 assert pe_star <= min(pes) + 1e-15
+
+    @pytest.mark.parametrize("n, snr_db", [(1000, 0.0), (2000, 0.0), (200, 10.0)])
+    def test_deep_tail_against_mpmath(self, n, snr_db):
+        # P_e below 1e-16: Q can no longer be read off as 1 - P
+        snr = db_to_linear(snr_db)
+        want = mpmath_error_probability(n, snr)
+        log_pe = log_error_probability(n, snr, 1.0, optimal_threshold(n, snr, 1.0))
+        assert log_pe == pytest.approx(float(mpmath.log(want)), abs=1e-12)
+        got = error_probability(n, snr, 1.0, optimal_threshold(n, snr, 1.0))
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_density_crossing_at_threshold(self):
         for n in (1, 10, 100):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from intermod.channel import make_correlated_pair
-from intermod.detector import regularized_lower_gamma
+from intermod.detector import log_gamma_tails
 from intermod.simulator import ScenarioConfig, _chunk_energies, run_ber
 from intermod.weights import build_weight_set
 
@@ -99,7 +99,7 @@ class TestDetectOokBit:
         assert np.array_equal(energies > 1e-12, bits == 1)
 
     def test_false_alarm_rate(self):
-        # noise-only symbols at delta*: rate = 1 - P(N, delta/sigma_n^2)
+        # noise-only symbols at delta*: rate = Q(N, delta/sigma_n^2)
         n, sigma_n_sq = 10, 0.5
         delta = 1.4 * n * sigma_n_sq
         rng = np.random.default_rng(9)
@@ -108,7 +108,7 @@ class TestDetectOokBit:
             rng, trials, n, 16, np.zeros(2, dtype=complex), math.sqrt(sigma_n_sq / 2)
         )
         rate = np.mean(energies > delta)
-        want = 1.0 - regularized_lower_gamma(n, delta / sigma_n_sq)
+        want = math.exp(log_gamma_tails(n, delta / sigma_n_sq)[1])
         assert abs(rate - want) < 3 * math.sqrt(want * (1 - want) / trials)
 
 

@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from intermod.sumrate import (
     sweep_sum_rate,
 )
 from intermod.weights import build_weight_set
+from test_detector import mpmath_error_probability
 
 GAMMA_30DB = 1000.0
 
@@ -24,15 +27,21 @@ def bisect_n_alpha(alpha, rho_mag, g, gamma, pe_target, n_max):
     snr = su_snr(alpha, rho_mag, g, gamma)
     if snr <= 0.0:
         return None
-    cache: dict = {}
-    if sumrate._pe_at(n_max, snr, cache) >= pe_target:
+    log_target = math.log(pe_target)
+
+    @functools.cache
+    def meets(n):
+        delta = optimal_threshold(n, snr, 1.0)
+        return sumrate.log_error_probability(n, snr, 1.0, delta) < log_target
+
+    if not meets(n_max):
         return None
-    if sumrate._pe_at(1, snr, cache) < pe_target:
+    if meets(1):
         return 1
     lo, hi = 1, n_max
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if sumrate._pe_at(mid, snr, cache) < pe_target:
+        if meets(mid):
             hi = mid
         else:
             lo = mid
@@ -43,13 +52,13 @@ def bisect_n_alpha(alpha, rho_mag, g, gamma, pe_target, n_max):
 def pe_calls(monkeypatch):
     """Count the P_e evaluations the sum-rate module makes."""
     calls = [0]
-    real = sumrate.error_probability
+    real = sumrate.log_error_probability
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(sumrate, "error_probability", counted)
+    monkeypatch.setattr(sumrate, "log_error_probability", counted)
     return calls
 
 
@@ -102,6 +111,23 @@ class TestFindNAlpha:
         for m in (16, 1024):
             cfg = ScenarioConfig(n_samples=50, snr_db=-5.0, n_bits=1, m_subcarriers=m)
             assert run_ber(cfg).analytic_pe == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("pe_target", [1e-17, 1e-25, 1e-40])
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("gamma", [1.0, 3.0, 10.0])
+    def test_deep_targets_bracketed_by_mpmath(self, gamma, alpha, pe_target):
+        # below ~1e-16 the false-alarm tail Q must not be formed as 1 - P
+        n_alpha = find_n_alpha(alpha, 0.3, 1.0, gamma, pe_target)
+        snr = su_snr(alpha, 0.3, 1.0, gamma)
+        assert n_alpha > 1
+        assert mpmath_error_probability(n_alpha, snr) < pe_target
+        assert mpmath_error_probability(n_alpha - 1, snr) >= pe_target
+
+    def test_subnormal_target(self):
+        n_alpha = find_n_alpha(0.5, 0.3, 1.0, 10.0, pe_target=1e-320)
+        snr = su_snr(0.5, 0.3, 1.0, 10.0)
+        assert mpmath_error_probability(n_alpha, snr) < mpmath.mpf(1e-320)
+        assert mpmath_error_probability(n_alpha - 1, snr) >= mpmath.mpf(1e-320)
 
     def test_domain(self):
         with pytest.raises(ValueError):
