@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import multiprocessing
 import sys
@@ -42,35 +43,39 @@ import numpy as np
 
 from . import __version__
 from .detector import db_to_linear, error_probability, mixture_energy_pdf, optimal_threshold
-from .simulator import ScenarioConfig, run_ber
+from .simulator import ScenarioConfig, ber_result, chunk_errors, run_ber
 from .sumrate import DEFAULT_N_MAX, DEFAULT_PE_TARGET, default_alpha_grid, sweep_sum_rate
 from .weights import closed_form_norms, paper_closed_form_norms
 
-SCHEMA_VERSION = 1
+# bumped when a subcommand's bytes change for the same input (ber/2: stream kernel)
+SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 2, "sumrate": 1}
 
 
 def parse_grid(spec: str, cast=float) -> list:
     """Parse "start:stop:count" or a comma list into a value list."""
     spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad grid spec {spec!r}; expected start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    parts = spec.split(":")
+    if len(parts) not in (1, 3):
+        raise ValueError(f"bad grid spec {spec!r}; expected start:stop:count")
+    try:
+        if len(parts) == 1:
+            values = [cast(v) for v in spec.split(",") if v.strip() != ""]
+            finite = all(math.isfinite(v) for v in values)
+        else:
+            start, stop, count = cast(parts[0]), cast(parts[1]), int(parts[2])
+            finite = math.isfinite(stop - start)  # also false for an overflowing span
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad grid spec {spec!r}: {exc}") from exc
+    if not finite:
+        raise ValueError(f"grid values must be finite in {spec!r}")
+    if len(parts) == 3:
         if count < 1:
             raise ValueError(f"grid count must be >= 1 in {spec!r}")
         points = np.linspace(start, stop, count)
         values = [cast(v) for v in points]
-        # a cast that changed a point truncated it; NaN goes to the check below
-        if any(v != p for v, p in zip(values, points) if math.isfinite(p)):
+        # a cast that changed a point truncated it
+        if any(v != p for v, p in zip(values, points)):
             raise ValueError(f"grid points must be {cast.__name__}s in {spec!r}")
-    else:
-        try:
-            values = [cast(v) for v in spec.split(",") if v.strip() != ""]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad grid spec {spec!r}: {exc}") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"grid values must be finite in {spec!r}")
     return values
 
 
@@ -145,7 +150,10 @@ def _options(args) -> dict:
         value = getattr(args, key)
         if value is None:
             value = config.get(key, default)
-        value = None if value is None else reader(value)
+        try:
+            value = None if value is None else reader(value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
         if value == []:
             raise ValueError(f"{key} is an empty grid")
         if isinstance(value, float) and not math.isfinite(value):
@@ -167,7 +175,8 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, command, params, header, rows, footer_comments=()):
-    lines = [f"# intermod {command} schema={command}/{SCHEMA_VERSION} version={__version__}"]
+    schema = f"{command}/{SCHEMA_VERSIONS[command]}"
+    lines = [f"# intermod {command} schema={schema} version={__version__}"]
     for key in sorted(params):
         lines.append(f"# {key}={_fmt(params[key])}")
     lines.append(",".join(header))
@@ -269,10 +278,13 @@ def cmd_ber(args) -> int:
                 master_seed=point_seed,
             )
         )
-    workers = min(jobs, len(points))  # a worker with no point would sit idle
+    # tasks are (point, chunk) pairs; each chunk's count is the same wherever it runs
+    tasks = [(point, chunk) for point in points for chunk in range(point.n_chunks)]
+    workers = min(jobs, len(tasks))  # a worker with no task would sit idle
     if workers > 1:
         with multiprocessing.Pool(processes=workers) as pool:
-            results = pool.map(run_ber, points)
+            counts = iter(pool.starmap(chunk_errors, tasks))
+        results = [ber_result(p, sum(itertools.islice(counts, p.n_chunks))) for p in points]
     else:
         results = [run_ber(p) for p in points]
 

@@ -39,11 +39,11 @@ def log_gamma_tails(s: float, x: float) -> tuple[float, float]:
     gives ln Q otherwise; the other tail is the complement.  The prefactor
     x^s e^-x / Gamma(s) stays a log, so no tail underflows; for s >= 1 the
     relative error is a few ulp of s ln s (~1e-9 at s = 1e6).  Raises
-    ValueError for non-finite input and when a loop hits its iteration cap.
+    ValueError for s < 1, non-finite input, or a loop at its iteration cap.
     """
     _require_finite(s=s, x=x)
-    if s <= 0.0:
-        raise ValueError(f"s must be positive, got {s!r}")
+    if s < 1.0:  # outside the stated accuracy; every caller passes s = N >= 1
+        raise ValueError(f"s must be >= 1, got {s!r}")
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x!r}")
     if x == 0.0:

@@ -5,14 +5,21 @@ the SU receives a scaled OFDM sample stream plus AWGN and integrates N
 sample powers against the detector threshold.  The measured BER is compared
 against the analytic error probability for the same parameters.
 
+The stream is continuous: a chunk of trials takes one 1/m-scaled IFFT of
+ceil(trials * N / m) blocks of Gaussian symbols on m subcarriers and cuts
+it into consecutive N-sample bit windows, not aligned to blocks.  The IFFT
+is unitary up to scale, so the samples stay i.i.d. CN(0, 1/m).
+
 Reproducibility contract: a run is fully determined by the scenario's
-master seed.  Trials are processed in fixed-size chunks, each with its own
-RNG substream spawned from (master_seed, chunk_index), so results do not
-depend on execution order or parallelism degree.
+master seed and the fixed sample budget CHUNK_SAMPLES.  A chunk holds
+max(1, CHUNK_SAMPLES // N) trials and draws from its own RNG substream
+spawned from (master_seed, chunk_index), so results do not depend on
+execution order, on which process runs a chunk, or on the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,9 +29,9 @@ from .channel import make_correlated_pair
 from .detector import db_to_linear, error_probability, optimal_threshold
 from .weights import build_weight_set
 
-#: Trials per RNG substream; fixed so chunk boundaries never depend on the
-#: execution environment.
-CHUNK_TRIALS = 8192
+#: Samples (trials x N) per RNG substream; fixed so chunk boundaries never
+#: depend on the execution environment.
+CHUNK_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,47 @@ class ScenarioConfig:
         if self.m_subcarriers < 1:
             raise ValueError("m_subcarriers must be >= 1")
 
+    @property
+    def chunk_trials(self) -> int:
+        """Trials per chunk: the sample budget over N, at least one."""
+        return max(1, CHUNK_SAMPLES // self.n_samples)
+
+    @property
+    def n_chunks(self) -> int:
+        """Chunks the trials fill; the last one may be partial."""
+        return -(-self.n_bits // self.chunk_trials)
+
+    @functools.cached_property
+    def link(self):
+        """(gains, noise_std, threshold, analytic_pe) of the scenario.
+
+        gains are the solved SU responses g * h_su^T omega_bit / sqrt(xi) to
+        the two weight vectors.  sigma_r^2 = power1 = |gains[1]|^2 * sample_var,
+        which equals sample_var * alpha g^2 / xi by the constraint construction;
+        sigma_n^2 = 2 noise_std^2 is back-solved from the requested SNR.  For alpha = 0 the SNR is undefined, the noise
+        floor defaults to sample_var, and P_e = 0.5.  Bit 0 is modelled as
+        noise only, so an SNR whose noise floor is not far above the power
+        of the bit-0 response (solver residue) is rejected.
+        """
+        pair = make_correlated_pair(
+            self.k_antennas, self.rho_mag, self.rho_phase, self.g, seed=self.master_seed
+        )
+        weights = build_weight_set(pair, self.alpha)
+        gains = np.array([pair.g * complex(pair.h_su @ weights.tx_weight(bit)) for bit in (0, 1)])
+        sample_var = 1.0 / self.m_subcarriers
+        power0, power1 = (abs(complex(gain)) ** 2 * sample_var for gain in gains)
+        if power1 < 1e-18 * sample_var:  # nulled response leaves only solver residue
+            return gains, math.sqrt(sample_var / 2.0), self.n_samples * sample_var, 0.5
+        sigma_n_sq = power1 / db_to_linear(self.snr_db)
+        if power0 >= 1e-12 * sigma_n_sq:
+            raise ValueError(
+                f"snr_db={self.snr_db:g} puts the noise floor within 1e12x of the power of "
+                "the bit-0 solver residue; the detector model needs bit 0 to be noise only"
+            )
+        threshold = optimal_threshold(self.n_samples, power1, sigma_n_sq)
+        pe = error_probability(self.n_samples, power1, sigma_n_sq, threshold)
+        return gains, math.sqrt(sigma_n_sq / 2.0), threshold, pe
+
 
 @dataclass(frozen=True)
 class BerResult:
@@ -64,88 +112,48 @@ class BerResult:
 
 
 def _chunk_energies(rng, n_trials, n, m, gains, noise_std):
-    """(bits, energies) for ``n_trials`` equiprobable OOK bits.
+    """(bits, energies) for ``n_trials`` equiprobable OOK bits, cut from one stream.
 
-    Each bit draws whole blocks of CN(0, 1) symbols on m subcarriers, takes
-    a 1/m-scaled IFFT (so time samples are i.i.d. complex Gaussian with
-    power 1/m), keeps the first n samples, scales them by ``gains[bit]``
-    (the SU response to the transmitted weight vector), adds complex AWGN
-    with per-component std ``noise_std`` and sums the sample powers.
+    Symbols are drawn as standard normal (re, im) pairs, so CN(0, 2); the
+    1/sqrt(2) that makes them CN(0, 1) is folded into ``gains[bit]``.  AWGN
+    with per-component std ``noise_std`` is added in place, and each
+    window's power is summed over the real view.
     """
     bits = rng.integers(0, 2, size=n_trials)
-    blocks_per_trial = -(-n // m)
-    symbols = (
-        rng.standard_normal((n_trials, blocks_per_trial, m))
-        + 1j * rng.standard_normal((n_trials, blocks_per_trial, m))
-    ) / math.sqrt(2.0)
-    samples = np.fft.ifft(symbols, axis=2).reshape(n_trials, -1)[:, :n]
-    noise = noise_std * (
-        rng.standard_normal((n_trials, n)) + 1j * rng.standard_normal((n_trials, n))
+    blocks = -(-n_trials * n // m)
+    symbols = rng.standard_normal((blocks, m, 2)).view(np.complex128)[..., 0]
+    stream = np.fft.ifft(symbols, axis=1).reshape(-1)[: n_trials * n]
+    received = stream.reshape(n_trials, n)
+    received *= (gains[bits] / math.sqrt(2.0))[:, None]
+    parts = received.view(np.float64)
+    noise = rng.standard_normal(parts.shape)
+    noise *= noise_std
+    parts += noise
+    return bits, np.einsum("ij,ij->i", parts, parts)
+
+
+def chunk_errors(config: ScenarioConfig, chunk: int) -> int:
+    """Bit errors in chunk ``chunk`` of a scenario, from its own RNG substream."""
+    gains, noise_std, threshold, _ = config.link
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=config.master_seed, spawn_key=(chunk,))
     )
-    received = gains[bits][:, None] * samples + noise
-    return bits, np.sum(np.abs(received) ** 2, axis=1)
+    n_trials = min(config.chunk_trials, config.n_bits - chunk * config.chunk_trials)
+    bits, energies = _chunk_energies(
+        rng, n_trials, config.n_samples, config.m_subcarriers, gains, noise_std
+    )
+    return int(np.count_nonzero((energies > threshold) != bits))
 
 
-def _detector_params(config: ScenarioConfig, gains):
-    """(sigma_n_sq, threshold, analytic_pe) for a scenario.
-
-    sigma_r^2 is taken from the actual solved SU response
-    gains[1] = g * h_su^T omega1 / sqrt(xi) as |gains[1]|^2 * sample_var, which
-    equals sample_var * alpha g^2 / xi by the constraint construction;
-    sigma_n^2 is back-solved from the requested SNR.  For alpha = 0 the SNR
-    is undefined, the noise floor defaults to sample_var, and P_e = 0.5.
-    Bit 0 is modelled as noise only, so an SNR whose noise floor is not far
-    above the power of the bit-0 response (solver residue) is rejected.
-    """
-    sample_var = 1.0 / config.m_subcarriers
-    gain0, gain1 = (complex(gain) for gain in gains)
-    if abs(gain1) ** 2 < 1e-18:  # nulled response leaves only solver residue
-        return sample_var, config.n_samples * sample_var, 0.5
-    sigma_r_sq = abs(gain1) ** 2 * sample_var
-    sigma_n_sq = sigma_r_sq / db_to_linear(config.snr_db)
-    if abs(gain0) ** 2 * sample_var >= 1e-12 * sigma_n_sq:
-        raise ValueError(
-            f"snr_db={config.snr_db:g} puts the noise floor within 1e12x of the power of "
-            "the bit-0 solver residue; the detector model needs bit 0 to be noise only"
-        )
-    threshold = optimal_threshold(config.n_samples, sigma_r_sq, sigma_n_sq)
-    pe = error_probability(config.n_samples, sigma_r_sq, sigma_n_sq, threshold)
-    return sigma_n_sq, threshold, pe
+def ber_result(config: ScenarioConfig, n_errors: int) -> BerResult:
+    """The BerResult of a scenario whose chunks made ``n_errors`` errors in all."""
+    _, _, threshold, analytic_pe = config.link
+    ber = n_errors / config.n_bits
+    ci95 = 1.96 * math.sqrt(ber * (1.0 - ber) / config.n_bits)
+    return BerResult(n_bits=config.n_bits, n_errors=n_errors, ber=ber,
+                     analytic_pe=analytic_pe, threshold=threshold, per_point_ci95=ci95)
 
 
 def run_ber(config: ScenarioConfig) -> BerResult:
     """Monte Carlo BER for one scenario, deterministic given the seed."""
-    pair = make_correlated_pair(
-        config.k_antennas,
-        config.rho_mag,
-        config.rho_phase,
-        config.g,
-        seed=config.master_seed,
-    )
-    weights = build_weight_set(pair, config.alpha)
-    gains = np.array([pair.g * complex(pair.h_su @ weights.tx_weight(bit)) for bit in (0, 1)])
-    sigma_n_sq, threshold, analytic_pe = _detector_params(config, gains)
-    noise_std = math.sqrt(sigma_n_sq / 2.0)
-
-    n_errors = 0
-    n_chunks = -(-config.n_bits // CHUNK_TRIALS)
-    for chunk in range(n_chunks):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.master_seed, spawn_key=(chunk,))
-        )
-        n_trials = min(CHUNK_TRIALS, config.n_bits - chunk * CHUNK_TRIALS)
-        bits, energies = _chunk_energies(
-            rng, n_trials, config.n_samples, config.m_subcarriers, gains, noise_std
-        )
-        n_errors += int(np.count_nonzero((energies > threshold) != bits))
-
-    ber = n_errors / config.n_bits
-    ci95 = 1.96 * math.sqrt(ber * (1.0 - ber) / config.n_bits)
-    return BerResult(
-        n_bits=config.n_bits,
-        n_errors=n_errors,
-        ber=ber,
-        analytic_pe=analytic_pe,
-        threshold=threshold,
-        per_point_ci95=ci95,
-    )
+    return ber_result(config, sum(chunk_errors(config, c) for c in range(config.n_chunks)))

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import re
 import time
 
 import numpy as np
@@ -43,6 +44,15 @@ class TestParseGrid:
             parse_grid("0:1:0")
         with pytest.raises(ValueError):
             parse_grid("1:2:3", cast=int)  # int grids take no fractional point
+
+    @pytest.mark.parametrize("spec, cast", [
+        ("inf:inf:1", float), ("0:inf:3", float), ("-inf:0:2", float), ("nan:1:2", float),
+        ("1e308:-1e308:3", float),  # finite endpoints, overflowing span
+        ("1e30:1e30:1", int), ("1.5:3:2", int),  # int endpoints are read as ints
+    ])
+    def test_range_endpoints_checked_before_spacing(self, spec, cast):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            parse_grid(spec, cast=cast)
 
 
 class TestConfigFile:
@@ -180,8 +190,24 @@ class TestBerCommand:
         assert main(argv + ["--jobs", "4", "--out", str(out2)]) == 0
         assert out2.read_bytes() == first
 
-    @pytest.mark.parametrize("n_grid, pools", [("10", []), ("10,20", [2])])
-    def test_at_most_one_worker_per_point(self, tmp_path, monkeypatch, n_grid, pools):
+    def test_jobs_do_not_change_a_multi_chunk_point(self, tmp_path):
+        # N = 1000 takes 262 trials per chunk, so 1000 bits are 4 chunks
+        # that 2 or 4 workers share out
+        argv = ["ber", "--n", "1000", "--snr-db=-10", "--bits", "1000", "--seed", "5"]
+        outputs = []
+        for jobs in ("1", "2", "4"):
+            out = tmp_path / f"b{jobs}.csv"
+            assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+            outputs.append(out.read_text().replace(str(out), "OUT"))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    # tasks are (grid point, chunk) pairs: --bits 500 is one chunk at N = 10
+    # and 3 chunks at N = 1e5 (2 trials per chunk)
+    @pytest.mark.parametrize("n_grid, bits, pools", [
+        ("10", "500", []), ("10,20", "500", [2]), ("100000", "6", [3]),
+    ])
+    def test_at_most_one_worker_per_task(self, tmp_path, monkeypatch, n_grid, bits, pools):
         started = []
 
         class RecordingPool:
@@ -194,11 +220,11 @@ class TestBerCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, func, items):
-                return [func(item) for item in items]
+            def starmap(self, func, items):
+                return [func(*item) for item in items]
 
         monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
-        assert main(["ber", "--n", n_grid, "--snr-db=-5", "--bits", "500", "--jobs", "4",
+        assert main(["ber", "--n", n_grid, "--snr-db=-5", "--bits", bits, "--jobs", "4",
                      "--out", str(tmp_path / "b.csv")]) == 0
         assert started == pools
 
@@ -226,12 +252,12 @@ class TestBerCommand:
 
 GOLDEN_ROWS = [
     (["ber", "--n", "10,100", "--snr-db=-10:0:5", "--bits", "8192", "--seed", "7"],
-     "feeac0b490ba72b667ca45ff677c35e3fd65c7ed0ca09d4501d736e4cd0b49ac",
-     "d77232b924f7521270dfc3b9c738d0095bcb79ba86cf3f31b84d01454086660c"),
+     "f0ef18cfc8941b191a41410ea8ff52a2cc00a22bd7b06545987e2f2233960a77",
+     "ec5db53a6a101549a94c749e34dd5fc5c82e2c26f46821e561ea3490e4db1453"),
     (["ber", "--n", "20", "--snr-db=-2.5", "--bits", "20000", "--rho", "0.6",
       "--rho-phase", "1.1", "--alpha", "0.4", "--m", "8", "--seed", "3"],
-     "06fce5de560c7c238b3fcc0175c55c125060235074da50964cadbccc1913b4d4",
-     "769a991bb7bcab8ba4f981e10bec3a0aec1c63284f967e3c5997f2e233e308dd"),
+     "bdadc7c33098971e258964f656551c98e4574cfdf7f84e813817e14c4e740c7e",
+     "71bbe943265d03108532e26d02e6aa6ad91bf2b58ddd13d50395aaba3a58c72c"),
     (["sumrate", "--gamma-db", "30", "--rho", "0.1,0.5", "--g", "1.0"],
      "f3c59c0b99eb548e3c3b9fc2b9be1be65e45383ea1761e3d7122db384fc93163",
      "9aa1ed887d775c8deda2afc2bfa79f17ee27835d584ba15794b59f1fb40d8045"),
@@ -253,7 +279,8 @@ GOLDEN_IDS = ["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db", "wei
 )
 def test_golden_rows(tmp_path, argv, digest):
     # SHA-256 of the data rows (no '#' lines, joined by newlines) as released
-    # in schema version 1; a change here changes published numbers
+    # in the subcommand's current schema (ber/2, the others /1); a change
+    # here changes published numbers
     out = tmp_path / "golden.csv"
     assert main(argv + ["--out", str(out)]) == 0
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
@@ -267,7 +294,7 @@ GOLDEN_CONFIG = (
 )
 GOLDEN_FILES = [(argv, digest) for argv, _, digest in GOLDEN_ROWS] + [
     (["ber", "--config", "{cfg}", "--g", "0.9"],
-     "328ee1a225850bd0fee8c42bd0734541e47a3d3a414555f3e290903116a4dd99"),
+     "b52aa040fe2ccf30c71325c55f5e52a8b5c6267b29f34a92484ee0d1ba147f4d"),
     (["theory", "--n", "1,20", "--snr-db=-3,0", "--pdf-points", "50", "--pdf-out", "{pdf}"],
      "94f5fd98a02953ceaa2d416f8aecff38c07ded33f936029a5344910168b0fb04"),
 ]
@@ -355,12 +382,24 @@ class TestUsageErrors:
         ["theory", "--n="],
         ["sumrate", "--alpha="],
         ["ber", "--snr-db", ","],
+        ["theory", "--n", "inf:inf:1"],
+        ["weights", "--alpha", "0:inf:3"],
+        ["theory", "--n", "1e30:1e30:1"],
     ])
     def test_bad_number_rejected_at_once(self, argv, capsys):
         start = time.monotonic()
         assert main(argv) == 3
         assert time.monotonic() - start < 1.0
         assert "invalid-parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key, spec", [
+        (["theory", "--n", "inf:inf:1"], "n_grid", "'inf:inf:1'"),
+        (["weights", "--alpha", "0:inf:3"], "alpha_grid", "'0:inf:3'"),
+    ])
+    def test_bad_grid_message_names_key_and_spec(self, argv, key, spec, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{key}: " in err and spec in err
 
     def test_bad_grid_exit_code(self, capsys):
         assert main(["theory", "--n", "1:2"]) == 3

@@ -103,6 +103,13 @@ class TestRegularizedLowerGamma:
         with pytest.raises(ValueError):
             log_gamma_tails(1.0, -1.0)
 
+    @pytest.mark.parametrize("s", [1e-20, 0.5, 1.0 - 1e-12])
+    def test_shape_below_one_rejected(self, s):
+        # outside the stated accuracy: at s = 1e-20, x = 0.5 the series'
+        # ln P rounds to 0 and Q read as its complement came out 0, not 5.6e-21
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            log_gamma_tails(s, 0.5)
+
     @pytest.mark.parametrize("s, x", [
         (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0),
     ])

@@ -9,6 +9,33 @@ from intermod.simulator import ScenarioConfig, _chunk_energies, run_ber
 from intermod.weights import build_weight_set
 
 UNIT_GAINS = np.array([1.0, 1.0], dtype=complex)  # both bits: bare OFDM samples
+ALIGNED_CHUNK_TRIALS = 8192
+
+
+def aligned_errors(config):
+    """Bit errors of a scenario by the former block-aligned kernel, kept as a reference.
+
+    Each bit drew whole OFDM blocks of its own and kept their first N
+    samples; chunks were 8192 trials, each from its own substream.
+    """
+    gains, noise_std, threshold, _ = config.link
+    n, m = config.n_samples, config.m_subcarriers
+    n_errors = 0
+    for chunk in range(-(-config.n_bits // ALIGNED_CHUNK_TRIALS)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=config.master_seed, spawn_key=(chunk,))
+        )
+        trials = min(ALIGNED_CHUNK_TRIALS, config.n_bits - chunk * ALIGNED_CHUNK_TRIALS)
+        bits = rng.integers(0, 2, size=trials)
+        shape = (trials, -(-n // m), m)
+        symbols = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+        samples = np.fft.ifft(symbols, axis=2).reshape(trials, -1)[:, :n]
+        noise = noise_std * (
+            rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
+        )
+        energies = np.sum(np.abs(gains[bits][:, None] * samples + noise) ** 2, axis=1)
+        n_errors += int(np.count_nonzero((energies > threshold) != bits))
+    return n_errors
 
 
 def response_gains(pair, ws):
@@ -110,6 +137,36 @@ class TestDetectOokBit:
         rate = np.mean(energies > delta)
         want = math.exp(log_gamma_tails(n, delta / sigma_n_sq)[1])
         assert abs(rate - want) < 3 * math.sqrt(want * (1 - want) / trials)
+
+
+class TestStreamKernel:
+    """The continuous-stream kernel against the block-aligned one it replaced."""
+
+    def test_agrees_with_aligned_kernel_on_criterion_6_grid(self):
+        # independent draws: the counts differ by a difference of two binomials
+        bits = 20_000
+        points = [(n, snr) for n in (10, 100) for snr in (-10.0, -7.5, -5.0, -2.5, 0.0)]
+        for idx, (n, snr_db) in enumerate(points):
+            cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=bits, master_seed=6000 + idx)
+            res = run_ber(cfg)
+            band = 3 * math.sqrt(2 * bits * res.analytic_pe * (1 - res.analytic_pe))
+            assert abs(res.n_errors - aligned_errors(cfg)) <= band, (n, snr_db)
+
+    # the budget is 2^18 samples; changing it changes every ber result
+    @pytest.mark.parametrize("n, bits, trials, chunks", [
+        (10, 26214, 26214, 1), (10, 26215, 26214, 2), (1000, 1000, 262, 4), (10**6, 3, 1, 3),
+    ])
+    def test_chunks_follow_the_sample_budget(self, n, bits, trials, chunks):
+        cfg = ScenarioConfig(n_samples=n, snr_db=0.0, n_bits=bits)
+        assert (cfg.chunk_trials, cfg.n_chunks) == (trials, chunks)
+
+    def test_windows_straddle_block_boundaries(self):
+        # N = 48, m = 64: the second window spans blocks 0 and 1, and every
+        # window's energy still has the mean N/m and variance N/m^2
+        rng = np.random.default_rng(41)
+        _, energies = _chunk_energies(rng, 10**5, 48, 64, UNIT_GAINS, 0.0)
+        assert energies.mean() == pytest.approx(48 / 64, rel=0.01)
+        assert energies.var() == pytest.approx(48 / 64**2, rel=0.03)
 
 
 class TestRunBer:
