@@ -14,7 +14,9 @@ invocations produce byte-identical files.
 
 Grid-valued flags accept either a comma list ("1,10,100") or a
 start:stop:count range ("0:1:11", linearly spaced, endpoints included).
-An empty grid, or a fractional point in an integer grid, is rejected.
+An empty grid, a fractional point in an integer grid, and an integration
+length N (or sumrate's n_max) outside [1, 1e6], where the detector model is
+checked, are rejected.
 
 Each subcommand's options are declared once, in its OPTIONS table: one row
 gives the flag, the key, how a value is read, the default and the help
@@ -33,7 +35,6 @@ values ("error: invalid-parameter: ..." on stderr); 4 for I/O failures
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import math
 import multiprocessing
@@ -42,9 +43,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .detector import db_to_linear, error_probability, mixture_energy_pdf, optimal_threshold
+from .detector import (
+    N_MAX,
+    check_n,
+    db_to_linear,
+    error_probability,
+    mixture_energy_pdf,
+    optimal_threshold,
+)
 from .simulator import ScenarioConfig, ber_result, chunk_errors, run_ber
-from .sumrate import DEFAULT_N_MAX, DEFAULT_PE_TARGET, default_alpha_grid, sweep_sum_rate
+from .sumrate import DEFAULT_PE_TARGET, default_alpha_grid, sweep_sum_rate
 from .weights import closed_form_norms, paper_closed_form_norms
 
 # bumped when a subcommand's bytes change for the same input (ber/2: stream kernel)
@@ -94,7 +102,10 @@ def load_config(path: str) -> dict:
     return values
 
 
-_int_grid = functools.partial(parse_grid, cast=int)
+def _n_grid(spec: str) -> list:
+    """An integration-length grid: integers in the checked domain [1, N_MAX]."""
+    return [check_n("n", n) for n in parse_grid(spec, cast=int)]
+
 
 # (flag, key, reader, default, help) per subcommand.  A grid's reader is
 # applied to the flag's text after parsing, so a bad grid exits 3; int and
@@ -105,11 +116,11 @@ OPTIONS = {
         ("--rho", "rho_grid", parse_grid, "0:0.9:19", "|rho| grid"),
     ),
     "theory": (
-        ("--n", "n_grid", _int_grid, "1,10,100", "integration-length grid"),
+        ("--n", "n_grid", _n_grid, "1,10,100", "integration-length grid"),
         ("--snr-db", "snr_grid", parse_grid, "-10:0:5", "SNR grid in dB"),
     ),
     "ber": (
-        ("--n", "n_grid", _int_grid, "10,100", "integration-length grid"),
+        ("--n", "n_grid", _n_grid, "10,100", "integration-length grid"),
         ("--snr-db", "snr_grid", parse_grid, "-10:0:5", "SNR grid in dB"),
         ("--bits", "bits", int, 20000, "bits per grid point"),
         ("--alpha", "alpha", float, 0.3, "SU power coefficient"),
@@ -128,7 +139,7 @@ OPTIONS = {
          "alpha grid (default: 200 log-spaced in [1e-4, 0.99])"),
         ("--gamma-db", "gamma_db", float, 30.0, "PU normal-operation SNR in dB"),
         ("--pe-target", "pe_target", float, DEFAULT_PE_TARGET, "target error probability"),
-        ("--n-max", "n_max", int, DEFAULT_N_MAX, "integration-length search cap"),
+        ("--n-max", "n_max", int, N_MAX, "integration-length search cap"),
     ),
 }
 

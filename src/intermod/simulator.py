@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import make_correlated_pair
-from .detector import db_to_linear, error_probability, optimal_threshold
+from .detector import check_n, db_to_linear, error_probability, optimal_threshold
 from .weights import build_weight_set
 
 #: Samples (trials x N) per RNG substream; fixed so chunk boundaries never
@@ -52,8 +52,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_bits < 1:
             raise ValueError("n_bits must be >= 1")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        check_n("n_samples", self.n_samples)
         if self.m_subcarriers < 1:
             raise ValueError("m_subcarriers must be >= 1")
 

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import db_to_linear, log_error_probability, optimal_threshold
+from .detector import N_MAX, check_n, db_to_linear, log_error_probability, optimal_threshold
 from .weights import closed_form_norms
 
 DEFAULT_PE_TARGET = 1e-5
-DEFAULT_N_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ def find_n_alpha(
     g: float,
     gamma: float,
     pe_target: float = DEFAULT_PE_TARGET,
-    n_max: int = DEFAULT_N_MAX,
+    n_max: int = N_MAX,
 ) -> int | None:
     """Smallest integration length N with P_e below the target.
 
@@ -64,12 +63,12 @@ def find_n_alpha(
     is; a probe that leaves more than half the bracket is followed by a
     bisection step, which caps the cost at about 2 log2(n_max) evaluations.
     Returns None when even n_max misses the target (including alpha = 0,
-    where the SU SNR is zero and P_e = 0.5 for every N).
+    where the SU SNR is zero and P_e = 0.5 for every N).  n_max must lie
+    in [1, detector.N_MAX].
     """
     if not (0.0 < pe_target < 0.5):
         raise ValueError("pe_target must be in (0, 0.5)")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    check_n("n_max", n_max)
     snr = su_snr(alpha, rho_mag, g, gamma)
     if snr <= 0.0:
         return None
@@ -117,14 +116,16 @@ def sweep_sum_rate(
     g: float,
     alpha_grid=None,
     pe_target: float = DEFAULT_PE_TARGET,
-    n_max: int = DEFAULT_N_MAX,
+    n_max: int = N_MAX,
 ) -> list[SumRatePoint]:
     """Evaluate the sum rate over an alpha grid for one (rho, g) curve.
 
     alpha = 0 entries report the no-modulation baseline log2(1 + gamma)
     with no SU rate; all other entries use the modulated-regime PU rate
-    with the solver-consistent xi.
+    with the solver-consistent xi.  n_max is checked here, so a grid with
+    no alpha > 0 does not let it through unread.
     """
+    check_n("n_max", n_max)
     gamma = db_to_linear(gamma_db)
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()

@@ -270,8 +270,13 @@ GOLDEN_ROWS = [
     (["theory"],
      "a15a3018e9c388ce9846a4f8792a1755ac5362010974b1aa7b98bac92ee6f942",
      "f2052f2d0b41b4051f196f60b222d0743fdcec51d0e29b2fb64727e0c1d9bb10"),
+    # gamma 0 dB: hundreds of incomplete-gamma series at s >= 1e5, thousands of terms each
+    (["sumrate", "--gamma-db", "0", "--rho", "0.461259", "--g", "0.726846,1.441498"],
+     "9ba15a4749d39645610e7a425df5064829287c977b1bb386b2552b443e08d321",
+     "88b61b5864333125207de6f720714bfad750c0cfd8b1e72c00ec7f65b3a87d8b"),
 ]
-GOLDEN_IDS = ["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db", "weights", "theory"]
+GOLDEN_IDS = ["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db", "weights", "theory",
+              "sumrate-0db-long-series"]
 
 
 @pytest.mark.parametrize(
@@ -385,6 +390,13 @@ class TestUsageErrors:
         ["theory", "--n", "inf:inf:1"],
         ["weights", "--alpha", "0:inf:3"],
         ["theory", "--n", "1e30:1e30:1"],
+        ["theory", "--n", "1000000000,100000000000", "--snr-db=-40"],
+        ["theory", "--n", "10,1000001"],
+        ["theory", "--n", "0"],
+        ["ber", "--n", "1000001", "--bits", "1"],
+        ["sumrate", "--n-max", "1000001"],
+        ["sumrate", "--n-max", "0"],
+        ["sumrate", "--alpha", "0", "--n-max", "1000001"],  # no search reads it
     ])
     def test_bad_number_rejected_at_once(self, argv, capsys):
         start = time.monotonic()
@@ -400,6 +412,23 @@ class TestUsageErrors:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert f"{key}: " in err and spec in err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["theory", "--n", "10,1000001"], "n_grid"),
+        (["ber", "--n", "1000001"], "n_grid"),
+        (["sumrate", "--n-max", "1000001"], "n_max"),
+    ])
+    def test_n_above_domain_names_key(self, argv, key, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_n_at_domain_edge_accepted(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["theory", "--n", "1000000", "--snr-db=-20", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert 0.0 < float(rows[0]["pe"]) < 0.5
 
     def test_bad_grid_exit_code(self, capsys):
         assert main(["theory", "--n", "1:2"]) == 3

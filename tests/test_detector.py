@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 
@@ -57,6 +58,56 @@ def mpmath_error_probability(n: int, snr: float):
     """P_e at the optimal threshold for unit noise, from mpmath_tails."""
     delta = optimal_threshold(n, snr, 1.0)
     return (mpmath_tails(n, delta)[1] + mpmath_tails(n, delta / (1.0 + snr))[0]) / 2
+
+
+def scalar_series(s: float, x: float) -> tuple[float, int]:
+    """The term-by-term series loop that _lower_gamma_series must match bit
+    for bit, and the number of terms it summed.  Reads detector._ITMAX at
+    call time, as the code under test does."""
+    ap = s
+    term = total = 1.0 / s
+    for k in range(1, detector._ITMAX + 1):
+        ap += 1.0
+        term *= x / ap
+        total += term
+        if abs(term) < abs(total) * detector._EPS:
+            return total, k
+    raise ValueError("scalar series did not converge")
+
+
+@functools.cache
+def x_converging_at(s: float, k: int) -> float:
+    """An x < s + 1 at which the scalar loop stops after exactly k terms.
+
+    The term count grows with x, so bisection finds the x where it steps
+    from k - 1 to k."""
+    lo, hi = 0.0, s + 1.0
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if scalar_series(s, mid)[1] < k:
+            lo = mid
+        else:
+            hi = mid
+    assert scalar_series(s, hi)[1] == k
+    return hi
+
+
+class _BlockSpy:
+    """Stands in for numpy inside detector and records each series block's
+    length, read off the np.full call that starts the block."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def full(self, shape, fill):
+        self.blocks.append(shape - 1)
+        return np.full(shape, fill)
+
+
+HEAD = detector._HEAD
 
 
 def lower_p(s: float, x: float) -> float:
@@ -138,6 +189,94 @@ class TestRegularizedLowerGamma:
                 log_p, log_q = log_gamma_tails(s, x)
                 assert float(abs(mpmath.exp(log_p) / want_p - 1)) < rel, (s, x, "P")
                 assert float(abs(mpmath.exp(log_q) / want_q - 1)) < rel, (s, x, "Q")
+
+
+class TestBlockedSeries:
+    """_lower_gamma_series sums a scalar head, then numpy blocks; every
+    result must equal the scalar loop's, bit for bit."""
+
+    @staticmethod
+    def grid(s):
+        ks = (-0.9, 0.0, 0.5, 1.0, 2.0, 4.3, 8.0, 16.0, 64.0)
+        xs = [s * (1.0 - k / math.sqrt(s)) for k in ks]
+        xs += [math.nextafter(s + 1.0, 0.0), (s + 1.0) * (1.0 - 1e-12), s + 0.5, s * 1e-3]
+        return [x for x in xs if 0.0 < x < s + 1.0]
+
+    @pytest.mark.parametrize("block", [detector._BLOCK, 5])
+    @pytest.mark.parametrize("s", [1.0, 1.5, 37.3, 1e3, 1e4, 1e5, 1e6])
+    def test_matches_scalar_loop(self, s, block, monkeypatch):
+        monkeypatch.setattr(detector, "_BLOCK", block)
+        for x in self.grid(s):
+            want = scalar_series(s, x)[0]
+            got = detector._lower_gamma_series(s, x)
+            assert got == want, (s, x, got.hex(), want.hex())
+
+    def test_matches_scalar_loop_at_random_points(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            s = float(10.0 ** rng.uniform(0.0, 6.0))
+            if rng.random() < 0.5:
+                s = float(round(s))
+            x = min(s * (1.0 - rng.uniform(-1.0, 10.0) / math.sqrt(s)), s + 0.999)
+            if x > 0.0:
+                assert detector._lower_gamma_series(s, x) == scalar_series(s, x)[0], (s, x)
+
+    @pytest.mark.parametrize("s", [37.3, 1e3])
+    @pytest.mark.parametrize("k", [HEAD - 1, HEAD, HEAD + 1])
+    def test_converges_at_head_boundary(self, s, k, monkeypatch):
+        x = x_converging_at(s, k)
+        spy = _BlockSpy()
+        monkeypatch.setattr(detector, "np", spy)
+        assert detector._lower_gamma_series(s, x) == scalar_series(s, x)[0]
+        assert len(spy.blocks) == (0 if k <= HEAD else 1)  # k = HEAD + 1: first term of a block
+
+    # The stop falls on the last term of a block (k = HEAD + 24) or on the
+    # first term of the next (k = HEAD + 25).
+    @pytest.mark.parametrize("block", [8, 12, 24])
+    @pytest.mark.parametrize("k, stop_in_block", [(HEAD + 24, "last"), (HEAD + 25, "first")])
+    def test_converges_at_block_boundary(self, block, k, stop_in_block, monkeypatch):
+        s = 1e3
+        x = x_converging_at(s, k)
+        spy = _BlockSpy()
+        monkeypatch.setattr(detector, "_BLOCK", block)
+        monkeypatch.setattr(detector, "np", spy)
+        assert detector._lower_gamma_series(s, x) == scalar_series(s, x)[0]
+        *full, last = spy.blocks
+        assert full == [block] * len(full)
+        position = k - HEAD - sum(full)  # of the stop, counted from 1 in the last block
+        assert position == (block if stop_in_block == "last" else 1)
+        assert position <= last
+
+    @pytest.mark.parametrize("block", [detector._BLOCK, 8])
+    @pytest.mark.parametrize("itmax", [HEAD - 1, HEAD, HEAD + 1, HEAD + 16, HEAD + 17])
+    def test_itmax_caps_head_and_blocks_like_the_loop(self, itmax, block, monkeypatch):
+        # with 8-term blocks, HEAD + 16 ends the second block
+        cases = [(1e3, x_converging_at(1e3, k))
+                 for k in (HEAD - 1, HEAD, HEAD + 1, HEAD + 16, HEAD + 17, HEAD + 40)]
+        monkeypatch.setattr(detector, "_BLOCK", block)
+        monkeypatch.setattr(detector, "_ITMAX", itmax)
+        for s, x in cases:
+            try:
+                want = scalar_series(s, x)[0]
+            except ValueError:
+                with pytest.raises(ValueError, match="did not converge"):
+                    detector._lower_gamma_series(s, x)
+            else:
+                assert detector._lower_gamma_series(s, x) == want
+
+
+class TestDomainOfN:
+    def test_shape_above_n_max_rejected(self):
+        assert log_gamma_tails(1e6, 1e6)[0] < 0.0
+        with pytest.raises(ValueError, match="<= 1000000"):
+            log_gamma_tails(1e6 + 1.0, 1e6)
+        with pytest.raises(ValueError, match="<= 1000000"):
+            log_gamma_tails(1e11, 1e11)
+
+    def test_error_probability_above_n_max_rejected(self):
+        snr = db_to_linear(-40.0)
+        with pytest.raises(ValueError, match="<= 1000000"):
+            error_probability(10**9, snr, 1.0, optimal_threshold(10**9, snr, 1.0))
 
 
 class TestEnergyPdf:

@@ -70,6 +70,8 @@ class TestGenerateOfdmSamples:
     def test_domain(self):
         with pytest.raises(ValueError):
             ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100, m_subcarriers=0)
+        with pytest.raises(ValueError, match="n_samples must be >= 1 and <= 1000000"):
+            ScenarioConfig(n_samples=10**6 + 1, snr_db=0.0, n_bits=1, alpha=0.0)
 
 
 class TestTransmitOokBit:

@@ -135,6 +135,10 @@ class TestFindNAlpha:
         with pytest.raises(ValueError):
             find_n_alpha(0.1, 0.1, 1.0, GAMMA_30DB, n_max=0)
 
+    def test_n_max_above_domain_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1 and <= 1000000"):
+            find_n_alpha(0.1, 0.1, 1.0, GAMMA_30DB, n_max=10**6 + 1)
+
 
 class TestSearchAgainstBisection:
     ALPHAS = [0.0, *np.logspace(-4, math.log10(0.99), 20)]
