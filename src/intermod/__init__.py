@@ -21,7 +21,7 @@ from .detector import (
     mixture_energy_pdf,
     optimal_threshold,
 )
-from .simulator import BerResult, ScenarioConfig, run_ber
+from .simulator import BerResult, ScenarioConfig, run_ber, run_ber_grid
 from .sumrate import SumRatePoint, default_alpha_grid, find_n_alpha, sweep_sum_rate
 from .weights import (
     TargetGains,
@@ -56,6 +56,7 @@ __all__ = [
     "paper_closed_form_norms",
     "phase_align_targets",
     "run_ber",
+    "run_ber_grid",
     "solve_min_norm",
     "sweep_sum_rate",
 ]

@@ -35,9 +35,7 @@ values ("error: invalid-parameter: ..." on stderr); 4 for I/O failures
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
-import multiprocessing
 import sys
 
 import numpy as np
@@ -51,12 +49,13 @@ from .detector import (
     mixture_energy_pdf,
     optimal_threshold,
 )
-from .simulator import ScenarioConfig, ber_result, chunk_errors, run_ber
+from .simulator import ScenarioConfig, run_ber_grid
 from .sumrate import DEFAULT_PE_TARGET, default_alpha_grid, sweep_sum_rate
 from .weights import closed_form_norms, paper_closed_form_norms
 
 # bumped when a subcommand's bytes change for the same input (ber/2: stream kernel)
 SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 2, "sumrate": 1}
+PDF_POINTS = 2000  # theory --pdf-points default, recorded in every theory manifest
 
 
 def parse_grid(spec: str, cast=float) -> list:
@@ -224,9 +223,12 @@ def cmd_weights(args) -> int:
 def cmd_theory(args) -> int:
     """analytic P_e and threshold tables"""
     params = _options(args)
-    if args.pdf_points < 1:
-        raise ValueError(f"pdf_points must be >= 1, got {args.pdf_points}")
-    params["pdf_points"] = args.pdf_points
+    if args.pdf_points is not None and not args.pdf_out:
+        raise ValueError("pdf_points tabulates nothing without --pdf-out")
+    pdf_points = PDF_POINTS if args.pdf_points is None else args.pdf_points
+    if pdf_points < 1:
+        raise ValueError(f"pdf_points must be >= 1, got {pdf_points}")
+    params["pdf_points"] = pdf_points
     rows = []
     pdf_rows = []
     for n in params["n_grid"]:
@@ -240,7 +242,7 @@ def cmd_theory(args) -> int:
                 # cover both mixture components well past their tails
                 scale_hi = sigma_r_sq + sigma_n_sq
                 eps_max = n * scale_hi + (12.0 + 12.0 * math.sqrt(n)) * scale_hi
-                eps_grid = np.linspace(0.0, eps_max, args.pdf_points)
+                eps_grid = np.linspace(0.0, eps_max, pdf_points)
                 dens = mixture_energy_pdf(eps_grid, n, sigma_r_sq, sigma_n_sq)
                 pdf_rows.extend(
                     (n, snr_db, float(e), float(d)) for e, d in zip(eps_grid, dens)
@@ -267,8 +269,6 @@ def cmd_ber(args) -> int:
     """Monte Carlo BER vs analytic prediction"""
     params = _options(args)
     jobs = params.pop("jobs")  # never changes the output, so not in the manifest
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
 
     points = []
     grid = [(n, snr_db) for n in params["n_grid"] for snr_db in params["snr_grid"]]
@@ -289,15 +289,7 @@ def cmd_ber(args) -> int:
                 master_seed=point_seed,
             )
         )
-    # tasks are (point, chunk) pairs; each chunk's count is the same wherever it runs
-    tasks = [(point, chunk) for point in points for chunk in range(point.n_chunks)]
-    workers = min(jobs, len(tasks))  # a worker with no task would sit idle
-    if workers > 1:
-        with multiprocessing.Pool(processes=workers) as pool:
-            counts = iter(pool.starmap(chunk_errors, tasks))
-        results = [ber_result(p, sum(itertools.islice(counts, p.n_chunks))) for p in points]
-    else:
-        results = [run_ber(p) for p in points]
+    results = run_ber_grid(points, jobs)
 
     rows = []
     for (n, snr_db), res in zip(grid, results):
@@ -377,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     # flags only, not config keys; cmd_theory records pdf_points in the manifest itself
     theory = sub.choices["theory"]
     theory.add_argument("--pdf-out", help="also tabulate the mixture energy PDF here")
-    theory.add_argument("--pdf-points", type=int, default=2000,
-                        help="points per PDF tabulation (default 2000)")
+    theory.add_argument("--pdf-points", type=int,
+                        help=f"points per PDF tabulation (default {PDF_POINTS})")
     return parser
 
 

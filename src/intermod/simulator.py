@@ -20,7 +20,10 @@ execution order, on which process runs a chunk, or on the worker count.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +109,6 @@ class BerResult:
     n_errors: int
     ber: float
     analytic_pe: float
-    threshold: float
     per_point_ci95: float
 
 
@@ -144,15 +146,33 @@ def chunk_errors(config: ScenarioConfig, chunk: int) -> int:
     return int(np.count_nonzero((energies > threshold) != bits))
 
 
-def ber_result(config: ScenarioConfig, n_errors: int) -> BerResult:
-    """The BerResult of a scenario whose chunks made ``n_errors`` errors in all."""
-    _, _, threshold, analytic_pe = config.link
-    ber = n_errors / config.n_bits
-    ci95 = 1.96 * math.sqrt(ber * (1.0 - ber) / config.n_bits)
-    return BerResult(n_bits=config.n_bits, n_errors=n_errors, ber=ber,
-                     analytic_pe=analytic_pe, threshold=threshold, per_point_ci95=ci95)
+def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult]:
+    """Monte Carlo BER per scenario from one ``chunk_errors`` task per (scenario, chunk).
+
+    More than one worker maps the tasks over a pool of at most ``jobs``, one
+    per task and per usable CPU.  Links resolve first, so bad input raises
+    before any fork and the workers receive each link with its config.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    analytic_pe = [config.link[3] for config in configs]
+    tasks = [(config, chunk) for config in configs for chunk in range(config.n_chunks)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(tasks), cpus or 1)
+    if workers > 1:
+        with multiprocessing.Pool(processes=workers) as pool:
+            counts = iter(pool.starmap(chunk_errors, tasks))
+    else:
+        counts = itertools.starmap(chunk_errors, tasks)
+    results = []
+    for config, pe in zip(configs, analytic_pe):
+        n_errors = sum(itertools.islice(counts, config.n_chunks))
+        ber = n_errors / config.n_bits
+        ci95 = 1.96 * math.sqrt(ber * (1.0 - ber) / config.n_bits)
+        results.append(BerResult(config.n_bits, n_errors, ber, pe, ci95))
+    return results
 
 
 def run_ber(config: ScenarioConfig) -> BerResult:
     """Monte Carlo BER for one scenario, deterministic given the seed."""
-    return ber_result(config, sum(chunk_errors(config, c) for c in range(config.n_chunks)))
+    return run_ber_grid([config])[0]

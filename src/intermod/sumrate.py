@@ -14,7 +14,6 @@ definition.  The subcarrier count cancels in this ratio.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -45,15 +44,16 @@ def su_snr(alpha: float, rho_mag: float, g: float, gamma: float) -> float:
     return gamma * g * g * alpha * norm1_sq / xi
 
 
+def _check_search(pe_target: float, n_max: int) -> None:
+    if not (0.0 < pe_target < 0.5):
+        raise ValueError("pe_target must be in (0, 0.5)")
+    check_n("n_max", n_max)
+
+
 def find_n_alpha(
-    alpha: float,
-    rho_mag: float,
-    g: float,
-    gamma: float,
-    pe_target: float = DEFAULT_PE_TARGET,
-    n_max: int = N_MAX,
+    snr: float, pe_target: float = DEFAULT_PE_TARGET, n_max: int = N_MAX
 ) -> int | None:
-    """Smallest integration length N with P_e below the target.
+    """Smallest integration length N with P_e below the target at linear SU SNR ``snr``.
 
     P_e at the optimal threshold is monotone decreasing in N for a fixed
     SNR, so every search that keeps the bracket pe(lo) >= target > pe(hi)
@@ -62,28 +62,27 @@ def find_n_alpha(
     exact for any target and nearly linear in N because the error exponent
     is; a probe that leaves more than half the bracket is followed by a
     bisection step, which caps the cost at about 2 log2(n_max) evaluations.
-    Returns None when even n_max misses the target (including alpha = 0,
-    where the SU SNR is zero and P_e = 0.5 for every N).  n_max must lie
-    in [1, detector.N_MAX].
+    Returns None when even n_max misses the target (including snr = 0, as
+    at alpha = 0, where P_e = 0.5 for every N).  n_max must lie in
+    [1, detector.N_MAX].
     """
-    if not (0.0 < pe_target < 0.5):
-        raise ValueError("pe_target must be in (0, 0.5)")
-    check_n("n_max", n_max)
-    snr = su_snr(alpha, rho_mag, g, gamma)
-    if snr <= 0.0:
+    _check_search(pe_target, n_max)
+    if not snr >= 0.0:
+        raise ValueError(f"snr must be nonnegative, got {snr!r}")
+    if snr == 0.0:
         return None
     log_target = math.log(pe_target)
 
-    @functools.cache
     def excess(n):  # f(N), negative once N meets the target
         return log_error_probability(n, snr, 1.0, optimal_threshold(n, snr, 1.0)) - log_target
 
     lo, hi = 1, n_max  # invariant: excess(lo) >= 0 > excess(hi)
-    if excess(hi) >= 0.0:
+    f_hi = excess(hi)
+    if f_hi >= 0.0:
         return None
-    if excess(lo) < 0.0:
+    f_lo = excess(lo)
+    if f_lo < 0.0:
         return 1
-    f_lo, f_hi = excess(lo), excess(hi)
     moved = None  # the end the last probe replaced
     bisect = False  # set after a probe that left more than half the bracket
     while hi - lo > 1:
@@ -122,10 +121,14 @@ def sweep_sum_rate(
 
     alpha = 0 entries report the no-modulation baseline log2(1 + gamma)
     with no SU rate; all other entries use the modulated-regime PU rate
-    with the solver-consistent xi.  n_max is checked here, so a grid with
-    no alpha > 0 does not let it through unread.
+    with the solver-consistent xi.  The scalar arguments are checked here,
+    so a grid with no alpha > 0 lets none of them through unread.
     """
-    check_n("n_max", n_max)
+    if not (0.0 <= rho_mag < 1.0):
+        raise ValueError(f"rho_mag must be in [0, 1), got {rho_mag!r}")
+    if not g >= 0.0:
+        raise ValueError(f"g must be nonnegative, got {g!r}")
+    _check_search(pe_target, n_max)
     gamma = db_to_linear(gamma_db)
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()
@@ -139,7 +142,7 @@ def sweep_sum_rate(
         else:
             _, _, xi = closed_form_norms(alpha, rho_mag)
             pu_rate = math.log2(1.0 + gamma / xi * (1.0 - alpha))
-            n_alpha = find_n_alpha(alpha, rho_mag, g, gamma, pe_target, n_max)
+            n_alpha = find_n_alpha(su_snr(alpha, rho_mag, g, gamma), pe_target, n_max)
             su_rate = 1.0 / n_alpha if n_alpha is not None else 0.0
         points.append(
             SumRatePoint(

@@ -7,9 +7,15 @@ import time
 import numpy as np
 import pytest
 
-from intermod import cli
+from intermod import simulator
 from intermod.cli import load_config, main, parse_grid
 from test_detector import mpmath_error_probability
+
+
+def pin_cpus(monkeypatch, cpus):
+    """Make the CPUs this process may use read as ``cpus``."""
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
 
 
 def read_csv(path):
@@ -202,12 +208,12 @@ class TestBerCommand:
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
 
-    # tasks are (grid point, chunk) pairs: --bits 500 is one chunk at N = 10
-    # and 3 chunks at N = 1e5 (2 trials per chunk)
-    @pytest.mark.parametrize("n_grid, bits, pools", [
-        ("10", "500", []), ("10,20", "500", [2]), ("100000", "6", [3]),
-    ])
-    def test_at_most_one_worker_per_task(self, tmp_path, monkeypatch, n_grid, bits, pools):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Worker counts of the pools the simulator starts, on 8 usable CPUs.
+
+        No process starts: each pool runs its tasks in this one.
+        """
         started = []
 
         class RecordingPool:
@@ -223,10 +229,36 @@ class TestBerCommand:
             def starmap(self, func, items):
                 return [func(*item) for item in items]
 
-        monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(simulator.multiprocessing, "Pool", RecordingPool)
+        pin_cpus(monkeypatch, 8)
+        return started
+
+    # tasks are (grid point, chunk) pairs: --bits 500 is one chunk at N = 10
+    # and 3 chunks at N = 1e5 (2 trials per chunk)
+    @pytest.mark.parametrize("n_grid, bits, pools", [
+        ("10", "500", []), ("10,20", "500", [2]), ("100000", "6", [3]),
+    ])
+    def test_at_most_one_worker_per_task(self, tmp_path, pool_sizes, n_grid, bits, pools):
         assert main(["ber", "--n", n_grid, "--snr-db=-5", "--bits", bits, "--jobs", "4",
                      "--out", str(tmp_path / "b.csv")]) == 0
-        assert started == pools
+        assert pool_sizes == pools
+
+    # 10 chunks at N = 1e5, so only the CPU count bounds --jobs 1000
+    @pytest.mark.parametrize("cpus, pools", [(1, []), (2, [2]), (3, [3])])
+    def test_at_most_one_worker_per_usable_cpu(self, tmp_path, monkeypatch, pool_sizes,
+                                               cpus, pools):
+        pin_cpus(monkeypatch, cpus)
+        assert main(["ber", "--n", "100000", "--snr-db=-5", "--bits", "20", "--jobs", "1000",
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        assert pool_sizes == pools
+
+    def test_cpu_count_where_there_is_no_affinity_mask(self, tmp_path, monkeypatch,
+                                                       pool_sizes):
+        monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+        assert main(["ber", "--n", "100000", "--snr-db=-5", "--bits", "20", "--jobs", "1000",
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        assert pool_sizes == [3]
 
     def test_high_snr_point_error_free(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -397,6 +429,10 @@ class TestUsageErrors:
         ["sumrate", "--n-max", "1000001"],
         ["sumrate", "--n-max", "0"],
         ["sumrate", "--alpha", "0", "--n-max", "1000001"],  # no search reads it
+        ["sumrate", "--gamma-db", "10", "--alpha", "0", "--g", "-1"],
+        ["sumrate", "--gamma-db", "10", "--alpha", "0", "--rho", "1.5"],
+        ["sumrate", "--gamma-db", "10", "--alpha", "0", "--pe-target", "0.9"],
+        ["theory", "--n", "10", "--snr-db", "0", "--pdf-points", "5"],  # no --pdf-out
     ])
     def test_bad_number_rejected_at_once(self, argv, capsys):
         start = time.monotonic()

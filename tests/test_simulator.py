@@ -1,12 +1,15 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from intermod import simulator
 from intermod.channel import make_correlated_pair
 from intermod.detector import log_gamma_tails
-from intermod.simulator import ScenarioConfig, _chunk_energies, run_ber
+from intermod.simulator import ScenarioConfig, _chunk_energies, run_ber, run_ber_grid
 from intermod.weights import build_weight_set
+from test_cli import pin_cpus
 
 UNIT_GAINS = np.array([1.0, 1.0], dtype=complex)  # both bits: bare OFDM samples
 ALIGNED_CHUNK_TRIALS = 8192
@@ -236,3 +239,36 @@ class TestRunBer:
         scale = sigma_r_sq + sigma_n_sq
         assert energies.mean() == pytest.approx(n * scale, rel=0.01)
         assert energies.var() == pytest.approx(n * scale**2, rel=0.05)
+
+
+class TestRunBerGrid:
+    # N = 10: 3000 bits are one chunk; N = 1000: 262 trials per chunk, so 4 chunks
+    CONFIGS = (
+        ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=3000, master_seed=37),
+        ScenarioConfig(n_samples=1000, snr_db=-10.0, n_bits=1000, master_seed=41),
+    )
+
+    def test_same_results_at_one_and_two_jobs(self, monkeypatch):
+        pin_cpus(monkeypatch, 2)  # so jobs=2 starts a real two-worker pool on any host
+        serial = run_ber_grid(list(self.CONFIGS), jobs=1)
+        assert self.CONFIGS[1].n_chunks == 4
+        assert run_ber_grid(list(self.CONFIGS), jobs=2) == serial
+        assert serial == [run_ber(cfg) for cfg in self.CONFIGS]
+
+    def test_bad_input_raises_before_any_pool(self, monkeypatch):
+        def no_pool(processes):
+            raise AssertionError(f"a pool of {processes} started")
+
+        monkeypatch.setattr(simulator.multiprocessing, "Pool", no_pool)
+        bad = ScenarioConfig(n_samples=10, snr_db=3000.0, n_bits=100)
+        with pytest.raises(ValueError, match="noise floor"):
+            run_ber_grid([*self.CONFIGS, bad], jobs=2)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_ber_grid(list(self.CONFIGS), jobs=0)
+
+    def test_workers_receive_the_resolved_link(self):
+        cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=100, master_seed=43)
+        run_ber_grid([cfg])
+        sent = pickle.loads(pickle.dumps(cfg))
+        assert "link" in vars(sent)
+        assert sent.link[3] == cfg.link[3]

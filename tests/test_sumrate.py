@@ -7,7 +7,7 @@ import pytest
 
 from intermod import sumrate
 from intermod.channel import make_correlated_pair
-from intermod.detector import error_probability, optimal_threshold
+from intermod.detector import db_to_linear, error_probability, optimal_threshold
 from intermod.simulator import ScenarioConfig, run_ber
 from intermod.sumrate import (
     SumRatePoint,
@@ -22,9 +22,8 @@ from test_detector import mpmath_error_probability
 GAMMA_30DB = 1000.0
 
 
-def bisect_n_alpha(alpha, rho_mag, g, gamma, pe_target, n_max):
+def bisect_n_alpha(snr, pe_target, n_max):
     """Reference search: plain bisection over [1, n_max] on the same bracket."""
-    snr = su_snr(alpha, rho_mag, g, gamma)
     if snr <= 0.0:
         return None
     log_target = math.log(pe_target)
@@ -75,19 +74,19 @@ class TestSuSnr:
 
 class TestFindNAlpha:
     def test_alpha_zero_unreachable(self):
-        assert find_n_alpha(0.0, 0.1, 1.0, GAMMA_30DB) is None
+        assert find_n_alpha(su_snr(0.0, 0.1, 1.0, GAMMA_30DB)) is None
 
     def test_near_vacuous_target(self):
-        assert find_n_alpha(0.2, 0.1, 1.0, GAMMA_30DB, pe_target=0.49) == 1
+        assert find_n_alpha(su_snr(0.2, 0.1, 1.0, GAMMA_30DB), pe_target=0.49) == 1
 
     def test_cap_returns_none(self):
         # SU SNR too low for the target within a tiny cap
-        assert find_n_alpha(1e-4, 0.9, 1.0, GAMMA_30DB, n_max=100) is None
+        assert find_n_alpha(su_snr(1e-4, 0.9, 1.0, GAMMA_30DB), n_max=100) is None
 
     def test_result_is_minimal(self):
         alpha, rho, g = 0.05, 0.1, 1.0
-        n_alpha = find_n_alpha(alpha, rho, g, GAMMA_30DB)
         snr = su_snr(alpha, rho, g, GAMMA_30DB)
+        n_alpha = find_n_alpha(snr)
 
         def pe(n):
             return error_probability(n, snr, 1.0, optimal_threshold(n, snr, 1.0))
@@ -98,7 +97,7 @@ class TestFindNAlpha:
 
     def test_monotone_in_alpha(self):
         alphas = (0.01, 0.05, 0.1, 0.3, 0.6)
-        ns = [find_n_alpha(a, 0.1, 1.0, GAMMA_30DB) for a in alphas]
+        ns = [find_n_alpha(su_snr(a, 0.1, 1.0, GAMMA_30DB)) for a in alphas]
         assert all(n is not None for n in ns)
         for earlier, later in zip(ns, ns[1:]):
             assert later <= earlier
@@ -117,27 +116,32 @@ class TestFindNAlpha:
     @pytest.mark.parametrize("gamma", [1.0, 3.0, 10.0])
     def test_deep_targets_bracketed_by_mpmath(self, gamma, alpha, pe_target):
         # below ~1e-16 the false-alarm tail Q must not be formed as 1 - P
-        n_alpha = find_n_alpha(alpha, 0.3, 1.0, gamma, pe_target)
         snr = su_snr(alpha, 0.3, 1.0, gamma)
+        n_alpha = find_n_alpha(snr, pe_target)
         assert n_alpha > 1
         assert mpmath_error_probability(n_alpha, snr) < pe_target
         assert mpmath_error_probability(n_alpha - 1, snr) >= pe_target
 
     def test_subnormal_target(self):
-        n_alpha = find_n_alpha(0.5, 0.3, 1.0, 10.0, pe_target=1e-320)
         snr = su_snr(0.5, 0.3, 1.0, 10.0)
+        n_alpha = find_n_alpha(snr, pe_target=1e-320)
         assert mpmath_error_probability(n_alpha, snr) < mpmath.mpf(1e-320)
         assert mpmath_error_probability(n_alpha - 1, snr) >= mpmath.mpf(1e-320)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            find_n_alpha(0.1, 0.1, 1.0, GAMMA_30DB, pe_target=0.6)
+            find_n_alpha(su_snr(0.1, 0.1, 1.0, GAMMA_30DB), pe_target=0.6)
         with pytest.raises(ValueError):
-            find_n_alpha(0.1, 0.1, 1.0, GAMMA_30DB, n_max=0)
+            find_n_alpha(su_snr(0.1, 0.1, 1.0, GAMMA_30DB), n_max=0)
+
+    @pytest.mark.parametrize("snr", [-1.0, -1e-300, math.nan])
+    def test_snr_outside_domain_rejected(self, snr):
+        with pytest.raises(ValueError, match="snr must be nonnegative"):
+            find_n_alpha(snr)
 
     def test_n_max_above_domain_rejected(self):
         with pytest.raises(ValueError, match="n_max must be >= 1 and <= 1000000"):
-            find_n_alpha(0.1, 0.1, 1.0, GAMMA_30DB, n_max=10**6 + 1)
+            find_n_alpha(su_snr(0.1, 0.1, 1.0, GAMMA_30DB), n_max=10**6 + 1)
 
 
 class TestSearchAgainstBisection:
@@ -152,9 +156,10 @@ class TestSearchAgainstBisection:
         gamma = 10.0 ** (gamma_db / 10.0)
         bound = 2 * math.ceil(math.log2(n_max)) + 2
         for alpha in self.ALPHAS:
-            want = bisect_n_alpha(alpha, rho, g, gamma, pe_target, n_max)
+            snr = su_snr(alpha, rho, g, gamma)
+            want = bisect_n_alpha(snr, pe_target, n_max)
             pe_calls[0] = 0
-            assert find_n_alpha(alpha, rho, g, gamma, pe_target, n_max) == want
+            assert find_n_alpha(snr, pe_target, n_max) == want
             assert pe_calls[0] <= bound
 
     def test_half_the_bisection_evaluations_at_30db(self, pe_calls):
@@ -162,12 +167,51 @@ class TestSearchAgainstBisection:
         for search in (bisect_n_alpha, find_n_alpha):
             pe_calls[0] = 0
             for alpha in default_alpha_grid():
-                search(alpha, 0.1, 1.0, GAMMA_30DB, 1e-5, 10**6)
+                search(su_snr(alpha, 0.1, 1.0, GAMMA_30DB), 1e-5, 10**6)
             counts[search] = pe_calls[0]
         assert counts[find_n_alpha] < 0.5 * counts[bisect_n_alpha]
 
 
+class TestSearchAgainstSimulator:
+    """N_alpha from the search, checked by Monte Carlo at the same SU SNR."""
+
+    PE_TARGET, BITS = 1e-2, 40_000
+
+    @pytest.mark.parametrize("snr_db", [6.0, 8.0, 10.0])
+    def test_n_alpha_meets_the_target_and_n_alpha_minus_one_misses_it(self, snr_db):
+        snr = db_to_linear(snr_db)
+        n_alpha = find_n_alpha(snr, self.PE_TARGET)
+        band = 3 * math.sqrt(self.PE_TARGET * (1 - self.PE_TARGET) / self.BITS)
+
+        def pe(n):
+            return error_probability(n, snr, 1.0, optimal_threshold(n, snr, 1.0))
+
+        # the two P_e lie more than the band apart, so an off-by-one search is seen
+        assert pe(n_alpha - 1) - pe(n_alpha) > band
+
+        def ber(n):
+            cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=self.BITS,
+                                 master_seed=int(snr_db))
+            return run_ber(cfg).ber
+
+        assert ber(n_alpha) < self.PE_TARGET + band
+        assert ber(n_alpha - 1) > self.PE_TARGET - band
+
+
 class TestSweepSumRate:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"g": -1.0}, "g must be nonnegative"),
+        ({"rho_mag": 1.0}, "rho_mag must be in"),
+        ({"rho_mag": 1.5}, "rho_mag must be in"),
+        ({"pe_target": 0.0}, "pe_target"),
+        ({"pe_target": 0.5}, "pe_target"),
+        ({"pe_target": 0.9}, "pe_target"),
+    ])
+    def test_bad_input_rejected_without_any_search(self, kwargs, message):
+        args = {"gamma_db": 10.0, "rho_mag": 0.1, "g": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            sweep_sum_rate(alpha_grid=[0.0], **args)
+
     def test_alpha_zero_baseline_anchor(self):
         for rho in (0.1, 0.5, 0.9):
             pts = sweep_sum_rate(30.0, rho, 1.0, alpha_grid=[0.0])
