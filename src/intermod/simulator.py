@@ -8,7 +8,10 @@ against the analytic error probability for the same parameters.
 The stream is continuous: a chunk of trials takes one 1/m-scaled IFFT of
 ceil(trials * N / m) blocks of Gaussian symbols on m subcarriers and cuts
 it into consecutive N-sample bit windows, not aligned to blocks.  The IFFT
-is unitary up to scale, so the samples stay i.i.d. CN(0, 1/m).
+is unitary up to scale, so the samples stay i.i.d. CN(0, 1/m).  A chunk
+works in one buffer: the IFFT runs in place over the symbols, and the AWGN
+is added through one reused slice of at most _NOISE_SLICE doubles, so one
+chunk-sized array is live per chunk.
 
 Reproducibility contract: a run is fully determined by the scenario's
 master seed and the fixed sample budget CHUNK_SAMPLES.  A chunk holds
@@ -35,6 +38,8 @@ from .weights import build_weight_set
 #: Samples (trials x N) per RNG substream; fixed so chunk boundaries never
 #: depend on the execution environment.
 CHUNK_SAMPLES = 1 << 18
+#: Doubles of AWGN drawn per slice; a normal draw is the same in pieces.
+_NOISE_SLICE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -76,10 +81,11 @@ class ScenarioConfig:
         gains are the solved SU responses g * h_su^T omega_bit / sqrt(xi) to
         the two weight vectors.  sigma_r^2 = power1 = |gains[1]|^2 * sample_var,
         which equals sample_var * alpha g^2 / xi by the constraint construction;
-        sigma_n^2 = 2 noise_std^2 is back-solved from the requested SNR.  For alpha = 0 the SNR is undefined, the noise
-        floor defaults to sample_var, and P_e = 0.5.  Bit 0 is modelled as
-        noise only, so an SNR whose noise floor is not far above the power
-        of the bit-0 response (solver residue) is rejected.
+        sigma_n^2 = 2 noise_std^2 is back-solved from the requested SNR.  For
+        alpha = 0 the SNR is undefined, the noise floor defaults to sample_var,
+        and P_e = 0.5.  Bit 0 is modelled as noise only, so an SNR whose noise
+        floor is not far above the power of the bit-0 response (solver
+        residue) is rejected.
         """
         pair = make_correlated_pair(
             self.k_antennas, self.rho_mag, self.rho_phase, self.g, seed=self.master_seed
@@ -116,20 +122,25 @@ def _chunk_energies(rng, n_trials, n, m, gains, noise_std):
     """(bits, energies) for ``n_trials`` equiprobable OOK bits, cut from one stream.
 
     Symbols are drawn as standard normal (re, im) pairs, so CN(0, 2); the
-    1/sqrt(2) that makes them CN(0, 1) is folded into ``gains[bit]``.  AWGN
-    with per-component std ``noise_std`` is added in place, and each
-    window's power is summed over the real view.
+    1/sqrt(2) that makes them CN(0, 1) is folded into ``gains[bit]``.  The
+    IFFT runs in place in the symbol buffer, AWGN with per-component std
+    ``noise_std`` is drawn _NOISE_SLICE doubles at a time and added in
+    place, and each window's power is summed over the real view.
     """
     bits = rng.integers(0, 2, size=n_trials)
     blocks = -(-n_trials * n // m)
     symbols = rng.standard_normal((blocks, m, 2)).view(np.complex128)[..., 0]
-    stream = np.fft.ifft(symbols, axis=1).reshape(-1)[: n_trials * n]
-    received = stream.reshape(n_trials, n)
+    np.fft.ifft(symbols, axis=1, out=symbols)
+    received = symbols.reshape(-1)[: n_trials * n].reshape(n_trials, n)
     received *= (gains[bits] / math.sqrt(2.0))[:, None]
     parts = received.view(np.float64)
-    noise = rng.standard_normal(parts.shape)
-    noise *= noise_std
-    parts += noise
+    flat = parts.reshape(-1)
+    noise = np.empty(min(_NOISE_SLICE, flat.size))
+    for start in range(0, flat.size, noise.size):
+        piece = noise[: flat.size - start]
+        rng.standard_normal(out=piece)
+        piece *= noise_std
+        flat[start : start + piece.size] += piece
     return bits, np.einsum("ij,ij->i", parts, parts)
 
 

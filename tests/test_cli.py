@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from intermod import simulator
+from intermod import cli, simulator
 from intermod.cli import load_config, main, parse_grid
 from test_detector import mpmath_error_probability
 
@@ -322,6 +322,34 @@ def test_golden_rows(tmp_path, argv, digest):
     assert main(argv + ["--out", str(out)]) == 0
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [case[0] for case in GOLDEN_ROWS[:2]], ids=GOLDEN_IDS[:2])
+def test_golden_ber_decisions_clear_their_thresholds(tmp_path, monkeypatch, argv):
+    # every golden trial's energy lies at least 1e-9 (relative) from its
+    # threshold, so FFT or summation rounding (~1e-15) cannot flip a golden
+    # bit; a kernel change that makes these bytes hang on rounding fails here
+    configs, energies = [], []
+    run_grid, chunk_energies = cli.run_ber_grid, simulator._chunk_energies
+
+    def record_grid(points, jobs):
+        configs.extend(points)
+        return run_grid(points, jobs=1)  # one process, so every chunk is recorded here
+
+    def record_chunk(*args):
+        result = chunk_energies(*args)
+        energies.append(result[1])
+        return result
+
+    monkeypatch.setattr(cli, "run_ber_grid", record_grid)
+    monkeypatch.setattr(simulator, "_chunk_energies", record_chunk)
+    assert main(argv + ["--out", str(tmp_path / "ber.csv")]) == 0
+    chunks = iter(energies)
+    for config in configs:
+        threshold = config.link[2]
+        for _ in range(config.n_chunks):
+            assert np.min(np.abs(next(chunks) / threshold - 1.0)) >= 1e-9
+    assert next(chunks, None) is None
 
 
 # Every key the ber subcommand reads, from a config file; jobs is not recorded

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from intermod import simulator
 from intermod.channel import make_correlated_pair
 from intermod.detector import log_gamma_tails
-from intermod.simulator import ScenarioConfig, _chunk_energies, run_ber, run_ber_grid
+from intermod.simulator import (
+    CHUNK_SAMPLES, ScenarioConfig, _chunk_energies, chunk_errors, run_ber, run_ber_grid,
+)
 from intermod.weights import build_weight_set
 from test_cli import pin_cpus
 
@@ -39,6 +42,25 @@ def aligned_errors(config):
         energies = np.sum(np.abs(gains[bits][:, None] * samples + noise) ** 2, axis=1)
         n_errors += int(np.count_nonzero((energies > threshold) != bits))
     return n_errors
+
+
+def out_of_place_energies(rng, n_trials, n, m, gains, noise_std):
+    """(bits, energies) by the former out-of-place stream kernel, kept as a reference.
+
+    It drew the same numbers in the same order, but took the IFFT into a
+    new array and drew all the noise into another.
+    """
+    bits = rng.integers(0, 2, size=n_trials)
+    blocks = -(-n_trials * n // m)
+    symbols = rng.standard_normal((blocks, m, 2)).view(np.complex128)[..., 0]
+    stream = np.fft.ifft(symbols, axis=1).reshape(-1)[: n_trials * n]
+    received = stream.reshape(n_trials, n)
+    received *= (gains[bits] / math.sqrt(2.0))[:, None]
+    parts = received.view(np.float64)
+    noise = rng.standard_normal(parts.shape)
+    noise *= noise_std
+    parts += noise
+    return bits, np.einsum("ij,ij->i", parts, parts)
 
 
 def response_gains(pair, ws):
@@ -172,6 +194,42 @@ class TestStreamKernel:
         _, energies = _chunk_energies(rng, 10**5, 48, 64, UNIT_GAINS, 0.0)
         assert energies.mean() == pytest.approx(48 / 64, rel=0.01)
         assert energies.var() == pytest.approx(48 / 64**2, rel=0.03)
+
+
+class TestInPlaceKernel:
+    """The one-buffer kernel against the out-of-place one it replaced."""
+
+    GAINS = np.array([0.1 + 0.2j, 0.7 - 0.3j])
+
+    # full chunks at N = 1 ... 1e6, N not dividing m, N > m, a stream of fewer
+    # doubles than one noise slice, and one that is not a multiple of the slice
+    @pytest.mark.parametrize("n, trials, m", [
+        (1, CHUNK_SAMPLES, 64), (7, CHUNK_SAMPLES // 7, 64), (10, CHUNK_SAMPLES // 10, 64),
+        (100, CHUNK_SAMPLES // 100, 64), (1000, CHUNK_SAMPLES // 1000, 64), (10**6, 1, 64),
+        (48, 5000, 64), (100, 3000, 16), (10, 100, 64), (7, 3000, 64),
+    ])
+    def test_same_bits_and_energies_as_out_of_place_kernel(self, n, trials, m):
+        got = _chunk_energies(np.random.default_rng(n + trials), trials, n, m, self.GAINS, 0.3)
+        want = out_of_place_energies(
+            np.random.default_rng(n + trials), trials, n, m, self.GAINS, 0.3
+        )
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("n", [100, 1000, 10**6])
+    def test_one_chunk_peaks_near_its_symbol_buffer(self, n):
+        # the out-of-place kernel held three chunk-sized arrays (3.0x here)
+        bits = CHUNK_SAMPLES // n or 1  # one full chunk
+        cfg = ScenarioConfig(n_samples=n, snr_db=-5.0, n_bits=bits, master_seed=47)
+        cfg.link  # resolve outside the trace
+        symbol_bytes = -(-cfg.chunk_trials * n // cfg.m_subcarriers) * cfg.m_subcarriers * 16
+        tracemalloc.start()
+        try:
+            chunk_errors(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * symbol_bytes
 
 
 class TestRunBer:
