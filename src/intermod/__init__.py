@@ -21,15 +21,13 @@ from .detector import (
     mixture_energy_pdf,
     optimal_threshold,
 )
-from .simulator import BerResult, ScenarioConfig, run_ber, run_ber_grid
+from .simulator import BerResult, ScenarioConfig, run_ber_grid
 from .sumrate import SumRatePoint, default_alpha_grid, find_n_alpha, sweep_sum_rate
 from .weights import (
-    TargetGains,
     WeightSet,
     build_weight_set,
     closed_form_norms,
     paper_closed_form_norms,
-    phase_align_targets,
     solve_min_norm,
 )
 
@@ -39,7 +37,6 @@ __all__ = [
     "IllConditionedCorrelationError",
     "ScenarioConfig",
     "SumRatePoint",
-    "TargetGains",
     "WeightSet",
     "build_weight_set",
     "closed_form_norms",
@@ -54,8 +51,6 @@ __all__ = [
     "mixture_energy_pdf",
     "optimal_threshold",
     "paper_closed_form_norms",
-    "phase_align_targets",
-    "run_ber",
     "run_ber_grid",
     "solve_min_norm",
     "sweep_sum_rate",

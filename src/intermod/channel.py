@@ -1,11 +1,11 @@
 """Construction of correlated complex channel-vector pairs.
 
 A transmitter with K antennas sees two single-antenna users through the
-unit-norm channel vectors ``h_pu`` and ``h_su``.  All downstream analytics
-depend on the pair only through the correlation ``rho = <h_su, h_pu>`` and
-the amplitude gain ratio ``g``, so channels are synthesized directly with a
-prescribed correlation (Gram-Schmidt construction) instead of drawing them
-from a geometric model.
+unit-norm channel vectors ``h_pu`` and ``h_su``.  The weight design depends
+on the pair only through the correlation ``rho = <h_su, h_pu>``, so channels
+are synthesized directly with a prescribed correlation (Gram-Schmidt
+construction) instead of drawing them from a geometric model.  The SU/PU
+amplitude gain ratio ``g`` scales the SU response downstream of the pair.
 
 Inner-product convention used throughout the package: the FIRST argument is
 conjugated, ``<a, b> = sum_i conj(a_i) * b_i``.
@@ -43,19 +43,17 @@ def inner_product(a, b) -> complex:
 
 @dataclass(frozen=True)
 class ChannelPair:
-    """Unit-norm channel vectors with their correlation and gain ratio.
+    """Unit-norm channel vectors with their correlation.
 
     Attributes:
         h_pu: unit-norm channel vector of the primary user, length K.
         h_su: unit-norm channel vector of the secondary user, length K.
         rho:  inner product <h_su, h_pu> (conjugate-first convention).
-        g:    SU/PU amplitude gain ratio, g >= 0.
     """
 
     h_pu: np.ndarray
     h_su: np.ndarray
     rho: complex
-    g: float
 
     def __post_init__(self):
         h_pu = np.asarray(self.h_pu, dtype=complex)
@@ -74,14 +72,11 @@ class ChannelPair:
                 f"stored rho {self.rho!r} does not match recomputed "
                 f"inner product {recomputed!r}"
             )
-        if not (self.g >= 0.0):
-            raise ValueError(f"g must be nonnegative, got {self.g!r}")
         h_pu.setflags(write=False)
         h_su.setflags(write=False)
         object.__setattr__(self, "h_pu", h_pu)
         object.__setattr__(self, "h_su", h_su)
         object.__setattr__(self, "rho", complex(self.rho))
-        object.__setattr__(self, "g", float(self.g))
 
     @property
     def k(self) -> int:
@@ -102,7 +97,6 @@ def make_correlated_pair(
     k: int,
     rho_mag: float,
     rho_phase: float = 0.0,
-    g: float = 1.0,
     seed: int = 0,
 ) -> ChannelPair:
     """Draw a random unit-norm pair with prescribed correlation.
@@ -117,7 +111,6 @@ def make_correlated_pair(
         k: antenna count, must be >= 3 (required for weight solving).
         rho_mag: requested |rho| in [0, 1).
         rho_phase: requested arg(rho) in radians.
-        g: SU/PU amplitude gain ratio.
         seed: RNG seed.
     """
     if k < 3:
@@ -135,4 +128,4 @@ def make_correlated_pair(
     h_su = np.conj(rho) * h_pu + np.sqrt(1.0 - rho_mag**2) * u
     h_su /= np.linalg.norm(h_su)
     rho = inner_product(h_su, h_pu)
-    return ChannelPair(h_pu=h_pu, h_su=h_su, rho=rho, g=g)
+    return ChannelPair(h_pu=h_pu, h_su=h_su, rho=rho)

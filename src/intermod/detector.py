@@ -15,6 +15,7 @@ log.  N above N_MAX is rejected: the tails are not checked there.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -42,6 +43,13 @@ def check_n(name: str, value):
     """value, if it lies in the checked domain [1, N_MAX] of N; else ValueError."""
     if not 1 <= value <= N_MAX:
         raise ValueError(f"{name} must be >= 1 and <= {N_MAX}, got {value!r}")
+    return value
+
+
+def check_count(name: str, value):
+    """value, if it is an int or a numpy integer; else ValueError."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 

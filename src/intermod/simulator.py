@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import make_correlated_pair
-from .detector import check_n, db_to_linear, error_probability, optimal_threshold
+from .detector import check_count, check_n, db_to_linear, error_probability, optimal_threshold
 from .weights import build_weight_set
 
 #: Samples (trials x N) per RNG substream; fixed so chunk boundaries never
@@ -44,7 +44,7 @@ _NOISE_SLICE = 1 << 15
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one BER measurement point."""
+    """Full description of one BER measurement point; the counts are integers."""
 
     n_samples: int
     snr_db: float
@@ -58,6 +58,8 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_samples", "n_bits", "k_antennas", "m_subcarriers"):
+            check_count(name, getattr(self, name))
         if self.n_bits < 1:
             raise ValueError("n_bits must be >= 1")
         check_n("n_samples", self.n_samples)
@@ -88,10 +90,12 @@ class ScenarioConfig:
         residue) is rejected.
         """
         pair = make_correlated_pair(
-            self.k_antennas, self.rho_mag, self.rho_phase, self.g, seed=self.master_seed
+            self.k_antennas, self.rho_mag, self.rho_phase, seed=self.master_seed
         )
+        if not self.g >= 0.0:
+            raise ValueError(f"g must be nonnegative, got {self.g!r}")
         weights = build_weight_set(pair, self.alpha)
-        gains = np.array([pair.g * complex(pair.h_su @ weights.tx_weight(bit)) for bit in (0, 1)])
+        gains = np.array([self.g * complex(pair.h_su @ weights.tx_weight(bit)) for bit in (0, 1)])
         sample_var = 1.0 / self.m_subcarriers
         power0, power1 = (abs(complex(gain)) ** 2 * sample_var for gain in gains)
         if power1 < 1e-18 * sample_var:  # nulled response leaves only solver residue
@@ -182,8 +186,3 @@ def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult
         ci95 = 1.96 * math.sqrt(ber * (1.0 - ber) / config.n_bits)
         results.append(BerResult(config.n_bits, n_errors, ber, pe, ci95))
     return results
-
-
-def run_ber(config: ScenarioConfig) -> BerResult:
-    """Monte Carlo BER for one scenario, deterministic given the seed."""
-    return run_ber_grid([config])[0]

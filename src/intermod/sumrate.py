@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import N_MAX, check_n, db_to_linear, log_error_probability, optimal_threshold
+from .detector import (
+    N_MAX, check_count, check_n, db_to_linear, log_error_probability, optimal_threshold,
+)
 from .weights import closed_form_norms
 
 DEFAULT_PE_TARGET = 1e-5
@@ -47,7 +49,7 @@ def su_snr(alpha: float, rho_mag: float, g: float, gamma: float) -> float:
 def _check_search(pe_target: float, n_max: int) -> None:
     if not (0.0 < pe_target < 0.5):
         raise ValueError("pe_target must be in (0, 0.5)")
-    check_n("n_max", n_max)
+    check_n("n_max", check_count("n_max", n_max))
 
 
 def find_n_alpha(
@@ -63,8 +65,8 @@ def find_n_alpha(
     is; a probe that leaves more than half the bracket is followed by a
     bisection step, which caps the cost at about 2 log2(n_max) evaluations.
     Returns None when even n_max misses the target (including snr = 0, as
-    at alpha = 0, where P_e = 0.5 for every N).  n_max must lie in
-    [1, detector.N_MAX].
+    at alpha = 0, where P_e = 0.5 for every N).  n_max must be an integer
+    in [1, detector.N_MAX].
     """
     _check_search(pe_target, n_max)
     if not snr >= 0.0:
@@ -104,9 +106,9 @@ def find_n_alpha(
     return hi
 
 
-def default_alpha_grid(n_points: int = 200) -> np.ndarray:
-    """Log-spaced alpha grid over [1e-4, 0.99]."""
-    return np.logspace(-4, math.log10(0.99), n_points)
+def default_alpha_grid() -> np.ndarray:
+    """200 log-spaced alphas over [1e-4, 0.99]."""
+    return np.logspace(-4, math.log10(0.99), 200)
 
 
 def sweep_sum_rate(

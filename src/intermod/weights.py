@@ -34,19 +34,6 @@ from .channel import ChannelPair, IllConditionedCorrelationError
 
 
 @dataclass(frozen=True)
-class TargetGains:
-    """Target complex responses on the two channels.
-
-    b_su is the target of ``h_su^T omega`` (0 for an OOK zero,
-    magnitude sqrt(alpha) for an OOK one); b_pu is the target of
-    ``h_pu^T omega`` with magnitude sqrt(1-alpha).
-    """
-
-    b_su: complex
-    b_pu: complex
-
-
-@dataclass(frozen=True)
 class WeightSet:
     """Solved weight pair with norms and the normalization scalar xi.
 
@@ -60,8 +47,6 @@ class WeightSet:
     norm0_sq: float
     norm1_sq: float
     xi: float
-    alpha: float
-    rho: complex
 
     def tx_weight(self, bit: int) -> np.ndarray:
         """xi-normalized weight vector transmitted for the given OOK bit."""
@@ -69,7 +54,7 @@ class WeightSet:
         return omega / math.sqrt(self.xi)
 
 
-def solve_min_norm(pair: ChannelPair, targets: TargetGains) -> np.ndarray:
+def solve_min_norm(pair: ChannelPair, b_su: complex, b_pu: complex) -> np.ndarray:
     """Minimum-norm omega with ``h_su^T omega = b_su`` and ``h_pu^T omega = b_pu``.
 
     Solves the underdetermined 2-constraint system via the pseudoinverse,
@@ -86,23 +71,8 @@ def solve_min_norm(pair: ChannelPair, targets: TargetGains) -> np.ndarray:
         )
     c = np.stack([pair.h_su, pair.h_pu])  # rows apply as plain-transpose products
     gram = c @ c.conj().T
-    b = np.array([targets.b_su, targets.b_pu], dtype=complex)
+    b = np.array([b_su, b_pu], dtype=complex)
     return c.conj().T @ np.linalg.solve(gram, b)
-
-
-def phase_align_targets(alpha: float, rho: complex) -> TargetGains:
-    """Norm-minimizing targets for an OOK one.
-
-    b_pu = sqrt(1-alpha); b_su = sqrt(alpha) * exp(-j arg(rho)), the phase
-    that maximizes Re{rho b_su conj(b_pu)} and hence minimizes |omega1|^2.
-    For rho = 0 the phase is irrelevant and set to 0.
-    """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must be in [0, 1), got {alpha!r}")
-    rho = complex(rho)
-    theta = cmath.phase(rho) if rho != 0 else 0.0
-    b_su = math.sqrt(alpha) * cmath.exp(-1j * theta)
-    return TargetGains(b_su=b_su, b_pu=math.sqrt(1.0 - alpha))
 
 
 def _norms(alpha: float, rho_mag: float, cross: float) -> tuple[float, float, float]:
@@ -144,13 +114,19 @@ def paper_closed_form_norms(alpha: float, rho_mag: float) -> tuple[float, float,
 def build_weight_set(pair: ChannelPair, alpha: float) -> WeightSet:
     """Solve both OOK weight vectors for a channel pair and power split.
 
-    Norms and xi are computed from the solved vectors, not the closed forms
-    (the closed forms serve as an independent cross-check in tests).
+    The OOK one targets b_su = sqrt(alpha) exp(-j arg(rho)), the phase that
+    maximizes Re{rho b_su conj(b_pu)} and hence minimizes |omega1|^2 (for
+    rho = 0 the phase is irrelevant and set to 0); both vectors target
+    b_pu = sqrt(1-alpha).  Norms and xi are computed from the solved vectors,
+    not the closed forms (the closed forms serve as an independent
+    cross-check in tests).
     """
-    targets1 = phase_align_targets(alpha, pair.rho)
-    targets0 = TargetGains(b_su=0.0, b_pu=targets1.b_pu)
-    omega0 = solve_min_norm(pair, targets0)
-    omega1 = solve_min_norm(pair, targets1)
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError(f"alpha must be in [0, 1), got {alpha!r}")
+    theta = cmath.phase(pair.rho) if pair.rho != 0 else 0.0
+    b_pu = math.sqrt(1.0 - alpha)
+    omega0 = solve_min_norm(pair, 0.0, b_pu)
+    omega1 = solve_min_norm(pair, math.sqrt(alpha) * cmath.exp(-1j * theta), b_pu)
     norm0_sq = float(np.vdot(omega0, omega0).real)
     norm1_sq = float(np.vdot(omega1, omega1).real)
     return WeightSet(
@@ -159,6 +135,4 @@ def build_weight_set(pair: ChannelPair, alpha: float) -> WeightSet:
         norm0_sq=norm0_sq,
         norm1_sq=norm1_sq,
         xi=0.5 * (norm0_sq + norm1_sq),
-        alpha=float(alpha),
-        rho=pair.rho,
     )

@@ -13,10 +13,9 @@ import pytest
 
 from intermod.channel import make_correlated_pair
 from intermod.detector import error_probability, log_gamma_tails, optimal_threshold
-from intermod.simulator import ScenarioConfig, run_ber
+from intermod.simulator import ScenarioConfig, run_ber_grid
 from intermod.sumrate import sweep_sum_rate
 from intermod.weights import (
-    TargetGains,
     build_weight_set,
     closed_form_norms,
     paper_closed_form_norms,
@@ -76,7 +75,7 @@ def test_criterion_2_min_norm_oracle():
     norms = [
         float(
             np.vdot(w := solve_min_norm(
-                pair, TargetGains(math.sqrt(alpha) * np.exp(1j * p), math.sqrt(1 - alpha))
+                pair, math.sqrt(alpha) * np.exp(1j * p), math.sqrt(1 - alpha)
             ), w).real
         )
         for p in phases
@@ -137,7 +136,7 @@ def test_criterion_6_monte_carlo_vs_theory():
         cfg = ScenarioConfig(
             n_samples=n, snr_db=snr_db, n_bits=bits, master_seed=6000 + idx
         )
-        res = run_ber(cfg)
+        res = run_ber_grid([cfg])[0]
         band = 3 * math.sqrt(res.analytic_pe * (1 - res.analytic_pe) / bits)
         if abs(res.ber - res.analytic_pe) <= band:
             in_band += 1
@@ -151,7 +150,7 @@ def test_criterion_7_energy_statistics():
     pair = make_correlated_pair(8, 0.0, 0.0, seed=7)
     ws = build_weight_set(pair, 0.3)
     n, m, trials = 10, 64, 10**5
-    gain = pair.g * complex(pair.h_su @ ws.tx_weight(1))
+    gain = complex(pair.h_su @ ws.tx_weight(1))  # g = 1
     sigma_r_sq = abs(gain) ** 2 / m
     sigma_n_sq = sigma_r_sq / 10 ** (-5.0 / 10.0)
     rng = np.random.default_rng(77)

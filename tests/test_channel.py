@@ -38,13 +38,13 @@ def test_inner_product_length_mismatch():
 
 
 def test_pair_orthogonal_construction():
-    pair = make_correlated_pair(4, 0.0, 1.3, g=1.0, seed=11)
+    pair = make_correlated_pair(4, 0.0, 1.3, seed=11)
     assert abs(inner_product(pair.h_su, pair.h_pu)) < 1e-10
 
 
 def test_pair_requested_correlation_hit():
     # derived check: recompute the inner product after construction
-    pair = make_correlated_pair(8, 0.8, np.pi / 3, g=1.0, seed=7)
+    pair = make_correlated_pair(8, 0.8, np.pi / 3, seed=7)
     want = 0.8 * np.exp(1j * np.pi / 3)
     assert abs(pair.rho - want) < 1e-10
     assert abs(inner_product(pair.h_su, pair.h_pu) - want) < 1e-10
@@ -56,7 +56,7 @@ def test_pair_invariants_random(seed):
     k = int(rng.integers(3, 20))
     rho_mag = float(rng.uniform(0.0, 0.95))
     phase = float(rng.uniform(0.0, 2 * np.pi))
-    pair = make_correlated_pair(k, rho_mag, phase, g=float(rng.uniform(0, 3)), seed=seed)
+    pair = make_correlated_pair(k, rho_mag, phase, seed=seed)
     assert np.linalg.norm(pair.h_pu) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(pair.h_su) == pytest.approx(1.0, abs=1e-12)
     assert abs(abs(pair.rho) - rho_mag) < 1e-10
@@ -87,8 +87,6 @@ def test_near_singular_flag():
 def test_pair_validates_stored_fields():
     pair = make_correlated_pair(4, 0.3, seed=0)
     with pytest.raises(ValueError):
-        ChannelPair(h_pu=pair.h_pu, h_su=pair.h_su, rho=pair.rho + 0.1, g=1.0)
+        ChannelPair(h_pu=pair.h_pu, h_su=pair.h_su, rho=pair.rho + 0.1)
     with pytest.raises(ValueError):
-        ChannelPair(h_pu=2 * pair.h_pu, h_su=pair.h_su, rho=pair.rho, g=1.0)
-    with pytest.raises(ValueError):
-        ChannelPair(h_pu=pair.h_pu, h_su=pair.h_su, rho=pair.rho, g=-1.0)
+        ChannelPair(h_pu=2 * pair.h_pu, h_su=pair.h_su, rho=pair.rho)

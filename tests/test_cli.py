@@ -458,6 +458,7 @@ class TestUsageErrors:
         ["sumrate", "--n-max", "0"],
         ["sumrate", "--alpha", "0", "--n-max", "1000001"],  # no search reads it
         ["sumrate", "--gamma-db", "10", "--alpha", "0", "--g", "-1"],
+        ["ber", "--n", "10", "--snr-db", "0", "--g", "-1"],
         ["sumrate", "--gamma-db", "10", "--alpha", "0", "--rho", "1.5"],
         ["sumrate", "--gamma-db", "10", "--alpha", "0", "--pe-target", "0.9"],
         ["theory", "--n", "10", "--snr-db", "0", "--pdf-points", "5"],  # no --pdf-out

@@ -9,7 +9,7 @@ from intermod import simulator
 from intermod.channel import make_correlated_pair
 from intermod.detector import log_gamma_tails
 from intermod.simulator import (
-    CHUNK_SAMPLES, ScenarioConfig, _chunk_energies, chunk_errors, run_ber, run_ber_grid,
+    CHUNK_SAMPLES, ScenarioConfig, _chunk_energies, chunk_errors, run_ber_grid,
 )
 from intermod.weights import build_weight_set
 from test_cli import pin_cpus
@@ -64,8 +64,9 @@ def out_of_place_energies(rng, n_trials, n, m, gains, noise_std):
 
 
 def response_gains(pair, ws):
-    """SU responses g * h_su^T omega_bit / sqrt(xi) for bits 0 and 1, as run_ber builds them."""
-    return np.array([pair.g * complex(pair.h_su @ ws.tx_weight(bit)) for bit in (0, 1)])
+    """SU responses h_su^T omega_bit / sqrt(xi) at g = 1 for bits 0 and 1, as
+    ScenarioConfig.link builds them."""
+    return np.array([complex(pair.h_su @ ws.tx_weight(bit)) for bit in (0, 1)])
 
 
 class TestGenerateOfdmSamples:
@@ -97,6 +98,23 @@ class TestGenerateOfdmSamples:
             ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100, m_subcarriers=0)
         with pytest.raises(ValueError, match="n_samples must be >= 1 and <= 1000000"):
             ScenarioConfig(n_samples=10**6 + 1, snr_db=0.0, n_bits=1, alpha=0.0)
+        # g scales the SU response, so the link checks it right after the channel draw
+        with pytest.raises(ValueError, match="g must be nonnegative"):
+            ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100, g=-1.0).link
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_samples", 10.5), ("n_bits", 100.5), ("m_subcarriers", 8.5), ("k_antennas", 8.0),
+    ])
+    def test_non_integral_count_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ScenarioConfig(**{"n_samples": 10, "snr_db": 0.0, "n_bits": 100, name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = ScenarioConfig(
+            n_samples=np.int32(10), snr_db=0.0, n_bits=np.int64(100),
+            k_antennas=np.int64(8), m_subcarriers=np.int16(64),
+        )
+        assert cfg.link[3] == ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100).link[3]
 
 
 class TestTransmitOokBit:
@@ -104,7 +122,7 @@ class TestTransmitOokBit:
 
     @pytest.fixture
     def scenario(self):
-        pair = make_correlated_pair(8, 0.0, 0.0, g=1.0, seed=5)
+        pair = make_correlated_pair(8, 0.0, 0.0, seed=5)
         return pair, build_weight_set(pair, 0.3)
 
     def test_bit0_is_noise_only(self, scenario):
@@ -138,7 +156,7 @@ class TestTransmitOokBit:
 
 
 class TestDetectOokBit:
-    """The energies run_ber compares against its threshold."""
+    """The energies chunk_errors compares against its threshold."""
 
     def test_all_zero_samples(self):
         # nulled response and no noise: zero energy, so every bit decides 0
@@ -175,7 +193,7 @@ class TestStreamKernel:
         points = [(n, snr) for n in (10, 100) for snr in (-10.0, -7.5, -5.0, -2.5, 0.0)]
         for idx, (n, snr_db) in enumerate(points):
             cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=bits, master_seed=6000 + idx)
-            res = run_ber(cfg)
+            res = run_ber_grid([cfg])[0]
             band = 3 * math.sqrt(2 * bits * res.analytic_pe * (1 - res.analytic_pe))
             assert abs(res.n_errors - aligned_errors(cfg)) <= band, (n, snr_db)
 
@@ -235,32 +253,32 @@ class TestInPlaceKernel:
 class TestRunBer:
     def test_deterministic(self):
         cfg = ScenarioConfig(n_samples=20, snr_db=-5.0, n_bits=20000, master_seed=3)
-        a = run_ber(cfg)
-        b = run_ber(cfg)
+        a = run_ber_grid([cfg])[0]
+        b = run_ber_grid([cfg])[0]
         assert a == b
 
     def test_seed_sensitivity(self):
         cfg = ScenarioConfig(n_samples=20, snr_db=-5.0, n_bits=20000, master_seed=3)
         other = ScenarioConfig(n_samples=20, snr_db=-5.0, n_bits=20000, master_seed=4)
-        assert run_ber(cfg).n_errors != run_ber(other).n_errors
+        assert run_ber_grid([cfg])[0].n_errors != run_ber_grid([other])[0].n_errors
 
     def test_alpha_zero_is_blind_guessing(self):
         cfg = ScenarioConfig(
             n_samples=10, snr_db=0.0, n_bits=20000, alpha=0.0, master_seed=11
         )
-        res = run_ber(cfg)
+        res = run_ber_grid([cfg])[0]
         assert res.analytic_pe == 0.5
         assert abs(res.ber - 0.5) < 3 * math.sqrt(0.25 / cfg.n_bits)
 
     def test_high_snr_error_free(self):
         cfg = ScenarioConfig(n_samples=50, snr_db=10.0, n_bits=10**5, master_seed=13)
-        res = run_ber(cfg)
+        res = run_ber_grid([cfg])[0]
         assert res.analytic_pe < 1e-8
         assert res.n_errors == 0
 
     def test_matches_theory(self):
         cfg = ScenarioConfig(n_samples=50, snr_db=-5.0, n_bits=2 * 10**5, master_seed=17)
-        res = run_ber(cfg)
+        res = run_ber_grid([cfg])[0]
         band = 3 * math.sqrt(res.analytic_pe * (1 - res.analytic_pe) / cfg.n_bits)
         assert abs(res.ber - res.analytic_pe) <= band
 
@@ -270,13 +288,13 @@ class TestRunBer:
             n_samples=20, snr_db=-2.5, n_bits=10**5,
             alpha=0.4, rho_mag=0.6, rho_phase=1.1, master_seed=19,
         )
-        res = run_ber(cfg)
+        res = run_ber_grid([cfg])[0]
         band = 3 * math.sqrt(res.analytic_pe * (1 - res.analytic_pe) / cfg.n_bits)
         assert abs(res.ber - res.analytic_pe) <= band
 
     def test_ci_definition(self):
         cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=5000, master_seed=23)
-        res = run_ber(cfg)
+        res = run_ber_grid([cfg])[0]
         assert res.per_point_ci95 == pytest.approx(
             1.96 * math.sqrt(res.ber * (1 - res.ber) / res.n_bits), abs=1e-15
         )
@@ -311,7 +329,7 @@ class TestRunBerGrid:
         serial = run_ber_grid(list(self.CONFIGS), jobs=1)
         assert self.CONFIGS[1].n_chunks == 4
         assert run_ber_grid(list(self.CONFIGS), jobs=2) == serial
-        assert serial == [run_ber(cfg) for cfg in self.CONFIGS]
+        assert serial == [run_ber_grid([cfg])[0] for cfg in self.CONFIGS]
 
     def test_bad_input_raises_before_any_pool(self, monkeypatch):
         def no_pool(processes):

@@ -8,7 +8,7 @@ import pytest
 from intermod import sumrate
 from intermod.channel import make_correlated_pair
 from intermod.detector import db_to_linear, error_probability, optimal_threshold
-from intermod.simulator import ScenarioConfig, run_ber
+from intermod.simulator import ScenarioConfig, run_ber_grid
 from intermod.sumrate import (
     SumRatePoint,
     default_alpha_grid,
@@ -66,9 +66,9 @@ class TestSuSnr:
     @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
     def test_matches_solved_response_at_rho_zero(self, alpha, g):
         # the closed form against the simulator's |g h_su^T omega1 / sqrt(xi)|^2
-        pair = make_correlated_pair(8, 0.0, 0.0, g=g, seed=41)
+        pair = make_correlated_pair(8, 0.0, 0.0, seed=41)
         ws = build_weight_set(pair, alpha)
-        solved = abs(pair.g * complex(pair.h_su @ ws.tx_weight(1))) ** 2
+        solved = abs(g * complex(pair.h_su @ ws.tx_weight(1))) ** 2
         assert su_snr(alpha, 0.0, g, 1.0) == pytest.approx(solved, rel=1e-9, abs=1e-15)
 
 
@@ -109,7 +109,7 @@ class TestFindNAlpha:
         want = error_probability(50, snr, 1.0, optimal_threshold(50, snr, 1.0))
         for m in (16, 1024):
             cfg = ScenarioConfig(n_samples=50, snr_db=-5.0, n_bits=1, m_subcarriers=m)
-            assert run_ber(cfg).analytic_pe == pytest.approx(want, rel=1e-12)
+            assert run_ber_grid([cfg])[0].analytic_pe == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("pe_target", [1e-17, 1e-25, 1e-40])
     @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5])
@@ -142,6 +142,15 @@ class TestFindNAlpha:
     def test_n_max_above_domain_rejected(self):
         with pytest.raises(ValueError, match="n_max must be >= 1 and <= 1000000"):
             find_n_alpha(su_snr(0.1, 0.1, 1.0, GAMMA_30DB), n_max=10**6 + 1)
+
+    @pytest.mark.parametrize("n_max", [153.5, 153.0, 152.9])
+    def test_non_integral_n_max_rejected(self, n_max):
+        # a float cap would come back as N_alpha itself: 153.5 for 153
+        assert find_n_alpha(1.0, 1e-5, np.int64(153)) == 153
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            find_n_alpha(1.0, 1e-5, n_max)
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            sweep_sum_rate(10.0, 0.1, 1.0, alpha_grid=[0.0], n_max=n_max)
 
 
 class TestSearchAgainstBisection:
@@ -192,7 +201,7 @@ class TestSearchAgainstSimulator:
         def ber(n):
             cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=self.BITS,
                                  master_seed=int(snr_db))
-            return run_ber(cfg).ber
+            return run_ber_grid([cfg])[0].ber
 
         assert ber(n_alpha) < self.PE_TARGET + band
         assert ber(n_alpha - 1) > self.PE_TARGET - band

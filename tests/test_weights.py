@@ -5,11 +5,9 @@ import pytest
 
 from intermod.channel import ChannelPair, IllConditionedCorrelationError, make_correlated_pair
 from intermod.weights import (
-    TargetGains,
     build_weight_set,
     closed_form_norms,
     paper_closed_form_norms,
-    phase_align_targets,
     solve_min_norm,
 )
 
@@ -24,7 +22,7 @@ def _nullspace_project(pair, v):
 class TestSolveMinNorm:
     def test_pu_only_orthogonal_channels(self):
         pair = make_correlated_pair(5, 0.0, seed=1)
-        omega = solve_min_norm(pair, TargetGains(0.0, 1.0))
+        omega = solve_min_norm(pair, 0.0, 1.0)
         assert np.vdot(omega, omega).real == pytest.approx(1.0, abs=1e-10)
         assert abs(pair.h_pu @ omega - 1.0) < 1e-10
         assert abs(pair.h_su @ omega) < 1e-10
@@ -32,14 +30,14 @@ class TestSolveMinNorm:
     def test_norm_matches_closed_form(self):
         # |omega0|^2 = (1 - alpha) / (1 - |rho|^2) = 0.8 / 0.36
         pair = make_correlated_pair(6, 0.8, 0.9, seed=2)
-        omega = solve_min_norm(pair, TargetGains(0.0, math.sqrt(0.8)))
+        omega = solve_min_norm(pair, 0.0, math.sqrt(0.8))
         assert np.vdot(omega, omega).real == pytest.approx(0.8 / 0.36, abs=1e-9)
 
     def test_minimum_norm_property(self):
         rng = np.random.default_rng(9)
         pair = make_correlated_pair(8, 0.6, 1.1, seed=3)
-        targets = phase_align_targets(0.4, pair.rho)
-        omega = solve_min_norm(pair, targets)
+        b_su = math.sqrt(0.4) * np.exp(-1j * np.angle(pair.rho))
+        omega = solve_min_norm(pair, b_su, math.sqrt(0.6))
         base = np.vdot(omega, omega).real
         for _ in range(20):
             v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -47,45 +45,55 @@ class TestSolveMinNorm:
             delta *= 1e-3 / np.linalg.norm(delta)
             perturbed = omega + delta
             # still satisfies the constraints, but with strictly larger norm
-            assert abs(pair.h_su @ perturbed - targets.b_su) < 1e-9
+            assert abs(pair.h_su @ perturbed - b_su) < 1e-9
             assert np.vdot(perturbed, perturbed).real > base
 
     def test_rejects_bad_inputs(self):
-        two = ChannelPair(h_pu=np.array([1.0, 0.0]), h_su=np.array([0.0, 1.0]), rho=0.0, g=1.0)
+        two = ChannelPair(h_pu=np.array([1.0, 0.0]), h_su=np.array([0.0, 1.0]), rho=0.0)
         with pytest.raises(ValueError, match="K >= 3"):
-            solve_min_norm(two, TargetGains(0.0, 1.0))
+            solve_min_norm(two, 0.0, 1.0)
         near = make_correlated_pair(4, 0.9999999, seed=0)
         with pytest.raises(IllConditionedCorrelationError):
-            solve_min_norm(near, TargetGains(0.0, 1.0))
+            solve_min_norm(near, 0.0, 1.0)
 
 
 class TestPhaseAlignTargets:
+    """The OOK-one targets build_weight_set solves for, read off h_su^T omega1."""
+
     def test_definition(self):
-        t = phase_align_targets(0.5, 0.6 * np.exp(1j * np.pi / 4))
-        assert t.b_pu == pytest.approx(math.sqrt(0.5), abs=1e-12)
-        assert t.b_su == pytest.approx(math.sqrt(0.5) * np.exp(-1j * np.pi / 4), abs=1e-12)
+        # b_pu = sqrt(1 - alpha), b_su = sqrt(alpha) exp(-j arg(rho))
+        pair = make_correlated_pair(6, 0.6, np.pi / 4, seed=2)
+        ws = build_weight_set(pair, 0.5)
+        assert pair.h_pu @ ws.omega1 == pytest.approx(math.sqrt(0.5), abs=1e-9)
+        assert pair.h_su @ ws.omega1 == pytest.approx(
+            math.sqrt(0.5) * np.exp(-1j * np.pi / 4), abs=1e-9
+        )
 
     def test_alpha_zero_degenerates(self):
-        t = phase_align_targets(0.0, 0.3 + 0.1j)
-        assert t.b_su == 0.0
+        pair = make_correlated_pair(6, abs(0.3 + 0.1j), np.angle(0.3 + 0.1j), seed=3)
+        ws = build_weight_set(pair, 0.0)
+        assert abs(pair.h_su @ ws.omega1) < 1e-12
 
     def test_rho_zero_phase_is_zero(self):
-        t = phase_align_targets(0.3, 0.0)
-        assert t.b_su == pytest.approx(math.sqrt(0.3), abs=1e-12)
+        # an exactly orthogonal pair: rho == 0, so the SU target is real
+        h_pu, h_su = np.eye(3)[:2]
+        pair = ChannelPair(h_pu=h_pu, h_su=h_su, rho=0.0)
+        assert pair.rho == 0
+        ws = build_weight_set(pair, 0.3)
+        assert pair.h_su @ ws.omega1 == pytest.approx(math.sqrt(0.3), abs=1e-12)
 
     def test_phase_grid_search_oracle(self):
-        # solve at 360 candidate phases; the aligned phase must win
+        # solve at 360 candidate phases; the phase build_weight_set targets must win
         alpha, rho_mag, phase = 0.3, 0.5, 0.8
         pair = make_correlated_pair(7, rho_mag, phase, seed=4)
-        theta = np.angle(pair.rho)
         phases = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
         norms = []
         for p in phases:
-            t = TargetGains(math.sqrt(alpha) * np.exp(1j * p), math.sqrt(1 - alpha))
-            omega = solve_min_norm(pair, t)
+            omega = solve_min_norm(pair, math.sqrt(alpha) * np.exp(1j * p), math.sqrt(1 - alpha))
             norms.append(np.vdot(omega, omega).real)
         best = phases[int(np.argmin(norms))]
-        want = (-theta) % (2 * np.pi)
+        want = np.angle(pair.h_su @ build_weight_set(pair, alpha).omega1) % (2 * np.pi)
+        assert abs(want - (-phase) % (2 * np.pi)) < 1e-9
         diff = abs((best - want + np.pi) % (2 * np.pi) - np.pi)
         assert diff <= 2 * np.pi / 360
 
