@@ -2,6 +2,8 @@
 
 The SU integrates N sample powers; the energy is Gamma(N, scale) with
 scale sigma_n^2 for an OOK zero and sigma_r^2 + sigma_n^2 for an OOK one.
+The detector model works in noise units (sigma_n^2 = 1), so each density
+is Gamma(N, 1) or Gamma(N, 1 + snr) and the threshold is delta*/sigma_n^2.
 This script shows the two conditional densities, the error-minimizing
 threshold where they cross, and how the error probability falls with N.
 """
@@ -10,15 +12,14 @@ import numpy as np
 
 from intermod import energy_pdf, error_probability, optimal_threshold
 
-sigma_n_sq = 1.0
 for snr_db in (0.0, 5.0):
-    sigma_r_sq = 10 ** (snr_db / 10)
-    print(f"SNR = {snr_db:g} dB (sigma_r^2 = {sigma_r_sq:g}, sigma_n^2 = {sigma_n_sq:g})")
+    snr = 10 ** (snr_db / 10)
+    print(f"SNR = {snr_db:g} dB (linear {snr:g}, energies in units of sigma_n^2)")
     for n in (1, 10, 100, 1000):
-        delta = optimal_threshold(n, sigma_r_sq, sigma_n_sq)
-        pe = error_probability(n, sigma_r_sq, sigma_n_sq, delta)
-        f0 = energy_pdf(delta, n, sigma_n_sq)
-        f1 = energy_pdf(delta, n, sigma_r_sq + sigma_n_sq)
+        delta = optimal_threshold(n, snr)
+        pe = error_probability(n, snr, delta)
+        f0 = energy_pdf(delta, n, 1.0)
+        f1 = energy_pdf(delta, n, 1.0 + snr)
         print(
             f"  N={n:>5d}  delta*={delta:>10.3f}  Pe={pe:.3e}  "
             f"density gap at delta*: {abs(f0 - f1):.1e}"
@@ -26,11 +27,11 @@ for snr_db in (0.0, 5.0):
     print()
 
 print("Coarse ASCII sketch of the two densities (N=10, SNR=5 dB):")
-n, sigma_r_sq = 10, 10 ** 0.5
-delta = optimal_threshold(n, sigma_r_sq, sigma_n_sq)
+n, snr = 10, 10 ** 0.5
+delta = optimal_threshold(n, snr)
 eps = np.linspace(0.1, 80, 60)
-f0 = energy_pdf(eps, n, sigma_n_sq)
-f1 = energy_pdf(eps, n, sigma_r_sq + sigma_n_sq)
+f0 = energy_pdf(eps, n, 1.0)
+f1 = energy_pdf(eps, n, 1.0 + snr)
 peak = max(f0.max(), f1.max())
 for e, a, b in zip(eps, f0, f1):
     bar0 = int(40 * a / peak) * "0"

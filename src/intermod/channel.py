@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detector import check_count
+
 #: |rho|^2 closer to 1 than this makes the 2x2 Gram system ill-conditioned.
 NEAR_SINGULAR_TOL = 1e-6
 
@@ -113,7 +115,7 @@ def make_correlated_pair(
         rho_phase: requested arg(rho) in radians.
         seed: RNG seed.
     """
-    if k < 3:
+    if check_count("k", k) < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if not (0.0 <= rho_mag < 1.0):
         raise ValueError(f"rho_mag must be in [0, 1), got {rho_mag!r}")

@@ -53,8 +53,8 @@ from .simulator import ScenarioConfig, run_ber_grid
 from .sumrate import DEFAULT_PE_TARGET, default_alpha_grid, sweep_sum_rate
 from .weights import closed_form_norms, paper_closed_form_norms
 
-# bumped when a subcommand's bytes change for the same input (ber/2: stream kernel)
-SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 2, "sumrate": 1}
+# bumped when a subcommand's bytes change for one input (ber/2: stream kernel, /3: theory's P_e)
+SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 3, "sumrate": 1}
 PDF_POINTS = 2000  # theory --pdf-points default, recorded in every theory manifest
 
 
@@ -233,17 +233,15 @@ def cmd_theory(args) -> int:
     pdf_rows = []
     for n in params["n_grid"]:
         for snr_db in params["snr_grid"]:
-            sigma_n_sq = 1.0
-            sigma_r_sq = db_to_linear(snr_db)
-            delta = optimal_threshold(n, sigma_r_sq, sigma_n_sq)
-            pe = error_probability(n, sigma_r_sq, sigma_n_sq, delta)
-            rows.append((n, snr_db, sigma_r_sq, sigma_n_sq, delta, pe))
+            snr = db_to_linear(snr_db)  # sigma_r^2 in noise units, sigma_n^2 = 1
+            delta = optimal_threshold(n, snr)
+            rows.append((n, snr_db, snr, 1.0, delta, error_probability(n, snr, delta)))
             if args.pdf_out:
                 # cover both mixture components well past their tails
-                scale_hi = sigma_r_sq + sigma_n_sq
+                scale_hi = snr + 1.0
                 eps_max = n * scale_hi + (12.0 + 12.0 * math.sqrt(n)) * scale_hi
                 eps_grid = np.linspace(0.0, eps_max, pdf_points)
-                dens = mixture_energy_pdf(eps_grid, n, sigma_r_sq, sigma_n_sq)
+                dens = mixture_energy_pdf(eps_grid, n, snr)
                 pdf_rows.extend(
                     (n, snr_db, float(e), float(d)) for e, d in zip(eps_grid, dens)
                 )
@@ -269,7 +267,8 @@ def cmd_ber(args) -> int:
     """Monte Carlo BER vs analytic prediction"""
     params = _options(args)
     jobs = params.pop("jobs")  # never changes the output, so not in the manifest
-
+    if params["seed"] < 0:
+        raise ValueError(f"seed must be >= 0, got {params['seed']}")
     points = []
     grid = [(n, snr_db) for n in params["n_grid"] for snr_db in params["snr_grid"]]
     for idx, (n, snr_db) in enumerate(grid):

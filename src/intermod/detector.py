@@ -2,10 +2,13 @@
 
 The SU integrates the received power over N samples.  With i.i.d.
 circularly-symmetric complex Gaussian samples, the per-sample power is
-exponential and the N-sample energy is Gamma-distributed with shape N and
-scale (sigma_r^2 + sigma_n^2) under an OOK one, or sigma_n^2 under an OOK
-zero.  The minimum-error threshold equates the two conditional densities,
-and the error probability reduces to regularized incomplete gamma tails.
+exponential.  The model works in noise units: divided by sigma_n^2, the
+N-sample energy is Gamma-distributed with shape N and scale 1 + snr under
+an OOK one, or 1 under an OOK zero, so every function takes N and the
+linear snr = sigma_r^2 / sigma_n^2, and a caller with a physical noise floor
+multiplies the threshold by sigma_n^2.  The minimum-error threshold equates
+the two conditional densities, and the error probability reduces to
+regularized incomplete gamma tails.
 
 The tails and P_e are evaluated in the log domain, so N up to N_MAX = 1e6
 works without overflowing Gamma(N) and P_e far below 1e-308 keeps its exact
@@ -160,56 +163,52 @@ def _upper_gamma_cf(s: float, x: float) -> float:
     return h
 
 
-def optimal_threshold(n: int, sigma_r_sq: float, sigma_n_sq: float) -> float:
-    """Error-minimizing energy threshold delta*.
+def _check_snr(n, snr, **more) -> None:
+    _require_finite(n=n, snr=snr, **more)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if snr < 0.0:
+        raise ValueError(f"snr must be nonnegative, got {snr!r}")
 
-    delta* = N ln((sigma_r^2 + sigma_n^2) / sigma_n^2)
-             / (1/sigma_n^2 - 1/(sigma_r^2 + sigma_n^2)),
+
+def optimal_threshold(n: int, snr: float) -> float:
+    """Error-minimizing energy threshold delta*, in units of sigma_n^2.
+
+    delta* = N ln(1 + snr) / (1 - 1/(1 + snr)),
 
     the positive crossing point of the two conditional Gamma densities.
-    Raises ValueError when sigma_r^2 is too small against sigma_n^2 for the
-    two densities to differ in double precision.
+    Raises ValueError when snr is too small for the two densities to differ
+    in double precision.
     """
-    _require_finite(n=n, sigma_r_sq=sigma_r_sq, sigma_n_sq=sigma_n_sq)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sigma_r_sq <= 0.0 or sigma_n_sq <= 0.0:
-        raise ValueError("variances must be positive")
-    s_total = sigma_r_sq + sigma_n_sq
-    gap = 1.0 / sigma_n_sq - 1.0 / s_total
+    _check_snr(n, snr)
+    s_total = snr + 1.0
+    gap = 1.0 - 1.0 / s_total
     if gap <= 0.0:
-        raise ValueError(
-            f"sigma_r_sq / sigma_n_sq = {sigma_r_sq / sigma_n_sq:.3g} is too small "
-            "to place a threshold in double precision"
-        )
-    return n * math.log(s_total / sigma_n_sq) / gap
+        raise ValueError(f"snr = {snr:.3g} is too small to place a threshold in double precision")
+    return n * math.log(s_total) / gap
 
 
-def log_error_probability(n: int, sigma_r_sq: float, sigma_n_sq: float, threshold: float) -> float:
-    """ln P_e of the OOK N-sample energy detector at a threshold delta.
+def log_error_probability(n: int, snr: float, threshold: float) -> float:
+    """ln P_e of the OOK N-sample energy detector at a threshold delta (noise units).
 
-    P_e = 0.5 * (Q(N, delta/sigma_n^2) + P(N, delta/(sigma_r^2+sigma_n^2)))
+    P_e = 0.5 * (Q(N, delta) + P(N, delta/(1 + snr)))
 
     summed in the log domain from the two incomplete gamma tails, so it is
-    exact in both tails.  Degenerate sigma_r^2 = 0 gives exactly ln 0.5.
+    exact in both tails.  Degenerate snr = 0 gives exactly ln 0.5.
     """
-    _require_finite(n=n, sigma_r_sq=sigma_r_sq, sigma_n_sq=sigma_n_sq, threshold=threshold)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sigma_r_sq < 0.0 or sigma_n_sq <= 0.0:
-        raise ValueError("invalid variances")
+    _check_snr(n, snr, threshold=threshold)
     if threshold < 0.0:
         raise ValueError("threshold must be nonnegative")
-    if sigma_r_sq == 0.0:  # Q and P at one point sum to 1
+    if snr == 0.0:  # Q and P at one point sum to 1
         return math.log(0.5)
-    log_fa = log_gamma_tails(n, threshold / sigma_n_sq)[1]  # false alarm: Q
-    log_miss = log_gamma_tails(n, threshold / (sigma_r_sq + sigma_n_sq))[0]
+    log_fa = log_gamma_tails(n, threshold)[1]  # false alarm: Q
+    log_miss = log_gamma_tails(n, threshold / (snr + 1.0))[0]
     return math.log(0.5) + max(log_fa, log_miss) + math.log1p(math.exp(-abs(log_fa - log_miss)))
 
 
-def error_probability(n: int, sigma_r_sq: float, sigma_n_sq: float, threshold: float) -> float:
+def error_probability(n: int, snr: float, threshold: float) -> float:
     """exp(log_error_probability(...)); 0 where P_e underflows a double."""
-    return math.exp(log_error_probability(n, sigma_r_sq, sigma_n_sq, threshold))
+    return math.exp(log_error_probability(n, snr, threshold))
 
 
 def energy_pdf(epsilon, n: int, scale: float):
@@ -240,14 +239,11 @@ def energy_pdf(epsilon, n: int, scale: float):
     return out
 
 
-def mixture_energy_pdf(epsilon, n: int, sigma_r_sq: float, sigma_n_sq: float):
-    """Unconditional symbol-energy density for equiprobable OOK bits.
+def mixture_energy_pdf(epsilon, n: int, snr: float):
+    """Unconditional symbol-energy density for equiprobable OOK bits (noise units).
 
-    Equal-weight mixture of the bit-1 density (scale sigma_r^2 + sigma_n^2)
-    and the bit-0 density (scale sigma_n^2).
+    Equal-weight mixture of the bit-1 density (scale 1 + snr) and the bit-0
+    density (scale 1).
     """
-    if sigma_r_sq < 0.0 or sigma_n_sq <= 0.0:
-        raise ValueError("invalid variances")
-    return 0.5 * energy_pdf(epsilon, n, sigma_r_sq + sigma_n_sq) + 0.5 * energy_pdf(
-        epsilon, n, sigma_n_sq
-    )
+    _check_snr(n, snr)
+    return 0.5 * energy_pdf(epsilon, n, snr + 1.0) + 0.5 * energy_pdf(epsilon, n, 1.0)

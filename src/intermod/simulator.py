@@ -44,7 +44,7 @@ _NOISE_SLICE = 1 << 15
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one BER measurement point; the counts are integers."""
+    """Full description of one BER measurement point; the counts and the seed are integers."""
 
     n_samples: int
     snr_db: float
@@ -58,8 +58,10 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_samples", "n_bits", "k_antennas", "m_subcarriers"):
+        for name in ("n_samples", "n_bits", "k_antennas", "m_subcarriers", "master_seed"):
             check_count(name, getattr(self, name))
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n_bits < 1:
             raise ValueError("n_bits must be >= 1")
         check_n("n_samples", self.n_samples)
@@ -82,8 +84,9 @@ class ScenarioConfig:
 
         gains are the solved SU responses g * h_su^T omega_bit / sqrt(xi) to
         the two weight vectors.  sigma_r^2 = power1 = |gains[1]|^2 * sample_var,
-        which equals sample_var * alpha g^2 / xi by the constraint construction;
-        sigma_n^2 = 2 noise_std^2 is back-solved from the requested SNR.  For
+        which equals sample_var * alpha g^2 / xi by the constraint construction.
+        P_e comes from N and the linear SNR alone, as in ``theory``; sigma_n^2
+        = power1 / snr sets noise_std and the absolute threshold.  For
         alpha = 0 the SNR is undefined, the noise floor defaults to sample_var,
         and P_e = 0.5.  Bit 0 is modelled as noise only, so an SNR whose noise
         floor is not far above the power of the bit-0 response (solver
@@ -98,17 +101,18 @@ class ScenarioConfig:
         gains = np.array([self.g * complex(pair.h_su @ weights.tx_weight(bit)) for bit in (0, 1)])
         sample_var = 1.0 / self.m_subcarriers
         power0, power1 = (abs(complex(gain)) ** 2 * sample_var for gain in gains)
+        snr = db_to_linear(self.snr_db)
         if power1 < 1e-18 * sample_var:  # nulled response leaves only solver residue
             return gains, math.sqrt(sample_var / 2.0), self.n_samples * sample_var, 0.5
-        sigma_n_sq = power1 / db_to_linear(self.snr_db)
+        sigma_n_sq = power1 / snr
         if power0 >= 1e-12 * sigma_n_sq:
             raise ValueError(
                 f"snr_db={self.snr_db:g} puts the noise floor within 1e12x of the power of "
                 "the bit-0 solver residue; the detector model needs bit 0 to be noise only"
             )
-        threshold = optimal_threshold(self.n_samples, power1, sigma_n_sq)
-        pe = error_probability(self.n_samples, power1, sigma_n_sq, threshold)
-        return gains, math.sqrt(sigma_n_sq / 2.0), threshold, pe
+        delta = optimal_threshold(self.n_samples, snr)
+        pe = error_probability(self.n_samples, snr, delta)
+        return gains, math.sqrt(sigma_n_sq / 2.0), sigma_n_sq * delta, pe
 
 
 @dataclass(frozen=True)

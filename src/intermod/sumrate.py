@@ -76,7 +76,7 @@ def find_n_alpha(
     log_target = math.log(pe_target)
 
     def excess(n):  # f(N), negative once N meets the target
-        return log_error_probability(n, snr, 1.0, optimal_threshold(n, snr, 1.0)) - log_target
+        return log_error_probability(n, snr, optimal_threshold(n, snr)) - log_target
 
     lo, hi = 1, n_max  # invariant: excess(lo) >= 0 > excess(hi)
     f_hi = excess(hi)

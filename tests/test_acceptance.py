@@ -105,10 +105,10 @@ def test_criterion_4_threshold_optimality():
     for n in (1, 10, 100, 1000):
         for snr_db in (-10.0, 0.0, 10.0):
             sr = 10 ** (snr_db / 10)
-            delta_star = optimal_threshold(n, sr, 1.0)
-            pe_star = error_probability(n, sr, 1.0, delta_star)
+            delta_star = optimal_threshold(n, sr)
+            pe_star = error_probability(n, sr, delta_star)
             grid = np.linspace(0.2 * delta_star, 5 * delta_star, 1000)
-            best_on_grid = min(error_probability(n, sr, 1.0, d) for d in grid)
+            best_on_grid = min(error_probability(n, sr, d) for d in grid)
             assert pe_star <= best_on_grid + 1e-15
     elapsed = time.monotonic() - start
     assert elapsed < 10.0

@@ -77,6 +77,8 @@ def test_pair_rejects_bad_arguments():
         make_correlated_pair(4, 1.0)
     with pytest.raises(ValueError):
         make_correlated_pair(4, 1.2)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        make_correlated_pair(8.0, 0.5)
 
 
 def test_near_singular_flag():

@@ -270,6 +270,15 @@ class TestBerCommand:
             assert rows[0]["n_errors"] == "0"
             assert rows[0]["within_3sigma"] == "1"
 
+    def test_analytic_pe_is_theory_pe(self, tmp_path):
+        # both come from (N, linear SNR), so the columns agree to the byte
+        grid = ["--n", "1000,10000", "--snr-db=-10:0:21"]
+        assert main(["theory", *grid, "--out", str(tmp_path / "t.csv")]) == 0
+        assert main(["ber", *grid, "--bits", "1", "--out", str(tmp_path / "b.csv")]) == 0
+        theory = read_csv(tmp_path / "t.csv")[1]
+        ber = read_csv(tmp_path / "b.csv")[1]
+        assert [r["analytic_pe"] for r in ber] == [r["pe"] for r in theory]
+
     def test_schema(self, tmp_path):
         out = tmp_path / "b.csv"
         assert main(["ber", "--n", "10", "--snr-db", "-5", "--bits", "2000",
@@ -285,11 +294,11 @@ class TestBerCommand:
 GOLDEN_ROWS = [
     (["ber", "--n", "10,100", "--snr-db=-10:0:5", "--bits", "8192", "--seed", "7"],
      "f0ef18cfc8941b191a41410ea8ff52a2cc00a22bd7b06545987e2f2233960a77",
-     "ec5db53a6a101549a94c749e34dd5fc5c82e2c26f46821e561ea3490e4db1453"),
+     "056d930b522beb88b70f10c154ca4273430d04c3ef208aed5ed124c644c923ed"),
     (["ber", "--n", "20", "--snr-db=-2.5", "--bits", "20000", "--rho", "0.6",
       "--rho-phase", "1.1", "--alpha", "0.4", "--m", "8", "--seed", "3"],
      "bdadc7c33098971e258964f656551c98e4574cfdf7f84e813817e14c4e740c7e",
-     "71bbe943265d03108532e26d02e6aa6ad91bf2b58ddd13d50395aaba3a58c72c"),
+     "dca5ad50980857112e9acda3006405fcb2adf308e49aaae1199fe864f562671e"),
     (["sumrate", "--gamma-db", "30", "--rho", "0.1,0.5", "--g", "1.0"],
      "f3c59c0b99eb548e3c3b9fc2b9be1be65e45383ea1761e3d7122db384fc93163",
      "9aa1ed887d775c8deda2afc2bfa79f17ee27835d584ba15794b59f1fb40d8045"),
@@ -316,7 +325,8 @@ GOLDEN_IDS = ["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db", "wei
 )
 def test_golden_rows(tmp_path, argv, digest):
     # SHA-256 of the data rows (no '#' lines, joined by newlines) as released
-    # in the subcommand's current schema (ber/2, the others /1); a change
+    # in the subcommand's current schema (ber/3, whose rows equal ber/2's
+    # here; the others /1); a change
     # here changes published numbers
     out = tmp_path / "golden.csv"
     assert main(argv + ["--out", str(out)]) == 0
@@ -359,7 +369,7 @@ GOLDEN_CONFIG = (
 )
 GOLDEN_FILES = [(argv, digest) for argv, _, digest in GOLDEN_ROWS] + [
     (["ber", "--config", "{cfg}", "--g", "0.9"],
-     "b52aa040fe2ccf30c71325c55f5e52a8b5c6267b29f34a92484ee0d1ba147f4d"),
+     "c0ee4fa03140629760cbfb741520276f5e83146519531ff1f48b330b5c4d13aa"),
     (["theory", "--n", "1,20", "--snr-db=-3,0", "--pdf-points", "50", "--pdf-out", "{pdf}"],
      "94f5fd98a02953ceaa2d416f8aecff38c07ded33f936029a5344910168b0fb04"),
 ]
@@ -459,6 +469,8 @@ class TestUsageErrors:
         ["sumrate", "--alpha", "0", "--n-max", "1000001"],  # no search reads it
         ["sumrate", "--gamma-db", "10", "--alpha", "0", "--g", "-1"],
         ["ber", "--n", "10", "--snr-db", "0", "--g", "-1"],
+        ["ber", "--n", "10", "--snr-db", "0", "--seed", "-1"],
+        ["ber", "--n", "10", "--snr-db=4000", "--alpha", "0"],  # nulled SU response
         ["sumrate", "--gamma-db", "10", "--alpha", "0", "--rho", "1.5"],
         ["sumrate", "--gamma-db", "10", "--alpha", "0", "--pe-target", "0.9"],
         ["theory", "--n", "10", "--snr-db", "0", "--pdf-points", "5"],  # no --pdf-out
@@ -468,6 +480,10 @@ class TestUsageErrors:
         assert main(argv) == 3
         assert time.monotonic() - start < 1.0
         assert "invalid-parameter" in capsys.readouterr().err
+
+    def test_negative_seed_names_seed(self, capsys):
+        assert main(["ber", "--n", "10", "--snr-db", "0", "--seed", "-1"]) == 3
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, key, spec", [
         (["theory", "--n", "inf:inf:1"], "n_grid", "'inf:inf:1'"),

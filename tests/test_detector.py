@@ -55,8 +55,8 @@ def mpmath_tails(s: float, x: float):
 
 
 def mpmath_error_probability(n: int, snr: float):
-    """P_e at the optimal threshold for unit noise, from mpmath_tails."""
-    delta = optimal_threshold(n, snr, 1.0)
+    """P_e at the optimal threshold, from mpmath_tails."""
+    delta = optimal_threshold(n, snr)
     return (mpmath_tails(n, delta)[1] + mpmath_tails(n, delta / (1.0 + snr))[0]) / 2
 
 
@@ -276,7 +276,7 @@ class TestDomainOfN:
     def test_error_probability_above_n_max_rejected(self):
         snr = db_to_linear(-40.0)
         with pytest.raises(ValueError, match="<= 1000000"):
-            error_probability(10**9, snr, 1.0, optimal_threshold(10**9, snr, 1.0))
+            error_probability(10**9, snr, optimal_threshold(10**9, snr))
 
 
 class TestEnergyPdf:
@@ -299,7 +299,7 @@ class TestEnergyPdf:
 
     def test_mixture_normalization(self):
         total = quad(
-            lambda e: mixture_energy_pdf(e, 20, 2.0, 1.0), 0, 300, limit=300
+            lambda e: mixture_energy_pdf(e, 20, 2.0), 0, 300, limit=300
         )[0]
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -314,30 +314,32 @@ class TestEnergyPdf:
 
 class TestOptimalThreshold:
     def test_n1_equal_variances(self):
-        assert optimal_threshold(1, 1.0, 1.0) == pytest.approx(2 * math.log(2), abs=1e-14)
+        assert optimal_threshold(1, 1.0) == pytest.approx(2 * math.log(2), abs=1e-14)
 
     def test_linear_in_n(self):
-        d1 = optimal_threshold(10, 0.7, 0.2)
-        d2 = optimal_threshold(20, 0.7, 0.2)
+        d1 = optimal_threshold(10, 0.7 / 0.2)
+        d2 = optimal_threshold(20, 0.7 / 0.2)
         assert d2 == pytest.approx(2 * d1, rel=1e-14)
 
     def test_vanishing_signal_limit(self):
-        # numeric limit: delta* -> N sigma_n^2 as sigma_r^2 -> 0
-        assert optimal_threshold(8, 1e-9, 0.5) == pytest.approx(8 * 0.5, rel=1e-8)
+        # numeric limit: delta* -> N (noise units) as snr -> 0
+        assert optimal_threshold(8, 1e-9 / 0.5) == pytest.approx(8, rel=1e-8)
 
     def test_always_positive(self):
         for n in (1, 10, 100):
             for snr_db in (-10.0, 0.0, 10.0):
-                assert optimal_threshold(n, 10 ** (snr_db / 10), 1.0) > 0.0
+                assert optimal_threshold(n, 10 ** (snr_db / 10)) > 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            optimal_threshold(0, 1.0, 1.0)
+            optimal_threshold(0, 1.0)
         with pytest.raises(ValueError):
-            optimal_threshold(1, 0.0, 1.0)
+            optimal_threshold(1, 0.0)
+        with pytest.raises(ValueError, match="snr must be nonnegative"):
+            optimal_threshold(1, -1.0)
 
     @pytest.mark.parametrize("args", [
-        (math.nan, 1.0, 1.0), (1, math.nan, 1.0), (1, 1.0, math.inf), (1, math.inf, 1.0),
+        (math.nan, 1.0), (1, math.nan), (1, math.inf), (1, -math.inf),
     ])
     def test_non_finite_rejected_at_once(self, args):
         start = time.monotonic()
@@ -345,32 +347,32 @@ class TestOptimalThreshold:
             optimal_threshold(*args)
         assert time.monotonic() - start < 0.1
 
-    @pytest.mark.parametrize("sigma_r_sq", [1e-40, 1e-17])
-    def test_unresolvable_snr_rejected(self, sigma_r_sq):
-        # 1/sigma_n^2 - 1/(sigma_r^2 + sigma_n^2) rounds to 0
+    @pytest.mark.parametrize("snr", [1e-40, 1e-17])
+    def test_unresolvable_snr_rejected(self, snr):
+        # 1 - 1/(1 + snr) rounds to 0
         with pytest.raises(ValueError, match="too small"):
-            optimal_threshold(10, sigma_r_sq, 1.0)
+            optimal_threshold(10, snr)
 
 
 class TestErrorProbability:
     def test_n1_closed_form(self):
         # gamma(1, x) = 1 - e^{-x}: P_e = 0.5 (e^{-2ln2} + 1 - e^{-ln2}) = 0.375
         delta = 2 * math.log(2)
-        assert error_probability(1, 1.0, 1.0, delta) == pytest.approx(0.375, abs=1e-14)
+        assert error_probability(1, 1.0, delta) == pytest.approx(0.375, abs=1e-14)
 
     def test_degenerate_signal(self):
-        assert error_probability(5, 0.0, 1.0, 5.0) == 0.5
+        assert error_probability(5, 0.0, 5.0) == 0.5
 
     @pytest.mark.parametrize("args", [
-        (0, 1.0, 1.0, 1.0), (1, -1.0, 1.0, 1.0), (1, 1.0, 0.0, 1.0), (1, 1.0, 1.0, -1.0),
+        (0, 1.0, 1.0), (1, -1.0, 1.0), (1, 1.0, -1.0),
     ])
     def test_domain(self, args):
         with pytest.raises(ValueError):
             error_probability(*args)
 
     @pytest.mark.parametrize("args", [
-        (math.nan, 1.0, 1.0, 5.0), (5, math.nan, 1.0, 5.0), (5, 1.0, math.inf, 5.0),
-        (5, 1.0, 1.0, math.nan), (5, 1.0, 1.0, math.inf),
+        (math.nan, 1.0, 5.0), (5, math.nan, 5.0), (5, math.inf, 5.0),
+        (5, 1.0, math.nan), (5, 1.0, math.inf),
     ])
     def test_non_finite_rejected_at_once(self, args):
         start = time.monotonic()
@@ -381,25 +383,25 @@ class TestErrorProbability:
     def test_monotone_decreasing_in_n(self):
         values = []
         for n in (1, 10, 100):
-            delta = optimal_threshold(n, 1.0, 1.0)
-            values.append(error_probability(n, 1.0, 1.0, delta))
+            delta = optimal_threshold(n, 1.0)
+            values.append(error_probability(n, 1.0, delta))
         assert values[0] > values[1] > values[2]
 
     def test_bounded_by_half(self):
         for n in (1, 10, 100):
             for snr_db in (-20.0, 0.0, 20.0):
                 sr = 10 ** (snr_db / 10)
-                pe = error_probability(n, sr, 1.0, optimal_threshold(n, sr, 1.0))
+                pe = error_probability(n, sr, optimal_threshold(n, sr))
                 assert 0.0 <= pe <= 0.5
 
     def test_threshold_optimality_scan(self):
         for n in (1, 10, 100):
             for snr_db in (-10.0, 0.0, 10.0):
                 sr = 10 ** (snr_db / 10)
-                delta_star = optimal_threshold(n, sr, 1.0)
-                pe_star = error_probability(n, sr, 1.0, delta_star)
+                delta_star = optimal_threshold(n, sr)
+                pe_star = error_probability(n, sr, delta_star)
                 grid = np.linspace(0.2 * delta_star, 5 * delta_star, 1000)
-                pes = [error_probability(n, sr, 1.0, d) for d in grid]
+                pes = [error_probability(n, sr, d) for d in grid]
                 assert pe_star <= min(pes) + 1e-15
 
     @pytest.mark.parametrize("n, snr_db", [(1000, 0.0), (2000, 0.0), (200, 10.0)])
@@ -407,15 +409,15 @@ class TestErrorProbability:
         # P_e below 1e-16: Q can no longer be read off as 1 - P
         snr = db_to_linear(snr_db)
         want = mpmath_error_probability(n, snr)
-        log_pe = log_error_probability(n, snr, 1.0, optimal_threshold(n, snr, 1.0))
+        log_pe = log_error_probability(n, snr, optimal_threshold(n, snr))
         assert log_pe == pytest.approx(float(mpmath.log(want)), abs=1e-12)
-        got = error_probability(n, snr, 1.0, optimal_threshold(n, snr, 1.0))
+        got = error_probability(n, snr, optimal_threshold(n, snr))
         assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_density_crossing_at_threshold(self):
         for n in (1, 10, 100):
             sr, sn = 0.8, 0.3
-            delta = optimal_threshold(n, sr, sn)
+            delta = sn * optimal_threshold(n, sr / sn)  # back from noise units
             f1 = energy_pdf(delta, n, sr + sn)
             f0 = energy_pdf(delta, n, sn)
             assert f1 == pytest.approx(f0, rel=1e-9)

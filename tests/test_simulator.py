@@ -101,9 +101,15 @@ class TestGenerateOfdmSamples:
         # g scales the SU response, so the link checks it right after the channel draw
         with pytest.raises(ValueError, match="g must be nonnegative"):
             ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100, g=-1.0).link
+        with pytest.raises(ValueError, match="master_seed must be >= 0"):
+            ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=10, master_seed=-1)
+        # the SNR is read even where alpha = 0 leaves nothing for it to scale
+        with pytest.raises(ValueError, match="4000.0 dB"):
+            ScenarioConfig(n_samples=10, snr_db=4000.0, n_bits=100, alpha=0.0).link
 
     @pytest.mark.parametrize("name, value", [
         ("n_samples", 10.5), ("n_bits", 100.5), ("m_subcarriers", 8.5), ("k_antennas", 8.0),
+        ("master_seed", 1.5),
     ])
     def test_non_integral_count_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):

@@ -30,8 +30,8 @@ def bisect_n_alpha(snr, pe_target, n_max):
 
     @functools.cache
     def meets(n):
-        delta = optimal_threshold(n, snr, 1.0)
-        return sumrate.log_error_probability(n, snr, 1.0, delta) < log_target
+        delta = optimal_threshold(n, snr)
+        return sumrate.log_error_probability(n, snr, delta) < log_target
 
     if not meets(n_max):
         return None
@@ -89,7 +89,7 @@ class TestFindNAlpha:
         n_alpha = find_n_alpha(snr)
 
         def pe(n):
-            return error_probability(n, snr, 1.0, optimal_threshold(n, snr, 1.0))
+            return error_probability(n, snr, optimal_threshold(n, snr))
 
         assert pe(n_alpha) < 1e-5
         if n_alpha > 1:
@@ -106,7 +106,7 @@ class TestFindNAlpha:
         # the sum-rate model takes no subcarrier count: the waveform simulator's
         # P_e depends on N and the SNR alone, whatever m is
         snr = 10 ** (-5.0 / 10.0)
-        want = error_probability(50, snr, 1.0, optimal_threshold(50, snr, 1.0))
+        want = error_probability(50, snr, optimal_threshold(50, snr))
         for m in (16, 1024):
             cfg = ScenarioConfig(n_samples=50, snr_db=-5.0, n_bits=1, m_subcarriers=m)
             assert run_ber_grid([cfg])[0].analytic_pe == pytest.approx(want, rel=1e-12)
@@ -193,7 +193,7 @@ class TestSearchAgainstSimulator:
         band = 3 * math.sqrt(self.PE_TARGET * (1 - self.PE_TARGET) / self.BITS)
 
         def pe(n):
-            return error_probability(n, snr, 1.0, optimal_threshold(n, snr, 1.0))
+            return error_probability(n, snr, optimal_threshold(n, snr))
 
         # the two P_e lie more than the band apart, so an off-by-one search is seen
         assert pe(n_alpha - 1) - pe(n_alpha) > band
