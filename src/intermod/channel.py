@@ -13,6 +13,7 @@ conjugated, ``<a, b> = sum_i conj(a_i) * b_i``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ from .detector import check_count
 NEAR_SINGULAR_TOL = 1e-6
 
 _UNIT_NORM_TOL = 1e-12
-_RHO_RECOMPUTE_TOL = 1e-12
 
 
 class IllConditionedCorrelationError(ValueError):
@@ -45,17 +45,15 @@ def inner_product(a, b) -> complex:
 
 @dataclass(frozen=True)
 class ChannelPair:
-    """Unit-norm channel vectors with their correlation.
+    """Unit-norm channel vectors; their correlation is derived, not stored.
 
     Attributes:
         h_pu: unit-norm channel vector of the primary user, length K.
         h_su: unit-norm channel vector of the secondary user, length K.
-        rho:  inner product <h_su, h_pu> (conjugate-first convention).
     """
 
     h_pu: np.ndarray
     h_su: np.ndarray
-    rho: complex
 
     def __post_init__(self):
         h_pu = np.asarray(self.h_pu, dtype=complex)
@@ -68,17 +66,15 @@ class ChannelPair:
             nrm = float(np.linalg.norm(h))
             if abs(nrm - 1.0) > _UNIT_NORM_TOL:
                 raise ValueError(f"{name} is not unit-norm: ||{name}|| = {nrm!r}")
-        recomputed = inner_product(h_su, h_pu)
-        if abs(recomputed - complex(self.rho)) > _RHO_RECOMPUTE_TOL:
-            raise ValueError(
-                f"stored rho {self.rho!r} does not match recomputed "
-                f"inner product {recomputed!r}"
-            )
         h_pu.setflags(write=False)
         h_su.setflags(write=False)
         object.__setattr__(self, "h_pu", h_pu)
         object.__setattr__(self, "h_su", h_su)
-        object.__setattr__(self, "rho", complex(self.rho))
+
+    @property
+    def rho(self) -> complex:
+        """Correlation <h_su, h_pu> (conjugate-first convention)."""
+        return inner_product(self.h_su, self.h_pu)
 
     @property
     def k(self) -> int:
@@ -105,8 +101,8 @@ def make_correlated_pair(
 
     Construction: ``h_pu`` is a normalized complex Gaussian vector, ``u`` is
     a second random vector orthonormalized against ``h_pu``, and
-    ``h_su = conj(rho) * h_pu + sqrt(1 - |rho|^2) * u`` so that the
-    recomputed ``<h_su, h_pu>`` equals ``rho_mag * exp(j * rho_phase)``.
+    ``h_su = conj(rho) * h_pu + sqrt(1 - |rho|^2) * u`` so that the pair's
+    ``rho = <h_su, h_pu>`` equals ``rho_mag * exp(j * rho_phase)``.
     Deterministic given ``seed``.
 
     Args:
@@ -119,6 +115,8 @@ def make_correlated_pair(
         raise ValueError(f"k must be >= 3, got {k}")
     if not (0.0 <= rho_mag < 1.0):
         raise ValueError(f"rho_mag must be in [0, 1), got {rho_mag!r}")
+    if not math.isfinite(rho_phase):
+        raise ValueError(f"rho_phase must be finite, got {rho_phase!r}")
     rng = np.random.default_rng(seed)
     h_pu = _complex_gaussian(rng, k)
     h_pu /= np.linalg.norm(h_pu)
@@ -129,5 +127,4 @@ def make_correlated_pair(
     # <c*x, y> = conj(c) <x, y>, so the h_pu coefficient is conj(rho).
     h_su = np.conj(rho) * h_pu + np.sqrt(1.0 - rho_mag**2) * u
     h_su /= np.linalg.norm(h_su)
-    rho = inner_product(h_su, h_pu)
-    return ChannelPair(h_pu=h_pu, h_su=h_su, rho=rho)
+    return ChannelPair(h_pu=h_pu, h_su=h_su)

@@ -50,7 +50,7 @@ from .detector import (
     optimal_threshold,
 )
 from .simulator import ScenarioConfig, run_ber_grid
-from .sumrate import DEFAULT_PE_TARGET, default_alpha_grid, sweep_sum_rate
+from .sumrate import DEFAULT_PE_TARGET, sweep_sum_rate
 from .weights import closed_form_norms, paper_closed_form_norms
 
 # bumped when a subcommand's bytes change for one input (ber/2: stream kernel, /3: theory's P_e)
@@ -122,13 +122,13 @@ OPTIONS = {
         ("--n", "n_grid", _n_grid, "10,100", "integration-length grid"),
         ("--snr-db", "snr_grid", parse_grid, "-10:0:5", "SNR grid in dB"),
         ("--bits", "bits", int, 20000, "bits per grid point"),
-        ("--alpha", "alpha", float, 0.3, "SU power coefficient"),
-        ("--rho", "rho", float, 0.0, "|rho|"),
-        ("--rho-phase", "rho_phase", float, 0.0, "arg(rho) in radians"),
-        ("--g", "g", float, 1.0, "SU/PU gain ratio"),
-        ("--k", "k", int, 8, "antenna count"),
-        ("--m", "m", int, 64, "subcarrier count"),
-        ("--seed", "seed", int, 0, "master seed"),
+        ("--alpha", "alpha", float, ScenarioConfig.alpha, "SU power coefficient"),
+        ("--rho", "rho", float, ScenarioConfig.rho_mag, "|rho|"),
+        ("--rho-phase", "rho_phase", float, ScenarioConfig.rho_phase, "arg(rho) in radians"),
+        ("--g", "g", float, ScenarioConfig.g, "SU/PU gain ratio"),
+        ("--k", "k", int, ScenarioConfig.k_antennas, "antenna count"),
+        ("--m", "m", int, ScenarioConfig.m_subcarriers, "subcarrier count"),
+        ("--seed", "seed", int, ScenarioConfig.master_seed, "master seed"),
         ("--jobs", "jobs", int, 1, "parallel workers; never changes results"),
     ),
     "sumrate": (
@@ -312,11 +312,7 @@ def cmd_ber(args) -> int:
 def cmd_sumrate(args) -> int:
     """sum-rate curves over alpha"""
     params = _options(args)
-    alpha_grid = params.pop("alpha_grid")  # the manifest records its length only
-    if alpha_grid is None:
-        alpha_grid = [float(a) for a in default_alpha_grid()]
-    params["n_alpha_points"] = len(alpha_grid)
-
+    alpha_grid = params.pop("alpha_grid")  # None: sweep_sum_rate's default grid
     rows = []
     footers = []
     for rho in params["rho_grid"]:
@@ -334,6 +330,7 @@ def cmd_sumrate(args) -> int:
                 f"# max_total rho_mag={_fmt(rho)} g={_fmt(g)} "
                 f"alpha={_fmt(best.alpha)} total={_fmt(best.total)}"
             )
+    params["n_alpha_points"] = len(curve)  # the manifest records the grid's length only
     _write_csv(
         args.out,
         "sumrate",

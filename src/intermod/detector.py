@@ -56,6 +56,13 @@ def check_count(name: str, value):
     return value
 
 
+def check_nonnegative(name: str, value):
+    """value, if it is finite and >= 0; else ValueError (NaN and +-inf included)."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+    return value
+
+
 def log_gamma_tails(s: float, x: float) -> tuple[float, float]:
     """(ln P, ln Q) of the regularized incomplete gammas P(s, x) and Q = 1 - P.
 
@@ -216,13 +223,14 @@ def energy_pdf(epsilon, n: int, scale: float):
 
     Evaluated in the log domain; accepts scalars or arrays of energies.
     """
+    _require_finite(n=n, scale=scale)
     if n < 1:
         raise ValueError("n must be >= 1")
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     eps = np.asarray(epsilon, dtype=float)
-    if np.any(eps < 0.0):
-        raise ValueError("energy must be nonnegative")
+    if not np.all((eps >= 0.0) & (eps < math.inf)):
+        raise ValueError("energy must be nonnegative and finite")
     out = np.zeros_like(eps)
     pos = eps > 0.0
     log_pdf = (

@@ -32,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import make_correlated_pair
-from .detector import check_count, check_n, db_to_linear, error_probability, optimal_threshold
+from .detector import (
+    check_count, check_n, check_nonnegative, db_to_linear, error_probability, optimal_threshold,
+)
 from .weights import build_weight_set
 
 #: Samples (trials x N) per RNG substream; fixed so chunk boundaries never
@@ -95,8 +97,7 @@ class ScenarioConfig:
         pair = make_correlated_pair(
             self.k_antennas, self.rho_mag, self.rho_phase, seed=self.master_seed
         )
-        if not self.g >= 0.0:
-            raise ValueError(f"g must be nonnegative, got {self.g!r}")
+        check_nonnegative("g", self.g)
         weights = build_weight_set(pair, self.alpha)
         gains = np.array([self.g * complex(pair.h_su @ weights.tx_weight(bit)) for bit in (0, 1)])
         sample_var = 1.0 / self.m_subcarriers
@@ -172,7 +173,7 @@ def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult
     per task and per usable CPU.  Links resolve first, so bad input raises
     before any fork and the workers receive each link with its config.
     """
-    if jobs < 1:
+    if check_count("jobs", jobs) < 1:
         raise ValueError("jobs must be >= 1")
     analytic_pe = [config.link[3] for config in configs]
     tasks = [(config, chunk) for config in configs for chunk in range(config.n_chunks)]

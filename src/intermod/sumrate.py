@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import (
-    N_MAX, check_count, check_n, db_to_linear, log_error_probability, optimal_threshold,
+    N_MAX, check_count, check_n, check_nonnegative, db_to_linear, log_error_probability,
+    optimal_threshold,
 )
 from .weights import closed_form_norms
 
@@ -40,8 +41,8 @@ class SumRatePoint:
 
 def su_snr(alpha: float, rho_mag: float, g: float, gamma: float) -> float:
     """SU per-sample OFDM SNR (linear) implied by the power bookkeeping."""
-    if gamma < 0.0 or g < 0.0:
-        raise ValueError("gamma and g must be nonnegative")
+    check_nonnegative("gamma", gamma)
+    check_nonnegative("g", g)
     _, norm1_sq, xi = closed_form_norms(alpha, rho_mag)
     return gamma * g * g * alpha * norm1_sq / xi
 
@@ -69,9 +70,7 @@ def find_n_alpha(
     in [1, detector.N_MAX].
     """
     _check_search(pe_target, n_max)
-    if not snr >= 0.0:
-        raise ValueError(f"snr must be nonnegative, got {snr!r}")
-    if snr == 0.0:
+    if check_nonnegative("snr", snr) == 0.0:
         return None
     log_target = math.log(pe_target)
 
@@ -128,8 +127,7 @@ def sweep_sum_rate(
     """
     if not (0.0 <= rho_mag < 1.0):
         raise ValueError(f"rho_mag must be in [0, 1), got {rho_mag!r}")
-    if not g >= 0.0:
-        raise ValueError(f"g must be nonnegative, got {g!r}")
+    check_nonnegative("g", g)
     _check_search(pe_target, n_max)
     gamma = db_to_linear(gamma_db)
     if alpha_grid is None:

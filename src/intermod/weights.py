@@ -35,7 +35,7 @@ from .channel import ChannelPair, IllConditionedCorrelationError
 
 @dataclass(frozen=True)
 class WeightSet:
-    """Solved weight pair with norms and the normalization scalar xi.
+    """Solved weight pair; the norms and the normalization scalar xi derive from it.
 
     xi is the average of the two squared norms; the transmitted vectors are
     ``omega_k / sqrt(xi)`` so the average transmitted squared norm is 1.
@@ -44,9 +44,21 @@ class WeightSet:
 
     omega0: np.ndarray
     omega1: np.ndarray
-    norm0_sq: float
-    norm1_sq: float
-    xi: float
+
+    @property
+    def norm0_sq(self) -> float:
+        """|omega0|^2."""
+        return float(np.vdot(self.omega0, self.omega0).real)
+
+    @property
+    def norm1_sq(self) -> float:
+        """|omega1|^2."""
+        return float(np.vdot(self.omega1, self.omega1).real)
+
+    @property
+    def xi(self) -> float:
+        """Mean squared norm of the two weight vectors."""
+        return 0.5 * (self.norm0_sq + self.norm1_sq)
 
     def tx_weight(self, bit: int) -> np.ndarray:
         """xi-normalized weight vector transmitted for the given OOK bit."""
@@ -125,14 +137,7 @@ def build_weight_set(pair: ChannelPair, alpha: float) -> WeightSet:
         raise ValueError(f"alpha must be in [0, 1), got {alpha!r}")
     theta = cmath.phase(pair.rho) if pair.rho != 0 else 0.0
     b_pu = math.sqrt(1.0 - alpha)
-    omega0 = solve_min_norm(pair, 0.0, b_pu)
-    omega1 = solve_min_norm(pair, math.sqrt(alpha) * cmath.exp(-1j * theta), b_pu)
-    norm0_sq = float(np.vdot(omega0, omega0).real)
-    norm1_sq = float(np.vdot(omega1, omega1).real)
     return WeightSet(
-        omega0=omega0,
-        omega1=omega1,
-        norm0_sq=norm0_sq,
-        norm1_sq=norm1_sq,
-        xi=0.5 * (norm0_sq + norm1_sq),
+        omega0=solve_min_norm(pair, 0.0, b_pu),
+        omega1=solve_min_norm(pair, math.sqrt(alpha) * cmath.exp(-1j * theta), b_pu),
     )

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,9 @@ def test_pair_rejects_bad_arguments():
         make_correlated_pair(4, 1.2)
     with pytest.raises(ValueError, match="k must be an integer"):
         make_correlated_pair(8.0, 0.5)
+    for phase in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="rho_phase must be finite"):
+            make_correlated_pair(8, 0.5, phase)
 
 
 def test_near_singular_flag():
@@ -89,6 +95,11 @@ def test_near_singular_flag():
 def test_pair_validates_stored_fields():
     pair = make_correlated_pair(4, 0.3, seed=0)
     with pytest.raises(ValueError):
-        ChannelPair(h_pu=pair.h_pu, h_su=pair.h_su, rho=pair.rho + 0.1)
-    with pytest.raises(ValueError):
-        ChannelPair(h_pu=2 * pair.h_pu, h_su=pair.h_su, rho=pair.rho)
+        ChannelPair(h_pu=2 * pair.h_pu, h_su=pair.h_su)
+
+
+def test_pair_stores_only_its_vectors():
+    pair = make_correlated_pair(6, 0.4, 0.2, seed=5)
+    assert [f.name for f in dataclasses.fields(ChannelPair)] == ["h_pu", "h_su"]
+    # rho is derived from the stored vectors, bit for bit
+    assert pair.rho == inner_product(pair.h_su, pair.h_pu)

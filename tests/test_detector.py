@@ -310,6 +310,13 @@ class TestEnergyPdf:
             energy_pdf(-1.0, 2, 1.0)
         with pytest.raises(ValueError):
             energy_pdf(1.0, 2, 0.0)
+        bad = [(math.nan, 10, 1.0), (math.inf, 10, 1.0), (np.array([1.0, math.nan]), 10, 1.0),
+               (1.0, math.inf, 1.0), (1.0, 10, math.nan), (1.0, 10, math.inf)]
+        for args in bad:
+            with pytest.raises(ValueError, match="must be (nonnegative and )?finite"):
+                energy_pdf(*args)
+        with pytest.raises(ValueError, match="energy must be nonnegative and finite"):
+            mixture_energy_pdf(math.nan, 10, 1.0)
 
 
 class TestOptimalThreshold:

@@ -99,8 +99,11 @@ class TestGenerateOfdmSamples:
         with pytest.raises(ValueError, match="n_samples must be >= 1 and <= 1000000"):
             ScenarioConfig(n_samples=10**6 + 1, snr_db=0.0, n_bits=1, alpha=0.0)
         # g scales the SU response, so the link checks it right after the channel draw
-        with pytest.raises(ValueError, match="g must be nonnegative"):
-            ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100, g=-1.0).link
+        for g in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="g must be nonnegative"):
+                ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100, g=g).link
+        with pytest.raises(ValueError, match="rho_phase must be finite"):
+            ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100, rho_phase=math.inf).link
         with pytest.raises(ValueError, match="master_seed must be >= 0"):
             ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=10, master_seed=-1)
         # the SNR is read even where alpha = 0 leaves nothing for it to scale
@@ -347,6 +350,8 @@ class TestRunBerGrid:
             run_ber_grid([*self.CONFIGS, bad], jobs=2)
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_ber_grid(list(self.CONFIGS), jobs=0)
+        with pytest.raises(ValueError, match="jobs must be an integer"):
+            run_ber_grid(list(self.CONFIGS), jobs=2.5)
 
     def test_workers_receive_the_resolved_link(self):
         cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=100, master_seed=43)

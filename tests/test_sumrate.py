@@ -71,6 +71,14 @@ class TestSuSnr:
         solved = abs(g * complex(pair.h_su @ ws.tx_weight(1))) ** 2
         assert su_snr(alpha, 0.0, g, 1.0) == pytest.approx(solved, rel=1e-9, abs=1e-15)
 
+    @pytest.mark.parametrize("name, g, gamma", [
+        ("g", -1.0, 1000.0), ("g", math.nan, 1000.0), ("g", math.inf, 1000.0),
+        ("gamma", 1.0, -1.0), ("gamma", 1.0, math.nan), ("gamma", 1.0, math.inf),
+    ])
+    def test_outside_domain_rejected(self, name, g, gamma):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite"):
+            su_snr(0.3, 0.5, g, gamma)
+
 
 class TestFindNAlpha:
     def test_alpha_zero_unreachable(self):
@@ -134,7 +142,7 @@ class TestFindNAlpha:
         with pytest.raises(ValueError):
             find_n_alpha(su_snr(0.1, 0.1, 1.0, GAMMA_30DB), n_max=0)
 
-    @pytest.mark.parametrize("snr", [-1.0, -1e-300, math.nan])
+    @pytest.mark.parametrize("snr", [-1.0, -1e-300, math.nan, math.inf])
     def test_snr_outside_domain_rejected(self, snr):
         with pytest.raises(ValueError, match="snr must be nonnegative"):
             find_n_alpha(snr)
@@ -215,6 +223,8 @@ class TestSweepSumRate:
         ({"pe_target": 0.0}, "pe_target"),
         ({"pe_target": 0.5}, "pe_target"),
         ({"pe_target": 0.9}, "pe_target"),
+        ({"g": math.inf}, "g must be nonnegative"),
+        ({"g": math.nan}, "g must be nonnegative"),
     ])
     def test_bad_input_rejected_without_any_search(self, kwargs, message):
         args = {"gamma_db": 10.0, "rho_mag": 0.1, "g": 1.0, **kwargs}

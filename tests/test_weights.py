@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from intermod.channel import ChannelPair, IllConditionedCorrelationError, make_correlated_pair
 from intermod.weights import (
+    WeightSet,
     build_weight_set,
     closed_form_norms,
     paper_closed_form_norms,
@@ -49,7 +51,7 @@ class TestSolveMinNorm:
             assert np.vdot(perturbed, perturbed).real > base
 
     def test_rejects_bad_inputs(self):
-        two = ChannelPair(h_pu=np.array([1.0, 0.0]), h_su=np.array([0.0, 1.0]), rho=0.0)
+        two = ChannelPair(h_pu=np.array([1.0, 0.0]), h_su=np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="K >= 3"):
             solve_min_norm(two, 0.0, 1.0)
         near = make_correlated_pair(4, 0.9999999, seed=0)
@@ -77,7 +79,7 @@ class TestPhaseAlignTargets:
     def test_rho_zero_phase_is_zero(self):
         # an exactly orthogonal pair: rho == 0, so the SU target is real
         h_pu, h_su = np.eye(3)[:2]
-        pair = ChannelPair(h_pu=h_pu, h_su=h_su, rho=0.0)
+        pair = ChannelPair(h_pu=h_pu, h_su=h_su)
         assert pair.rho == 0
         ws = build_weight_set(pair, 0.3)
         assert pair.h_su @ ws.omega1 == pytest.approx(math.sqrt(0.3), abs=1e-12)
@@ -157,6 +159,12 @@ class TestBuildWeightSet:
         assert ws.norm1_sq == pytest.approx(np.vdot(ws.omega1, ws.omega1).real, abs=1e-12)
         assert ws.xi == pytest.approx(0.5 * (ws.norm0_sq + ws.norm1_sq), abs=1e-12)
         assert ws.xi == pytest.approx(29.0 / 18.0, abs=1e-9)
+
+    def test_stores_only_the_solved_vectors(self):
+        assert [f.name for f in dataclasses.fields(WeightSet)] == ["omega0", "omega1"]
+        ws = WeightSet(omega0=np.array([0.0, 1.0, 0.0]), omega1=np.array([1.0, 1.0, 1.0]))
+        assert (ws.norm0_sq, ws.norm1_sq, ws.xi) == (1.0, 3.0, 2.0)
+        np.testing.assert_array_equal(ws.tx_weight(1), ws.omega1 / math.sqrt(2.0))
 
     def test_constraints_pre_normalization(self):
         pair = make_correlated_pair(8, 0.6, 2.2, seed=10)
