@@ -1,0 +1,74 @@
+"""The domain of every public scalar parameter, stated once, and its one check.
+
+DOMAINS maps a parameter name to (kind, bracket, lower, upper, bracket): kind
+is int, float or complex (bounded in |value|); "[" or "]" closes an end and
+"(" or ")" opens it.  A float or complex value must also be finite, and an int
+value an int or a numpy integer.  Counts that size arrays have a ceiling, so
+an oversized request fails before it allocates.  check runs on every P_e
+evaluation, so it compares against bounds closed in advance and formats a
+message only when it raises.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+import numbers
+
+inf = math.inf
+
+#: Largest integration length N, and gamma shape s, the tails are checked for.
+N_MAX = 10**6
+#: Samples (trials x N) per RNG substream, fixed so chunk boundaries never
+#: depend on the execution environment; also the most subcarriers m.
+CHUNK_SAMPLES = 1 << 18
+
+_TABLE = (
+    # names                               kind     domain
+    ("n s",                               float,   "[", 1, N_MAX, "]"),
+    ("n_samples n_max",                   int,     "[", 1, N_MAX, "]"),
+    ("x snr threshold gamma energy",      float,   "[", 0, inf, ")"),
+    ("scale xi",                          float,   "(", 0, inf, ")"),
+    ("g",                                 float,   "[", 0, 10**6, "]"),  # 120 dB
+    ("alpha rho_mag rho",                 float,   "[", 0, 1, ")"),
+    ("pe_target",                         float,   "(", 0, 0.5, ")"),
+    ("rho_phase snr_db gamma_db",         float,   "(", -inf, inf, ")"),
+    ("b_su b_pu",                         complex, "(", -inf, inf, ")"),
+    ("n_bits bits jobs",                  int,     "[", 1, inf, ")"),
+    ("master_seed seed",                  int,     "[", 0, inf, ")"),
+    ("k_antennas k",                      int,     "[", 3, 1024, "]"),
+    ("m_subcarriers m",                   int,     "[", 1, CHUNK_SAMPLES, "]"),
+    ("pdf_points count",                  int,     "[", 1, 10**5, "]"),
+)
+DOMAINS = {name: domain for names, *domain in _TABLE for name in names.split()}
+_CLOSED = {  # (lower, upper, kind), an open end moved one double inward
+    name: (math.nextafter(lo, hi) if lb == "(" else lo, math.nextafter(hi, lo) if rb == ")" else hi,
+           kind) for name, (kind, lb, lo, hi, rb) in DOMAINS.items()
+}
+
+
+def check(name: str, value):
+    """value, if it lies in the domain of parameter ``name``; else ValueError naming it."""
+    lo, hi, kind = _CLOSED[name]
+    try:
+        if lo <= (abs(value) if kind is complex else value) <= hi and (
+            kind is not int or isinstance(value, numbers.Integral)
+        ):
+            return value
+    except TypeError:  # not a number, or a complex where a real belongs
+        pass
+    raise ValueError(f"{name} must be {_requirement(name, value)}, got {value!r}")
+
+
+def _requirement(name: str, value) -> str:
+    kind, lb, lo, hi, rb = DOMAINS[name]
+    if kind is int and not isinstance(value, numbers.Integral):
+        return "an integer"
+    if rb == ")" and hi < inf:
+        return f"in {lb}{lo}, {hi})"
+    zero = "nonnegative and finite" if lb == "[" else "positive"  # a real's lower end at 0
+    words = [zero if kind is float and lo == 0 else f"{'>' if lb == '(' else '>='} {lo}"]
+    words = (words if lo > -inf else []) + ([f"<= {hi}"] if hi < inf else [])
+    finite = kind is int or isinstance(value, numbers.Number) and cmath.isfinite(value)
+    text = " and ".join(words)
+    return text if finite or "finite" in text else "finite"

@@ -13,12 +13,11 @@ conjugated, ``<a, b> = sum_i conj(a_i) * b_i``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import check_count
+from ._domain import check
 
 #: |rho|^2 closer to 1 than this makes the 2x2 Gram system ill-conditioned.
 NEAR_SINGULAR_TOL = 1e-6
@@ -106,18 +105,15 @@ def make_correlated_pair(
     Deterministic given ``seed``.
 
     Args:
-        k: antenna count, must be >= 3 (required for weight solving).
+        k: antenna count, >= 3 (required for weight solving).
         rho_mag: requested |rho| in [0, 1).
         rho_phase: requested arg(rho) in radians.
-        seed: RNG seed.
+        seed: RNG seed, an integer >= 0.
     """
-    if check_count("k", k) < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
-    if not (0.0 <= rho_mag < 1.0):
-        raise ValueError(f"rho_mag must be in [0, 1), got {rho_mag!r}")
-    if not math.isfinite(rho_phase):
-        raise ValueError(f"rho_phase must be finite, got {rho_phase!r}")
-    rng = np.random.default_rng(seed)
+    check("k", k)
+    check("rho_mag", rho_mag)
+    check("rho_phase", rho_phase)
+    rng = np.random.default_rng(check("seed", seed))
     h_pu = _complex_gaussian(rng, k)
     h_pu /= np.linalg.norm(h_pu)
     v = _complex_gaussian(rng, k)

@@ -14,9 +14,10 @@ invocations produce byte-identical files.
 
 Grid-valued flags accept either a comma list ("1,10,100") or a
 start:stop:count range ("0:1:11", linearly spaced, endpoints included).
-An empty grid, a fractional point in an integer grid, and an integration
-length N (or sumrate's n_max) outside [1, 1e6], where the detector model is
-checked, are rejected.
+An empty grid, a fractional point in an integer grid, and a value or grid
+point outside the domain of the library parameter it feeds (_domain.DOMAINS:
+N and n_max, for one, must lie in [1, 1e6], where the detector model is
+checked) are rejected before any work starts.
 
 Each subcommand's options are declared once, in its OPTIONS table: one row
 gives the flag, the key, how a value is read, the default and the help
@@ -37,18 +38,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .detector import (
-    N_MAX,
-    check_n,
-    db_to_linear,
-    error_probability,
-    mixture_energy_pdf,
-    optimal_threshold,
-)
+from ._domain import N_MAX, check
+from .detector import db_to_linear, error_probability, mixture_energy_pdf, optimal_threshold
 from .simulator import ScenarioConfig, run_ber_grid
 from .sumrate import DEFAULT_PE_TARGET, sweep_sum_rate
 from .weights import closed_form_norms, paper_closed_form_norms
@@ -59,30 +55,26 @@ PDF_POINTS = 2000  # theory --pdf-points default, recorded in every theory manif
 
 
 def parse_grid(spec: str, cast=float) -> list:
-    """Parse "start:stop:count" or a comma list into a value list."""
+    """Parse "start:stop:count" or a comma list into a value list.
+
+    The caller checks the values; a range's span must be finite to be spaced.
+    """
     spec = spec.strip()
     parts = spec.split(":")
     if len(parts) not in (1, 3):
         raise ValueError(f"bad grid spec {spec!r}; expected start:stop:count")
     try:
         if len(parts) == 1:
-            values = [cast(v) for v in spec.split(",") if v.strip() != ""]
-            finite = all(math.isfinite(v) for v in values)
-        else:
-            start, stop, count = cast(parts[0]), cast(parts[1]), int(parts[2])
-            finite = math.isfinite(stop - start)  # also false for an overflowing span
+            return [cast(v) for v in spec.split(",") if v.strip() != ""]
+        start, stop, count = cast(parts[0]), cast(parts[1]), check("count", int(parts[2]))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad grid spec {spec!r}: {exc}") from exc
-    if not finite:
+    if not math.isfinite(stop - start):  # also false for an overflowing span
         raise ValueError(f"grid values must be finite in {spec!r}")
-    if len(parts) == 3:
-        if count < 1:
-            raise ValueError(f"grid count must be >= 1 in {spec!r}")
-        points = np.linspace(start, stop, count)
-        values = [cast(v) for v in points]
-        # a cast that changed a point truncated it
-        if any(v != p for v, p in zip(values, points)):
-            raise ValueError(f"grid points must be {cast.__name__}s in {spec!r}")
+    points = np.linspace(start, stop, count)
+    values = [cast(v) for v in points]
+    if any(v != p for v, p in zip(values, points)):  # a cast that changed a point truncated it
+        raise ValueError(f"grid points must be {cast.__name__}s in {spec!r}")
     return values
 
 
@@ -101,26 +93,26 @@ def load_config(path: str) -> dict:
     return values
 
 
-def _n_grid(spec: str) -> list:
-    """An integration-length grid: integers in the checked domain [1, N_MAX]."""
-    return [check_n("n", n) for n in parse_grid(spec, cast=int)]
+def _grid(name: str, spec: str, cast=float) -> list:
+    """The points of grid ``spec``, each checked as a value of the library parameter ``name``."""
+    return [check(name, point) for point in parse_grid(spec, cast)]
 
 
-# (flag, key, reader, default, help) per subcommand.  A grid's reader is
-# applied to the flag's text after parsing, so a bad grid exits 3; int and
-# float also serve as the argparse type, so "--bits abc" exits 2.
+# (flag, key, reader, default, help) per subcommand.  Every reader is applied
+# to the flag's text after parsing, so "--bits abc", like a bad grid, exits 3.
+# A scalar is then checked under its key, a grid point by its reader.
 OPTIONS = {
     "weights": (
-        ("--alpha", "alpha_grid", parse_grid, "0:0.9:19", "alpha grid"),
-        ("--rho", "rho_grid", parse_grid, "0:0.9:19", "|rho| grid"),
+        ("--alpha", "alpha_grid", partial(_grid, "alpha"), "0:0.9:19", "alpha grid"),
+        ("--rho", "rho_grid", partial(_grid, "rho_mag"), "0:0.9:19", "|rho| grid"),
     ),
     "theory": (
-        ("--n", "n_grid", _n_grid, "1,10,100", "integration-length grid"),
-        ("--snr-db", "snr_grid", parse_grid, "-10:0:5", "SNR grid in dB"),
+        ("--n", "n_grid", partial(_grid, "n", cast=int), "1,10,100", "integration-length grid"),
+        ("--snr-db", "snr_grid", partial(_grid, "snr_db"), "-10:0:5", "SNR grid in dB"),
     ),
     "ber": (
-        ("--n", "n_grid", _n_grid, "10,100", "integration-length grid"),
-        ("--snr-db", "snr_grid", parse_grid, "-10:0:5", "SNR grid in dB"),
+        ("--n", "n_grid", partial(_grid, "n", cast=int), "10,100", "integration-length grid"),
+        ("--snr-db", "snr_grid", partial(_grid, "snr_db"), "-10:0:5", "SNR grid in dB"),
         ("--bits", "bits", int, 20000, "bits per grid point"),
         ("--alpha", "alpha", float, ScenarioConfig.alpha, "SU power coefficient"),
         ("--rho", "rho", float, ScenarioConfig.rho_mag, "|rho|"),
@@ -132,9 +124,9 @@ OPTIONS = {
         ("--jobs", "jobs", int, 1, "parallel workers; never changes results"),
     ),
     "sumrate": (
-        ("--rho", "rho_grid", parse_grid, "0.1,0.5,0.9", "|rho| per curve"),
-        ("--g", "g_grid", parse_grid, "1.0", "gain ratios per curve"),
-        ("--alpha", "alpha_grid", parse_grid, None,
+        ("--rho", "rho_grid", partial(_grid, "rho_mag"), "0.1,0.5,0.9", "|rho| per curve"),
+        ("--g", "g_grid", partial(_grid, "g"), "1.0", "gain ratios per curve"),
+        ("--alpha", "alpha_grid", partial(_grid, "alpha"), None,
          "alpha grid (default: 200 log-spaced in [1e-4, 0.99])"),
         ("--gamma-db", "gamma_db", float, 30.0, "PU normal-operation SNR in dB"),
         ("--pe-target", "pe_target", float, DEFAULT_PE_TARGET, "target error probability"),
@@ -160,16 +152,19 @@ def _options(args) -> dict:
         value = getattr(args, key)
         if value is None:
             value = config.get(key, default)
-        try:
-            value = None if value is None else reader(value)
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from exc
-        if value == []:
-            raise ValueError(f"{key} is an empty grid")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value!r}")
-        params[key] = value
+        params[key] = None if value is None else _read(key, reader, value)
     return params
+
+
+def _read(key: str, reader, text):
+    """reader(text), a grid of checked points or a scalar checked under ``key``."""
+    try:
+        value = reader(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+    if value == []:
+        raise ValueError(f"{key} is an empty grid")
+    return value if isinstance(value, list) else check(key, value)
 
 
 def _fmt(value) -> str:
@@ -225,10 +220,8 @@ def cmd_theory(args) -> int:
     params = _options(args)
     if args.pdf_points is not None and not args.pdf_out:
         raise ValueError("pdf_points tabulates nothing without --pdf-out")
-    pdf_points = PDF_POINTS if args.pdf_points is None else args.pdf_points
-    if pdf_points < 1:
-        raise ValueError(f"pdf_points must be >= 1, got {pdf_points}")
-    params["pdf_points"] = pdf_points
+    text = PDF_POINTS if args.pdf_points is None else args.pdf_points
+    pdf_points = params["pdf_points"] = _read("pdf_points", int, text)
     rows = []
     pdf_rows = []
     for n in params["n_grid"]:
@@ -267,8 +260,6 @@ def cmd_ber(args) -> int:
     """Monte Carlo BER vs analytic prediction"""
     params = _options(args)
     jobs = params.pop("jobs")  # never changes the output, so not in the manifest
-    if params["seed"] < 0:
-        raise ValueError(f"seed must be >= 0, got {params['seed']}")
     points = []
     grid = [(n, snr_db) for n in params["n_grid"] for snr_db in params["snr_grid"]]
     for idx, (n, snr_db) in enumerate(grid):
@@ -355,18 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output CSV path ('-' or omitted for stdout)")
         for flag, key, reader, default, text in OPTIONS[command]:
-            scalar = reader in (int, float)
             p.add_argument(
-                flag, dest=key, type=reader if scalar else None,
-                metavar=None if scalar else "GRID",
+                flag, dest=key, metavar=None if reader in (int, float) else "GRID",
                 help=text if default is None else f"{text} (default {_fmt(default)})",
             )
         p.set_defaults(func=func)
     # flags only, not config keys; cmd_theory records pdf_points in the manifest itself
     theory = sub.choices["theory"]
     theory.add_argument("--pdf-out", help="also tabulate the mixture energy PDF here")
-    theory.add_argument("--pdf-points", type=int,
-                        help=f"points per PDF tabulation (default {PDF_POINTS})")
+    theory.add_argument("--pdf-points", help=f"points per PDF tabulation (default {PDF_POINTS})")
     return parser
 
 

@@ -18,12 +18,10 @@ log.  N above N_MAX is rejected: the tails are not checked there.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-#: Largest integration length N, and gamma shape s, the tails are checked for.
-N_MAX = 10**6
+from ._domain import N_MAX, check
 
 _EPS = 1e-16
 _ITMAX = 10_000_000
@@ -42,27 +40,6 @@ def db_to_linear(db: float) -> float:
     return value
 
 
-def check_n(name: str, value):
-    """value, if it lies in the checked domain [1, N_MAX] of N; else ValueError."""
-    if not 1 <= value <= N_MAX:
-        raise ValueError(f"{name} must be >= 1 and <= {N_MAX}, got {value!r}")
-    return value
-
-
-def check_count(name: str, value):
-    """value, if it is an int or a numpy integer; else ValueError."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def check_nonnegative(name: str, value):
-    """value, if it is finite and >= 0; else ValueError (NaN and +-inf included)."""
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
-    return value
-
-
 def log_gamma_tails(s: float, x: float) -> tuple[float, float]:
     """(ln P, ln Q) of the regularized incomplete gammas P(s, x) and Q = 1 - P.
 
@@ -75,11 +52,8 @@ def log_gamma_tails(s: float, x: float) -> tuple[float, float]:
     s = 1e6).  Raises ValueError for s outside [1, N_MAX], non-finite
     input, or a loop at its iteration cap.
     """
-    _require_finite(s=s, x=x)
-    check_n("s", s)  # the stated accuracy holds there; callers pass s = N
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x!r}")
-    if x == 0.0:
+    check("s", s)  # the stated accuracy holds there; callers pass s = N
+    if check("x", x) == 0.0:
         return -math.inf, 0.0
     log_prefactor = s * math.log(x) - x - math.lgamma(s)
     if x < s + 1.0:
@@ -87,12 +61,6 @@ def log_gamma_tails(s: float, x: float) -> tuple[float, float]:
         return log_p, _log_complement(log_p)
     log_q = math.log(_upper_gamma_cf(s, x)) + log_prefactor
     return _log_complement(log_q), log_q
-
-
-def _require_finite(**values) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _no_convergence(loop: str, s: float, x: float) -> ValueError:
@@ -170,14 +138,6 @@ def _upper_gamma_cf(s: float, x: float) -> float:
     return h
 
 
-def _check_snr(n, snr, **more) -> None:
-    _require_finite(n=n, snr=snr, **more)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if snr < 0.0:
-        raise ValueError(f"snr must be nonnegative, got {snr!r}")
-
-
 def optimal_threshold(n: int, snr: float) -> float:
     """Error-minimizing energy threshold delta*, in units of sigma_n^2.
 
@@ -187,8 +147,8 @@ def optimal_threshold(n: int, snr: float) -> float:
     Raises ValueError when snr is too small for the two densities to differ
     in double precision.
     """
-    _check_snr(n, snr)
-    s_total = snr + 1.0
+    check("n", n)
+    s_total = check("snr", snr) + 1.0
     gap = 1.0 - 1.0 / s_total
     if gap <= 0.0:
         raise ValueError(f"snr = {snr:.3g} is too small to place a threshold in double precision")
@@ -203,10 +163,9 @@ def log_error_probability(n: int, snr: float, threshold: float) -> float:
     summed in the log domain from the two incomplete gamma tails, so it is
     exact in both tails.  Degenerate snr = 0 gives exactly ln 0.5.
     """
-    _check_snr(n, snr, threshold=threshold)
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
-    if snr == 0.0:  # Q and P at one point sum to 1
+    check("n", n)
+    check("threshold", threshold)
+    if check("snr", snr) == 0.0:  # Q and P at one point sum to 1
         return math.log(0.5)
     log_fa = log_gamma_tails(n, threshold)[1]  # false alarm: Q
     log_miss = log_gamma_tails(n, threshold / (snr + 1.0))[0]
@@ -223,14 +182,11 @@ def energy_pdf(epsilon, n: int, scale: float):
 
     Evaluated in the log domain; accepts scalars or arrays of energies.
     """
-    _require_finite(n=n, scale=scale)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    check("n", n)
+    check("scale", scale)
     eps = np.asarray(epsilon, dtype=float)
-    if not np.all((eps >= 0.0) & (eps < math.inf)):
-        raise ValueError("energy must be nonnegative and finite")
+    check("energy", float(eps.min(initial=0.0)))  # NaN if any energy is
+    check("energy", float(eps.max(initial=0.0)))
     out = np.zeros_like(eps)
     pos = eps > 0.0
     log_pdf = (
@@ -253,5 +209,6 @@ def mixture_energy_pdf(epsilon, n: int, snr: float):
     Equal-weight mixture of the bit-1 density (scale 1 + snr) and the bit-0
     density (scale 1).
     """
-    _check_snr(n, snr)
+    check("n", n)
+    check("snr", snr)
     return 0.5 * energy_pdf(epsilon, n, snr + 1.0) + 0.5 * energy_pdf(epsilon, n, 1.0)

@@ -27,26 +27,22 @@ import itertools
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._domain import CHUNK_SAMPLES, check
 from .channel import make_correlated_pair
-from .detector import (
-    check_count, check_n, check_nonnegative, db_to_linear, error_probability, optimal_threshold,
-)
+from .detector import db_to_linear, error_probability, optimal_threshold
 from .weights import build_weight_set
 
-#: Samples (trials x N) per RNG substream; fixed so chunk boundaries never
-#: depend on the execution environment.
-CHUNK_SAMPLES = 1 << 18
 #: Doubles of AWGN drawn per slice; a normal draw is the same in pieces.
 _NOISE_SLICE = 1 << 15
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one BER measurement point; the counts and the seed are integers."""
+    """Full description of one BER measurement point, each field checked against its domain."""
 
     n_samples: int
     snr_db: float
@@ -60,15 +56,8 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_samples", "n_bits", "k_antennas", "m_subcarriers", "master_seed"):
-            check_count(name, getattr(self, name))
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.n_bits < 1:
-            raise ValueError("n_bits must be >= 1")
-        check_n("n_samples", self.n_samples)
-        if self.m_subcarriers < 1:
-            raise ValueError("m_subcarriers must be >= 1")
+        for field in fields(self):
+            check(field.name, getattr(self, field.name))
 
     @property
     def chunk_trials(self) -> int:
@@ -97,7 +86,6 @@ class ScenarioConfig:
         pair = make_correlated_pair(
             self.k_antennas, self.rho_mag, self.rho_phase, seed=self.master_seed
         )
-        check_nonnegative("g", self.g)
         weights = build_weight_set(pair, self.alpha)
         gains = np.array([self.g * complex(pair.h_su @ weights.tx_weight(bit)) for bit in (0, 1)])
         sample_var = 1.0 / self.m_subcarriers
@@ -173,8 +161,7 @@ def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult
     per task and per usable CPU.  Links resolve first, so bad input raises
     before any fork and the workers receive each link with its config.
     """
-    if check_count("jobs", jobs) < 1:
-        raise ValueError("jobs must be >= 1")
+    check("jobs", jobs)
     analytic_pe = [config.link[3] for config in configs]
     tasks = [(config, chunk) for config in configs for chunk in range(config.n_chunks)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

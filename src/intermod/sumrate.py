@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import (
-    N_MAX, check_count, check_n, check_nonnegative, db_to_linear, log_error_probability,
-    optimal_threshold,
-)
+from ._domain import N_MAX, check
+from .detector import db_to_linear, log_error_probability, optimal_threshold
 from .weights import closed_form_norms
 
 DEFAULT_PE_TARGET = 1e-5
@@ -41,16 +39,10 @@ class SumRatePoint:
 
 def su_snr(alpha: float, rho_mag: float, g: float, gamma: float) -> float:
     """SU per-sample OFDM SNR (linear) implied by the power bookkeeping."""
-    check_nonnegative("gamma", gamma)
-    check_nonnegative("g", g)
+    check("gamma", gamma)
+    check("g", g)
     _, norm1_sq, xi = closed_form_norms(alpha, rho_mag)
     return gamma * g * g * alpha * norm1_sq / xi
-
-
-def _check_search(pe_target: float, n_max: int) -> None:
-    if not (0.0 < pe_target < 0.5):
-        raise ValueError("pe_target must be in (0, 0.5)")
-    check_n("n_max", check_count("n_max", n_max))
 
 
 def find_n_alpha(
@@ -65,12 +57,17 @@ def find_n_alpha(
     exact for any target and nearly linear in N because the error exponent
     is; a probe that leaves more than half the bracket is followed by a
     bisection step, which caps the cost at about 2 log2(n_max) evaluations.
-    Returns None when even n_max misses the target (including snr = 0, as
-    at alpha = 0, where P_e = 0.5 for every N).  n_max must be an integer
-    in [1, detector.N_MAX].
+    Returns None when even n_max misses the target, and when snr is below
+    the floor where ``optimal_threshold`` can place no threshold in double
+    precision (snr = 0 included, as at alpha = 0, where P_e = 0.5 for
+    every N).  n_max must be an integer in [1, detector.N_MAX].
     """
-    _check_search(pe_target, n_max)
-    if check_nonnegative("snr", snr) == 0.0:
+    check("snr", snr)
+    check("pe_target", pe_target)
+    check("n_max", n_max)
+    try:
+        optimal_threshold(1, snr)
+    except ValueError:  # snr and n checked, so only the floor is left to raise
         return None
     log_target = math.log(pe_target)
 
@@ -125,11 +122,10 @@ def sweep_sum_rate(
     with the solver-consistent xi.  The scalar arguments are checked here,
     so a grid with no alpha > 0 lets none of them through unread.
     """
-    if not (0.0 <= rho_mag < 1.0):
-        raise ValueError(f"rho_mag must be in [0, 1), got {rho_mag!r}")
-    check_nonnegative("g", g)
-    _check_search(pe_target, n_max)
-    gamma = db_to_linear(gamma_db)
+    for name, value in (("rho_mag", rho_mag), ("g", g), ("pe_target", pe_target),
+                        ("n_max", n_max)):
+        check(name, value)
+    gamma = db_to_linear(check("gamma_db", gamma_db))
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()
     points = []

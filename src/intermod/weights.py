@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._domain import check
 from .channel import ChannelPair, IllConditionedCorrelationError
 
 
@@ -39,11 +40,15 @@ class WeightSet:
 
     xi is the average of the two squared norms; the transmitted vectors are
     ``omega_k / sqrt(xi)`` so the average transmitted squared norm is 1.
-    xi > 1 means extra power is burned to satisfy the channel geometry.
+    xi > 1 means extra power is burned to satisfy the channel geometry; xi
+    must be positive and finite.
     """
 
     omega0: np.ndarray
     omega1: np.ndarray
+
+    def __post_init__(self):
+        check("xi", self.xi)
 
     @property
     def norm0_sq(self) -> float:
@@ -72,10 +77,12 @@ def solve_min_norm(pair: ChannelPair, b_su: complex, b_pu: complex) -> np.ndarra
     Solves the underdetermined 2-constraint system via the pseudoinverse,
     ``omega = C^H (C C^H)^{-1} b``; the result has no component in the
     nullspace of the constraints.  ``ChannelPair`` has already checked the
-    shapes, the unit norms and rho.
+    shapes, the unit norms and rho; the targets must be finite.
     """
-    if pair.k < 3:
-        raise ValueError("weight solving requires K >= 3 antennas")
+    try:
+        check("k", pair.k)
+    except ValueError as exc:
+        raise ValueError(f"weight solving requires K >= 3 antennas; {exc}") from None
     if pair.near_singular:
         raise IllConditionedCorrelationError(
             f"|rho|^2 = {abs(pair.rho)**2!r} is too close to 1; "
@@ -83,17 +90,14 @@ def solve_min_norm(pair: ChannelPair, b_su: complex, b_pu: complex) -> np.ndarra
         )
     c = np.stack([pair.h_su, pair.h_pu])  # rows apply as plain-transpose products
     gram = c @ c.conj().T
-    b = np.array([b_su, b_pu], dtype=complex)
+    b = np.array([check("b_su", b_su), check("b_pu", b_pu)], dtype=complex)
     return c.conj().T @ np.linalg.solve(gram, b)
 
 
 def _norms(alpha: float, rho_mag: float, cross: float) -> tuple[float, float, float]:
     # cross is the cross-term coefficient: 2 matches the solver, 1 is the literature's
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must be in [0, 1), got {alpha!r}")
-    if not (0.0 <= rho_mag < 1.0):
-        raise ValueError(f"rho_mag must be in [0, 1), got {rho_mag!r}")
-    denom = 1.0 - rho_mag**2
+    check("alpha", alpha)
+    denom = 1.0 - check("rho_mag", rho_mag) ** 2
     norm0_sq = (1.0 - alpha) / denom
     norm1_sq = (1.0 - cross * math.sqrt(alpha) * math.sqrt(1.0 - alpha) * rho_mag) / denom
     xi = 0.5 * (norm0_sq + norm1_sq)
@@ -133,10 +137,8 @@ def build_weight_set(pair: ChannelPair, alpha: float) -> WeightSet:
     not the closed forms (the closed forms serve as an independent
     cross-check in tests).
     """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must be in [0, 1), got {alpha!r}")
     theta = cmath.phase(pair.rho) if pair.rho != 0 else 0.0
-    b_pu = math.sqrt(1.0 - alpha)
+    b_pu = math.sqrt(1.0 - check("alpha", alpha))
     return WeightSet(
         omega0=solve_min_norm(pair, 0.0, b_pu),
         omega1=solve_min_norm(pair, math.sqrt(alpha) * cmath.exp(-1j * theta), b_pu),

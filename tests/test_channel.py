@@ -85,6 +85,10 @@ def test_pair_rejects_bad_arguments():
     for phase in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="rho_phase must be finite"):
             make_correlated_pair(8, 0.5, phase)
+    # no seed would draw from OS entropy, so the pair could not be reproduced
+    for seed in (None, 1.5, -1):
+        with pytest.raises(ValueError, match="seed must be"):
+            make_correlated_pair(8, 0.5, seed=seed)
 
 
 def test_near_singular_flag():

@@ -404,6 +404,13 @@ class TestSumrateCommand:
         assert base["su_rate"] == "0"
         assert any(c.startswith("# max_total") for c in comments)
 
+    def test_snr_below_the_threshold_floor_is_unreachable(self, tmp_path):
+        # -200 dB puts the SU SNR below optimal_threshold's double-precision floor
+        out = tmp_path / "s.csv"
+        assert main(["sumrate", "--gamma-db", "-200", "--alpha", "0.3", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 3 and all(row["n_alpha"] == "" for row in rows)
+
     def test_none_rows_have_zero_su_rate(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sumrate", "--rho", "0.9", "--alpha", "1e-4,2e-4",
@@ -474,12 +481,23 @@ class TestUsageErrors:
         ["sumrate", "--gamma-db", "10", "--alpha", "0", "--rho", "1.5"],
         ["sumrate", "--gamma-db", "10", "--alpha", "0", "--pe-target", "0.9"],
         ["theory", "--n", "10", "--snr-db", "0", "--pdf-points", "5"],  # no --pdf-out
+        ["ber", "--n", "10", "--snr-db", "0", "--bits", "10", "--g", "1e160"],  # g^2 overflows
+        ["sumrate", "--g", "1e300", "--alpha", "0.3"],
     ])
     def test_bad_number_rejected_at_once(self, argv, capsys):
         start = time.monotonic()
         assert main(argv) == 3
         assert time.monotonic() - start < 1.0
         assert "invalid-parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["ber", "--n", "10", "--snr-db", "0", "--bits", "10", "--g", "1e160"],
+        ["sumrate", "--g", "1e300", "--alpha", "0.3"],
+    ])
+    def test_overflowing_gain_names_g(self, argv, capsys):
+        # ber died with an OverflowError traceback; sumrate blamed the SU SNR
+        assert main(argv) == 3
+        assert "g must be" in capsys.readouterr().err
 
     def test_negative_seed_names_seed(self, capsys):
         assert main(["ber", "--n", "10", "--snr-db", "0", "--seed", "-1"]) == 3

@@ -1,0 +1,158 @@
+"""One domain table checks every public scalar parameter, by name.
+
+The out-of-domain cases are generated from ``_domain.DOMAINS``: for each
+parameter of each public entry point, and for each CLI option, NaN, +-inf,
+the value just past each bound and, for counts, a non-integral value.
+"""
+
+import functools
+import inspect
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import intermod
+from intermod import cli
+from intermod._domain import DOMAINS, check
+from intermod.cli import main
+
+PAIR = intermod.make_correlated_pair(4, 0.3, seed=1)
+
+# One valid call per public entry point with a table parameter.
+VALID = {
+    "ScenarioConfig": dict(n_samples=10, snr_db=0.0, n_bits=10, alpha=0.3, rho_mag=0.2,
+                           rho_phase=0.1, g=1.0, k_antennas=4, m_subcarriers=16,
+                           master_seed=1),
+    "build_weight_set": dict(pair=PAIR, alpha=0.3),
+    "closed_form_norms": dict(alpha=0.3, rho_mag=0.5),
+    "energy_pdf": dict(epsilon=1.0, n=10, scale=1.0),
+    "error_probability": dict(n=10, snr=1.0, threshold=15.0),
+    "find_n_alpha": dict(snr=1.0, pe_target=1e-3, n_max=100),
+    "log_error_probability": dict(n=10, snr=1.0, threshold=15.0),
+    "log_gamma_tails": dict(s=10.0, x=5.0),
+    "make_correlated_pair": dict(k=4, rho_mag=0.3, rho_phase=0.1, seed=1),
+    "mixture_energy_pdf": dict(epsilon=1.0, n=10, snr=1.0),
+    "optimal_threshold": dict(n=10, snr=1.0),
+    "paper_closed_form_norms": dict(alpha=0.3, rho_mag=0.5),
+    "run_ber_grid": dict(configs=[], jobs=1),
+    "solve_min_norm": dict(pair=PAIR, b_su=0.5, b_pu=0.5),
+    "sweep_sum_rate": dict(gamma_db=10.0, rho_mag=0.3, g=1.0, alpha_grid=[0.0],
+                           pe_target=1e-3, n_max=100),
+}
+# Parameters that are not scalars: vectors, channel pairs, grids, config lists.
+EXEMPT_PARAMETERS = {"a", "b", "h_pu", "h_su", "omega0", "omega1", "pair", "epsilon",
+                     "alpha_grid", "configs"}
+# Records the library returns, and an exception.
+EXEMPT_NAMES = {"BerResult", "SumRatePoint", "IllConditionedCorrelationError"}
+
+
+def out_of_domain(name):
+    """NaN, +-inf, the value just past each finite bound, and a non-integral count."""
+    kind, lb, lo, hi, rb = DOMAINS[name]
+    values = [math.nan, math.inf, -math.inf]
+    if kind is complex:
+        values += [complex(0.0, math.inf), np.complex128(complex(1.0, math.nan))]
+    if lo > -math.inf:
+        values.append(lo if lb == "(" else lo - 1 if kind is int else math.nextafter(lo, -math.inf))
+    if hi < math.inf:
+        values.append(hi if rb == ")" else hi + 1 if kind is int else math.nextafter(hi, math.inf))
+    if kind is int:
+        values.append(lo + 0.5)
+    return values
+
+
+LIBRARY_CASES = [
+    pytest.param(entry, name, value, id=f"{entry}-{name}-{value!r}")
+    for entry, kwargs in VALID.items()
+    for name in kwargs if name not in EXEMPT_PARAMETERS
+    for value in out_of_domain(name)
+]
+
+
+@pytest.mark.parametrize("entry, name, value", LIBRARY_CASES)
+def test_out_of_domain_value_names_its_parameter(entry, name, value):
+    call = getattr(intermod, entry)
+    with pytest.raises(ValueError, match=rf"(^|\W){name} must be "):
+        call(**{**VALID[entry], name: value})
+
+
+def test_every_public_parameter_is_in_the_table_or_exempt():
+    for entry in sorted(set(intermod.__all__) - EXEMPT_NAMES):
+        names = list(inspect.signature(getattr(intermod, entry)).parameters)
+        assert set(names) <= set(DOMAINS) | EXEMPT_PARAMETERS, entry
+        if set(names) & set(DOMAINS):
+            assert list(VALID[entry]) == names, entry
+    for entry, kwargs in VALID.items():
+        getattr(intermod, entry)(**kwargs)  # the baseline call is valid
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_each_end_is_open_or_closed_as_stated(name):
+    kind, lb, lo, hi, rb = DOMAINS[name]
+    for bracket, end, inward in ((lb, lo, hi), (rb, hi, lo)):
+        if math.isfinite(end):
+            inside = end if bracket in "[]" else math.nextafter(end, inward)
+            assert check(name, inside) == inside
+    for value in out_of_domain(name):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            check(name, value)
+
+
+def test_counts_that_size_arrays_have_ceilings():
+    # m <= CHUNK_SAMPLES keeps one OFDM block within a chunk's sample budget
+    assert DOMAINS["m_subcarriers"][3] == intermod.simulator.CHUNK_SAMPLES
+    for name in ("k_antennas", "k", "m", "pdf_points", "count"):
+        assert DOMAINS[name][3] < math.inf, name
+
+
+def test_readme_states_every_domain():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Parameter domains", 1)[1].split("\n## ", 1)[0]
+    for name in DOMAINS:
+        assert f"`{name}`" in section, name
+
+
+def option_cases():
+    """(argv prefix, flag, config key, text) for every CLI option and out-of-domain text."""
+    theory_pdf = ["theory", "--pdf-out", "{pdf}"]
+    options = [([command], flag, key, reader)
+               for command, table in cli.OPTIONS.items()
+               for flag, key, reader, _, _ in table]
+    options.append((theory_pdf, "--pdf-points", None, int))  # a flag, not a config key
+    for prefix, flag, key, reader in options:
+        grid = isinstance(reader, functools.partial)
+        name = reader.args[0] if grid else key or "pdf_points"
+        texts = [""] + [repr(value) for value in out_of_domain(name)]
+        if grid:
+            ceiling = DOMAINS["count"][3]
+            texts += [f"1:2:{ceiling + 1}", "1:2:0", "1:2:1.5"]
+            if reader.keywords.get("cast") is int:
+                texts += [str(int(DOMAINS[name][2]) - 1), str(int(DOMAINS[name][3]) + 1)]
+        for text in texts:
+            yield pytest.param(prefix, flag, key, text, id=f"{' '.join(prefix[:1])}{flag}={text}")
+
+
+def test_every_option_is_checked_against_the_table():
+    for command, table in cli.OPTIONS.items():
+        for _, key, reader, _, _ in table:
+            grid = isinstance(reader, functools.partial)
+            assert (reader.args[0] if grid else key) in DOMAINS, (command, key)
+            assert grid or reader in (int, float), (command, key)
+
+
+@pytest.mark.parametrize("prefix, flag, key, text", option_cases())
+def test_out_of_domain_option_exits_3(tmp_path, capsys, prefix, flag, key, text):
+    pdf = tmp_path / "pdf.csv"
+    argv = [arg.format(pdf=pdf) for arg in prefix]
+    routes = [[f"{flag}={text}"]]
+    if key is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        routes.append(["--config", str(cfg)])
+    for route in routes:
+        assert main(argv + route + ["--out", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "invalid-parameter" in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists() and not pdf.exists()

@@ -84,6 +84,11 @@ class TestFindNAlpha:
     def test_alpha_zero_unreachable(self):
         assert find_n_alpha(su_snr(0.0, 0.1, 1.0, GAMMA_30DB)) is None
 
+    @pytest.mark.parametrize("snr", [1e-20, 5e-324, 1e-17])
+    def test_snr_below_the_threshold_floor_unreachable(self, snr):
+        # optimal_threshold cannot place a threshold there; like snr = 0, no N meets a target
+        assert find_n_alpha(snr) is None
+
     def test_near_vacuous_target(self):
         assert find_n_alpha(su_snr(0.2, 0.1, 1.0, GAMMA_30DB), pe_target=0.49) == 1
 

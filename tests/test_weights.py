@@ -58,6 +58,15 @@ class TestSolveMinNorm:
         with pytest.raises(IllConditionedCorrelationError):
             solve_min_norm(near, 0.0, 1.0)
 
+    @pytest.mark.parametrize("b_su, b_pu", [
+        (math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (0.5, complex(0.0, math.inf)),
+    ])
+    def test_rejects_non_finite_targets(self, b_su, b_pu):
+        # they returned NaN vectors
+        pair = make_correlated_pair(4, 0.3, seed=0)
+        with pytest.raises(ValueError, match="b_(su|pu) must be finite"):
+            solve_min_norm(pair, b_su, b_pu)
+
 
 class TestPhaseAlignTargets:
     """The OOK-one targets build_weight_set solves for, read off h_su^T omega1."""
@@ -165,6 +174,12 @@ class TestBuildWeightSet:
         ws = WeightSet(omega0=np.array([0.0, 1.0, 0.0]), omega1=np.array([1.0, 1.0, 1.0]))
         assert (ws.norm0_sq, ws.norm1_sq, ws.xi) == (1.0, 3.0, 2.0)
         np.testing.assert_array_equal(ws.tx_weight(1), ws.omega1 / math.sqrt(2.0))
+
+    @pytest.mark.parametrize("omega", [np.zeros(3), np.array([1.0, math.nan, 0.0])])
+    def test_rejects_xi_not_positive_and_finite(self, omega):
+        # tx_weight divided by sqrt(xi) and returned NaN with a RuntimeWarning
+        with pytest.raises(ValueError, match="xi must be"):
+            WeightSet(omega0=omega, omega1=omega)
 
     def test_constraints_pre_normalization(self):
         pair = make_correlated_pair(8, 0.6, 2.2, seed=10)
