@@ -4,9 +4,12 @@ DOMAINS maps a parameter name to (kind, bracket, lower, upper, bracket): kind
 is int, float or complex (bounded in |value|); "[" or "]" closes an end and
 "(" or ")" opens it.  A float or complex value must also be finite, and an int
 value an int or a numpy integer.  Counts that size arrays have a ceiling, so
-an oversized request fails before it allocates.  check runs on every P_e
-evaluation, so it compares against bounds closed in advance and formats a
-message only when it raises.
+an oversized request fails before it allocates.  check runs once per public
+call, and the library's own calls reuse what their caller checked: a P_e
+evaluation checks N, snr and the threshold once, not again in each tail, and
+the N_alpha search forms each probe's threshold without optimal_threshold.
+check stays on that path, thousands of times per search, so it compares
+against bounds closed in advance and formats a message only when it raises.
 """
 
 from __future__ import annotations

@@ -227,7 +227,10 @@ def cmd_theory(args) -> int:
     for n in params["n_grid"]:
         for snr_db in params["snr_grid"]:
             snr = db_to_linear(snr_db)  # sigma_r^2 in noise units, sigma_n^2 = 1
-            delta = optimal_threshold(n, snr)
+            try:
+                delta = optimal_threshold(n, snr)
+            except ValueError as exc:  # n and snr lie in their domains; only the floor is left
+                raise ValueError(f"snr_grid: snr_db={snr_db:g}: {exc}") from exc
             rows.append((n, snr_db, snr, 1.0, delta, error_probability(n, snr, delta)))
             if args.pdf_out:
                 # cover both mixture components well past their tails

@@ -53,14 +53,22 @@ def log_gamma_tails(s: float, x: float) -> tuple[float, float]:
     input, or a loop at its iteration cap.
     """
     check("s", s)  # the stated accuracy holds there; callers pass s = N
-    if check("x", x) == 0.0:
-        return -math.inf, 0.0
-    log_prefactor = s * math.log(x) - x - math.lgamma(s)
+    upper = check("x", x) >= s + 1.0  # the branch evaluated; the other tail is its complement
+    log_tail = _log_tail(s, x, math.lgamma(s), upper)
+    other = _log_complement(log_tail)
+    return (other, log_tail) if upper else (log_tail, other)
+
+
+def _log_tail(s: float, x: float, lgamma_s: float, upper: bool) -> float:
+    # ln Q(s, x) if upper else ln P(s, x), for s and x checked by the caller
+    if x == 0.0:
+        return 0.0 if upper else -math.inf
+    log_prefactor = s * math.log(x) - x - lgamma_s
     if x < s + 1.0:
         log_p = math.log(_lower_gamma_series(s, x)) + log_prefactor
-        return log_p, _log_complement(log_p)
+        return _log_complement(log_p) if upper else log_p
     log_q = math.log(_upper_gamma_cf(s, x)) + log_prefactor
-    return _log_complement(log_q), log_q
+    return log_q if upper else _log_complement(log_q)
 
 
 def _no_convergence(loop: str, s: float, x: float) -> ValueError:
@@ -80,7 +88,7 @@ def _lower_gamma_series(s: float, x: float) -> float:
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * _EPS:
+        if term < total * _EPS:  # both positive
             return total
     done = _HEAD
     while done < _ITMAX:
@@ -167,8 +175,9 @@ def log_error_probability(n: int, snr: float, threshold: float) -> float:
     check("threshold", threshold)
     if check("snr", snr) == 0.0:  # Q and P at one point sum to 1
         return math.log(0.5)
-    log_fa = log_gamma_tails(n, threshold)[1]  # false alarm: Q
-    log_miss = log_gamma_tails(n, threshold / (snr + 1.0))[0]
+    lgamma_n = math.lgamma(n)
+    log_fa = _log_tail(n, threshold, lgamma_n, upper=True)  # false alarm: Q
+    log_miss = _log_tail(n, threshold / (snr + 1.0), lgamma_n, upper=False)
     return math.log(0.5) + max(log_fa, log_miss) + math.log1p(math.exp(-abs(log_fa - log_miss)))
 
 

@@ -18,6 +18,12 @@ master seed and the fixed sample budget CHUNK_SAMPLES.  A chunk holds
 max(1, CHUNK_SAMPLES // N) trials and draws from its own RNG substream
 spawned from (master_seed, chunk_index), so results do not depend on
 execution order, on which process runs a chunk, or on the worker count.
+
+Scope: the subcarrier symbols are Gaussian, so the Monte Carlo checks the
+code against the Gamma energy model, not the Gaussian-signal assumption
+behind that model.  A constant-modulus alphabet would test the assumption
+(by Parseval its energy over a whole OFDM block is constant), but it is a
+feature and is out of scope for now.
 """
 
 from __future__ import annotations
@@ -99,7 +105,10 @@ class ScenarioConfig:
                 f"snr_db={self.snr_db:g} puts the noise floor within 1e12x of the power of "
                 "the bit-0 solver residue; the detector model needs bit 0 to be noise only"
             )
-        delta = optimal_threshold(self.n_samples, snr)
+        try:
+            delta = optimal_threshold(self.n_samples, snr)
+        except ValueError as exc:  # only the floor is left to raise
+            raise ValueError(f"snr_db={self.snr_db:g}: {exc}") from exc
         pe = error_probability(self.n_samples, snr, delta)
         return gains, math.sqrt(sigma_n_sq / 2.0), sigma_n_sq * delta, pe
 

@@ -42,7 +42,13 @@ def su_snr(alpha: float, rho_mag: float, g: float, gamma: float) -> float:
     check("gamma", gamma)
     check("g", g)
     _, norm1_sq, xi = closed_form_norms(alpha, rho_mag)
-    return gamma * g * g * alpha * norm1_sq / xi
+    snr = gamma * g * g * alpha * norm1_sq / xi
+    if not math.isfinite(snr):
+        raise ValueError(
+            f"gamma_db and g give a link budget gamma * g**2 that overflows a double "
+            f"(gamma = {gamma:g}, g = {g:g})"
+        )
+    return snr
 
 
 def find_n_alpha(
@@ -70,9 +76,12 @@ def find_n_alpha(
     except ValueError:  # snr and n checked, so only the floor is left to raise
         return None
     log_target = math.log(pe_target)
+    s_total = snr + 1.0  # optimal_threshold's arithmetic, taken once per point
+    log_s_total = math.log(s_total)
+    gap = 1.0 - 1.0 / s_total
 
     def excess(n):  # f(N), negative once N meets the target
-        return log_error_probability(n, snr, optimal_threshold(n, snr)) - log_target
+        return log_error_probability(n, snr, n * log_s_total / gap) - log_target
 
     lo, hi = 1, n_max  # invariant: excess(lo) >= 0 > excess(hi)
     f_hi = excess(hi)

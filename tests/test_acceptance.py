@@ -132,11 +132,12 @@ def test_criterion_6_monte_carlo_vs_theory():
     bits = 2 * 10**5
     in_band = 0
     points = [(n, snr) for n in (10, 100) for snr in (-10.0, -7.5, -5.0, -2.5, 0.0)]
-    for idx, (n, snr_db) in enumerate(points):
-        cfg = ScenarioConfig(
-            n_samples=n, snr_db=snr_db, n_bits=bits, master_seed=6000 + idx
-        )
-        res = run_ber_grid([cfg])[0]
+    configs = [
+        ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=bits, master_seed=6000 + idx)
+        for idx, (n, snr_db) in enumerate(points)
+    ]
+    # one grid call; the counts do not depend on the worker count
+    for res in run_ber_grid(configs, jobs=2):
         band = 3 * math.sqrt(res.analytic_pe * (1 - res.analytic_pe) / bits)
         if abs(res.ber - res.analytic_pe) <= band:
             in_band += 1

@@ -499,6 +499,23 @@ class TestUsageErrors:
         assert main(argv) == 3
         assert "g must be" in capsys.readouterr().err
 
+    def test_overflowing_link_budget_names_gamma_db_and_g(self, capsys):
+        # each value lies in its domain; the SU SNR gamma g^2 alpha |omega1|^2/xi does not
+        assert main(["sumrate", "--gamma-db", "3000", "--g", "1000000", "--alpha", "0.3",
+                     "--rho", "0.1"]) == 3
+        err = capsys.readouterr().err
+        assert "gamma_db and g" in err and "snr must be" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--n", "10", "--snr-db=-400"],
+        ["ber", "--n", "10", "--bits", "10", "--snr-db=-3000"],
+    ])
+    def test_threshold_floor_names_snr_db(self, argv, capsys):
+        # the SNR lies below optimal_threshold's double-precision floor
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "snr_db=" in err and "too small to place a threshold" in err
+
     def test_negative_seed_names_seed(self, capsys):
         assert main(["ber", "--n", "10", "--snr-db", "0", "--seed", "-1"]) == 3
         assert "seed must be >= 0" in capsys.readouterr().err

@@ -429,6 +429,25 @@ class TestErrorProbability:
             f0 = energy_pdf(delta, n, sn)
             assert f1 == pytest.approx(f0, rel=1e-9)
 
+    def test_equals_the_sum_of_the_public_tails_bit_for_bit(self):
+        # the private single-tail path must give log_gamma_tails' numbers on both branches
+        rng = np.random.default_rng(1717)
+        cases = [(7, 2.0, 0.0), (1, 1e-6, 0.0)]
+        for _ in range(400):
+            n = 10 ** rng.uniform(0.0, 6.0)
+            n = float(n) if rng.random() < 0.5 else int(n)
+            snr = 10 ** rng.uniform(-6.0, 4.0)
+            centre = n if rng.random() < 0.5 else n * (1.0 + snr)  # Q's and P's branch points
+            cases.append((n, snr, centre * math.exp(rng.uniform(-3.0, 3.0) / math.sqrt(n))))
+        sides = set()
+        for n, snr, threshold in cases:
+            a = log_gamma_tails(n, threshold)[1]
+            b = log_gamma_tails(n, threshold / (snr + 1.0))[0]
+            want = math.log(0.5) + max(a, b) + math.log1p(math.exp(-abs(a - b)))
+            assert log_error_probability(n, snr, threshold) == want, (n, snr, threshold)
+            sides.add((threshold < n + 1.0, threshold / (snr + 1.0) < n + 1.0))
+        assert sides == {(True, True), (False, True), (False, False)}
+
 
 class TestDbToLinear:
     @pytest.mark.parametrize("db", [4000.0, -4000.0, math.nan, math.inf, -math.inf])

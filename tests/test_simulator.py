@@ -259,6 +259,16 @@ class TestInPlaceKernel:
         assert peak < 1.25 * symbol_bytes
 
 
+class TestNumpyStream:
+    def test_first_normals_of_a_chunk_substream_are_pinned(self):
+        # every ber byte rests on SeedSequence, PCG64 and numpy's normal sampler;
+        # a numpy that moves any of them fails here by name, not through a digest
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0,)))
+        assert rng.standard_normal(4).tolist() == [
+            -0.6300679245787791, 1.4650846344213506, -0.43929262819424664, 2.13635728361371,
+        ]
+
+
 class TestRunBer:
     def test_deterministic(self):
         cfg = ScenarioConfig(n_samples=20, snr_db=-5.0, n_bits=20000, master_seed=3)

@@ -79,6 +79,12 @@ class TestSuSnr:
         with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite"):
             su_snr(0.3, 0.5, g, gamma)
 
+    @pytest.mark.parametrize("g, gamma", [(1e6, 1e300), (1e5, 1e299), (1e6, 1e297)])
+    def test_overflowing_link_budget_names_gamma_db_and_g(self, g, gamma):
+        # both lie in their domains; only their product overflows
+        with pytest.raises(ValueError, match=r"gamma_db and g .* overflows"):
+            su_snr(0.3, 0.1, g, gamma)
+
 
 class TestFindNAlpha:
     def test_alpha_zero_unreachable(self):
@@ -164,6 +170,25 @@ class TestFindNAlpha:
             find_n_alpha(1.0, 1e-5, n_max)
         with pytest.raises(ValueError, match="n_max must be an integer"):
             sweep_sum_rate(10.0, 0.1, 1.0, alpha_grid=[0.0], n_max=n_max)
+
+    def test_every_probe_threshold_is_optimal_threshold_bit_for_bit(self, monkeypatch):
+        # the search takes ln(1 + snr) and the gap once, then forms each threshold itself
+        probes = []
+        real = sumrate.log_error_probability
+
+        def recorded(n, snr, threshold):
+            probes.append((n, snr, threshold))
+            return real(n, snr, threshold)
+
+        monkeypatch.setattr(sumrate, "log_error_probability", recorded)
+        rng = np.random.default_rng(1718)
+        for _ in range(80):
+            snr = 10 ** rng.uniform(-6.0, 4.0)
+            n_max = int(10 ** rng.uniform(0.0, 6.0))  # the first probe is at n_max
+            find_n_alpha(snr, 10 ** rng.uniform(-12.0, -1.0), n_max)
+        assert len(probes) > 150
+        for n, snr, threshold in probes:
+            assert threshold == optimal_threshold(n, snr), (n, snr)
 
 
 class TestSearchAgainstBisection:
