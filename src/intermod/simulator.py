@@ -163,23 +163,35 @@ def chunk_errors(config: ScenarioConfig, chunk: int) -> int:
     return int(np.count_nonzero((energies > threshold) != bits))
 
 
+def _task_errors(task):
+    """``chunk_errors`` of one (config, chunk) task, for ``Pool.imap``."""
+    return chunk_errors(*task)
+
+
 def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult]:
     """Monte Carlo BER per scenario from one ``chunk_errors`` task per (scenario, chunk).
 
-    More than one worker maps the tasks over a pool of at most ``jobs``, one
-    per task and per usable CPU.  Links resolve first, so bad input raises
-    before any fork and the workers receive each link with its config.
+    The tasks are generated as they run, never held in a list.  More than
+    one worker maps them over a pool of at most ``jobs``, one per task and
+    per usable CPU.  Links resolve first, so bad input raises before any
+    fork and the workers receive each link with its config.
     """
     check("jobs", jobs)
     analytic_pe = [config.link[3] for config in configs]
-    tasks = [(config, chunk) for config in configs for chunk in range(config.n_chunks)]
+    tasks = ((config, chunk) for config in configs for chunk in range(config.n_chunks))
+    n_tasks = sum(config.n_chunks for config in configs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(jobs, len(tasks), cpus or 1)
+    workers = min(jobs, n_tasks, cpus or 1)
     if workers > 1:
         with multiprocessing.Pool(processes=workers) as pool:
-            counts = iter(pool.starmap(chunk_errors, tasks))
-    else:
-        counts = itertools.starmap(chunk_errors, tasks)
+            # starmap's batching: about four batches per worker
+            chunksize = -(-n_tasks // (4 * workers))
+            return _tally(configs, analytic_pe, pool.imap(_task_errors, tasks, chunksize))
+    return _tally(configs, analytic_pe, itertools.starmap(chunk_errors, tasks))
+
+
+def _tally(configs, analytic_pe, counts):
+    """One ``BerResult`` per config from its chunks' error counts, taken in task order."""
     results = []
     for config, pe in zip(configs, analytic_pe):
         n_errors = sum(itertools.islice(counts, config.n_chunks))

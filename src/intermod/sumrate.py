@@ -130,6 +130,13 @@ def sweep_sum_rate(
     with no SU rate; all other entries use the modulated-regime PU rate
     with the solver-consistent xi.  The scalar arguments are checked here,
     so a grid with no alpha > 0 lets none of them through unread.
+
+    The alpha > 0 points are solved in rising SU-SNR order (a stable sort,
+    so tied SNRs keep grid order) and the rows come back in grid order.
+    P_e falls in N and in the SNR, so once a point meets the target at
+    N_alpha = met, every later point meets it at met too: its search runs
+    over [1, met - 1], and a None there means its N_alpha is met.  Only the
+    points before the first reachable one search up to n_max.
     """
     for name, value in (("rho_mag", rho_mag), ("g", g), ("pe_target", pe_target),
                         ("n_max", n_max)):
@@ -137,18 +144,24 @@ def sweep_sum_rate(
     gamma = db_to_linear(check("gamma_db", gamma_db))
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()
+    alphas = [float(alpha) for alpha in alpha_grid]
+    snrs = {i: su_snr(alpha, rho_mag, g, gamma) for i, alpha in enumerate(alphas) if alpha != 0.0}
+    n_alphas = [None] * len(alphas)
+    met = None  # the last N_alpha found, an upper bound for every later point
+    for i in sorted(snrs, key=snrs.get):
+        if met is None:
+            met = find_n_alpha(snrs[i], pe_target, n_max)
+        elif met > 1:  # None: N = met - 1 misses, so N_alpha ties at met
+            met = find_n_alpha(snrs[i], pe_target, met - 1) or met
+        n_alphas[i] = met
     points = []
-    for alpha in alpha_grid:
-        alpha = float(alpha)
+    for alpha, n_alpha in zip(alphas, n_alphas):
         if alpha == 0.0:
             pu_rate = math.log2(1.0 + gamma)
-            n_alpha = None
-            su_rate = 0.0
         else:
             _, _, xi = closed_form_norms(alpha, rho_mag)
             pu_rate = math.log2(1.0 + gamma / xi * (1.0 - alpha))
-            n_alpha = find_n_alpha(su_snr(alpha, rho_mag, g, gamma), pe_target, n_max)
-            su_rate = 1.0 / n_alpha if n_alpha is not None else 0.0
+        su_rate = 1.0 / n_alpha if n_alpha is not None else 0.0
         points.append(
             SumRatePoint(
                 alpha=alpha,

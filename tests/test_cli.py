@@ -208,6 +208,26 @@ class TestBerCommand:
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
 
+    def test_distinct_grid_points_draw_distinct_streams(self, tmp_path, monkeypatch):
+        # each (N, SNR) point seeds its chunks from its own spawned master seed
+        configs = []
+        real = cli.run_ber_grid
+
+        def recorded(points, jobs):
+            configs.extend(points)
+            return real(points, jobs)
+
+        monkeypatch.setattr(cli, "run_ber_grid", recorded)
+        assert main(["ber", "--n", "10,20", "--snr-db=-5,0", "--bits", "50", "--seed", "7",
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        seeds = [cfg.master_seed for cfg in configs]
+        assert len(seeds) == 4 and len(set(seeds)) == 4
+        first_draws = {
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,))).random()
+            for seed in seeds
+        }
+        assert len(first_draws) == 4
+
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         """Worker counts of the pools the simulator starts, on 8 usable CPUs.
@@ -219,6 +239,7 @@ class TestBerCommand:
         class RecordingPool:
             def __init__(self, processes):
                 started.append(processes)
+                self.processes = processes
 
             def __enter__(self):
                 return self
@@ -226,8 +247,11 @@ class TestBerCommand:
             def __exit__(self, *exc):
                 return False
 
-            def starmap(self, func, items):
-                return [func(*item) for item in items]
+            def imap(self, func, items, chunksize):
+                items = list(items)
+                batches, extra = divmod(len(items), 4 * self.processes)
+                assert chunksize == batches + bool(extra)  # Pool.starmap's batching
+                return map(func, items)
 
         monkeypatch.setattr(simulator.multiprocessing, "Pool", RecordingPool)
         pin_cpus(monkeypatch, 8)

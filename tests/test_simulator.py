@@ -259,6 +259,26 @@ class TestInPlaceKernel:
         assert peak < 1.25 * symbol_bytes
 
 
+class TestLink:
+    @pytest.mark.parametrize("n, snr_db, alpha, rho, phase, g, m", [
+        (10, -5.0, 0.3, 0.0, 0.0, 1.0, 64), (1000, -10.0, 0.05, 0.6, 1.1, 2.5, 64),
+        (1, 10.0, 0.9, 0.3, -2.0, 0.5, 16), (10**5, -20.0, 0.5, 0.9, 0.4, 1.0, 128),
+    ])
+    def test_threshold_is_sigma_n_sq_times_the_optimal_one(self, n, snr_db, alpha, rho, phase,
+                                                             g, m):
+        # sigma_n^2 N ln(1+s)(1+s)/s, with sigma_n^2 from the solved bit-1 gain
+        cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=1, alpha=alpha, rho_mag=rho,
+                             rho_phase=phase, g=g, m_subcarriers=m, master_seed=67)
+        _, noise_std, threshold, _ = cfg.link
+        pair = make_correlated_pair(cfg.k_antennas, rho, phase, seed=67)
+        gain1 = g * response_gains(pair, build_weight_set(pair, alpha))[1]
+        s = 10 ** (snr_db / 10)
+        sigma_n_sq = abs(gain1) ** 2 / m / s
+        assert threshold == pytest.approx(sigma_n_sq * n * math.log1p(s) * (1 + s) / s,
+                                          rel=1e-9)
+        assert noise_std == pytest.approx(math.sqrt(sigma_n_sq / 2), rel=1e-9)
+
+
 class TestNumpyStream:
     def test_first_normals_of_a_chunk_substream_are_pinned(self):
         # every ber byte rests on SeedSequence, PCG64 and numpy's normal sampler;
@@ -362,6 +382,21 @@ class TestRunBerGrid:
             run_ber_grid(list(self.CONFIGS), jobs=0)
         with pytest.raises(ValueError, match="jobs must be an integer"):
             run_ber_grid(list(self.CONFIGS), jobs=2.5)
+
+    def test_tasks_are_generated_as_they_run(self, monkeypatch):
+        # 2e5 one-trial chunks at N = 1e6: a task list would hold ~97 bytes a task
+        cfg = ScenarioConfig(n_samples=10**6, snr_db=-5.0, n_bits=200_000, master_seed=53)
+        cfg.link  # resolve outside the trace
+        monkeypatch.setattr(simulator, "chunk_errors", lambda config, chunk: chunk % 2)
+        tracemalloc.start()
+        try:
+            result = run_ber_grid([cfg], jobs=1)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.n_chunks == 200_000
+        assert result.n_errors == 100_000  # every chunk counted once
+        assert peak < 1_000_000
 
     def test_workers_receive_the_resolved_link(self):
         cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=100, master_seed=43)

@@ -219,6 +219,45 @@ class TestSearchAgainstBisection:
         assert counts[find_n_alpha] < 0.5 * counts[bisect_n_alpha]
 
 
+class TestSweepAgainstPerPoint:
+    """The sweep solves in rising SU-SNR order with each search capped by the last
+    N_alpha found; its rows must be the per-point searches' answers in grid order."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 100, 10**6])
+    def test_same_n_alpha_as_a_search_per_point(self, n_max):
+        rng = np.random.default_rng([1800, n_max])
+        # one loose curve that reaches N = 1, so later searches have no room below it
+        curves = [(40.0, 1e-2, 0.1, 2.0)] + [
+            (rng.uniform(-10.0, 40.0), 10 ** rng.uniform(-12.0, -2.0), rng.uniform(0.0, 0.9),
+             0.0 if rng.random() < 0.1 else math.exp(rng.uniform(math.log(0.5), math.log(2.0))))
+            for _ in range(12)
+        ]
+        kinds = set()
+        for gamma_db, pe_target, rho, g in curves:
+            alphas = [0.0, *10 ** rng.uniform(-4.0, math.log10(0.99), 24)]
+            alphas += list(rng.choice(alphas, 5))  # duplicates, so tied SNRs
+            rng.shuffle(alphas)
+            gamma = 10.0 ** (gamma_db / 10.0)
+            want = [find_n_alpha(su_snr(a, rho, g, gamma), pe_target, n_max) if a else None
+                    for a in alphas]
+            pts = sweep_sum_rate(gamma_db, rho, g, alpha_grid=alphas, pe_target=pe_target,
+                                 n_max=n_max)
+            assert [pt.alpha for pt in pts] == alphas
+            assert [pt.n_alpha for pt in pts] == want, (gamma_db, pe_target, rho, g)
+            met = [n for n in want if n is not None]
+            kinds.add("none reachable" if not met else "tie" if len(set(met)) < len(met)
+                      else "all distinct")
+        assert "none reachable" in kinds and "tie" in kinds
+
+    def test_searches_stop_below_the_last_n_alpha_found(self, pe_calls):
+        # the 30 dB default curve: per point every search probes N = n_max first
+        for alpha in default_alpha_grid():
+            find_n_alpha(su_snr(alpha, 0.1, 1.0, GAMMA_30DB))
+        per_point, pe_calls[0] = pe_calls[0], 0
+        sweep_sum_rate(30.0, 0.1, 1.0)
+        assert pe_calls[0] <= 0.7 * per_point
+
+
 class TestSearchAgainstSimulator:
     """N_alpha from the search, checked by Monte Carlo at the same SU SNR."""
 
@@ -267,6 +306,16 @@ class TestSweepSumRate:
             assert pts[0].pu_rate == pytest.approx(math.log2(1 + GAMMA_30DB), abs=1e-12)
             assert pts[0].su_rate == 0.0
             assert pts[0].n_alpha is None
+
+    @pytest.mark.parametrize("alpha, rho", [
+        (1e-3, 0.0), (0.05, 0.3), (0.3, 0.5), (0.6, 0.8), (0.9, 0.1), (0.5, 0.95),
+    ])
+    def test_pu_rate_against_the_solved_xi(self, alpha, rho):
+        # log2(1 + gamma (1 - alpha) / xi), xi from the solved weight vectors
+        xi = build_weight_set(make_correlated_pair(8, rho, 0.7, seed=59), alpha).xi
+        pt = sweep_sum_rate(30.0, rho, 1.0, alpha_grid=[alpha])[0]
+        assert pt.pu_rate == pytest.approx(math.log2(1 + GAMMA_30DB * (1 - alpha) / xi),
+                                           rel=1e-12)
 
     def test_baseline_displays_as_9_97(self):
         pts = sweep_sum_rate(30.0, 0.1, 1.0, alpha_grid=[0.0])
