@@ -23,7 +23,7 @@ inf = math.inf
 #: Largest integration length N, and gamma shape s, the tails are checked for.
 N_MAX = 10**6
 #: Samples (trials x N) per RNG substream, fixed so chunk boundaries never
-#: depend on the execution environment; also the most subcarriers m.
+#: depend on the execution environment.
 CHUNK_SAMPLES = 1 << 18
 
 _TABLE = (
@@ -39,8 +39,7 @@ _TABLE = (
     ("b_su b_pu",                         complex, "(", -inf, inf, ")"),
     ("n_bits bits jobs",                  int,     "[", 1, inf, ")"),
     ("master_seed seed",                  int,     "[", 0, inf, ")"),
-    ("k_antennas k",                      int,     "[", 3, 1024, "]"),
-    ("m_subcarriers m",                   int,     "[", 1, CHUNK_SAMPLES, "]"),
+    ("k",                                 int,     "[", 3, 1024, "]"),
     ("pdf_points count",                  int,     "[", 1, 10**5, "]"),
 )
 DOMAINS = {name: domain for names, *domain in _TABLE for name in names.split()}

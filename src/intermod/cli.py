@@ -25,8 +25,8 @@ text.  The key is the argparse dest, the --config key and the manifest key,
 so the table is the one place the command line's defaults live.
 
 Config precedence: command-line flags > config-file values > defaults.
-The config file is flat "key = value" text; '#' starts a comment.  A key
-the subcommand does not read is rejected, as are non-finite numbers.
+The config file is flat "key = value" text; '#' starts a comment.  Keys the
+subcommand does not read, repeated keys and non-finite numbers are rejected.
 
 Exit status: 0 on success; 2 for usage errors; 3 for invalid parameter
 values ("error: invalid-parameter: ..." on stderr); 4 for I/O failures
@@ -49,8 +49,9 @@ from .simulator import ScenarioConfig, run_ber_grid
 from .sumrate import DEFAULT_PE_TARGET, sweep_sum_rate
 from .weights import closed_form_norms, paper_closed_form_norms
 
-# bumped when a subcommand's bytes change for one input (ber/2: stream kernel, /3: theory's P_e)
-SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 3, "sumrate": 1}
+# bumped when a subcommand's bytes change for one input (ber/2: stream kernel, /3: theory's P_e,
+# /4: no k, m or rho_phase in the manifest)
+SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 4, "sumrate": 1}
 PDF_POINTS = 2000  # theory --pdf-points default, recorded in every theory manifest
 
 
@@ -79,7 +80,7 @@ def parse_grid(spec: str, cast=float) -> list:
 
 
 def load_config(path: str) -> dict:
-    """Read a flat key=value config file; '#' starts a comment."""
+    """Read a flat key=value config file; '#' starts a comment and a key may appear once."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -89,6 +90,8 @@ def load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
             values[key] = value
     return values
 
@@ -116,10 +119,7 @@ OPTIONS = {
         ("--bits", "bits", int, 20000, "bits per grid point"),
         ("--alpha", "alpha", float, ScenarioConfig.alpha, "SU power coefficient"),
         ("--rho", "rho", float, ScenarioConfig.rho_mag, "|rho|"),
-        ("--rho-phase", "rho_phase", float, ScenarioConfig.rho_phase, "arg(rho) in radians"),
         ("--g", "g", float, ScenarioConfig.g, "SU/PU gain ratio"),
-        ("--k", "k", int, ScenarioConfig.k_antennas, "antenna count"),
-        ("--m", "m", int, ScenarioConfig.m_subcarriers, "subcarrier count"),
         ("--seed", "seed", int, ScenarioConfig.master_seed, "master seed"),
         ("--jobs", "jobs", int, 1, "parallel workers; never changes results"),
     ),
@@ -268,20 +268,10 @@ def cmd_ber(args) -> int:
     for idx, (n, snr_db) in enumerate(grid):
         seq = np.random.SeedSequence(entropy=params["seed"], spawn_key=(idx,))
         point_seed = int(seq.generate_state(1, np.uint64)[0])
-        points.append(
-            ScenarioConfig(
-                n_samples=n,
-                snr_db=snr_db,
-                n_bits=params["bits"],
-                alpha=params["alpha"],
-                rho_mag=params["rho"],
-                rho_phase=params["rho_phase"],
-                g=params["g"],
-                k_antennas=params["k"],
-                m_subcarriers=params["m"],
-                master_seed=point_seed,
-            )
-        )
+        points.append(ScenarioConfig(
+            n_samples=n, snr_db=snr_db, n_bits=params["bits"], alpha=params["alpha"],
+            rho_mag=params["rho"], g=params["g"], master_seed=point_seed,
+        ))
     results = run_ber_grid(points, jobs)
 
     rows = []

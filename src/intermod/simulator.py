@@ -13,6 +13,11 @@ works in one buffer: the IFFT runs in place over the symbols, and the AWGN
 is added through one reused slice of at most _NOISE_SLICE doubles, so one
 chunk-sized array is live per chunk.
 
+K = 8 antennas, arg(rho) = 0 and m = 64 subcarriers are fixed: after phase
+alignment |gains[1]| depends on g, alpha and |rho| alone, and the link sets
+the noise floor from the sample power 1/m, so another K, phase or m would
+only draw another realization of the same statistics.
+
 Reproducibility contract: a run is fully determined by the scenario's
 master seed and the fixed sample budget CHUNK_SAMPLES.  A chunk holds
 max(1, CHUNK_SAMPLES // N) trials and draws from its own RNG substream
@@ -44,6 +49,10 @@ from .weights import build_weight_set
 
 #: Doubles of AWGN drawn per slice; a normal draw is the same in pieces.
 _NOISE_SLICE = 1 << 15
+#: Antennas per channel draw; after phase alignment xi depends on alpha and |rho| alone.
+_K_ANTENNAS = 8
+#: Subcarriers per OFDM block; Gaussian symbols give CN(0, 1/m) samples for every m.
+_M_SUBCARRIERS = 64
 
 
 @dataclass(frozen=True)
@@ -55,10 +64,7 @@ class ScenarioConfig:
     n_bits: int
     alpha: float = 0.3
     rho_mag: float = 0.0
-    rho_phase: float = 0.0
     g: float = 1.0
-    k_antennas: int = 8
-    m_subcarriers: int = 64
     master_seed: int = 0
 
     def __post_init__(self):
@@ -89,12 +95,10 @@ class ScenarioConfig:
         floor is not far above the power of the bit-0 response (solver
         residue) is rejected.
         """
-        pair = make_correlated_pair(
-            self.k_antennas, self.rho_mag, self.rho_phase, seed=self.master_seed
-        )
+        pair = make_correlated_pair(_K_ANTENNAS, self.rho_mag, seed=self.master_seed)
         weights = build_weight_set(pair, self.alpha)
         gains = np.array([self.g * complex(pair.h_su @ weights.tx_weight(bit)) for bit in (0, 1)])
-        sample_var = 1.0 / self.m_subcarriers
+        sample_var = 1.0 / _M_SUBCARRIERS
         power0, power1 = (abs(complex(gain)) ** 2 * sample_var for gain in gains)
         snr = db_to_linear(self.snr_db)
         if power1 < 1e-18 * sample_var:  # nulled response leaves only solver residue
@@ -158,7 +162,7 @@ def chunk_errors(config: ScenarioConfig, chunk: int) -> int:
     )
     n_trials = min(config.chunk_trials, config.n_bits - chunk * config.chunk_trials)
     bits, energies = _chunk_energies(
-        rng, n_trials, config.n_samples, config.m_subcarriers, gains, noise_std
+        rng, n_trials, config.n_samples, _M_SUBCARRIERS, gains, noise_std
     )
     return int(np.count_nonzero((energies > threshold) != bits))
 

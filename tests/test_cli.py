@@ -67,14 +67,20 @@ class TestConfigFile:
         path.write_text("# comment\nk = 12\nbits=500  # trailing\n\n")
         assert load_config(str(path)) == {"k": "12", "bits": "500"}
 
-    def test_bad_line(self, tmp_path):
+    def test_bad_line(self, tmp_path, capsys):
+        # a line without '=', and a key given again, whose first value would go unread
         path = tmp_path / "bad.cfg"
-        path.write_text("novalue\n")
-        with pytest.raises(ValueError):
-            load_config(str(path))
+        for text, where in [("novalue\n", ":1: expected key=value"),
+                            ("bits = 10\n# more\nbits = 20\n", ":3: key 'bits' given twice")]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
+                load_config(str(path))
+            assert main(["ber", "--config", str(path)]) == 3
+            assert where in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, key", [
         ("ber", "bitz"), ("sumrate", "m"), ("theory", "pdf_points"), ("weights", "n_grid"),
+        ("ber", "k"), ("ber", "m"), ("ber", "rho_phase"),  # the transmitter is fixed
     ])
     def test_unknown_key_rejected(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "run.cfg"
@@ -318,11 +324,11 @@ class TestBerCommand:
 GOLDEN_ROWS = [
     (["ber", "--n", "10,100", "--snr-db=-10:0:5", "--bits", "8192", "--seed", "7"],
      "f0ef18cfc8941b191a41410ea8ff52a2cc00a22bd7b06545987e2f2233960a77",
-     "056d930b522beb88b70f10c154ca4273430d04c3ef208aed5ed124c644c923ed"),
+     "b2db235269b9cc1765582737faaad74b775174d8b8a1baf084378bebef9605c7"),
     (["ber", "--n", "20", "--snr-db=-2.5", "--bits", "20000", "--rho", "0.6",
-      "--rho-phase", "1.1", "--alpha", "0.4", "--m", "8", "--seed", "3"],
-     "bdadc7c33098971e258964f656551c98e4574cfdf7f84e813817e14c4e740c7e",
-     "dca5ad50980857112e9acda3006405fcb2adf308e49aaae1199fe864f562671e"),
+      "--alpha", "0.4", "--seed", "3"],
+     "aa3c6af8be5328b81571e19c8141eafcc0bdab4eddb57c63ce2e4edd4de6679a",
+     "614d9465e51ad534616c0334a730c8152e0cd71e9eb65ac055cea86166fdaefa"),
     (["sumrate", "--gamma-db", "30", "--rho", "0.1,0.5", "--g", "1.0"],
      "f3c59c0b99eb548e3c3b9fc2b9be1be65e45383ea1761e3d7122db384fc93163",
      "9aa1ed887d775c8deda2afc2bfa79f17ee27835d584ba15794b59f1fb40d8045"),
@@ -349,9 +355,8 @@ GOLDEN_IDS = ["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db", "wei
 )
 def test_golden_rows(tmp_path, argv, digest):
     # SHA-256 of the data rows (no '#' lines, joined by newlines) as released
-    # in the subcommand's current schema (ber/3, whose rows equal ber/2's
-    # here; the others /1); a change
-    # here changes published numbers
+    # in the subcommand's current schema (ber/4, whose ber-sweep rows equal
+    # ber/2's; the others /1); a change here changes published numbers
     out = tmp_path / "golden.csv"
     assert main(argv + ["--out", str(out)]) == 0
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
@@ -389,11 +394,11 @@ def test_golden_ber_decisions_clear_their_thresholds(tmp_path, monkeypatch, argv
 # Every key the ber subcommand reads, from a config file; jobs is not recorded
 GOLDEN_CONFIG = (
     "n_grid = 10,30\nsnr_grid = -6:-2:3\nbits = 3000\nseed = 11\njobs = 2\n"
-    "alpha = 0.25\nrho = 0.4\nrho_phase = 0.7\ng = 1.2\nk = 6\nm = 16\n"
+    "alpha = 0.25\nrho = 0.4\ng = 1.2\n"
 )
 GOLDEN_FILES = [(argv, digest) for argv, _, digest in GOLDEN_ROWS] + [
     (["ber", "--config", "{cfg}", "--g", "0.9"],
-     "c0ee4fa03140629760cbfb741520276f5e83146519531ff1f48b330b5c4d13aa"),
+     "5af42e69015b3d6250b031aae6b37f87e534999d4650455c9a3aecff9d4e6540"),
     (["theory", "--n", "1,20", "--snr-db=-3,0", "--pdf-points", "50", "--pdf-out", "{pdf}"],
      "94f5fd98a02953ceaa2d416f8aecff38c07ded33f936029a5344910168b0fb04"),
 ]
@@ -460,7 +465,10 @@ class TestUsageErrors:
         ["weights", "--seed", "1"],
         ["theory", "--jobs", "2"],
         ["sumrate", "--seed", "1"],
-        ["sumrate", "--m", "64"],
+        ["sumrate", "--bits", "10"],
+        ["ber", "--k", "8"],  # no subcommand takes the fixed transmitter's knobs
+        ["ber", "--m", "64"],
+        ["ber", "--rho-phase", "1"],
     ])
     def test_ber_only_flags_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -468,7 +476,7 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["ber", "--m", "0"],
+        ["ber", "--n", "10", "--snr-db", "0", "--rho", "1"],
         ["theory", "--snr-db=nan"],
         ["sumrate", "--gamma-db=nan"],
         ["sumrate", "--pe-target=inf"],

@@ -23,8 +23,7 @@ PAIR = intermod.make_correlated_pair(4, 0.3, seed=1)
 # One valid call per public entry point with a table parameter.
 VALID = {
     "ScenarioConfig": dict(n_samples=10, snr_db=0.0, n_bits=10, alpha=0.3, rho_mag=0.2,
-                           rho_phase=0.1, g=1.0, k_antennas=4, m_subcarriers=16,
-                           master_seed=1),
+                           g=1.0, master_seed=1),
     "build_weight_set": dict(pair=PAIR, alpha=0.3),
     "closed_form_norms": dict(alpha=0.3, rho_mag=0.5),
     "energy_pdf": dict(epsilon=1.0, n=10, scale=1.0),
@@ -101,9 +100,9 @@ def test_each_end_is_open_or_closed_as_stated(name):
 
 
 def test_counts_that_size_arrays_have_ceilings():
-    # m <= CHUNK_SAMPLES keeps one OFDM block within a chunk's sample budget
-    assert DOMAINS["m_subcarriers"][3] == intermod.simulator.CHUNK_SAMPLES
-    for name in ("k_antennas", "k", "m", "pdf_points", "count"):
+    # the fixed m <= CHUNK_SAMPLES keeps one OFDM block within a chunk's sample budget
+    assert intermod.simulator._M_SUBCARRIERS <= intermod.simulator.CHUNK_SAMPLES
+    for name in ("k", "pdf_points", "count"):
         assert DOMAINS[name][3] < math.inf, name
 
 

@@ -25,7 +25,7 @@ def aligned_errors(config):
     samples; chunks were 8192 trials, each from its own substream.
     """
     gains, noise_std, threshold, _ = config.link
-    n, m = config.n_samples, config.m_subcarriers
+    n, m = config.n_samples, simulator._M_SUBCARRIERS
     n_errors = 0
     for chunk in range(-(-config.n_bits // ALIGNED_CHUNK_TRIALS)):
         rng = np.random.default_rng(
@@ -94,16 +94,12 @@ class TestGenerateOfdmSamples:
         assert energies.std() > 0.05  # Gaussian symbols: block energy fluctuates
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100, m_subcarriers=0)
         with pytest.raises(ValueError, match="n_samples must be >= 1 and <= 1000000"):
             ScenarioConfig(n_samples=10**6 + 1, snr_db=0.0, n_bits=1, alpha=0.0)
         # g scales the SU response, so the link checks it right after the channel draw
         for g in (-1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="g must be nonnegative"):
                 ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100, g=g).link
-        with pytest.raises(ValueError, match="rho_phase must be finite"):
-            ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100, rho_phase=math.inf).link
         with pytest.raises(ValueError, match="master_seed must be >= 0"):
             ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=10, master_seed=-1)
         # the SNR is read even where alpha = 0 leaves nothing for it to scale
@@ -111,8 +107,7 @@ class TestGenerateOfdmSamples:
             ScenarioConfig(n_samples=10, snr_db=4000.0, n_bits=100, alpha=0.0).link
 
     @pytest.mark.parametrize("name, value", [
-        ("n_samples", 10.5), ("n_bits", 100.5), ("m_subcarriers", 8.5), ("k_antennas", 8.0),
-        ("master_seed", 1.5),
+        ("n_samples", 10.5), ("n_bits", 100.5), ("master_seed", 1.5),
     ])
     def test_non_integral_count_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
@@ -120,8 +115,7 @@ class TestGenerateOfdmSamples:
 
     def test_numpy_integer_counts_accepted(self):
         cfg = ScenarioConfig(
-            n_samples=np.int32(10), snr_db=0.0, n_bits=np.int64(100),
-            k_antennas=np.int64(8), m_subcarriers=np.int16(64),
+            n_samples=np.int32(10), snr_db=0.0, n_bits=np.int64(100), master_seed=np.uint8(0),
         )
         assert cfg.link[3] == ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100).link[3]
 
@@ -249,7 +243,8 @@ class TestInPlaceKernel:
         bits = CHUNK_SAMPLES // n or 1  # one full chunk
         cfg = ScenarioConfig(n_samples=n, snr_db=-5.0, n_bits=bits, master_seed=47)
         cfg.link  # resolve outside the trace
-        symbol_bytes = -(-cfg.chunk_trials * n // cfg.m_subcarriers) * cfg.m_subcarriers * 16
+        m = simulator._M_SUBCARRIERS
+        symbol_bytes = -(-cfg.chunk_trials * n // m) * m * 16
         tracemalloc.start()
         try:
             chunk_errors(cfg, 0)
@@ -260,20 +255,19 @@ class TestInPlaceKernel:
 
 
 class TestLink:
-    @pytest.mark.parametrize("n, snr_db, alpha, rho, phase, g, m", [
-        (10, -5.0, 0.3, 0.0, 0.0, 1.0, 64), (1000, -10.0, 0.05, 0.6, 1.1, 2.5, 64),
-        (1, 10.0, 0.9, 0.3, -2.0, 0.5, 16), (10**5, -20.0, 0.5, 0.9, 0.4, 1.0, 128),
+    @pytest.mark.parametrize("n, snr_db, alpha, rho, g", [
+        (10, -5.0, 0.3, 0.0, 1.0), (1000, -10.0, 0.05, 0.6, 2.5),
+        (1, 10.0, 0.9, 0.3, 0.5), (10**5, -20.0, 0.5, 0.9, 1.0),
     ])
-    def test_threshold_is_sigma_n_sq_times_the_optimal_one(self, n, snr_db, alpha, rho, phase,
-                                                             g, m):
+    def test_threshold_is_sigma_n_sq_times_the_optimal_one(self, n, snr_db, alpha, rho, g):
         # sigma_n^2 N ln(1+s)(1+s)/s, with sigma_n^2 from the solved bit-1 gain
         cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=1, alpha=alpha, rho_mag=rho,
-                             rho_phase=phase, g=g, m_subcarriers=m, master_seed=67)
+                             g=g, master_seed=67)
         _, noise_std, threshold, _ = cfg.link
-        pair = make_correlated_pair(cfg.k_antennas, rho, phase, seed=67)
+        pair = make_correlated_pair(simulator._K_ANTENNAS, rho, seed=67)
         gain1 = g * response_gains(pair, build_weight_set(pair, alpha))[1]
         s = 10 ** (snr_db / 10)
-        sigma_n_sq = abs(gain1) ** 2 / m / s
+        sigma_n_sq = abs(gain1) ** 2 / simulator._M_SUBCARRIERS / s
         assert threshold == pytest.approx(sigma_n_sq * n * math.log1p(s) * (1 + s) / s,
                                           rel=1e-9)
         assert noise_std == pytest.approx(math.sqrt(sigma_n_sq / 2), rel=1e-9)
@@ -325,7 +319,7 @@ class TestRunBer:
         # nonzero rho: threshold must track the actual SU response
         cfg = ScenarioConfig(
             n_samples=20, snr_db=-2.5, n_bits=10**5,
-            alpha=0.4, rho_mag=0.6, rho_phase=1.1, master_seed=19,
+            alpha=0.4, rho_mag=0.6, master_seed=19,
         )
         res = run_ber_grid([cfg])[0]
         band = 3 * math.sqrt(res.analytic_pe * (1 - res.analytic_pe) / cfg.n_bits)

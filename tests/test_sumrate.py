@@ -121,15 +121,6 @@ class TestFindNAlpha:
         for earlier, later in zip(ns, ns[1:]):
             assert later <= earlier
 
-    def test_m_cancels(self):
-        # the sum-rate model takes no subcarrier count: the waveform simulator's
-        # P_e depends on N and the SNR alone, whatever m is
-        snr = 10 ** (-5.0 / 10.0)
-        want = error_probability(50, snr, optimal_threshold(50, snr))
-        for m in (16, 1024):
-            cfg = ScenarioConfig(n_samples=50, snr_db=-5.0, n_bits=1, m_subcarriers=m)
-            assert run_ber_grid([cfg])[0].analytic_pe == pytest.approx(want, rel=1e-12)
-
     @pytest.mark.parametrize("pe_target", [1e-17, 1e-25, 1e-40])
     @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5])
     @pytest.mark.parametrize("gamma", [1.0, 3.0, 10.0])
