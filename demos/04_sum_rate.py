@@ -6,20 +6,25 @@ comparable SU gain beats the 9.97 b/s/Hz no-modulation baseline; high
 correlation burns too much power nulling the SU.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from intermod import sweep_sum_rate
+from intermod import sweep_sum_rate, sweep_sum_rates
 
 GAMMA_DB = 30.0
 BASELINE = math.log2(1 + 10 ** (GAMMA_DB / 10))
+RHOS, GAINS = (0.1, 0.5, 0.9), (1.0, 0.5)
+
+# one call solves all six curves; they come back rho-major
+curves = dict(zip(itertools.product(RHOS, GAINS), sweep_sum_rates(GAMMA_DB, RHOS, GAINS)))
 
 print(f"baseline (no modulation, gamma = {GAMMA_DB:g} dB): {BASELINE:.2f} b/s/Hz")
 print()
-for g in (1.0, 0.5):
-    for rho in (0.1, 0.5, 0.9):
-        points = sweep_sum_rate(GAMMA_DB, rho, g)
+for g in GAINS:
+    for rho in RHOS:
+        points = curves[rho, g]
         totals = [p.total for p in points]
         best = points[int(np.argmax(totals))]
         gain = best.total - BASELINE

@@ -22,7 +22,13 @@ from .detector import (
     optimal_threshold,
 )
 from .simulator import BerResult, ScenarioConfig, run_ber_grid
-from .sumrate import SumRatePoint, default_alpha_grid, find_n_alpha, sweep_sum_rate
+from .sumrate import (
+    SumRatePoint,
+    default_alpha_grid,
+    find_n_alpha,
+    sweep_sum_rate,
+    sweep_sum_rates,
+)
 from .weights import (
     WeightSet,
     build_weight_set,
@@ -54,4 +60,5 @@ __all__ = [
     "run_ber_grid",
     "solve_min_norm",
     "sweep_sum_rate",
+    "sweep_sum_rates",
 ]

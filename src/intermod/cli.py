@@ -46,7 +46,7 @@ from . import __version__
 from ._domain import N_MAX, check
 from .detector import db_to_linear, error_probability, mixture_energy_pdf, optimal_threshold
 from .simulator import ScenarioConfig, run_ber_grid
-from .sumrate import DEFAULT_PE_TARGET, sweep_sum_rate
+from .sumrate import DEFAULT_PE_TARGET, sweep_sum_rates
 from .weights import closed_form_norms, paper_closed_form_norms
 
 # bumped when a subcommand's bytes change for one input (ber/2: stream kernel, /3: theory's P_e,
@@ -296,24 +296,22 @@ def cmd_ber(args) -> int:
 def cmd_sumrate(args) -> int:
     """sum-rate curves over alpha"""
     params = _options(args)
-    alpha_grid = params.pop("alpha_grid")  # None: sweep_sum_rate's default grid
+    alpha_grid = params.pop("alpha_grid")  # None: sweep_sum_rates' default grid
+    curves = sweep_sum_rates(
+        params["gamma_db"], params["rho_grid"], params["g_grid"], alpha_grid=alpha_grid,
+        pe_target=params["pe_target"], n_max=params["n_max"],
+    )
+    pairs = [(rho, g) for rho in params["rho_grid"] for g in params["g_grid"]]
     rows = []
     footers = []
-    for rho in params["rho_grid"]:
-        for g in params["g_grid"]:
-            curve = sweep_sum_rate(
-                params["gamma_db"], rho, g, alpha_grid=alpha_grid,
-                pe_target=params["pe_target"], n_max=params["n_max"],
-            )
-            for pt in curve:
-                rows.append(
-                    (rho, g, pt.alpha, pt.n_alpha, pt.pu_rate, pt.su_rate, pt.total)
-                )
-            best = max(curve, key=lambda pt: pt.total)
-            footers.append(
-                f"# max_total rho_mag={_fmt(rho)} g={_fmt(g)} "
-                f"alpha={_fmt(best.alpha)} total={_fmt(best.total)}"
-            )
+    for (rho, g), curve in zip(pairs, curves):
+        for pt in curve:
+            rows.append((rho, g, pt.alpha, pt.n_alpha, pt.pu_rate, pt.su_rate, pt.total))
+        best = max(curve, key=lambda pt: pt.total)
+        footers.append(
+            f"# max_total rho_mag={_fmt(rho)} g={_fmt(g)} "
+            f"alpha={_fmt(best.alpha)} total={_fmt(best.total)}"
+        )
     params["n_alpha_points"] = len(curve)  # the manifest records the grid's length only
     _write_csv(
         args.out,

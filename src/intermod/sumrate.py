@@ -10,6 +10,12 @@ SU noise bookkeeping: the SU's per-sample OFDM SNR is taken as
 ``gamma * g^2 * alpha * |omega1|^2 / xi`` - the received-power formula
 divided by a noise floor shared with the PU's normal-operation SNR
 definition.  The subcarrier count cancels in this ratio.
+
+Sweeps: ``sweep_sum_rates`` returns one curve per (|rho|, g) pair of its
+grids, rho-major, and ``sweep_sum_rate`` is its one-curve case.  For the
+target and cap that all curves of a call share, N_alpha is a function of
+the SU SNR alone, so the alpha > 0 points of every curve are searched in
+one rising-SNR order under one shrinking cap.
 """
 
 from __future__ import annotations
@@ -87,6 +93,8 @@ def find_n_alpha(
     f_hi = excess(hi)
     if f_hi >= 0.0:
         return None
+    if hi == lo:  # n_max = 1: N = 1 was the probe just made
+        return 1
     f_lo = excess(lo)
     if f_lo < 0.0:
         return 1
@@ -116,6 +124,54 @@ def default_alpha_grid() -> np.ndarray:
     return np.logspace(-4, math.log10(0.99), 200)
 
 
+def sweep_sum_rates(
+    gamma_db: float,
+    rho_grid,
+    g_grid,
+    alpha_grid=None,
+    pe_target: float = DEFAULT_PE_TARGET,
+    n_max: int = N_MAX,
+) -> list[list[SumRatePoint]]:
+    """Evaluate the sum rate over an alpha grid for every (rho, g) curve, rho-major.
+
+    alpha = 0 entries report the no-modulation baseline log2(1 + gamma)
+    with no SU rate; all other entries use the modulated-regime PU rate
+    with the solver-consistent xi.  Every point of rho_grid and g_grid and
+    the scalar arguments are checked before any search, so a grid with no
+    alpha > 0 lets none of them through unread.
+
+    N_alpha depends only on the SU SNR (for the pe_target and n_max that all
+    curves share), so the alpha > 0 points of all curves are solved together
+    in rising SU-SNR order (a stable sort, so tied SNRs keep curve and grid
+    order) and each curve's rows come back in grid order.  P_e falls in N
+    and in the SNR, so once a point meets the target at N_alpha = met, every
+    later point meets it at met too: its search runs over [1, met - 1], and
+    a None there means its N_alpha is met.  Only the points before the first
+    reachable one search up to n_max.
+    """
+    rho_grid = [check("rho_mag", rho) for rho in rho_grid]
+    g_grid = [check("g", g) for g in g_grid]
+    check("pe_target", pe_target)
+    check("n_max", n_max)
+    gamma = db_to_linear(check("gamma_db", gamma_db))
+    if alpha_grid is None:
+        alpha_grid = default_alpha_grid()
+    alphas = [float(alpha) for alpha in alpha_grid]
+    curves = [(rho, g) for rho in rho_grid for g in g_grid]
+    snrs = {(c, i): su_snr(alpha, rho, g, gamma) for c, (rho, g) in enumerate(curves)
+            for i, alpha in enumerate(alphas) if alpha != 0.0}
+    n_alphas = {}
+    met = None  # the last N_alpha found, an upper bound for every later point
+    for point in sorted(snrs, key=snrs.get):
+        if met is None:
+            met = find_n_alpha(snrs[point], pe_target, n_max)
+        elif met > 1:  # None: N = met - 1 misses, so N_alpha ties at met
+            met = find_n_alpha(snrs[point], pe_target, met - 1) or met
+        n_alphas[point] = met
+    return [[_point(alpha, rho, gamma, n_alphas.get((c, i))) for i, alpha in enumerate(alphas)]
+            for c, (rho, _) in enumerate(curves)]
+
+
 def sweep_sum_rate(
     gamma_db: float,
     rho_mag: float,
@@ -124,51 +180,22 @@ def sweep_sum_rate(
     pe_target: float = DEFAULT_PE_TARGET,
     n_max: int = N_MAX,
 ) -> list[SumRatePoint]:
-    """Evaluate the sum rate over an alpha grid for one (rho, g) curve.
+    """The sum rate over an alpha grid for one (rho, g) curve.
 
-    alpha = 0 entries report the no-modulation baseline log2(1 + gamma)
-    with no SU rate; all other entries use the modulated-regime PU rate
-    with the solver-consistent xi.  The scalar arguments are checked here,
-    so a grid with no alpha > 0 lets none of them through unread.
-
-    The alpha > 0 points are solved in rising SU-SNR order (a stable sort,
-    so tied SNRs keep grid order) and the rows come back in grid order.
-    P_e falls in N and in the SNR, so once a point meets the target at
-    N_alpha = met, every later point meets it at met too: its search runs
-    over [1, met - 1], and a None there means its N_alpha is met.  Only the
-    points before the first reachable one search up to n_max.
+    This is ``sweep_sum_rates`` with one-point rho and g grids, so one curve
+    is checked and solved exactly as each curve of a multi-curve call is.
     """
-    for name, value in (("rho_mag", rho_mag), ("g", g), ("pe_target", pe_target),
-                        ("n_max", n_max)):
-        check(name, value)
-    gamma = db_to_linear(check("gamma_db", gamma_db))
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid()
-    alphas = [float(alpha) for alpha in alpha_grid]
-    snrs = {i: su_snr(alpha, rho_mag, g, gamma) for i, alpha in enumerate(alphas) if alpha != 0.0}
-    n_alphas = [None] * len(alphas)
-    met = None  # the last N_alpha found, an upper bound for every later point
-    for i in sorted(snrs, key=snrs.get):
-        if met is None:
-            met = find_n_alpha(snrs[i], pe_target, n_max)
-        elif met > 1:  # None: N = met - 1 misses, so N_alpha ties at met
-            met = find_n_alpha(snrs[i], pe_target, met - 1) or met
-        n_alphas[i] = met
-    points = []
-    for alpha, n_alpha in zip(alphas, n_alphas):
-        if alpha == 0.0:
-            pu_rate = math.log2(1.0 + gamma)
-        else:
-            _, _, xi = closed_form_norms(alpha, rho_mag)
-            pu_rate = math.log2(1.0 + gamma / xi * (1.0 - alpha))
-        su_rate = 1.0 / n_alpha if n_alpha is not None else 0.0
-        points.append(
-            SumRatePoint(
-                alpha=alpha,
-                n_alpha=n_alpha,
-                pu_rate=pu_rate,
-                su_rate=su_rate,
-                total=pu_rate + su_rate,
-            )
-        )
-    return points
+    return sweep_sum_rates(gamma_db, [rho_mag], [g], alpha_grid, pe_target, n_max)[0]
+
+
+def _point(alpha: float, rho_mag: float, gamma: float, n_alpha: int | None) -> SumRatePoint:
+    """One row of a curve: the PU rate at alpha plus the SU rate 1/N_alpha."""
+    if alpha == 0.0:
+        pu_rate = math.log2(1.0 + gamma)
+    else:
+        _, _, xi = closed_form_norms(alpha, rho_mag)
+        pu_rate = math.log2(1.0 + gamma / xi * (1.0 - alpha))
+    su_rate = 1.0 / n_alpha if n_alpha is not None else 0.0
+    return SumRatePoint(
+        alpha=alpha, n_alpha=n_alpha, pu_rate=pu_rate, su_rate=su_rate, total=pu_rate + su_rate
+    )

@@ -1,8 +1,9 @@
 """One domain table checks every public scalar parameter, by name.
 
 The out-of-domain cases are generated from ``_domain.DOMAINS``: for each
-parameter of each public entry point, and for each CLI option, NaN, +-inf,
-the value just past each bound and, for counts, a non-integral value.
+parameter of each public entry point, each point of its rho and g grids, and
+each CLI option, NaN, +-inf, the value just past each bound and, for counts,
+a non-integral value.
 """
 
 import functools
@@ -39,10 +40,14 @@ VALID = {
     "solve_min_norm": dict(pair=PAIR, b_su=0.5, b_pu=0.5),
     "sweep_sum_rate": dict(gamma_db=10.0, rho_mag=0.3, g=1.0, alpha_grid=[0.0],
                            pe_target=1e-3, n_max=100),
+    "sweep_sum_rates": dict(gamma_db=10.0, rho_grid=[0.3, 0.5], g_grid=[1.0, 2.0],
+                            alpha_grid=[0.0], pe_target=1e-3, n_max=100),
 }
 # Parameters that are not scalars: vectors, channel pairs, grids, config lists.
 EXEMPT_PARAMETERS = {"a", "b", "h_pu", "h_su", "omega0", "omega1", "pair", "epsilon",
-                     "alpha_grid", "configs"}
+                     "alpha_grid", "rho_grid", "g_grid", "configs"}
+# Grids whose every point is checked as the named scalar parameter.
+GRID_POINTS = {"rho_grid": "rho_mag", "g_grid": "g"}
 # Records the library returns, and an exception.
 EXEMPT_NAMES = {"BerResult", "SumRatePoint", "IllConditionedCorrelationError"}
 
@@ -75,6 +80,23 @@ def test_out_of_domain_value_names_its_parameter(entry, name, value):
     call = getattr(intermod, entry)
     with pytest.raises(ValueError, match=rf"(^|\W){name} must be "):
         call(**{**VALID[entry], name: value})
+
+
+GRID_CASES = [
+    pytest.param(entry, grid, at, value, id=f"{entry}-{grid}[{at}]-{value!r}")
+    for entry, kwargs in VALID.items()
+    for grid in kwargs if grid in GRID_POINTS
+    for at in range(len(kwargs[grid]))
+    for value in out_of_domain(GRID_POINTS[grid])
+]
+
+
+@pytest.mark.parametrize("entry, grid, at, value", GRID_CASES)
+def test_out_of_domain_grid_point_names_its_parameter(entry, grid, at, value):
+    points = list(VALID[entry][grid])
+    points[at] = value
+    with pytest.raises(ValueError, match=rf"(^|\W){GRID_POINTS[grid]} must be "):
+        getattr(intermod, entry)(**{**VALID[entry], grid: points})
 
 
 def test_every_public_parameter_is_in_the_table_or_exempt():

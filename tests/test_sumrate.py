@@ -10,11 +10,13 @@ from intermod.channel import make_correlated_pair
 from intermod.detector import db_to_linear, error_probability, optimal_threshold
 from intermod.simulator import ScenarioConfig, run_ber_grid
 from intermod.sumrate import (
+    DEFAULT_PE_TARGET,
     SumRatePoint,
     default_alpha_grid,
     find_n_alpha,
     su_snr,
     sweep_sum_rate,
+    sweep_sum_rates,
 )
 from intermod.weights import build_weight_set
 from test_detector import mpmath_error_probability
@@ -97,6 +99,11 @@ class TestFindNAlpha:
 
     def test_near_vacuous_target(self):
         assert find_n_alpha(su_snr(0.2, 0.1, 1.0, GAMMA_30DB), pe_target=0.49) == 1
+
+    @pytest.mark.parametrize("snr, want", [(1e3, 1), (1.0, None)])
+    def test_n_max_one_evaluates_n_one_once(self, snr, want, pe_calls):
+        assert find_n_alpha(snr, 1e-2, n_max=1) == want
+        assert pe_calls[0] == 1
 
     def test_cap_returns_none(self):
         # SU SNR too low for the target within a tiny cap
@@ -249,6 +256,78 @@ class TestSweepAgainstPerPoint:
         assert pe_calls[0] <= 0.7 * per_point
 
 
+def per_curve_loop(gamma_db, rho, g, alphas, pe_target, n_max):
+    """Reference: one curve solved on its own in rising SU-SNR order, each search capped
+    below the last N_alpha found."""
+    gamma = db_to_linear(gamma_db)
+    snrs = {i: su_snr(a, rho, g, gamma) for i, a in enumerate(alphas) if a != 0.0}
+    n_alphas = [None] * len(alphas)
+    met = None
+    for i in sorted(snrs, key=snrs.get):
+        if met is None:
+            met = find_n_alpha(snrs[i], pe_target, n_max)
+        elif met > 1:
+            met = find_n_alpha(snrs[i], pe_target, met - 1) or met
+        n_alphas[i] = met
+    return n_alphas
+
+
+class TestSweepsAcrossCurves:
+    """All curves of one call share the cap: N_alpha depends on the SU SNR alone."""
+
+    # the seed-7 sumrate-highsnr grid of perfbench/workloads.py, at 30 dB
+    HIGHSNR_RHO = [0.230629, 0.692875]
+    HIGHSNR_G = [0.600312, 0.832926, 1.180999, 1.703708]
+
+    @pytest.mark.parametrize("n_max", [1, 2, 100, 10**6])
+    def test_same_rows_as_each_point_and_each_curve(self, n_max):
+        rng = np.random.default_rng([2000, n_max])
+        kinds = set()
+        for gamma_db, pe_target in [(40.0, 1e-2), (0.0, 1e-5),
+                                    (rng.uniform(-5.0, 35.0), 10 ** rng.uniform(-9.0, -2.0))]:
+            rho_grid = list(rng.uniform(0.0, 0.9, 2))
+            rho_grid.append(rho_grid[0])  # a duplicate curve, so tied SNRs across curves
+            # g = 0: a curve that nothing reaches; the last g repeats
+            g_grid = [0.0, *np.exp(rng.uniform(math.log(0.5), math.log(2.0), 2))]
+            g_grid.append(g_grid[-1])
+            alphas = [0.0, *10 ** rng.uniform(-4.0, math.log10(0.99), 14)]
+            alphas += list(rng.choice(alphas, 3))
+            rng.shuffle(alphas)
+            gamma = db_to_linear(gamma_db)
+            curves = sweep_sum_rates(gamma_db, rho_grid, g_grid, alpha_grid=alphas,
+                                     pe_target=pe_target, n_max=n_max)
+            assert len(curves) == len(rho_grid) * len(g_grid)
+            pairs = [(rho, g) for rho in rho_grid for g in g_grid]
+            for (rho, g), pts in zip(pairs, curves):
+                want = [find_n_alpha(su_snr(a, rho, g, gamma), pe_target, n_max) if a else None
+                        for a in alphas]
+                assert [pt.alpha for pt in pts] == alphas
+                assert [pt.n_alpha for pt in pts] == want, (gamma_db, pe_target, rho, g)
+                assert pts == sweep_sum_rate(gamma_db, rho, g, alpha_grid=alphas,
+                                             pe_target=pe_target, n_max=n_max)
+                met = [n for n in want if n is not None]
+                kinds.add("none reachable" if not met else "tie" if len(set(met)) < len(met)
+                          else "all distinct")
+        assert "none reachable" in kinds and "tie" in kinds
+
+    def test_shared_cap_cuts_the_evaluations_of_a_sweep_per_curve(self, pe_calls):
+        for rho in self.HIGHSNR_RHO:
+            for g in self.HIGHSNR_G:
+                sweep_sum_rate(30.0, rho, g)
+        per_curve, pe_calls[0] = pe_calls[0], 0
+        sweep_sum_rates(30.0, self.HIGHSNR_RHO, self.HIGHSNR_G)
+        assert pe_calls[0] <= 0.75 * per_curve
+
+    @pytest.mark.parametrize("gamma_db, rho, g", [(0.0, 0.5, 1.0), (30.0, 0.1, 1.0)])
+    def test_one_curve_costs_what_it_cost_alone(self, gamma_db, rho, g, pe_calls):
+        alphas = list(default_alpha_grid())
+        want = per_curve_loop(gamma_db, rho, g, alphas, DEFAULT_PE_TARGET, 10**6)
+        alone, pe_calls[0] = pe_calls[0], 0
+        pts = sweep_sum_rates(gamma_db, [rho], [g])[0]
+        assert [pt.n_alpha for pt in pts] == want
+        assert pe_calls[0] == alone
+
+
 class TestSearchAgainstSimulator:
     """N_alpha from the search, checked by Monte Carlo at the same SU SNR."""
 
@@ -286,10 +365,19 @@ class TestSweepSumRate:
         ({"g": math.inf}, "g must be nonnegative"),
         ({"g": math.nan}, "g must be nonnegative"),
     ])
-    def test_bad_input_rejected_without_any_search(self, kwargs, message):
+    def test_bad_input_rejected_without_any_search(self, kwargs, message, pe_calls):
         args = {"gamma_db": 10.0, "rho_mag": 0.1, "g": 1.0, **kwargs}
         with pytest.raises(ValueError, match=message):
             sweep_sum_rate(alpha_grid=[0.0], **args)
+        # in grid form the bad value may sit anywhere, behind curves that would search
+        rho, g = args.pop("rho_mag"), args.pop("g")
+        for at in range(3):
+            rho_grid, g_grid = [0.3, 0.6], [0.5, 2.0]
+            rho_grid.insert(at, rho)
+            g_grid.insert(2 - at, g)
+            with pytest.raises(ValueError, match=message):
+                sweep_sum_rates(rho_grid=rho_grid, g_grid=g_grid, alpha_grid=[0.0, 0.3], **args)
+        assert pe_calls[0] == 0
 
     def test_alpha_zero_baseline_anchor(self):
         for rho in (0.1, 0.5, 0.9):
