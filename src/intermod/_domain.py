@@ -7,9 +7,9 @@ value an int or a numpy integer.  Counts that size arrays have a ceiling, so
 an oversized request fails before it allocates.  check runs once per public
 call, and the library's own calls reuse what their caller checked: a P_e
 evaluation checks N, snr and the threshold once, not again in each tail, and
-the N_alpha search forms each probe's threshold without optimal_threshold.
-check stays on that path, thousands of times per search, so it compares
-against bounds closed in advance and formats a message only when it raises.
+a sum-rate sweep checks its grids, target and cap once, and its searches and
+P_e probes run no check.  check runs per grid point, so it compares against
+bounds closed in advance and formats a message only when it raises.
 """
 
 from __future__ import annotations

@@ -173,7 +173,12 @@ def log_error_probability(n: int, snr: float, threshold: float) -> float:
     """
     check("n", n)
     check("threshold", threshold)
-    if check("snr", snr) == 0.0:  # Q and P at one point sum to 1
+    return _log_pe(n, check("snr", snr), threshold)
+
+
+def _log_pe(n: int, snr: float, threshold: float) -> float:
+    # log_error_probability for n, snr and threshold checked by the caller
+    if snr == 0.0:  # Q and P at one point sum to 1
         return math.log(0.5)
     lgamma_n = math.lgamma(n)
     log_fa = _log_tail(n, threshold, lgamma_n, upper=True)  # false alarm: Q

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._domain import N_MAX, check
-from .detector import db_to_linear, log_error_probability, optimal_threshold
+from .detector import _log_pe, db_to_linear
 from .weights import closed_form_norms
 
 DEFAULT_PE_TARGET = 1e-5
@@ -64,40 +64,38 @@ def find_n_alpha(
 
     P_e at the optimal threshold is monotone decreasing in N for a fixed
     SNR, so every search that keeps the bracket pe(lo) >= target > pe(hi)
-    until hi - lo == 1 returns the same N.  This one probes with Illinois
-    steps (Dowell & Jarratt 1971) on f(N) = ln P_e(N) - ln target, which is
-    exact for any target and nearly linear in N because the error exponent
-    is; a probe that leaves more than half the bracket is followed by a
-    bisection step, which caps the cost at about 2 log2(n_max) evaluations.
-    Returns None when even n_max misses the target, and when snr is below
-    the floor where ``optimal_threshold`` can place no threshold in double
-    precision (snr = 0 included, as at alpha = 0, where P_e = 0.5 for
-    every N).  n_max must be an integer in [1, detector.N_MAX].
+    until hi - lo == 1 returns the same N.  This one starts from lo = 0,
+    where the detector has no samples and guesses, so pe(0) = 1/2 > target
+    costs no evaluation, and probes with Illinois steps (Dowell & Jarratt
+    1971) on f(N) = ln P_e(N) - ln target, exact for any target and nearly
+    linear in N as the error exponent is; a probe that leaves more than half
+    the bracket is followed by a bisection step, which caps the cost at
+    about 2 log2(n_max) evaluations, the first at n_max.  Returns None when
+    n_max misses the target, and with no evaluation when snr is below the
+    floor where ``optimal_threshold`` can place no threshold in double
+    precision (snr = 0 included, as at alpha = 0, where P_e = 0.5 for every
+    N).  n_max must be an integer in [1, detector.N_MAX].
     """
     check("snr", snr)
-    check("pe_target", pe_target)
-    check("n_max", n_max)
-    try:
-        optimal_threshold(1, snr)
-    except ValueError:  # snr and n checked, so only the floor is left to raise
-        return None
-    log_target = math.log(pe_target)
+    log_target = math.log(check("pe_target", pe_target))
+    return _n_alpha(snr, log_target, check("n_max", n_max))
+
+
+def _n_alpha(snr: float, log_target: float, cap: int) -> int | None:
+    # find_n_alpha for a snr and cap checked by the caller, and ln(pe_target)
     s_total = snr + 1.0  # optimal_threshold's arithmetic, taken once per point
-    log_s_total = math.log(s_total)
     gap = 1.0 - 1.0 / s_total
+    if gap <= 0.0:  # optimal_threshold's floor: no threshold in double precision
+        return None
+    log_s_total = math.log(s_total)
 
     def excess(n):  # f(N), negative once N meets the target
-        return log_error_probability(n, snr, n * log_s_total / gap) - log_target
+        return _log_pe(n, snr, n * log_s_total / gap) - log_target
 
-    lo, hi = 1, n_max  # invariant: excess(lo) >= 0 > excess(hi)
-    f_hi = excess(hi)
+    lo, hi = 0, cap  # invariant: excess(lo) >= 0 > excess(hi)
+    f_lo, f_hi = math.log(0.5) - log_target, excess(hi)  # excess(0): P_e = 1/2, a guess
     if f_hi >= 0.0:
         return None
-    if hi == lo:  # n_max = 1: N = 1 was the probe just made
-        return 1
-    f_lo = excess(lo)
-    if f_lo < 0.0:
-        return 1
     moved = None  # the end the last probe replaced
     bisect = False  # set after a probe that left more than half the bracket
     while hi - lo > 1:
@@ -147,11 +145,12 @@ def sweep_sum_rates(
     and in the SNR, so once a point meets the target at N_alpha = met, every
     later point meets it at met too: its search runs over [1, met - 1], and
     a None there means its N_alpha is met.  Only the points before the first
-    reachable one search up to n_max.
+    reachable one search up to n_max, and a point whose SU SNR equals the
+    one just solved takes its result with no search.
     """
     rho_grid = [check("rho_mag", rho) for rho in rho_grid]
     g_grid = [check("g", g) for g in g_grid]
-    check("pe_target", pe_target)
+    log_target = math.log(check("pe_target", pe_target))
     check("n_max", n_max)
     gamma = db_to_linear(check("gamma_db", gamma_db))
     if alpha_grid is None:
@@ -161,13 +160,15 @@ def sweep_sum_rates(
     snrs = {(c, i): su_snr(alpha, rho, g, gamma) for c, (rho, g) in enumerate(curves)
             for i, alpha in enumerate(alphas) if alpha != 0.0}
     n_alphas = {}
-    met = None  # the last N_alpha found, an upper bound for every later point
-    for point in sorted(snrs, key=snrs.get):
-        if met is None:
-            met = find_n_alpha(snrs[point], pe_target, n_max)
+    met = last = None  # the last N_alpha found, an upper bound for every later point, and its SNR
+    for point, snr in sorted(snrs.items(), key=lambda item: item[1]):
+        if snr == last:  # an exact tie: the N_alpha (or None) just found, with no search
+            pass
+        elif met is None:
+            met = _n_alpha(snr, log_target, n_max)
         elif met > 1:  # None: N = met - 1 misses, so N_alpha ties at met
-            met = find_n_alpha(snrs[point], pe_target, met - 1) or met
-        n_alphas[point] = met
+            met = _n_alpha(snr, log_target, met - 1) or met
+        n_alphas[point], last = met, snr
     return [[_point(alpha, rho, gamma, n_alphas.get((c, i))) for i, alpha in enumerate(alphas)]
             for c, (rho, _) in enumerate(curves)]
 

@@ -5,9 +5,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from intermod import sumrate
+from intermod import detector, sumrate
 from intermod.channel import make_correlated_pair
-from intermod.detector import db_to_linear, error_probability, optimal_threshold
+from intermod.detector import (
+    db_to_linear,
+    error_probability,
+    log_error_probability,
+    optimal_threshold,
+)
 from intermod.simulator import ScenarioConfig, run_ber_grid
 from intermod.sumrate import (
     DEFAULT_PE_TARGET,
@@ -33,7 +38,7 @@ def bisect_n_alpha(snr, pe_target, n_max):
     @functools.cache
     def meets(n):
         delta = optimal_threshold(n, snr)
-        return sumrate.log_error_probability(n, snr, delta) < log_target
+        return log_error_probability(n, snr, delta) < log_target
 
     if not meets(n_max):
         return None
@@ -49,17 +54,28 @@ def bisect_n_alpha(snr, pe_target, n_max):
     return hi
 
 
+def patch_pe(monkeypatch, spy):
+    """Route every P_e evaluation through ``spy(n, snr, threshold)``: the search's
+    probes call the private core directly, and the public function calls it too."""
+    real = detector._log_pe
+
+    def spied(n, snr, threshold):
+        spy(n, snr, threshold)
+        return real(n, snr, threshold)
+
+    monkeypatch.setattr(detector, "_log_pe", spied)
+    monkeypatch.setattr(sumrate, "_log_pe", spied)
+
+
 @pytest.fixture
 def pe_calls(monkeypatch):
-    """Count the P_e evaluations the sum-rate module makes."""
+    """Count the P_e evaluations, public or private, that a test makes."""
     calls = [0]
-    real = sumrate.log_error_probability
 
-    def counted(*args):
+    def count(*args):
         calls[0] += 1
-        return real(*args)
 
-    monkeypatch.setattr(sumrate, "log_error_probability", counted)
+    patch_pe(monkeypatch, count)
     return calls
 
 
@@ -172,13 +188,7 @@ class TestFindNAlpha:
     def test_every_probe_threshold_is_optimal_threshold_bit_for_bit(self, monkeypatch):
         # the search takes ln(1 + snr) and the gap once, then forms each threshold itself
         probes = []
-        real = sumrate.log_error_probability
-
-        def recorded(n, snr, threshold):
-            probes.append((n, snr, threshold))
-            return real(n, snr, threshold)
-
-        monkeypatch.setattr(sumrate, "log_error_probability", recorded)
+        patch_pe(monkeypatch, lambda *probe: probes.append(probe))
         rng = np.random.default_rng(1718)
         for _ in range(80):
             snr = 10 ** rng.uniform(-6.0, 4.0)
@@ -278,6 +288,9 @@ class TestSweepsAcrossCurves:
     # the seed-7 sumrate-highsnr grid of perfbench/workloads.py, at 30 dB
     HIGHSNR_RHO = [0.230629, 0.692875]
     HIGHSNR_G = [0.600312, 0.832926, 1.180999, 1.703708]
+    # the seed-7 sumrate-lowsnr grid, at 0 dB
+    LOWSNR_RHO = [0.461259]
+    LOWSNR_G = [0.726846, 1.441498]
 
     @pytest.mark.parametrize("n_max", [1, 2, 100, 10**6])
     def test_same_rows_as_each_point_and_each_curve(self, n_max):
@@ -317,6 +330,25 @@ class TestSweepsAcrossCurves:
         per_curve, pe_calls[0] = pe_calls[0], 0
         sweep_sum_rates(30.0, self.HIGHSNR_RHO, self.HIGHSNR_G)
         assert pe_calls[0] <= 0.75 * per_curve
+
+    @pytest.mark.parametrize("gamma_db, rho_grid, g_grid, bound", [
+        (30.0, HIGHSNR_RHO, HIGHSNR_G, 3200), (0.0, LOWSNR_RHO, LOWSNR_G, 1550),
+    ])
+    def test_evaluations_on_the_benchmark_grids(self, gamma_db, rho_grid, g_grid, bound,
+                                                pe_calls):
+        sweep_sum_rates(gamma_db, rho_grid, g_grid)
+        assert 0 < pe_calls[0] <= bound
+
+    @pytest.mark.parametrize("gamma_db, n_max, reachable", [(30.0, 10**6, True),
+                                                             (-10.0, 100, False)])
+    def test_a_repeated_curve_costs_no_evaluation(self, gamma_db, n_max, reachable, pe_calls):
+        # each point of the copy ties exactly with the one just solved, met or not
+        once = sweep_sum_rates(gamma_db, [0.5], [1.0], n_max=n_max)
+        alone, pe_calls[0] = pe_calls[0], 0
+        twice = sweep_sum_rates(gamma_db, [0.5, 0.5], [1.0], n_max=n_max)
+        assert pe_calls[0] == alone > 0
+        assert twice == once * 2
+        assert any(pt.n_alpha is not None for pt in once[0]) == reachable
 
     @pytest.mark.parametrize("gamma_db, rho, g", [(0.0, 0.5, 1.0), (30.0, 0.1, 1.0)])
     def test_one_curve_costs_what_it_cost_alone(self, gamma_db, rho, g, pe_calls):
