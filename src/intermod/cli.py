@@ -168,12 +168,12 @@ def _read(key: str, reader, text):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):  # most cells, so tested first; a bool is no float
-        return f"{value:.12g}"
     if value is None:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
+    if isinstance(value, float):
+        return f"{value:.12g}"
     if isinstance(value, list):
         return ";".join(_fmt(v) for v in value)
     return str(value)
@@ -186,7 +186,7 @@ def _write_csv(path, command, params, header, rows, footer_comments=()):
         lines.append(f"# {key}={_fmt(params[key])}")
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(map(_fmt, row)))
+        lines.append(",".join(_fmt(v) for v in row))
     lines.extend(footer_comments)
     text = "\n".join(lines) + "\n"
     if path in (None, "-"):

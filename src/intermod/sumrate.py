@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._domain import N_MAX, check
-from .detector import _log_pe, db_to_linear
+from . import detector
+from .detector import db_to_linear
 from .weights import closed_form_norms
 
 DEFAULT_PE_TARGET = 1e-5
@@ -90,7 +91,7 @@ def _n_alpha(snr: float, log_target: float, cap: int) -> int | None:
     log_s_total = math.log(s_total)
 
     def excess(n):  # f(N), negative once N meets the target
-        return _log_pe(n, snr, n * log_s_total / gap) - log_target
+        return detector._log_pe(n, snr, n * log_s_total / gap) - log_target
 
     lo, hi = 0, cap  # invariant: excess(lo) >= 0 > excess(hi)
     f_lo, f_hi = math.log(0.5) - log_target, excess(hi)  # excess(0): P_e = 1/2, a guess
@@ -145,8 +146,7 @@ def sweep_sum_rates(
     and in the SNR, so once a point meets the target at N_alpha = met, every
     later point meets it at met too: its search runs over [1, met - 1], and
     a None there means its N_alpha is met.  Only the points before the first
-    reachable one search up to n_max, and a point whose SU SNR equals the
-    one just solved takes its result with no search.
+    reachable one search up to n_max.
     """
     rho_grid = [check("rho_mag", rho) for rho in rho_grid]
     g_grid = [check("g", g) for g in g_grid]
@@ -160,15 +160,13 @@ def sweep_sum_rates(
     snrs = {(c, i): su_snr(alpha, rho, g, gamma) for c, (rho, g) in enumerate(curves)
             for i, alpha in enumerate(alphas) if alpha != 0.0}
     n_alphas = {}
-    met = last = None  # the last N_alpha found, an upper bound for every later point, and its SNR
+    met = None  # the last N_alpha found, an upper bound for every later point
     for point, snr in sorted(snrs.items(), key=lambda item: item[1]):
-        if snr == last:  # an exact tie: the N_alpha (or None) just found, with no search
-            pass
-        elif met is None:
+        if met is None:
             met = _n_alpha(snr, log_target, n_max)
         elif met > 1:  # None: N = met - 1 misses, so N_alpha ties at met
             met = _n_alpha(snr, log_target, met - 1) or met
-        n_alphas[point], last = met, snr
+        n_alphas[point] = met
     return [[_point(alpha, rho, gamma, n_alphas.get((c, i))) for i, alpha in enumerate(alphas)]
             for c, (rho, _) in enumerate(curves)]
 

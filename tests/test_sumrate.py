@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from intermod import detector, sumrate
+from intermod import detector
 from intermod.channel import make_correlated_pair
 from intermod.detector import (
     db_to_linear,
@@ -56,7 +56,7 @@ def bisect_n_alpha(snr, pe_target, n_max):
 
 def patch_pe(monkeypatch, spy):
     """Route every P_e evaluation through ``spy(n, snr, threshold)``: the search's
-    probes call the private core directly, and the public function calls it too."""
+    probes call the private core ``detector._log_pe``, and the public function does too."""
     real = detector._log_pe
 
     def spied(n, snr, threshold):
@@ -64,7 +64,6 @@ def patch_pe(monkeypatch, spy):
         return real(n, snr, threshold)
 
     monkeypatch.setattr(detector, "_log_pe", spied)
-    monkeypatch.setattr(sumrate, "_log_pe", spied)
 
 
 @pytest.fixture
@@ -338,17 +337,6 @@ class TestSweepsAcrossCurves:
                                                 pe_calls):
         sweep_sum_rates(gamma_db, rho_grid, g_grid)
         assert 0 < pe_calls[0] <= bound
-
-    @pytest.mark.parametrize("gamma_db, n_max, reachable", [(30.0, 10**6, True),
-                                                             (-10.0, 100, False)])
-    def test_a_repeated_curve_costs_no_evaluation(self, gamma_db, n_max, reachable, pe_calls):
-        # each point of the copy ties exactly with the one just solved, met or not
-        once = sweep_sum_rates(gamma_db, [0.5], [1.0], n_max=n_max)
-        alone, pe_calls[0] = pe_calls[0], 0
-        twice = sweep_sum_rates(gamma_db, [0.5, 0.5], [1.0], n_max=n_max)
-        assert pe_calls[0] == alone > 0
-        assert twice == once * 2
-        assert any(pt.n_alpha is not None for pt in once[0]) == reachable
 
     @pytest.mark.parametrize("gamma_db, rho, g", [(0.0, 0.5, 1.0), (30.0, 0.1, 1.0)])
     def test_one_curve_costs_what_it_cost_alone(self, gamma_db, rho, g, pe_calls):
