@@ -15,7 +15,8 @@ Sweeps: ``sweep_sum_rates`` returns one curve per (|rho|, g) pair of its
 grids, rho-major, and ``sweep_sum_rate`` is its one-curve case.  For the
 target and cap that all curves of a call share, N_alpha is a function of
 the SU SNR alone, so the alpha > 0 points of every curve are searched in
-one rising-SNR order under one shrinking cap.
+one rising-SNR order, each below the last N_alpha found, with probes
+placed by the detector's large-deviation P_e(N) (see ``find_n_alpha``).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .detector import db_to_linear
 from .weights import closed_form_norms
 
 DEFAULT_PE_TARGET = 1e-5
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,12 @@ def su_snr(alpha: float, rho_mag: float, g: float, gamma: float) -> float:
     """SU per-sample OFDM SNR (linear) implied by the power bookkeeping."""
     check("gamma", gamma)
     check("g", g)
-    _, norm1_sq, xi = closed_form_norms(alpha, rho_mag)
+    return _su_snr(alpha, closed_form_norms(alpha, rho_mag), g, gamma)
+
+
+def _su_snr(alpha: float, norms: tuple[float, float, float], g: float, gamma: float) -> float:
+    # su_snr for a g and gamma checked by the caller, from closed_form_norms(alpha, rho_mag)
+    _, norm1_sq, xi = norms
     snr = gamma * g * g * alpha * norm1_sq / xi
     if not math.isfinite(snr):
         raise ValueError(
@@ -67,54 +74,60 @@ def find_n_alpha(
     SNR, so every search that keeps the bracket pe(lo) >= target > pe(hi)
     until hi - lo == 1 returns the same N.  This one starts from lo = 0,
     where the detector has no samples and guesses, so pe(0) = 1/2 > target
-    costs no evaluation, and probes with Illinois steps (Dowell & Jarratt
-    1971) on f(N) = ln P_e(N) - ln target, exact for any target and nearly
-    linear in N as the error exponent is; a probe that leaves more than half
-    the bracket is followed by a bisection step, which caps the cost at
-    about 2 log2(n_max) evaluations, the first at n_max.  Returns None when
-    n_max misses the target, and with no evaluation when snr is below the
-    floor where ``optimal_threshold`` can place no threshold in double
-    precision (snr = 0 included, as at alpha = 0, where P_e = 0.5 for every
-    N).  n_max must be an integer in [1, detector.N_MAX].
+    costs no evaluation, and from hi = n_max, its first evaluation.  At the
+    optimal threshold delta* = c N both Gamma tails share the Chernoff
+    exponent e = c - 1 - ln c, so f(N) = ln P_e(N) - ln target is about
+    A - N e - ln(N) / 2 with A in closed form (Bahadur & Rao 1960); each
+    probe sits at the root of that model, shifted to pass through the last
+    exact f, which usually lands within one N of the answer.  After 4 such
+    probes, or at once where rounding leaves the model no gap, the search
+    bisects, so it costs at most 5 + ceil(log2(n_max)) evaluations.
+    Returns None when n_max misses the target, and with no evaluation when
+    snr is below the floor where ``optimal_threshold`` can place no
+    threshold in double precision (snr = 0 included, as at alpha = 0, where
+    P_e = 0.5 for every N).  n_max must be an integer in [1, detector.N_MAX].
     """
     check("snr", snr)
     log_target = math.log(check("pe_target", pe_target))
     return _n_alpha(snr, log_target, check("n_max", n_max))
 
 
-def _n_alpha(snr: float, log_target: float, cap: int) -> int | None:
-    # find_n_alpha for a snr and cap checked by the caller, and ln(pe_target)
+def _n_alpha(snr: float, log_target: float, cap: int, met: int | None = None) -> int | None:
+    # find_n_alpha for a snr and cap checked by the caller, and ln(pe_target); a known
+    # met <= cap that meets the target closes the bracket at met with no evaluation
     s_total = snr + 1.0  # optimal_threshold's arithmetic, taken once per point
     gap = 1.0 - 1.0 / s_total
     if gap <= 0.0:  # optimal_threshold's floor: no threshold in double precision
         return None
     log_s_total = math.log(s_total)
+    c = log_s_total / gap  # delta* / N; both tails fall as exp(-N e) there
+    e, ends = c - 1.0 - math.log(c), (1.0 - 1.0 / c, s_total / c - 1.0)
+    guided = e > 0.0 and min(ends) > 0.0  # not so near the snr floor, where c rounds to ~1
+    base = math.log(0.5 / ends[0] + 0.5 / ends[1]) - _LN_SQRT_2PI - log_target if guided else 0.0
 
     def excess(n):  # f(N), negative once N meets the target
         return detector._log_pe(n, snr, n * log_s_total / gap) - log_target
 
-    lo, hi = 0, cap  # invariant: excess(lo) >= 0 > excess(hi)
-    f_lo, f_hi = math.log(0.5) - log_target, excess(hi)  # excess(0): P_e = 1/2, a guess
-    if f_hi >= 0.0:
-        return None
-    moved = None  # the end the last probe replaced
-    bisect = False  # set after a probe that left more than half the bracket
+    def model(n):  # the large-deviation f(N), less the shift by which it misses
+        return base - n * e - 0.5 * math.log(n)
+
+    lo, hi, shift = 0, met or cap, 0.0  # invariant: excess(lo) >= 0 > excess(hi)
+    if met is None:  # excess(0) = ln 0.5 - ln target >= 0: with no samples P_e is 1/2
+        f_n = excess(cap)
+        if f_n >= 0.0:
+            return None
+        shift = f_n - model(cap)
+    guides = 4 if guided else 0  # model probes left before the search falls back to bisection
     while hi - lo > 1:
-        width = hi - lo
-        n = (lo + hi) // 2 if bisect else lo + round(width * f_lo / (f_lo - f_hi))
-        n = min(max(n, lo + 1), hi - 1)
+        n = (lo + hi) // 2
+        if guides:
+            guides, x = guides - 1, hi - 1.0
+            for _ in range(3):  # Newton steps to the model's root, kept inside the bracket
+                x = min(max(x + (model(x) + shift) / (e + 0.5 / x), lo + 1.0), hi - 1.0)
+            n = math.ceil(x)
         f_n = excess(n)
-        if f_n < 0.0:
-            hi, f_hi = n, f_n
-            if moved == "hi":
-                f_lo *= 0.5
-            moved = "hi"
-        else:
-            lo, f_lo = n, f_n
-            if moved == "lo":
-                f_hi *= 0.5
-            moved = "lo"
-        bisect = not bisect and 2 * (hi - lo) > width
+        shift = f_n - model(n)
+        lo, hi = (lo, n) if f_n < 0.0 else (n, hi)
     return hi
 
 
@@ -144,9 +157,9 @@ def sweep_sum_rates(
     in rising SU-SNR order (a stable sort, so tied SNRs keep curve and grid
     order) and each curve's rows come back in grid order.  P_e falls in N
     and in the SNR, so once a point meets the target at N_alpha = met, every
-    later point meets it at met too: its search runs over [1, met - 1], and
-    a None there means its N_alpha is met.  Only the points before the first
-    reachable one search up to n_max.
+    later point meets it at met too: its search brackets (0, met] with no
+    evaluation at met, and a tie costs the one probe at met - 1.  Only the
+    points up to the first reachable one evaluate n_max.
     """
     rho_grid = [check("rho_mag", rho) for rho in rho_grid]
     g_grid = [check("g", g) for g in g_grid]
@@ -157,18 +170,17 @@ def sweep_sum_rates(
         alpha_grid = default_alpha_grid()
     alphas = [float(alpha) for alpha in alpha_grid]
     curves = [(rho, g) for rho in rho_grid for g in g_grid]
-    snrs = {(c, i): su_snr(alpha, rho, g, gamma) for c, (rho, g) in enumerate(curves)
+    norms = {(rho, alpha): closed_form_norms(alpha, rho) for rho in rho_grid for alpha in alphas
+             if alpha != 0.0}  # the norms hang on (rho, alpha) only, not on g
+    snrs = {(c, i): _su_snr(alpha, norms[rho, alpha], g, gamma) for c, (rho, g) in enumerate(curves)
             for i, alpha in enumerate(alphas) if alpha != 0.0}
     n_alphas = {}
     met = None  # the last N_alpha found, an upper bound for every later point
     for point, snr in sorted(snrs.items(), key=lambda item: item[1]):
-        if met is None:
-            met = _n_alpha(snr, log_target, n_max)
-        elif met > 1:  # None: N = met - 1 misses, so N_alpha ties at met
-            met = _n_alpha(snr, log_target, met - 1) or met
+        met = _n_alpha(snr, log_target, n_max, met)
         n_alphas[point] = met
-    return [[_point(alpha, rho, gamma, n_alphas.get((c, i))) for i, alpha in enumerate(alphas)]
-            for c, (rho, _) in enumerate(curves)]
+    return [[_point(alpha, norms.get((rho, alpha)), gamma, n_alphas.get((c, i)))
+             for i, alpha in enumerate(alphas)] for c, (rho, _) in enumerate(curves)]
 
 
 def sweep_sum_rate(
@@ -187,12 +199,12 @@ def sweep_sum_rate(
     return sweep_sum_rates(gamma_db, [rho_mag], [g], alpha_grid, pe_target, n_max)[0]
 
 
-def _point(alpha: float, rho_mag: float, gamma: float, n_alpha: int | None) -> SumRatePoint:
-    """One row of a curve: the PU rate at alpha plus the SU rate 1/N_alpha."""
+def _point(alpha: float, norms, gamma: float, n_alpha: int | None) -> SumRatePoint:
+    """One curve row: the PU rate from closed_form_norms at alpha > 0, plus 1/N_alpha."""
     if alpha == 0.0:
         pu_rate = math.log2(1.0 + gamma)
     else:
-        _, _, xi = closed_form_norms(alpha, rho_mag)
+        _, _, xi = norms
         pu_rate = math.log2(1.0 + gamma / xi * (1.0 - alpha))
     su_rate = 1.0 / n_alpha if n_alpha is not None else 0.0
     return SumRatePoint(
