@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from intermod import sweep_sum_rate, sweep_sum_rates
+from intermod import sweep_sum_rates
 
 GAMMA_DB = 30.0
 BASELINE = math.log2(1 + 10 ** (GAMMA_DB / 10))
@@ -36,7 +36,7 @@ for g in GAINS:
     print()
 
 print("One curve in detail (g=1, |rho|=0.1):")
-points = sweep_sum_rate(GAMMA_DB, 0.1, 1.0, alpha_grid=np.linspace(0.01, 0.9, 12))
+points = sweep_sum_rates(GAMMA_DB, [0.1], [1.0], alpha_grid=np.linspace(0.01, 0.9, 12))[0]
 print(f"{'alpha':>7} {'N_alpha':>8} {'PU rate':>8} {'SU rate':>8} {'total':>7}")
 for p in points:
     n_str = str(p.n_alpha) if p.n_alpha is not None else "-"

@@ -16,19 +16,14 @@ from .channel import (
 from .detector import (
     energy_pdf,
     error_probability,
+    find_n_alpha,
     log_error_probability,
     log_gamma_tails,
     mixture_energy_pdf,
     optimal_threshold,
 )
 from .simulator import BerResult, ScenarioConfig, run_ber_grid
-from .sumrate import (
-    SumRatePoint,
-    default_alpha_grid,
-    find_n_alpha,
-    sweep_sum_rate,
-    sweep_sum_rates,
-)
+from .sumrate import SumRatePoint, default_alpha_grid, sweep_sum_rates
 from .weights import (
     WeightSet,
     build_weight_set,
@@ -59,6 +54,5 @@ __all__ = [
     "paper_closed_form_norms",
     "run_ber_grid",
     "solve_min_norm",
-    "sweep_sum_rate",
     "sweep_sum_rates",
 ]

@@ -3,13 +3,14 @@
 DOMAINS maps a parameter name to (kind, bracket, lower, upper, bracket): kind
 is int, float or complex (bounded in |value|); "[" or "]" closes an end and
 "(" or ")" opens it.  A float or complex value must also be finite, and an int
-value an int or a numpy integer.  Counts that size arrays have a ceiling, so
-an oversized request fails before it allocates.  check runs once per public
-call, and the library's own calls reuse what their caller checked: a P_e
-evaluation checks N, snr and the threshold once, not again in each tail, and
-a sum-rate sweep checks its grids, target and cap once, and its searches and
-P_e probes run no check.  check runs per grid point, so it compares against
-bounds closed in advance and formats a message only when it raises.
+value an int or a numpy integer, not a bool.  Counts that size arrays have a
+ceiling, so an oversized request fails before it allocates.  check runs once
+per public call, and the library's own calls reuse what their caller
+checked: a P_e evaluation checks N, snr and the threshold once, not again in
+each tail, and a sum-rate sweep checks its grids, target and cap once, and
+its searches and P_e probes run no check.  check runs per grid point, so it
+compares against bounds closed in advance and formats a message only when it
+raises.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def check(name: str, value):
     lo, hi, kind = _CLOSED[name]
     try:
         if lo <= (abs(value) if kind is complex else value) <= hi and (
-            kind is not int or isinstance(value, numbers.Integral)
+            kind is not int or _is_int(value)
         ):
             return value
     except TypeError:  # not a number, or a complex where a real belongs
@@ -64,7 +65,7 @@ def check(name: str, value):
 
 def _requirement(name: str, value) -> str:
     kind, lb, lo, hi, rb = DOMAINS[name]
-    if kind is int and not isinstance(value, numbers.Integral):
+    if kind is int and not _is_int(value):
         return "an integer"
     if rb == ")" and hi < inf:
         return f"in {lb}{lo}, {hi})"
@@ -74,3 +75,7 @@ def _requirement(name: str, value) -> str:
     finite = kind is int or isinstance(value, numbers.Number) and cmath.isfinite(value)
     text = " and ".join(words)
     return text if finite or "finite" in text else "finite"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

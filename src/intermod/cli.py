@@ -44,9 +44,10 @@ import numpy as np
 
 from . import __version__
 from ._domain import N_MAX, check
-from .detector import db_to_linear, error_probability, mixture_energy_pdf, optimal_threshold
+from .detector import (DEFAULT_PE_TARGET, db_to_linear, error_probability, mixture_energy_pdf,
+                       optimal_threshold)
 from .simulator import ScenarioConfig, run_ber_grid
-from .sumrate import DEFAULT_PE_TARGET, sweep_sum_rates
+from .sumrate import sweep_sum_rates
 from .weights import closed_form_norms, paper_closed_form_norms
 
 # bumped when a subcommand's bytes change for one input (ber/2: stream kernel, /3: theory's P_e,
@@ -236,6 +237,8 @@ def cmd_theory(args) -> int:
                 # cover both mixture components well past their tails
                 scale_hi = snr + 1.0
                 eps_max = n * scale_hi + (12.0 + 12.0 * math.sqrt(n)) * scale_hi
+                if not math.isfinite(eps_max):
+                    raise ValueError(f"snr_grid: snr_db={snr_db:g}: the PDF range overflows")
                 eps_grid = np.linspace(0.0, eps_max, pdf_points)
                 dens = mixture_energy_pdf(eps_grid, n, snr)
                 pdf_rows.extend(

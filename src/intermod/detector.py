@@ -13,6 +13,10 @@ regularized incomplete gamma tails.
 The tails and P_e are evaluated in the log domain, so N up to N_MAX = 1e6
 works without overflowing Gamma(N) and P_e far below 1e-308 keeps its exact
 log.  N above N_MAX is rejected: the tails are not checked there.
+
+``find_n_alpha`` inverts P_e: it returns N_alpha, the shortest integration
+length at which the detector, at its optimal threshold, meets a target P_e.
+Every threshold here, the search's included, comes from one private core.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ _EPS = 1e-16
 _ITMAX = 10_000_000
 _HEAD = 32  # series terms summed one by one before the numpy blocks
 _BLOCK = 1 << 14  # most series terms per numpy block
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+DEFAULT_PE_TARGET = 1e-5
 
 
 def db_to_linear(db: float) -> float:
@@ -155,12 +161,18 @@ def optimal_threshold(n: int, snr: float) -> float:
     Raises ValueError when snr is too small for the two densities to differ
     in double precision.
     """
-    check("n", n)
-    s_total = check("snr", snr) + 1.0
-    gap = 1.0 - 1.0 / s_total
-    if gap <= 0.0:
+    delta = _optimal_threshold(check("n", n), check("snr", snr))
+    if delta is None:
         raise ValueError(f"snr = {snr:.3g} is too small to place a threshold in double precision")
-    return n * math.log(s_total) / gap
+    return delta
+
+
+def _optimal_threshold(n: int, snr: float) -> float | None:
+    # optimal_threshold for n and snr checked by the caller; None where 1 + snr rounds to
+    # 1 (snr below ~1.1e-16), so the two densities do not differ in double precision
+    s_total = snr + 1.0
+    gap = 1.0 - 1.0 / s_total
+    return n * math.log(s_total) / gap if gap > 0.0 else None
 
 
 def log_error_probability(n: int, snr: float, threshold: float) -> float:
@@ -184,6 +196,69 @@ def _log_pe(n: int, snr: float, threshold: float) -> float:
     log_fa = _log_tail(n, threshold, lgamma_n, upper=True)  # false alarm: Q
     log_miss = _log_tail(n, threshold / (snr + 1.0), lgamma_n, upper=False)
     return math.log(0.5) + max(log_fa, log_miss) + math.log1p(math.exp(-abs(log_fa - log_miss)))
+
+
+def find_n_alpha(
+    snr: float, pe_target: float = DEFAULT_PE_TARGET, n_max: int = N_MAX
+) -> int | None:
+    """Smallest integration length N with P_e below the target at linear SU SNR ``snr``.
+
+    P_e at the optimal threshold is monotone decreasing in N for a fixed
+    SNR, so every search that keeps the bracket pe(lo) >= target > pe(hi)
+    until hi - lo == 1 returns the same N.  This one starts from lo = 0,
+    where the detector has no samples and guesses, so pe(0) = 1/2 > target
+    costs no evaluation, and from hi = n_max, its first evaluation.  At the
+    optimal threshold delta* = c N both Gamma tails share the Chernoff
+    exponent e = c - 1 - ln c, so f(N) = ln P_e(N) - ln target is about
+    A - N e - ln(N) / 2 with A in closed form (Bahadur & Rao 1960); each
+    probe sits at the root of that model, shifted to pass through the last
+    exact f, which usually lands within one N of the answer.  After 4 such
+    probes, or at once where rounding leaves the model no gap, the search
+    bisects, so it costs at most 5 + ceil(log2(n_max)) evaluations.
+    Returns None when n_max misses the target, and with no evaluation when
+    snr is below the floor where ``optimal_threshold`` can place no
+    threshold in double precision (snr = 0 included, as at alpha = 0, where
+    P_e = 0.5 for every N).  n_max must be an integer in [1, N_MAX].
+    """
+    check("snr", snr)
+    log_target = math.log(check("pe_target", pe_target))
+    return _n_alpha(snr, log_target, check("n_max", n_max))
+
+
+def _n_alpha(snr: float, log_target: float, cap: int, met: int | None = None) -> int | None:
+    # find_n_alpha for a snr and cap checked by the caller, and ln(pe_target); a known
+    # met <= cap that meets the target closes the bracket at met with no evaluation
+    c = _optimal_threshold(1, snr)  # delta* / N; both tails fall as exp(-N e) there
+    if c is None:
+        return None
+    e, ends = c - 1.0 - math.log(c), (1.0 - 1.0 / c, (snr + 1.0) / c - 1.0)
+    guided = e > 0.0 and min(ends) > 0.0  # not so near the snr floor, where c rounds to ~1
+    base = math.log(0.5 / ends[0] + 0.5 / ends[1]) - _LN_SQRT_2PI - log_target if guided else 0.0
+
+    def excess(n):  # f(N), negative once N meets the target
+        return _log_pe(n, snr, _optimal_threshold(n, snr)) - log_target
+
+    def model(n):  # the large-deviation f(N), less the shift by which it misses
+        return base - n * e - 0.5 * math.log(n)
+
+    lo, hi, shift = 0, met or cap, 0.0  # invariant: excess(lo) >= 0 > excess(hi)
+    if met is None:  # excess(0) = ln 0.5 - ln target >= 0: with no samples P_e is 1/2
+        f_n = excess(cap)
+        if f_n >= 0.0:
+            return None
+        shift = f_n - model(cap)
+    guides = 4 if guided else 0  # model probes left before the search falls back to bisection
+    while hi - lo > 1:
+        n = (lo + hi) // 2
+        if guides:
+            guides, x = guides - 1, hi - 1.0
+            for _ in range(3):  # Newton steps to the model's root, kept inside the bracket
+                x = min(max(x + (model(x) + shift) / (e + 0.5 / x), lo + 1.0), hi - 1.0)
+            n = math.ceil(x)
+        f_n = excess(n)
+        shift = f_n - model(n)
+        lo, hi = (lo, n) if f_n < 0.0 else (n, hi)
+    return hi
 
 
 def error_probability(n: int, snr: float, threshold: float) -> float:

@@ -14,7 +14,7 @@ import pytest
 from intermod.channel import make_correlated_pair
 from intermod.detector import error_probability, log_gamma_tails, optimal_threshold
 from intermod.simulator import ScenarioConfig, run_ber_grid
-from intermod.sumrate import sweep_sum_rate
+from intermod.sumrate import sweep_sum_rates
 from intermod.weights import (
     build_weight_set,
     closed_form_norms,
@@ -183,7 +183,7 @@ def test_criterion_8_pu_invariance():
 
 
 def test_criterion_9_baseline_anchor():
-    points = sweep_sum_rate(30.0, 0.5, 1.0, alpha_grid=[0.0])
+    points = sweep_sum_rates(30.0, [0.5], [1.0], alpha_grid=[0.0])[0]
     rate = points[0].pu_rate
     assert rate == pytest.approx(BASELINE_30DB, abs=1e-12)
     assert f"{rate:.2f}" == "9.97"
@@ -194,7 +194,7 @@ def test_criterion_10_qualitative_sum_rate_curves():
     start = time.monotonic()
     peak_gain = {}
     for rho in (0.1, 0.5, 0.9):
-        pts = sweep_sum_rate(30.0, rho, 1.0)
+        pts = sweep_sum_rates(30.0, [rho], [1.0])[0]
         totals = [pt.total for pt in pts]
         peak = int(np.argmax(totals))
         # rise above the small-alpha end to an interior peak, then decline

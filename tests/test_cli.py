@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,17 @@ class TestTheoryCommand:
         assert main(["theory", "--pdf-out", str(pdf), "--pdf-points", points]) == 3
         assert "pdf_points" in capsys.readouterr().err
         assert not pdf.exists()
+
+    def test_pdf_range_overflow_names_snr_db(self, tmp_path, capsys):
+        # 1e308 is a finite SNR, but N times it is not a finite energy range
+        pdf, out = tmp_path / "p.csv", tmp_path / "t.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["theory", "--n", "1000", "--snr-db", "3080", "--pdf-out", str(pdf),
+                         "--out", str(out)]) == 3
+        assert caught == []
+        assert "snr_db" in capsys.readouterr().err
+        assert not pdf.exists() and not out.exists()
 
 
 class TestBerCommand:

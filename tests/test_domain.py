@@ -3,7 +3,7 @@
 The out-of-domain cases are generated from ``_domain.DOMAINS``: for each
 parameter of each public entry point, each point of its rho and g grids, and
 each CLI option, NaN, +-inf, the value just past each bound and, for counts,
-a non-integral value.
+a non-integral value and True.
 """
 
 import functools
@@ -38,10 +38,22 @@ VALID = {
     "paper_closed_form_norms": dict(alpha=0.3, rho_mag=0.5),
     "run_ber_grid": dict(configs=[], jobs=1),
     "solve_min_norm": dict(pair=PAIR, b_su=0.5, b_pu=0.5),
-    "sweep_sum_rate": dict(gamma_db=10.0, rho_mag=0.3, g=1.0, alpha_grid=[0.0],
-                           pe_target=1e-3, n_max=100),
     "sweep_sum_rates": dict(gamma_db=10.0, rho_grid=[0.3, 0.5], g_grid=[1.0, 2.0],
                             alpha_grid=[0.0], pe_target=1e-3, n_max=100),
+}
+
+
+def one_curve_sweep(gamma_db, rho_mag, g, alpha_grid, pe_target, n_max):
+    """The one-curve form of sweep_sum_rates, whose scalars rho_mag and g keep their names."""
+    return intermod.sweep_sum_rates(gamma_db, [rho_mag], [g], alpha_grid,
+                                    pe_target=pe_target, n_max=n_max)[0]
+
+
+# Call forms built on a public entry point, with one valid call each.
+COMPOSED = {"sweep_sum_rate": one_curve_sweep}
+COMPOSED_VALID = {
+    "sweep_sum_rate": dict(gamma_db=10.0, rho_mag=0.3, g=1.0, alpha_grid=[0.0],
+                           pe_target=1e-3, n_max=100),
 }
 # Parameters that are not scalars: vectors, channel pairs, grids, config lists.
 EXEMPT_PARAMETERS = {"a", "b", "h_pu", "h_su", "omega0", "omega1", "pair", "epsilon",
@@ -53,7 +65,7 @@ EXEMPT_NAMES = {"BerResult", "SumRatePoint", "IllConditionedCorrelationError"}
 
 
 def out_of_domain(name):
-    """NaN, +-inf, the value just past each finite bound, and a non-integral count."""
+    """NaN, +-inf, the value just past each finite bound, and a non-integral or bool count."""
     kind, lb, lo, hi, rb = DOMAINS[name]
     values = [math.nan, math.inf, -math.inf]
     if kind is complex:
@@ -63,13 +75,14 @@ def out_of_domain(name):
     if hi < math.inf:
         values.append(hi if rb == ")" else hi + 1 if kind is int else math.nextafter(hi, math.inf))
     if kind is int:
-        values.append(lo + 0.5)
+        values += [lo + 0.5, True]  # a bool is a numbers.Integral, but not a count
     return values
 
 
+LIBRARY_VALID = {**VALID, **COMPOSED_VALID}
 LIBRARY_CASES = [
     pytest.param(entry, name, value, id=f"{entry}-{name}-{value!r}")
-    for entry, kwargs in VALID.items()
+    for entry, kwargs in LIBRARY_VALID.items()
     for name in kwargs if name not in EXEMPT_PARAMETERS
     for value in out_of_domain(name)
 ]
@@ -77,9 +90,9 @@ LIBRARY_CASES = [
 
 @pytest.mark.parametrize("entry, name, value", LIBRARY_CASES)
 def test_out_of_domain_value_names_its_parameter(entry, name, value):
-    call = getattr(intermod, entry)
+    call = COMPOSED.get(entry) or getattr(intermod, entry)
     with pytest.raises(ValueError, match=rf"(^|\W){name} must be "):
-        call(**{**VALID[entry], name: value})
+        call(**{**LIBRARY_VALID[entry], name: value})
 
 
 GRID_CASES = [

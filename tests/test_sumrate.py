@@ -5,24 +5,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from intermod import detector, sumrate
+from intermod import detector, find_n_alpha
 from intermod.channel import make_correlated_pair
 from intermod.detector import (
+    DEFAULT_PE_TARGET,
     db_to_linear,
     error_probability,
     log_error_probability,
     optimal_threshold,
 )
 from intermod.simulator import ScenarioConfig, run_ber_grid
-from intermod.sumrate import (
-    DEFAULT_PE_TARGET,
-    SumRatePoint,
-    default_alpha_grid,
-    find_n_alpha,
-    su_snr,
-    sweep_sum_rate,
-    sweep_sum_rates,
-)
+from intermod.sumrate import SumRatePoint, default_alpha_grid, su_snr, sweep_sum_rates
 from intermod.weights import build_weight_set
 from test_detector import mpmath_error_probability
 
@@ -182,10 +175,10 @@ class TestFindNAlpha:
         with pytest.raises(ValueError, match="n_max must be an integer"):
             find_n_alpha(1.0, 1e-5, n_max)
         with pytest.raises(ValueError, match="n_max must be an integer"):
-            sweep_sum_rate(10.0, 0.1, 1.0, alpha_grid=[0.0], n_max=n_max)
+            sweep_sum_rates(10.0, [0.1], [1.0], alpha_grid=[0.0], n_max=n_max)
 
     def test_every_probe_threshold_is_optimal_threshold_bit_for_bit(self, monkeypatch):
-        # the search takes ln(1 + snr) and the gap once, then forms each threshold itself
+        # each probe's threshold comes from the detector's delta* core, as optimal_threshold's does
         probes = []
         patch_pe(monkeypatch, lambda *probe: probes.append(probe))
         rng = np.random.default_rng(1718)
@@ -264,8 +257,8 @@ class TestSweepAgainstPerPoint:
             gamma = 10.0 ** (gamma_db / 10.0)
             want = [find_n_alpha(su_snr(a, rho, g, gamma), pe_target, n_max) if a else None
                     for a in alphas]
-            pts = sweep_sum_rate(gamma_db, rho, g, alpha_grid=alphas, pe_target=pe_target,
-                                 n_max=n_max)
+            pts = sweep_sum_rates(gamma_db, [rho], [g], alpha_grid=alphas, pe_target=pe_target,
+                                  n_max=n_max)[0]
             assert [pt.alpha for pt in pts] == alphas
             assert [pt.n_alpha for pt in pts] == want, (gamma_db, pe_target, rho, g)
             met = [n for n in want if n is not None]
@@ -278,7 +271,7 @@ class TestSweepAgainstPerPoint:
         for alpha in default_alpha_grid():
             find_n_alpha(su_snr(alpha, 0.1, 1.0, GAMMA_30DB))
         per_point, pe_calls[0] = pe_calls[0], 0
-        sweep_sum_rate(30.0, 0.1, 1.0)
+        sweep_sum_rates(30.0, [0.1], [1.0])
         assert pe_calls[0] <= 0.7 * per_point
 
 
@@ -290,7 +283,7 @@ def per_curve_loop(gamma_db, rho, g, alphas, pe_target, n_max):
     n_alphas = [None] * len(alphas)
     met = None
     for i in sorted(snrs, key=snrs.get):
-        met = sumrate._n_alpha(snrs[i], math.log(pe_target), n_max, met)
+        met = detector._n_alpha(snrs[i], math.log(pe_target), n_max, met)
         n_alphas[i] = met
     return n_alphas
 
@@ -329,8 +322,8 @@ class TestSweepsAcrossCurves:
                         for a in alphas]
                 assert [pt.alpha for pt in pts] == alphas
                 assert [pt.n_alpha for pt in pts] == want, (gamma_db, pe_target, rho, g)
-                assert pts == sweep_sum_rate(gamma_db, rho, g, alpha_grid=alphas,
-                                             pe_target=pe_target, n_max=n_max)
+                assert pts == sweep_sum_rates(gamma_db, [rho], [g], alpha_grid=alphas,
+                                              pe_target=pe_target, n_max=n_max)[0]
                 met = [n for n in want if n is not None]
                 kinds.add("none reachable" if not met else "tie" if len(set(met)) < len(met)
                           else "all distinct")
@@ -339,7 +332,7 @@ class TestSweepsAcrossCurves:
     def test_shared_cap_cuts_the_evaluations_of_a_sweep_per_curve(self, pe_calls):
         for rho in self.HIGHSNR_RHO:
             for g in self.HIGHSNR_G:
-                sweep_sum_rate(30.0, rho, g)
+                sweep_sum_rates(30.0, [rho], [g])
         per_curve, pe_calls[0] = pe_calls[0], 0
         sweep_sum_rates(30.0, self.HIGHSNR_RHO, self.HIGHSNR_G)
         # absolute counts: a ratio would hide a search that got dearer on both sides
@@ -403,10 +396,10 @@ class TestSweepSumRate:
     ])
     def test_bad_input_rejected_without_any_search(self, kwargs, message, pe_calls):
         args = {"gamma_db": 10.0, "rho_mag": 0.1, "g": 1.0, **kwargs}
-        with pytest.raises(ValueError, match=message):
-            sweep_sum_rate(alpha_grid=[0.0], **args)
-        # in grid form the bad value may sit anywhere, behind curves that would search
         rho, g = args.pop("rho_mag"), args.pop("g")
+        with pytest.raises(ValueError, match=message):
+            sweep_sum_rates(rho_grid=[rho], g_grid=[g], alpha_grid=[0.0], **args)
+        # the bad value may also sit anywhere in a longer grid, behind curves that would search
         for at in range(3):
             rho_grid, g_grid = [0.3, 0.6], [0.5, 2.0]
             rho_grid.insert(at, rho)
@@ -417,7 +410,7 @@ class TestSweepSumRate:
 
     def test_alpha_zero_baseline_anchor(self):
         for rho in (0.1, 0.5, 0.9):
-            pts = sweep_sum_rate(30.0, rho, 1.0, alpha_grid=[0.0])
+            pts = sweep_sum_rates(30.0, [rho], [1.0], alpha_grid=[0.0])[0]
             assert pts[0].pu_rate == pytest.approx(math.log2(1 + GAMMA_30DB), abs=1e-12)
             assert pts[0].su_rate == 0.0
             assert pts[0].n_alpha is None
@@ -428,16 +421,16 @@ class TestSweepSumRate:
     def test_pu_rate_against_the_solved_xi(self, alpha, rho):
         # log2(1 + gamma (1 - alpha) / xi), xi from the solved weight vectors
         xi = build_weight_set(make_correlated_pair(8, rho, 0.7, seed=59), alpha).xi
-        pt = sweep_sum_rate(30.0, rho, 1.0, alpha_grid=[alpha])[0]
+        pt = sweep_sum_rates(30.0, [rho], [1.0], alpha_grid=[alpha])[0][0]
         assert pt.pu_rate == pytest.approx(math.log2(1 + GAMMA_30DB * (1 - alpha) / xi),
                                            rel=1e-12)
 
     def test_baseline_displays_as_9_97(self):
-        pts = sweep_sum_rate(30.0, 0.1, 1.0, alpha_grid=[0.0])
+        pts = sweep_sum_rates(30.0, [0.1], [1.0], alpha_grid=[0.0])[0]
         assert round(pts[0].pu_rate, 2) == 9.97
 
     def test_point_fields_consistent(self):
-        pts = sweep_sum_rate(30.0, 0.1, 1.0, alpha_grid=[0.05, 0.2])
+        pts = sweep_sum_rates(30.0, [0.1], [1.0], alpha_grid=[0.05, 0.2])[0]
         for pt in pts:
             assert isinstance(pt, SumRatePoint)
             assert pt.total == pytest.approx(pt.pu_rate + pt.su_rate, abs=1e-12)
@@ -446,17 +439,17 @@ class TestSweepSumRate:
 
     def test_unreachable_target_is_pure_loss(self):
         # xi > 1 with no SU rate: total must fall below the baseline
-        pts = sweep_sum_rate(30.0, 0.9, 1.0, alpha_grid=[1e-4], n_max=100)
+        pts = sweep_sum_rates(30.0, [0.9], [1.0], alpha_grid=[1e-4], n_max=100)[0]
         assert pts[0].n_alpha is None
         assert pts[0].total < math.log2(1 + GAMMA_30DB)
 
     def test_low_correlation_peak_beats_baseline(self):
-        pts = sweep_sum_rate(30.0, 0.1, 1.0)
+        pts = sweep_sum_rates(30.0, [0.1], [1.0])[0]
         assert max(pt.total for pt in pts) > math.log2(1 + GAMMA_30DB)
 
     def test_curve_shape_rise_then_fall(self):
         for rho in (0.1, 0.5, 0.9):
-            pts = sweep_sum_rate(30.0, rho, 1.0)
+            pts = sweep_sum_rates(30.0, [rho], [1.0])[0]
             totals = [pt.total for pt in pts]
             peak = int(np.argmax(totals))
             assert 0 < peak < len(totals) - 1
