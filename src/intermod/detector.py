@@ -27,10 +27,8 @@ import numpy as np
 
 from ._domain import N_MAX, check
 
-_EPS = 1e-16
+_EPS = 2.0**-52  # a Lentz factor within one ulp of 1 ends its continued fraction
 _ITMAX = 10_000_000
-_HEAD = 32  # series terms summed one by one before the numpy blocks
-_BLOCK = 1 << 14  # most series terms per numpy block
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 DEFAULT_PE_TARGET = 1e-5
 
@@ -49,14 +47,13 @@ def db_to_linear(db: float) -> float:
 def log_gamma_tails(s: float, x: float) -> tuple[float, float]:
     """(ln P, ln Q) of the regularized incomplete gammas P(s, x) and Q = 1 - P.
 
-    The series gives ln P for x < s + 1 and the Lentz continued fraction
-    gives ln Q otherwise; the other tail is the complement.  The series is
-    summed in numpy blocks after a short scalar head, bit-identical to the
-    term-by-term loop, so its O(sqrt(s)) terms near x = s stay cheap at
-    large s.  The prefactor x^s e^-x / Gamma(s) stays a log, so no tail
-    underflows; the relative error is a few ulp of s ln s (~1e-9 at
-    s = 1e6).  Raises ValueError for s outside [1, N_MAX], non-finite
-    input, or a loop at its iteration cap.
+    One continued fraction gives ln P for x < s + 1 and another gives ln Q
+    otherwise; the other tail is the complement.  Both run the modified
+    Lentz method until a factor lies within one ulp of 1, which takes at
+    most ~sqrt(s) steps, near x = s.  The prefactor x^s e^-x / Gamma(s)
+    stays a log, so no tail underflows; the relative error is a few ulp of
+    s ln s (~1e-9 at s = 1e6).  Raises ValueError for s outside [1, N_MAX],
+    non-finite input, or a loop at its iteration cap.
     """
     check("s", s)  # the stated accuracy holds there; callers pass s = N
     upper = check("x", x) >= s + 1.0  # the branch evaluated; the other tail is its complement
@@ -71,7 +68,7 @@ def _log_tail(s: float, x: float, lgamma_s: float, upper: bool) -> float:
         return 0.0 if upper else -math.inf
     log_prefactor = s * math.log(x) - x - lgamma_s
     if x < s + 1.0:
-        log_p = math.log(_lower_gamma_series(s, x)) + log_prefactor
+        log_p = math.log(_lower_gamma_cf(s, x)) + log_prefactor
         return _log_complement(log_p) if upper else log_p
     log_q = math.log(_upper_gamma_cf(s, x)) + log_prefactor
     return log_q if upper else _log_complement(log_q)
@@ -86,44 +83,30 @@ def _log_complement(log_tail: float) -> float:
     return math.log(-math.expm1(log_tail)) if log_tail < 0.0 else -math.inf
 
 
-def _lower_gamma_series(s: float, x: float) -> float:
-    # sum_k x^k / (s (s+1) ... (s+k)); _ITMAX caps the terms, head and blocks
-    ap = s
-    term = total = 1.0 / s
-    for _ in range(min(_HEAD, _ITMAX)):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if term < total * _EPS:  # both positive
-            return total
-    done = _HEAD
-    while done < _ITMAX:
-        # A block of n terms, sized to reach the stop test: each term is
-        # x / ap times the last, a decay of c = ln((ap+1)/x) per term that
-        # grows by about 1/span, and the test needs ln(term/(total eps)) of
-        # it, so n solves c n + n^2 / (2 span) = left.  The ufunc
-        # accumulates run in order, so each entry gets the loop's rounding.
-        span = ap + _BLOCK
-        c = math.log((ap + 1.0) / x)
-        left = math.log(term / (total * _EPS))
-        n = 2.0 * left / (c + math.sqrt(c * c + 2.0 * left / span))
-        n = min(int(n) + 2, _BLOCK, _ITMAX - done)
-        aps = np.full(n + 1, 1.0)
-        aps[0] = ap
-        np.add.accumulate(aps, out=aps)
-        terms = np.divide(x, aps)
-        terms[0] = term
-        np.multiply.accumulate(terms, out=terms)
-        totals = terms.copy()
-        totals[0] = total
-        np.add.accumulate(totals, out=totals)
-        stop = terms < totals * _EPS  # terms are positive; entry 0 failed already
-        i = stop.argmax()
-        if stop[i]:
-            return float(totals[i])
-        ap, term, total = aps[-1], terms[-1], totals[-1]
-        done += n
-    raise _no_convergence("incomplete gamma series", s, x)
+def _lower_gamma_cf(s: float, x: float) -> float:
+    # P(s, x) without its prefactor by the modified Lentz method, x < s + 1 (DLMF sec. 8.9):
+    # 1/(s + a1/(s+1 + a2/(s+2 + ...))) with the pairs a = -(s+k-1) x, then k x
+    tiny = 1e-300
+    b = s
+    c = 1.0 / tiny
+    d = h = 1.0 / b
+    for k in range(1, _ITMAX):
+        for an in (-(s + k - 1.0) * x, k * x):
+            b += 1.0
+            d = an * d + b
+            if abs(d) < tiny:
+                d = tiny
+            c = b + an / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            break
+    else:
+        raise _no_convergence("incomplete gamma continued fraction", s, x)
+    return h
 
 
 def _upper_gamma_cf(s: float, x: float) -> float:
@@ -145,7 +128,7 @@ def _upper_gamma_cf(s: float, x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if abs(delta - 1.0) <= _EPS:
             break
     else:
         raise _no_convergence("incomplete gamma continued fraction", s, x)
