@@ -161,18 +161,23 @@ class TestLowerContinuedFraction:
     large s it needs the most steps, about sqrt(s) / 2 pairs."""
 
     @staticmethod
-    def grid(s):
+    def grid(s, side):
+        """Points of (0, s + 1) below the mean s, where P is the smaller
+        tail, or at and above it, where Q is."""
         ks = (-0.9, 0.0, 0.5, 1.0, 2.0, 4.3, 8.0, 16.0, 64.0)
         xs = [s * (1.0 - k / math.sqrt(s)) for k in ks]
         xs += [math.nextafter(s + 1.0, 0.0), (s + 1.0) * (1.0 - 1e-12), s + 0.5, s * 1e-3]
-        return [x for x in xs if 0.0 < x < s + 1.0]
+        xs = [x for x in xs if 0.0 < x < s + 1.0 and (x < s) == (side == "below")]
+        assert xs, (s, side)
+        return xs
 
     # The grid's worst point, x = s + 0.5 at s = 1e6, takes 556 pairs, so a
     # cap of 1000 bounds the loop; a power series needs ~8600 terms there.
+    @pytest.mark.parametrize("side", ["below", "above"])
     @pytest.mark.parametrize("s", [1.0, 1.5, 37.3, 1e3, 1e4, 1e5, 1e6])
-    def test_against_mpmath_near_the_branch(self, s, monkeypatch):
+    def test_against_mpmath_near_the_branch(self, s, side, monkeypatch):
         monkeypatch.setattr(detector, "_ITMAX", 1000)
-        for x in self.grid(s):
+        for x in self.grid(s, side):
             assert_tails_match_mpmath(s, x)
 
     def test_against_mpmath_at_random_points(self, monkeypatch):
