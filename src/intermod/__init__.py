@@ -3,56 +3,37 @@
 Beamforming-weight design for OOK-over-interference multiple access,
 analytic energy-detector performance, waveform-level Monte Carlo
 validation, and sum-rate optimization.
+
+Each public name is imported from its home module on first use (PEP 562),
+so the scalar analytics (detector, sumrate) load without numpy, and the
+vector layers (channel, weights, simulator) load it only when used.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .channel import (
-    ChannelPair,
-    IllConditionedCorrelationError,
-    inner_product,
-    make_correlated_pair,
-)
-from .detector import (
-    energy_pdf,
-    error_probability,
-    find_n_alpha,
-    log_error_probability,
-    log_gamma_tails,
-    mixture_energy_pdf,
-    optimal_threshold,
-)
-from .simulator import BerResult, ScenarioConfig, run_ber_grid
-from .sumrate import SumRatePoint, default_alpha_grid, sweep_sum_rates
-from .weights import (
-    WeightSet,
-    build_weight_set,
-    closed_form_norms,
-    paper_closed_form_norms,
-    solve_min_norm,
-)
+# home module -> the public names it defines
+_EXPORTS = {
+    "channel": "ChannelPair IllConditionedCorrelationError inner_product make_correlated_pair",
+    "detector": "energy_pdf error_probability find_n_alpha log_error_probability "
+                "log_gamma_tails mixture_energy_pdf optimal_threshold",
+    "simulator": "BerResult ScenarioConfig run_ber_grid",
+    "sumrate": "SumRatePoint closed_form_norms default_alpha_grid paper_closed_form_norms "
+               "sweep_sum_rates",
+    "weights": "WeightSet build_weight_set solve_min_norm",
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOMES)
 
-__all__ = [
-    "BerResult",
-    "ChannelPair",
-    "IllConditionedCorrelationError",
-    "ScenarioConfig",
-    "SumRatePoint",
-    "WeightSet",
-    "build_weight_set",
-    "closed_form_norms",
-    "default_alpha_grid",
-    "energy_pdf",
-    "error_probability",
-    "find_n_alpha",
-    "inner_product",
-    "log_error_probability",
-    "log_gamma_tails",
-    "make_correlated_pair",
-    "mixture_energy_pdf",
-    "optimal_threshold",
-    "paper_closed_form_norms",
-    "run_ber_grid",
-    "solve_min_norm",
-    "sweep_sum_rates",
-]
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a layer module, bound here as if the package had imported it
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

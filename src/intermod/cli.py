@@ -7,13 +7,17 @@ Subcommands:
     ber     - Monte Carlo BER vs analytic prediction over (N, SNR) grids
     sumrate - sum-rate curves over alpha per (rho, g) combination
 
+weights, theory and sumrate are scalar math and load no numpy; ber and
+theory --pdf-out import it when they run.
+
 Every CSV starts with '#'-prefixed manifest comment lines carrying the
 resolved parameter set, so a result file is reproducible on its own.
 Floating-point values are emitted with 12 significant digits; identical
 invocations produce byte-identical files.
 
 Grid-valued flags accept either a comma list ("1,10,100") or a
-start:stop:count range ("0:1:11", linearly spaced, endpoints included).
+start:stop:count range ("0:1:11", linearly spaced, endpoints included; a
+count of 1 needs start == stop).
 An empty grid, a fractional point in an integer grid, and a value or grid
 point outside the domain of the library parameter it feeds (_domain.DOMAINS:
 N and n_max, for one, must lie in [1, 1e6], where the detector model is
@@ -40,15 +44,11 @@ import math
 import sys
 from functools import partial
 
-import numpy as np
-
 from . import __version__
 from ._domain import N_MAX, check
 from .detector import (DEFAULT_PE_TARGET, db_to_linear, error_probability, mixture_energy_pdf,
                        optimal_threshold)
-from .simulator import ScenarioConfig, run_ber_grid
-from .sumrate import sweep_sum_rates
-from .weights import closed_form_norms, paper_closed_form_norms
+from .sumrate import closed_form_norms, linspace, paper_closed_form_norms, sweep_sum_rates
 
 # bumped when a subcommand's bytes change for one input (ber/2: stream kernel, /3: theory's P_e,
 # /4: no k, m or rho_phase in the manifest)
@@ -69,11 +69,14 @@ def parse_grid(spec: str, cast=float) -> list:
         if len(parts) == 1:
             return [cast(v) for v in spec.split(",") if v.strip() != ""]
         start, stop, count = cast(parts[0]), cast(parts[1]), check("count", int(parts[2]))
+        start, stop = float(start), float(stop)  # an int range is spaced in doubles too
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad grid spec {spec!r}: {exc}") from exc
     if not math.isfinite(stop - start):  # also false for an overflowing span
         raise ValueError(f"grid values must be finite in {spec!r}")
-    points = np.linspace(start, stop, count)
+    if count == 1 and start != stop:  # one point cannot hold both ends
+        raise ValueError(f"a one-point range must start where it stops in {spec!r}")
+    points = linspace(start, stop, count)
     values = [cast(v) for v in points]
     if any(v != p for v, p in zip(values, points)):  # a cast that changed a point truncated it
         raise ValueError(f"grid points must be {cast.__name__}s in {spec!r}")
@@ -118,10 +121,11 @@ OPTIONS = {
         ("--n", "n_grid", partial(_grid, "n", cast=int), "10,100", "integration-length grid"),
         ("--snr-db", "snr_grid", partial(_grid, "snr_db"), "-10:0:5", "SNR grid in dB"),
         ("--bits", "bits", int, 20000, "bits per grid point"),
-        ("--alpha", "alpha", float, ScenarioConfig.alpha, "SU power coefficient"),
-        ("--rho", "rho", float, ScenarioConfig.rho_mag, "|rho|"),
-        ("--g", "g", float, ScenarioConfig.g, "SU/PU gain ratio"),
-        ("--seed", "seed", int, ScenarioConfig.master_seed, "master seed"),
+        # ScenarioConfig's defaults, written out so that reading them imports no numpy
+        ("--alpha", "alpha", float, 0.3, "SU power coefficient"),
+        ("--rho", "rho", float, 0.0, "|rho|"),
+        ("--g", "g", float, 1.0, "SU/PU gain ratio"),
+        ("--seed", "seed", int, 0, "master seed"),
         ("--jobs", "jobs", int, 1, "parallel workers; never changes results"),
     ),
     "sumrate": (
@@ -239,11 +243,9 @@ def cmd_theory(args) -> int:
                 eps_max = n * scale_hi + (12.0 + 12.0 * math.sqrt(n)) * scale_hi
                 if not math.isfinite(eps_max):
                     raise ValueError(f"snr_grid: snr_db={snr_db:g}: the PDF range overflows")
-                eps_grid = np.linspace(0.0, eps_max, pdf_points)
+                eps_grid = linspace(0.0, eps_max, pdf_points)
                 dens = mixture_energy_pdf(eps_grid, n, snr)
-                pdf_rows.extend(
-                    (n, snr_db, float(e), float(d)) for e, d in zip(eps_grid, dens)
-                )
+                pdf_rows.extend((n, snr_db, e, float(d)) for e, d in zip(eps_grid, dens))
     _write_csv(
         args.out,
         "theory",
@@ -264,6 +266,10 @@ def cmd_theory(args) -> int:
 
 def cmd_ber(args) -> int:
     """Monte Carlo BER vs analytic prediction"""
+    import numpy as np  # imported here, so the analytic subcommands never load numpy
+
+    from .simulator import ScenarioConfig, run_ber_grid
+
     params = _options(args)
     jobs = params.pop("jobs")  # never changes the output, so not in the manifest
     points = []

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ._domain import N_MAX, check
 
 _EPS = 2.0**-52  # a Lentz factor within one ulp of 1 ends its continued fraction
@@ -254,6 +252,8 @@ def energy_pdf(epsilon, n: int, scale: float):
 
     Evaluated in the log domain; accepts scalars or arrays of energies.
     """
+    import numpy as np  # the only vector code here, so the scalar analytics load without numpy
+
     check("n", n)
     check("scale", scale)
     eps = np.asarray(epsilon, dtype=float)

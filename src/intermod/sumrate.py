@@ -11,6 +11,9 @@ SU noise bookkeeping: the SU's per-sample OFDM SNR is taken as
 divided by a noise floor shared with the PU's normal-operation SNR
 definition.  The subcarrier count cancels in this ratio.
 
+The closed-form weight norms live here, beside the link budget that uses
+them, so the sum rate needs no vectors and no numpy.
+
 Sweeps: ``sweep_sum_rates`` returns one curve per (|rho|, g) pair of its
 grids, rho-major; one curve is ``sweep_sum_rates(gamma_db, [rho], [g])[0]``.
 For the target and cap that all curves of a call share, N_alpha is a
@@ -24,12 +27,43 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._domain import N_MAX, check
 from . import detector
 from .detector import DEFAULT_PE_TARGET, db_to_linear
-from .weights import closed_form_norms
+
+
+def _norms(alpha: float, rho_mag: float, cross: float) -> tuple[float, float, float]:
+    # cross is the cross-term coefficient: 2 matches the solver, 1 is the literature's
+    check("alpha", alpha)
+    denom = 1.0 - check("rho_mag", rho_mag) ** 2
+    norm0_sq = (1.0 - alpha) / denom
+    norm1_sq = (1.0 - cross * math.sqrt(alpha) * math.sqrt(1.0 - alpha) * rho_mag) / denom
+    xi = 0.5 * (norm0_sq + norm1_sq)
+    return norm0_sq, norm1_sq, xi
+
+
+def closed_form_norms(alpha: float, rho_mag: float) -> tuple[float, float, float]:
+    """Closed-form (|omega0|^2, |omega1|^2, xi) for phase-aligned targets.
+
+    |omega0|^2 = (1 - alpha) / (1 - |rho|^2)
+    |omega1|^2 = (1 - 2 sqrt(alpha) sqrt(1-alpha) |rho|) / (1 - |rho|^2)
+    xi         = (|omega0|^2 + |omega1|^2) / 2
+
+    These match the solved vectors from ``weights.solve_min_norm`` to machine
+    precision (the cross term carries the factor 2; see the ``weights``
+    module docstring).
+    """
+    return _norms(alpha, rho_mag, 2.0)
+
+
+def paper_closed_form_norms(alpha: float, rho_mag: float) -> tuple[float, float, float]:
+    """Literature variant of the closed forms without the factor 2.
+
+    |omega1|^2 = (1 - sqrt(alpha) sqrt(1-alpha) |rho|) / (1 - |rho|^2).
+    Kept for comparison only; it disagrees with the solved vectors whenever
+    alpha > 0 and |rho| > 0.
+    """
+    return _norms(alpha, rho_mag, 1.0)
 
 
 @dataclass(frozen=True)
@@ -62,9 +96,21 @@ def _su_snr(alpha: float, norms: tuple[float, float, float], g: float, gamma: fl
     return snr
 
 
-def default_alpha_grid() -> np.ndarray:
-    """200 log-spaced alphas over [1e-4, 0.99]."""
-    return np.logspace(-4, math.log10(0.99), 200)
+def linspace(start: float, stop: float, count: int) -> list[float]:
+    """np.linspace(start, stop, count) as a list, bit for bit unless the step rounds to 0.
+
+    Point i is start + i * step and the last point is stop, as numpy spaces them.
+    """
+    step = (stop - start) / max(count - 1, 1)
+    points = [start + i * step for i in range(count)]
+    if count > 1:
+        points[-1] = stop
+    return points
+
+
+def default_alpha_grid() -> list[float]:
+    """200 log-spaced alphas over [1e-4, 0.99]: 10 ** e over the spaced exponents e."""
+    return [10.0 ** e for e in linspace(-4.0, math.log10(0.99), 200)]
 
 
 def sweep_sum_rates(

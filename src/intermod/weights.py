@@ -16,10 +16,10 @@ products ``h^T omega``.  Stacking the two constraint rows into
     |omega|^2 = (|b_su|^2 + |b_pu|^2 - 2 Re{rho b_su conj(b_pu)}) / (1 - |rho|^2)
 
 Note the factor 2 on the cross term: expanding b^H (C C^H)^{-1} b yields it
-unavoidably, so the closed forms here carry it.  A variant without the
-factor 2 circulates in the literature; it is exposed separately as
-``paper_closed_form_norms`` for comparison but is NOT consistent with the
-constructive solution.
+unavoidably, so the closed forms (``sumrate.closed_form_norms``) carry it.
+A variant without the factor 2 circulates in the literature;
+``sumrate.paper_closed_form_norms`` exposes it for comparison, but it is NOT
+consistent with the constructive solution.
 """
 
 from __future__ import annotations
@@ -92,39 +92,6 @@ def solve_min_norm(pair: ChannelPair, b_su: complex, b_pu: complex) -> np.ndarra
     gram = c @ c.conj().T
     b = np.array([check("b_su", b_su), check("b_pu", b_pu)], dtype=complex)
     return c.conj().T @ np.linalg.solve(gram, b)
-
-
-def _norms(alpha: float, rho_mag: float, cross: float) -> tuple[float, float, float]:
-    # cross is the cross-term coefficient: 2 matches the solver, 1 is the literature's
-    check("alpha", alpha)
-    denom = 1.0 - check("rho_mag", rho_mag) ** 2
-    norm0_sq = (1.0 - alpha) / denom
-    norm1_sq = (1.0 - cross * math.sqrt(alpha) * math.sqrt(1.0 - alpha) * rho_mag) / denom
-    xi = 0.5 * (norm0_sq + norm1_sq)
-    return norm0_sq, norm1_sq, xi
-
-
-def closed_form_norms(alpha: float, rho_mag: float) -> tuple[float, float, float]:
-    """Closed-form (|omega0|^2, |omega1|^2, xi) for phase-aligned targets.
-
-    |omega0|^2 = (1 - alpha) / (1 - |rho|^2)
-    |omega1|^2 = (1 - 2 sqrt(alpha) sqrt(1-alpha) |rho|) / (1 - |rho|^2)
-    xi         = (|omega0|^2 + |omega1|^2) / 2
-
-    These match the solved vectors from ``solve_min_norm`` to machine
-    precision (the cross term carries the factor 2; see module docstring).
-    """
-    return _norms(alpha, rho_mag, 2.0)
-
-
-def paper_closed_form_norms(alpha: float, rho_mag: float) -> tuple[float, float, float]:
-    """Literature variant of the closed forms without the factor 2.
-
-    |omega1|^2 = (1 - sqrt(alpha) sqrt(1-alpha) |rho|) / (1 - |rho|^2).
-    Kept for comparison only; it disagrees with the solved vectors whenever
-    alpha > 0 and |rho| > 0.
-    """
-    return _norms(alpha, rho_mag, 1.0)
 
 
 def build_weight_set(pair: ChannelPair, alpha: float) -> WeightSet:

@@ -14,13 +14,8 @@ import pytest
 from intermod.channel import make_correlated_pair
 from intermod.detector import error_probability, log_gamma_tails, optimal_threshold
 from intermod.simulator import ScenarioConfig, run_ber_grid
-from intermod.sumrate import sweep_sum_rates
-from intermod.weights import (
-    build_weight_set,
-    closed_form_norms,
-    paper_closed_form_norms,
-    solve_min_norm,
-)
+from intermod.sumrate import closed_form_norms, paper_closed_form_norms, sweep_sum_rates
+from intermod.weights import build_weight_set, solve_min_norm
 from test_detector import quadrature_lower_gamma
 
 BASELINE_30DB = math.log2(1001.0)

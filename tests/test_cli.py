@@ -35,6 +35,7 @@ class TestParseGrid:
     def test_range_syntax(self):
         assert parse_grid("0:1:3") == [0.0, 0.5, 1.0]
         assert parse_grid("1:3:3", cast=int) == [1, 2, 3]
+        assert parse_grid("-10:-10:1") == [-10.0]  # one point, where the range starts and stops
 
     def test_comma_list(self):
         assert parse_grid("1,10,100", cast=int) == [1, 10, 100]
@@ -56,10 +57,42 @@ class TestParseGrid:
         ("inf:inf:1", float), ("0:inf:3", float), ("-inf:0:2", float), ("nan:1:2", float),
         ("1e308:-1e308:3", float),  # finite endpoints, overflowing span
         ("1e30:1e30:1", int), ("1.5:3:2", int),  # int endpoints are read as ints
+        pytest.param("0:" + "9" * 400 + ":3", int, id="int-end-past-the-doubles"),
     ])
     def test_range_endpoints_checked_before_spacing(self, spec, cast):
         with pytest.raises(ValueError, match=re.escape(repr(spec))):
             parse_grid(spec, cast=cast)
+
+    def test_range_bits_match_numpy_linspace(self):
+        rng = np.random.default_rng(2024)
+        cases = [(0.0, 0.0, 1), (-3.5, -3.5, 1), (2.0, 2.0, 7), (0.0, -0.0, 1), (-0.0, 0.0, 4)]
+        for _ in range(3000):
+            start, stop = rng.choice([1e-3, 1.0, 1e3, 1e12]) * rng.uniform(-1.0, 1.0, 2)
+            count = int(rng.choice([1, 2, 3, rng.integers(4, 40), rng.integers(40, 3000)]))
+            cases.append((float(start), float(start) if count == 1 else float(stop), count))
+        for start, stop, count in cases:  # ascending, descending, negative and empty spans
+            got = parse_grid(f"{start!r}:{stop!r}:{count}")
+            want = np.linspace(start, stop, count)
+            assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64)), (
+                start, stop, count)
+        for start, step, count in rng.integers(-10**6, 10**6, (500, 3)):
+            count = abs(int(count)) % 200 + 1
+            stop = int(start) + int(step) * (count - 1)
+            assert parse_grid(f"{start}:{stop}:{count}", cast=int) == [
+                int(v) for v in np.linspace(int(start), stop, count)]
+
+    @pytest.mark.parametrize("spec", ["-10:0:1", "0.1:0.5:1", "1:1.0000000000000002:1"])
+    def test_one_point_range_must_start_where_it_stops(self, spec):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            parse_grid(spec)
+
+    @pytest.mark.parametrize("argv, key", [
+        (["theory", "--n", "10", "--snr-db=-10:0:1"], "snr_grid"),
+        (["weights", "--alpha", "0.1:0.5:1"], "alpha_grid"),
+    ])
+    def test_one_point_range_with_two_ends_exits_3(self, argv, key, capsys):
+        assert main(argv) == 3
+        assert f"{key}: a one-point range must start where it stops" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -204,6 +237,13 @@ class TestTheoryCommand:
 
 
 class TestBerCommand:
+    def test_defaults_are_the_scenario_defaults(self):
+        # the CLI writes them out, so that it can start without numpy
+        defaults = {key: default for _, key, _, default, _ in cli.OPTIONS["ber"]}
+        config = simulator.ScenarioConfig
+        assert (defaults["alpha"], defaults["rho"], defaults["g"], defaults["seed"]) == (
+            config.alpha, config.rho_mag, config.g, config.master_seed)
+
     def test_jobs_do_not_change_results(self, tmp_path):
         out1 = tmp_path / "b1.csv"
         out2 = tmp_path / "b1.csv"
@@ -229,13 +269,13 @@ class TestBerCommand:
     def test_distinct_grid_points_draw_distinct_streams(self, tmp_path, monkeypatch):
         # each (N, SNR) point seeds its chunks from its own spawned master seed
         configs = []
-        real = cli.run_ber_grid
+        real = simulator.run_ber_grid
 
         def recorded(points, jobs):
             configs.extend(points)
             return real(points, jobs)
 
-        monkeypatch.setattr(cli, "run_ber_grid", recorded)
+        monkeypatch.setattr(simulator, "run_ber_grid", recorded)  # cmd_ber imports it as it runs
         assert main(["ber", "--n", "10,20", "--snr-db=-5,0", "--bits", "50", "--seed", "7",
                      "--out", str(tmp_path / "b.csv")]) == 0
         seeds = [cfg.master_seed for cfg in configs]
@@ -381,7 +421,7 @@ def test_golden_ber_decisions_clear_their_thresholds(tmp_path, monkeypatch, argv
     # threshold, so FFT or summation rounding (~1e-15) cannot flip a golden
     # bit; a kernel change that makes these bytes hang on rounding fails here
     configs, energies = [], []
-    run_grid, chunk_energies = cli.run_ber_grid, simulator._chunk_energies
+    run_grid, chunk_energies = simulator.run_ber_grid, simulator._chunk_energies
 
     def record_grid(points, jobs):
         configs.extend(points)
@@ -392,7 +432,7 @@ def test_golden_ber_decisions_clear_their_thresholds(tmp_path, monkeypatch, argv
         energies.append(result[1])
         return result
 
-    monkeypatch.setattr(cli, "run_ber_grid", record_grid)
+    monkeypatch.setattr(simulator, "run_ber_grid", record_grid)
     monkeypatch.setattr(simulator, "_chunk_energies", record_chunk)
     assert main(argv + ["--out", str(tmp_path / "ber.csv")]) == 0
     chunks = iter(energies)

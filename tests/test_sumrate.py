@@ -458,7 +458,14 @@ class TestSweepSumRate:
 
     def test_default_alpha_grid(self):
         grid = default_alpha_grid()
-        assert len(grid) == 200
+        assert isinstance(grid, list) and len(grid) == 200
         assert grid[0] == pytest.approx(1e-4)
         assert grid[-1] == pytest.approx(0.99)
         assert np.all(np.diff(grid) > 0)
+        # libm's pow over numpy's exponents; float(e), so numpy's own power is not the one taken
+        exponents = np.linspace(-4, math.log10(0.99), 200)
+        assert grid == [10.0 ** float(e) for e in exponents]
+        # numpy's vectorized power may differ in the last ulp, but not in a printed digit; the
+        # benchmark's sumrate oracle takes the numpy grid
+        numpy_grid = np.logspace(-4, math.log10(0.99), 200)
+        assert [f"{a:.12g}" for a in grid] == [f"{a:.12g}" for a in numpy_grid]

@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 
 from intermod.channel import ChannelPair, IllConditionedCorrelationError, make_correlated_pair
-from intermod.weights import (
-    WeightSet,
-    build_weight_set,
-    closed_form_norms,
-    paper_closed_form_norms,
-    solve_min_norm,
-)
+from intermod.sumrate import closed_form_norms, paper_closed_form_norms
+from intermod.weights import WeightSet, build_weight_set, solve_min_norm
 
 
 def _nullspace_project(pair, v):
