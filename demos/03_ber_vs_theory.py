@@ -1,8 +1,9 @@
 """Monte Carlo BER against the analytic error probability.
 
-A full waveform-level simulation (OFDM samples, weight toggling per OOK
-bit, AWGN, N-sample energy detection) measured against the Gamma-model
-prediction, for two integration lengths across an SNR sweep.
+A waveform-level simulation (weight toggling per OOK bit, the received
+OFDM samples plus AWGN drawn as one normal per sample component, N-sample
+energy detection) measured against the Gamma-model prediction, for two
+integration lengths across an SNR sweep.
 """
 
 import math

@@ -13,10 +13,15 @@ every test whose name lacks "golden" runs too: a byte digest fails for a
 fix as readily as for a bug, so it cannot count as catching one.  The
 working tree is only read.
 
+Every pytest run stops after TIMEOUT_S seconds.  A mutant whose own test
+runs that long is reported on a TIMEOUT line and counted as caught: it
+makes the suite hang, which a CI time limit turns into a failure.
+
 Before any mutant, the named tests must pass on an unmutated copy.  Exit
-status: 0 if every mutant fails its own test; 1 if one survives, or is
-caught only by other tests; 2 if the list is wrong (an old text not found
-exactly once, or a named test failing unmutated).
+status: 0 if every mutant fails its own test or times out in it; 1 if one
+survives, or is caught only by other tests; 2 if the list is wrong (an old
+text not found exactly once, or a named test failing or timing out
+unmutated).
 """
 
 from __future__ import annotations
@@ -31,15 +36,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
+TIMEOUT_S = 300  # per pytest run; the whole suite takes well under a minute unmutated
 
 
-def pytest(tree: Path, *args: str) -> subprocess.CompletedProcess:
-    """pytest on the copy ``tree``, importing intermod from its own src/."""
+def pytest(tree: Path, *args: str) -> subprocess.CompletedProcess | None:
+    """pytest on the copy ``tree``, importing intermod from its own src/; None on timeout."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
-        cwd=tree, env=env, capture_output=True, text=True,
-    )
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def copy_tree(dest: Path, mutant: dict | None = None) -> Path:
@@ -57,7 +66,9 @@ def copy_tree(dest: Path, mutant: dict | None = None) -> Path:
     return dest
 
 
-def first_failure(result: subprocess.CompletedProcess) -> str:
+def first_failure(result: subprocess.CompletedProcess | None) -> str:
+    if result is None:
+        return f"the run passed its {TIMEOUT_S} s timeout"
     return next((line for line in result.stdout.splitlines() if line.startswith("FAILED")),
                 result.stdout.strip().splitlines()[-1] if result.stdout.strip() else "")
 
@@ -72,19 +83,24 @@ def main() -> int:
             return 2
     with tempfile.TemporaryDirectory() as scratch:
         clean = pytest(copy_tree(Path(scratch)), *sorted({m["test"] for m in mutants}))
-        if clean.returncode != 0:
+        if clean is None or clean.returncode != 0:
             print(f"a named test fails unmutated: {first_failure(clean)}")
             return 2
     bad = 0
     for mutant in mutants:
         with tempfile.TemporaryDirectory() as scratch:
             tree = copy_tree(Path(scratch), mutant)
-            if pytest(tree, mutant["test"]).returncode != 0:
+            own = pytest(tree, mutant["test"])
+            if own is None:
+                print(f"TIMEOUT   {mutant['name']}: {mutant['test']} ran past {TIMEOUT_S} s",
+                      flush=True)
+                continue
+            if own.returncode != 0:
                 print(f"killed    {mutant['name']}: {mutant['test']}", flush=True)
                 continue
             bad += 1
             others = pytest(tree, "-x", "-k", "not golden", "tests")
-            if others.returncode != 0:
+            if others is None or others.returncode != 0:
                 print(f"MISSED    {mutant['name']}: {mutant['test']} passes, but "
                       f"{first_failure(others)}", flush=True)
             else:

@@ -195,7 +195,8 @@ def find_n_alpha(
     probe sits at the root of that model, shifted to pass through the last
     exact f, which usually lands within one N of the answer.  After 4 such
     probes, or at once where rounding leaves the model no gap, the search
-    bisects, so it costs at most 5 + ceil(log2(n_max)) evaluations.
+    bisects, so it costs at most 5 + ceil(log2(n_max)) evaluations; a search
+    past that bound can only be a defect, and raises ValueError naming snr.
     Returns None when n_max misses the target, and with no evaluation when
     snr is below the floor where ``optimal_threshold`` can place no
     threshold in double precision (snr = 0 included, as at alpha = 0, where
@@ -229,7 +230,12 @@ def _n_alpha(snr: float, log_target: float, cap: int, met: int | None = None) ->
             return None
         shift = f_n - model(cap)
     guides = 4 if guided else 0  # model probes left before the search falls back to bisection
+    probes = 4 + math.ceil(math.log2(cap))  # with excess(cap), the 5 + ceil(log2 cap) bound
     while hi - lo > 1:
+        if not probes:
+            raise ValueError(f"N_alpha search at snr={snr!r} left [{lo}, {hi}] open past its "
+                             f"bound of 5 + ceil(log2 {cap}) evaluations")
+        probes -= 1
         n = (lo + hi) // 2
         if guides:
             guides, x = guides - 1, hi - 1.0

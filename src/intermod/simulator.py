@@ -5,18 +5,17 @@ the SU receives a scaled OFDM sample stream plus AWGN and integrates N
 sample powers against the detector threshold.  The measured BER is compared
 against the analytic error probability for the same parameters.
 
-The stream is continuous: a chunk of trials takes one 1/m-scaled IFFT of
-ceil(trials * N / m) blocks of Gaussian symbols on m subcarriers and cuts
-it into consecutive N-sample bit windows, not aligned to blocks.  The IFFT
-is unitary up to scale, so the samples stay i.i.d. CN(0, 1/m).  A chunk
-works in one buffer: the IFFT runs in place over the symbols, and the AWGN
-is added through one reused slice of at most _NOISE_SLICE doubles, so one
-chunk-sized array is live per chunk.
+The kernel draws no OFDM symbols.  The subcarrier symbols are Gaussian
+and the 1/m-scaled IFFT is unitary up to scale, so bit b's received
+samples are exactly i.i.d. CN(0, |gains[b]|^2 / m + sigma_n^2) whatever
+the block alignment: a chunk draws one standard normal per sample
+component, 2N per trial, and scales each trial's sum of squares by its
+bit's per-component variance.
 
 K = 8 antennas, arg(rho) = 0 and m = 64 subcarriers are fixed: after phase
 alignment |gains[1]| depends on g, alpha and |rho| alone, and the link sets
-the noise floor from the sample power 1/m, so another K, phase or m would
-only draw another realization of the same statistics.
+the noise floor from the sample power 1/m, so another K or phase would
+only draw another realization of the same statistics, and m cancels.
 
 Reproducibility contract: a run is fully determined by the scenario's
 master seed and the fixed sample budget CHUNK_SAMPLES.  A chunk holds
@@ -27,8 +26,8 @@ execution order, on which process runs a chunk, or on the worker count.
 Scope: the subcarrier symbols are Gaussian, so the Monte Carlo checks the
 code against the Gamma energy model, not the Gaussian-signal assumption
 behind that model.  A constant-modulus alphabet would test the assumption
-(by Parseval its energy over a whole OFDM block is constant), but it is a
-feature and is out of scope for now.
+(by Parseval its energy over a whole OFDM block is constant) and would
+need the IFFT back, but it is a feature and is out of scope for now.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ from .channel import make_correlated_pair
 from .detector import db_to_linear, error_probability, optimal_threshold
 from .weights import build_weight_set
 
-#: Doubles of AWGN drawn per slice; a normal draw is the same in pieces.
-_NOISE_SLICE = 1 << 15
 #: Antennas per channel draw; after phase alignment xi depends on alpha and |rho| alone.
 _K_ANTENNAS = 8
 #: Subcarriers per OFDM block; Gaussian symbols give CN(0, 1/m) samples for every m.
@@ -129,29 +126,16 @@ class BerResult:
 
 
 def _chunk_energies(rng, n_trials, n, m, gains, noise_std):
-    """(bits, energies) for ``n_trials`` equiprobable OOK bits, cut from one stream.
+    """(bits, energies) for ``n_trials`` equiprobable OOK bits, one normal per sample component.
 
-    Symbols are drawn as standard normal (re, im) pairs, so CN(0, 2); the
-    1/sqrt(2) that makes them CN(0, 1) is folded into ``gains[bit]``.  The
-    IFFT runs in place in the symbol buffer, AWGN with per-component std
-    ``noise_std`` is drawn _NOISE_SLICE doubles at a time and added in
-    place, and each window's power is summed over the real view.
+    A bit's 2N (re, im) components are i.i.d. with variance
+    |gains[bit]|^2 / (2m) from the 1/m-power signal plus ``noise_std``^2
+    from the AWGN, so each energy is a row's sum of squares times that variance.
     """
     bits = rng.integers(0, 2, size=n_trials)
-    blocks = -(-n_trials * n // m)
-    symbols = rng.standard_normal((blocks, m, 2)).view(np.complex128)[..., 0]
-    np.fft.ifft(symbols, axis=1, out=symbols)
-    received = symbols.reshape(-1)[: n_trials * n].reshape(n_trials, n)
-    received *= (gains[bits] / math.sqrt(2.0))[:, None]
-    parts = received.view(np.float64)
-    flat = parts.reshape(-1)
-    noise = np.empty(min(_NOISE_SLICE, flat.size))
-    for start in range(0, flat.size, noise.size):
-        piece = noise[: flat.size - start]
-        rng.standard_normal(out=piece)
-        piece *= noise_std
-        flat[start : start + piece.size] += piece
-    return bits, np.einsum("ij,ij->i", parts, parts)
+    parts = rng.standard_normal((n_trials, 2 * n))
+    variance = np.abs(gains) ** 2 / (2.0 * m) + noise_std**2
+    return bits, np.einsum("ij,ij->i", parts, parts) * variance[bits]
 
 
 def chunk_errors(config: ScenarioConfig, chunk: int) -> int:

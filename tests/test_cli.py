@@ -375,12 +375,12 @@ class TestBerCommand:
 
 GOLDEN_ROWS = [
     (["ber", "--n", "10,100", "--snr-db=-10:0:5", "--bits", "8192", "--seed", "7"],
-     "f0ef18cfc8941b191a41410ea8ff52a2cc00a22bd7b06545987e2f2233960a77",
-     "b2db235269b9cc1765582737faaad74b775174d8b8a1baf084378bebef9605c7"),
+     "506b0f0eff14ebaa6c9bf829cda281a6c24e2557c1d82219cfaaa3c38bcfad21",
+     "bb82291b834bd13249f300d2bb1ea66d1cf4ff2185ad9b499e93c467f4754889"),
     (["ber", "--n", "20", "--snr-db=-2.5", "--bits", "20000", "--rho", "0.6",
       "--alpha", "0.4", "--seed", "3"],
-     "aa3c6af8be5328b81571e19c8141eafcc0bdab4eddb57c63ce2e4edd4de6679a",
-     "614d9465e51ad534616c0334a730c8152e0cd71e9eb65ac055cea86166fdaefa"),
+     "b72c947c2e48a628f5676529269cb99d4a12a0e0b495100b20b662a5808a774f",
+     "c63d8f8931b2982c74eed996432a86592a5685d6eeeda1fc31f9501669bff583"),
     (["sumrate", "--gamma-db", "30", "--rho", "0.1,0.5", "--g", "1.0"],
      "f3c59c0b99eb548e3c3b9fc2b9be1be65e45383ea1761e3d7122db384fc93163",
      "9aa1ed887d775c8deda2afc2bfa79f17ee27835d584ba15794b59f1fb40d8045"),
@@ -393,7 +393,7 @@ GOLDEN_ROWS = [
     (["theory"],
      "a15a3018e9c388ce9846a4f8792a1755ac5362010974b1aa7b98bac92ee6f942",
      "f2052f2d0b41b4051f196f60b222d0743fdcec51d0e29b2fb64727e0c1d9bb10"),
-    # gamma 0 dB: hundreds of incomplete-gamma series at s >= 1e5, thousands of terms each
+    # gamma 0 dB: hundreds of incomplete-gamma continued fractions at s >= 1e5, ~sqrt(s) steps each
     (["sumrate", "--gamma-db", "0", "--rho", "0.461259", "--g", "0.726846,1.441498"],
      "9ba15a4749d39645610e7a425df5064829287c977b1bb386b2552b443e08d321",
      "88b61b5864333125207de6f720714bfad750c0cfd8b1e72c00ec7f65b3a87d8b"),
@@ -407,8 +407,8 @@ GOLDEN_IDS = ["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db", "wei
 )
 def test_golden_rows(tmp_path, argv, digest):
     # SHA-256 of the data rows (no '#' lines, joined by newlines) as released
-    # in the subcommand's current schema (ber/4, whose ber-sweep rows equal
-    # ber/2's; the others /1); a change here changes published numbers
+    # in the subcommand's current schema (ber/5; the others /1); a change
+    # here changes published numbers
     out = tmp_path / "golden.csv"
     assert main(argv + ["--out", str(out)]) == 0
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
@@ -450,7 +450,7 @@ GOLDEN_CONFIG = (
 )
 GOLDEN_FILES = [(argv, digest) for argv, _, digest in GOLDEN_ROWS] + [
     (["ber", "--config", "{cfg}", "--g", "0.9"],
-     "5af42e69015b3d6250b031aae6b37f87e534999d4650455c9a3aecff9d4e6540"),
+     "bb3cd2577c020a7071605c687265fac82bb0460c92f2d41b6375b83ab79bb0e5"),
     (["theory", "--n", "1,20", "--snr-db=-3,0", "--pdf-points", "50", "--pdf-out", "{pdf}"],
      "94f5fd98a02953ceaa2d416f8aecff38c07ded33f936029a5344910168b0fb04"),
 ]
