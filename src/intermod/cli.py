@@ -51,8 +51,9 @@ from .detector import (DEFAULT_PE_TARGET, db_to_linear, error_probability, mixtu
 from .sumrate import closed_form_norms, linspace, paper_closed_form_norms, sweep_sum_rates
 
 # bumped when a subcommand's bytes change for one input (ber/2: stream kernel, /3: theory's P_e,
-# /4: no k, m or rho_phase in the manifest, /5: one normal draw per sample component)
-SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 5, "sumrate": 1}
+# /4: no k, m or rho_phase in the manifest, /5: one normal draw per sample component,
+# /6: one Gamma(N) draw per bit)
+SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 6, "sumrate": 1}
 PDF_POINTS = 2000  # theory --pdf-points default, recorded in every theory manifest
 
 

@@ -5,12 +5,15 @@ the SU receives a scaled OFDM sample stream plus AWGN and integrates N
 sample powers against the detector threshold.  The measured BER is compared
 against the analytic error probability for the same parameters.
 
-The kernel draws no OFDM symbols.  The subcarrier symbols are Gaussian
-and the 1/m-scaled IFFT is unitary up to scale, so bit b's received
-samples are exactly i.i.d. CN(0, |gains[b]|^2 / m + sigma_n^2) whatever
-the block alignment: a chunk draws one standard normal per sample
-component, 2N per trial, and scales each trial's sum of squares by its
-bit's per-component variance.
+The kernel draws no OFDM symbols and no samples.  The subcarrier symbols
+are Gaussian and the 1/m-scaled IFFT is unitary up to scale, so bit b's
+received samples are exactly i.i.d. CN(0, P_b) with window power
+P_b = |gains[b]|^2 / m + sigma_n^2, whatever the block alignment.  Each
+sample's power is then P_b times a unit exponential, and a sum of N
+independent unit exponentials is exactly Gamma(N, 1): a chunk draws one
+standard Gamma(N) variate per trial (numpy's Marsaglia-Tsang sampler) and
+scales it by its bit's P_b.  The detector sees only the window energy, so
+nothing it could measure is lost.
 
 K = 8 antennas, arg(rho) = 0 and m = 64 subcarriers are fixed: after phase
 alignment |gains[1]| depends on g, alpha and |rho| alone, and the link sets
@@ -126,16 +129,18 @@ class BerResult:
 
 
 def _chunk_energies(rng, n_trials, n, m, gains, noise_std):
-    """(bits, energies) for ``n_trials`` equiprobable OOK bits, one normal per sample component.
+    """(bits, energies) for ``n_trials`` equiprobable OOK bits, one Gamma(N) draw per bit.
 
-    A bit's 2N (re, im) components are i.i.d. with variance
-    |gains[bit]|^2 / (2m) from the 1/m-power signal plus ``noise_std``^2
-    from the AWGN, so each energy is a row's sum of squares times that variance.
+    A bit's N received samples are i.i.d. complex Gaussian with power
+    |gains[bit]|^2 / m from the 1/m-power signal plus 2 ``noise_std``^2 from
+    the AWGN (``noise_std`` per component), so its energy is exactly that
+    power times a standard Gamma(N) variate.
     """
     bits = rng.integers(0, 2, size=n_trials)
-    parts = rng.standard_normal((n_trials, 2 * n))
-    variance = np.abs(gains) ** 2 / (2.0 * m) + noise_std**2
-    return bits, np.einsum("ij,ij->i", parts, parts) * variance[bits]
+    power = np.abs(gains) ** 2 / m + 2.0 * noise_std**2
+    energies = rng.standard_gamma(n, size=n_trials)
+    energies *= power[bits]
+    return bits, energies
 
 
 def chunk_errors(config: ScenarioConfig, chunk: int) -> int:

@@ -375,12 +375,12 @@ class TestBerCommand:
 
 GOLDEN_ROWS = [
     (["ber", "--n", "10,100", "--snr-db=-10:0:5", "--bits", "8192", "--seed", "7"],
-     "506b0f0eff14ebaa6c9bf829cda281a6c24e2557c1d82219cfaaa3c38bcfad21",
-     "bb82291b834bd13249f300d2bb1ea66d1cf4ff2185ad9b499e93c467f4754889"),
+     "1ed779b6c8110a0428d04ccd9a54441b20c41ed45ec4fbf6bc1025f9bc495ba4",
+     "d8f0415e90dd8b583d43ca39cad4d84cfc85abced4d0b81179706e404f89a82f"),
     (["ber", "--n", "20", "--snr-db=-2.5", "--bits", "20000", "--rho", "0.6",
       "--alpha", "0.4", "--seed", "3"],
-     "b72c947c2e48a628f5676529269cb99d4a12a0e0b495100b20b662a5808a774f",
-     "c63d8f8931b2982c74eed996432a86592a5685d6eeeda1fc31f9501669bff583"),
+     "4af8bf8eec78e8b644ba28037ffe984258e2d81570603b68ad94bf4bbbf3a86d",
+     "ecbe89e7923f3f895a9ac465ee1ded4cbcbac0c5c393855380a44dda8638feba"),
     (["sumrate", "--gamma-db", "30", "--rho", "0.1,0.5", "--g", "1.0"],
      "f3c59c0b99eb548e3c3b9fc2b9be1be65e45383ea1761e3d7122db384fc93163",
      "9aa1ed887d775c8deda2afc2bfa79f17ee27835d584ba15794b59f1fb40d8045"),
@@ -407,7 +407,7 @@ GOLDEN_IDS = ["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db", "wei
 )
 def test_golden_rows(tmp_path, argv, digest):
     # SHA-256 of the data rows (no '#' lines, joined by newlines) as released
-    # in the subcommand's current schema (ber/5; the others /1); a change
+    # in the subcommand's current schema (ber/6; the others /1); a change
     # here changes published numbers
     out = tmp_path / "golden.csv"
     assert main(argv + ["--out", str(out)]) == 0
@@ -450,7 +450,7 @@ GOLDEN_CONFIG = (
 )
 GOLDEN_FILES = [(argv, digest) for argv, _, digest in GOLDEN_ROWS] + [
     (["ber", "--config", "{cfg}", "--g", "0.9"],
-     "bb3cd2577c020a7071605c687265fac82bb0460c92f2d41b6375b83ab79bb0e5"),
+     "262112bb28bd92adca9b2bd3e31136e34dc9ca718449bd12f9e571b7137f5acf"),
     (["theory", "--n", "1,20", "--snr-db=-3,0", "--pdf-points", "50", "--pdf-out", "{pdf}"],
      "94f5fd98a02953ceaa2d416f8aecff38c07ded33f936029a5344910168b0fb04"),
 ]
