@@ -21,10 +21,11 @@ the noise floor from the sample power 1/m, so another K or phase would
 only draw another realization of the same statistics, and m cancels.
 
 Reproducibility contract: a run is fully determined by the scenario's
-master seed and the fixed sample budget CHUNK_SAMPLES.  A chunk holds
-max(1, CHUNK_SAMPLES // N) trials and draws from its own RNG substream
-spawned from (master_seed, chunk_index), so results do not depend on
-execution order, on which process runs a chunk, or on the worker count.
+master seed and the fixed trial budget CHUNK_TRIALS.  A chunk holds
+CHUNK_TRIALS trials whatever N (the last one may hold fewer), since a trial
+costs one variate at every N, and draws from its own RNG substream spawned
+from (master_seed, chunk_index), so results do not depend on execution
+order, on which thread runs a chunk, or on the worker count.
 
 Scope: the subcarrier symbols are Gaussian, so the Monte Carlo checks the
 code against the Gamma energy model, not the Gaussian-signal assumption
@@ -38,13 +39,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._domain import CHUNK_SAMPLES, check
+from ._domain import CHUNK_TRIALS, check
 from .channel import make_correlated_pair
 from .detector import db_to_linear, error_probability, optimal_threshold
 from .weights import build_weight_set
@@ -71,10 +71,8 @@ class ScenarioConfig:
         for field in fields(self):
             check(field.name, getattr(self, field.name))
 
-    @property
-    def chunk_trials(self) -> int:
-        """Trials per chunk: the sample budget over N, at least one."""
-        return max(1, CHUNK_SAMPLES // self.n_samples)
+    #: Trials per chunk, the same for every N.
+    chunk_trials = CHUNK_TRIALS
 
     @property
     def n_chunks(self) -> int:
@@ -156,18 +154,15 @@ def chunk_errors(config: ScenarioConfig, chunk: int) -> int:
     return int(np.count_nonzero((energies > threshold) != bits))
 
 
-def _task_errors(task):
-    """``chunk_errors`` of one (config, chunk) task, for ``Pool.imap``."""
-    return chunk_errors(*task)
-
-
 def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult]:
     """Monte Carlo BER per scenario from one ``chunk_errors`` task per (scenario, chunk).
 
     The tasks are generated as they run, never held in a list.  More than
-    one worker maps them over a pool of at most ``jobs``, one per task and
-    per usable CPU.  Links resolve first, so bad input raises before any
-    fork and the workers receive each link with its config.
+    one worker maps them over a thread pool of at most ``jobs``, one per
+    task and per usable CPU.  Threads parallelize the draws: numpy's bulk
+    ``integers`` and ``standard_gamma`` release the GIL, and a full chunk's
+    Python work is about 1% of its draws.  Links resolve first, so bad input
+    raises before any worker starts, and every thread reads the same link.
     """
     check("jobs", jobs)
     analytic_pe = [config.link[3] for config in configs]
@@ -176,10 +171,13 @@ def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, n_tasks, cpus or 1)
     if workers > 1:
-        with multiprocessing.Pool(processes=workers) as pool:
+        from multiprocessing.pool import ThreadPool  # only where a pool runs
+
+        with ThreadPool(processes=workers) as pool:
             # starmap's batching: about four batches per worker
             chunksize = -(-n_tasks // (4 * workers))
-            return _tally(configs, analytic_pe, pool.imap(_task_errors, tasks, chunksize))
+            counts = pool.imap(lambda task: chunk_errors(*task), tasks, chunksize)
+            return _tally(configs, analytic_pe, counts)
     return _tally(configs, analytic_pe, itertools.starmap(chunk_errors, tasks))
 
 

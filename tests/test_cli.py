@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import multiprocessing.pool
 import re
 import time
 import warnings
@@ -245,19 +246,19 @@ class TestBerCommand:
             config.alpha, config.rho_mag, config.g, config.master_seed)
 
     def test_jobs_do_not_change_results(self, tmp_path):
-        out1 = tmp_path / "b1.csv"
-        out2 = tmp_path / "b1.csv"
         argv = ["ber", "--n", "10,20", "--snr-db=-5,0", "--bits", "4000",
                 "--seed", "42"]
-        assert main(argv + ["--jobs", "1", "--out", str(out1)]) == 0
-        first = out1.read_bytes()
-        assert main(argv + ["--jobs", "4", "--out", str(out2)]) == 0
-        assert out2.read_bytes() == first
+        outputs = []
+        for jobs in ("1", "4"):
+            out = tmp_path / f"b{jobs}.csv"
+            assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+            outputs.append(out.read_text().replace(str(out), "OUT"))
+        assert outputs[1] == outputs[0]
 
     def test_jobs_do_not_change_a_multi_chunk_point(self, tmp_path):
-        # N = 1000 takes 262 trials per chunk, so 1000 bits are 4 chunks
-        # that 2 or 4 workers share out
-        argv = ["ber", "--n", "1000", "--snr-db=-10", "--bits", "1000", "--seed", "5"]
+        # 2e5 bits are 4 chunks of at most 2^16 trials, which 2 or 4 workers
+        # share out
+        argv = ["ber", "--n", "1000", "--snr-db=-10", "--bits", "200000", "--seed", "5"]
         outputs = []
         for jobs in ("1", "2", "4"):
             out = tmp_path / f"b{jobs}.csv"
@@ -290,7 +291,7 @@ class TestBerCommand:
     def pool_sizes(self, monkeypatch):
         """Worker counts of the pools the simulator starts, on 8 usable CPUs.
 
-        No process starts: each pool runs its tasks in this one.
+        No thread starts: each pool runs its tasks in the calling one.
         """
         started = []
 
@@ -311,26 +312,26 @@ class TestBerCommand:
                 assert chunksize == batches + bool(extra)  # Pool.starmap's batching
                 return map(func, items)
 
-        monkeypatch.setattr(simulator.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing.pool, "ThreadPool", RecordingPool)
         pin_cpus(monkeypatch, 8)
         return started
 
-    # tasks are (grid point, chunk) pairs: --bits 500 is one chunk at N = 10
-    # and 3 chunks at N = 1e5 (2 trials per chunk)
+    # tasks are (grid point, chunk) pairs: --bits 500 is one chunk at any N,
+    # and 131073 bits are 3 chunks (2^16 trials per chunk)
     @pytest.mark.parametrize("n_grid, bits, pools", [
-        ("10", "500", []), ("10,20", "500", [2]), ("100000", "6", [3]),
+        ("10", "500", []), ("10,20", "500", [2]), ("100000", "131073", [3]),
     ])
     def test_at_most_one_worker_per_task(self, tmp_path, pool_sizes, n_grid, bits, pools):
         assert main(["ber", "--n", n_grid, "--snr-db=-5", "--bits", bits, "--jobs", "4",
                      "--out", str(tmp_path / "b.csv")]) == 0
         assert pool_sizes == pools
 
-    # 10 chunks at N = 1e5, so only the CPU count bounds --jobs 1000
+    # 10 chunks of 2^16 trials, so only the CPU count bounds --jobs 1000
     @pytest.mark.parametrize("cpus, pools", [(1, []), (2, [2]), (3, [3])])
     def test_at_most_one_worker_per_usable_cpu(self, tmp_path, monkeypatch, pool_sizes,
                                                cpus, pools):
         pin_cpus(monkeypatch, cpus)
-        assert main(["ber", "--n", "100000", "--snr-db=-5", "--bits", "20", "--jobs", "1000",
+        assert main(["ber", "--n", "100000", "--snr-db=-5", "--bits", "655360", "--jobs", "1000",
                      "--out", str(tmp_path / "b.csv")]) == 0
         assert pool_sizes == pools
 
@@ -338,7 +339,7 @@ class TestBerCommand:
                                                        pool_sizes):
         monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
-        assert main(["ber", "--n", "100000", "--snr-db=-5", "--bits", "20", "--jobs", "1000",
+        assert main(["ber", "--n", "100000", "--snr-db=-5", "--bits", "655360", "--jobs", "1000",
                      "--out", str(tmp_path / "b.csv")]) == 0
         assert pool_sizes == [3]
 
@@ -375,12 +376,12 @@ class TestBerCommand:
 
 GOLDEN_ROWS = [
     (["ber", "--n", "10,100", "--snr-db=-10:0:5", "--bits", "8192", "--seed", "7"],
-     "1ed779b6c8110a0428d04ccd9a54441b20c41ed45ec4fbf6bc1025f9bc495ba4",
-     "d8f0415e90dd8b583d43ca39cad4d84cfc85abced4d0b81179706e404f89a82f"),
+     "138b592a28fd2d6f831ce5f795cc59c8509a802810bb1c33d518e2465a3ac689",
+     "3ac0dfecf69b51f9659e4c2caf1ab6b4f2f76e3d9424134db59f7f349abe5200"),
     (["ber", "--n", "20", "--snr-db=-2.5", "--bits", "20000", "--rho", "0.6",
       "--alpha", "0.4", "--seed", "3"],
-     "4af8bf8eec78e8b644ba28037ffe984258e2d81570603b68ad94bf4bbbf3a86d",
-     "ecbe89e7923f3f895a9ac465ee1ded4cbcbac0c5c393855380a44dda8638feba"),
+     "ccfc19321d50ad14e1fb22de03d69eb4d567764d2c9d70ebc321328aee6483c7",
+     "8ddf6238c8bd4daae6752fa84edc0853e550f7ad2a482443947b58af6e4bd047"),
     (["sumrate", "--gamma-db", "30", "--rho", "0.1,0.5", "--g", "1.0"],
      "f3c59c0b99eb548e3c3b9fc2b9be1be65e45383ea1761e3d7122db384fc93163",
      "9aa1ed887d775c8deda2afc2bfa79f17ee27835d584ba15794b59f1fb40d8045"),
@@ -407,7 +408,7 @@ GOLDEN_IDS = ["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db", "wei
 )
 def test_golden_rows(tmp_path, argv, digest):
     # SHA-256 of the data rows (no '#' lines, joined by newlines) as released
-    # in the subcommand's current schema (ber/6; the others /1); a change
+    # in the subcommand's current schema (ber/7; the others /1); a change
     # here changes published numbers
     out = tmp_path / "golden.csv"
     assert main(argv + ["--out", str(out)]) == 0
@@ -450,7 +451,7 @@ GOLDEN_CONFIG = (
 )
 GOLDEN_FILES = [(argv, digest) for argv, _, digest in GOLDEN_ROWS] + [
     (["ber", "--config", "{cfg}", "--g", "0.9"],
-     "262112bb28bd92adca9b2bd3e31136e34dc9ca718449bd12f9e571b7137f5acf"),
+     "e23899605264fbecc871fd76baf748d494b3f894d35029ca09408700f6d8d876"),
     (["theory", "--n", "1,20", "--snr-db=-3,0", "--pdf-points", "50", "--pdf-out", "{pdf}"],
      "94f5fd98a02953ceaa2d416f8aecff38c07ded33f936029a5344910168b0fb04"),
 ]

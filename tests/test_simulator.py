@@ -1,5 +1,6 @@
 import math
-import pickle
+import multiprocessing.pool
+import sys
 import time
 import tracemalloc
 
@@ -10,7 +11,7 @@ from intermod import simulator
 from intermod.channel import make_correlated_pair
 from intermod.detector import log_gamma_tails
 from intermod.simulator import (
-    CHUNK_SAMPLES, ScenarioConfig, _chunk_energies, chunk_errors, run_ber_grid,
+    CHUNK_TRIALS, ScenarioConfig, _chunk_energies, chunk_errors, run_ber_grid,
 )
 from intermod.weights import build_weight_set
 from test_cli import pin_cpus
@@ -198,11 +199,30 @@ class TestStreamKernel:
             0.08797457838074128, 0.39491433433474443, 0.2674925819783976, 0.17674509280006648,
         ], rel=1e-12)
 
-    # the budget is 2^18 samples; changing it changes every ber result
+    def test_each_chunk_draws_its_own_substream(self, monkeypatch):
+        # chunk c seeds from (master_seed, c), so three chunks open on three
+        # different variates; on one shared substream they would all repeat chunk 0's
+        cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=2 * CHUNK_TRIALS + 1,
+                             master_seed=37)
+        kernel, first = simulator._chunk_energies, []
+
+        def record(*args):
+            bits, energies = kernel(*args)
+            first.append(energies[0])
+            return bits, energies
+
+        monkeypatch.setattr(simulator, "_chunk_energies", record)
+        run_ber_grid([cfg])
+        assert cfg.n_chunks == 3
+        assert len(set(first)) == 3
+
+    # the budget is 2^16 trials whatever N; changing it changes every
+    # multi-chunk ber result
     @pytest.mark.parametrize("n, bits, trials, chunks", [
-        (10, 26214, 26214, 1), (10, 26215, 26214, 2), (1000, 1000, 262, 4), (10**6, 3, 1, 3),
+        (1, 65536, 65536, 1), (10, 65537, 65536, 2), (1000, 200_000, 65536, 4),
+        (10**6, 131_072, 65536, 2), (10**6, 131_073, 65536, 3),
     ])
-    def test_chunks_follow_the_sample_budget(self, n, bits, trials, chunks):
+    def test_chunks_follow_the_trial_budget(self, n, bits, trials, chunks):
         cfg = ScenarioConfig(n_samples=n, snr_db=0.0, n_bits=bits)
         assert (cfg.chunk_trials, cfg.n_chunks) == (trials, chunks)
 
@@ -214,7 +234,7 @@ class TestInPlaceKernel:
     def test_one_chunk_peaks_near_its_symbol_buffer(self, n):
         # three 8-byte values per trial, whatever N; 4 KiB covers the
         # substream's SeedSequence, PCG64 and Generator objects
-        bits = CHUNK_SAMPLES // n or 1  # one full chunk
+        bits = CHUNK_TRIALS  # one full chunk
         cfg = ScenarioConfig(n_samples=n, snr_db=-5.0, n_bits=bits, master_seed=47)
         cfg.link  # resolve outside the trace
         trial_bytes = cfg.chunk_trials * 3 * 8
@@ -312,10 +332,10 @@ class TestRunBer:
         (10**4, -15.0, 0.0, 71), (10**5, -20.0, 0.6, 73), (10**6, -25.0, 0.3, 79),
     ])
     def test_matches_theory_up_to_the_top_of_the_n_domain(self, n, snr_db, rho, seed):
-        # one Gamma draw per bit at every N: 4000 bits at P_e ~ 0.06 take a
-        # fraction of a second even at N = 1e6
-        cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=4000, alpha=0.4, rho_mag=rho,
-                             master_seed=seed)
+        # one Gamma draw per bit and 2^16 bits per chunk at every N: 2e5 bits
+        # at P_e ~ 0.06 take a fraction of a second even at N = 1e6
+        cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=2 * 10**5, alpha=0.4,
+                             rho_mag=rho, master_seed=seed)
         start = time.perf_counter()
         res = run_ber_grid([cfg])[0]
         elapsed = time.perf_counter() - start
@@ -350,10 +370,10 @@ class TestRunBer:
 
 
 class TestRunBerGrid:
-    # N = 10: 3000 bits are one chunk; N = 1000: 262 trials per chunk, so 4 chunks
+    # 3000 bits are one chunk; 2e5 bits are 4 chunks of at most 2^16 trials
     CONFIGS = (
         ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=3000, master_seed=37),
-        ScenarioConfig(n_samples=1000, snr_db=-10.0, n_bits=1000, master_seed=41),
+        ScenarioConfig(n_samples=1000, snr_db=-10.0, n_bits=200_000, master_seed=41),
     )
 
     def test_same_results_at_one_and_two_jobs(self, monkeypatch):
@@ -363,11 +383,32 @@ class TestRunBerGrid:
         assert run_ber_grid(list(self.CONFIGS), jobs=2) == serial
         assert serial == [run_ber_grid([cfg])[0] for cfg in self.CONFIGS]
 
+    def test_more_threads_than_cpus_switching_often_match_one(self, monkeypatch):
+        # eight workers on any host, switched every microsecond: four full
+        # chunks, then four short points that finish first, so a count lost or
+        # tallied out of task order between threads would change the results
+        pin_cpus(monkeypatch, 8)
+        configs = [ScenarioConfig(n_samples=1000, snr_db=-10.0, n_bits=4 * CHUNK_TRIALS,
+                                  master_seed=61)] + [
+            ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=1000, master_seed=seed)
+            for seed in range(62, 66)]
+        serial = run_ber_grid(configs, jobs=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_ber_grid(configs, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
     def test_bad_input_raises_before_any_pool(self, monkeypatch):
         def no_pool(processes):
             raise AssertionError(f"a pool of {processes} started")
 
-        monkeypatch.setattr(simulator.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing.pool, "ThreadPool", no_pool)
+        pin_cpus(monkeypatch, 2)
+        with pytest.raises(AssertionError, match="a pool of 2 started"):  # good input reaches it
+            run_ber_grid(list(self.CONFIGS), jobs=2)
         bad = ScenarioConfig(n_samples=10, snr_db=3000.0, n_bits=100)
         with pytest.raises(ValueError, match="noise floor"):
             run_ber_grid([*self.CONFIGS, bad], jobs=2)
@@ -377,8 +418,9 @@ class TestRunBerGrid:
             run_ber_grid(list(self.CONFIGS), jobs=2.5)
 
     def test_tasks_are_generated_as_they_run(self, monkeypatch):
-        # 2e5 one-trial chunks at N = 1e6: a task list would hold ~97 bytes a task
-        cfg = ScenarioConfig(n_samples=10**6, snr_db=-5.0, n_bits=200_000, master_seed=53)
+        # 2e5 full chunks: a task list would hold ~97 bytes a task
+        cfg = ScenarioConfig(n_samples=10**6, snr_db=-5.0, n_bits=200_000 * CHUNK_TRIALS,
+                             master_seed=53)
         cfg.link  # resolve outside the trace
         monkeypatch.setattr(simulator, "chunk_errors", lambda config, chunk: chunk % 2)
         tracemalloc.start()
@@ -391,9 +433,18 @@ class TestRunBerGrid:
         assert result.n_errors == 100_000  # every chunk counted once
         assert peak < 1_000_000
 
-    def test_workers_receive_the_resolved_link(self):
-        cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=100, master_seed=43)
-        run_ber_grid([cfg])
-        sent = pickle.loads(pickle.dumps(cfg))
-        assert "link" in vars(sent)
-        assert sent.link[3] == cfg.link[3]
+    def test_a_threaded_run_builds_each_link_once(self, monkeypatch):
+        # links resolve before the pool starts, so no chunk's thread builds one
+        pin_cpus(monkeypatch, 2)
+        calls = []
+        real = simulator.make_correlated_pair
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "make_correlated_pair", counted)
+        configs = [ScenarioConfig(n_samples=n, snr_db=-5.0, n_bits=3 * CHUNK_TRIALS,
+                                  master_seed=seed) for n, seed in ((10, 43), (1000, 59))]
+        run_ber_grid(configs, jobs=2)
+        assert calls == [43, 59]
