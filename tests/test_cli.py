@@ -316,12 +316,17 @@ class TestBerCommand:
         pin_cpus(monkeypatch, 8)
         return started
 
-    # tasks are (grid point, chunk) pairs: --bits 500 is one chunk at any N,
-    # and 131073 bits are 3 chunks (2^16 trials per chunk)
-    @pytest.mark.parametrize("n_grid, bits, pools", [
-        ("10", "500", []), ("10,20", "500", [2]), ("100000", "131073", [3]),
+    # tasks are (grid point, chunk) pairs: --bits 500 is one chunk of 2^16
+    # trials, and with the budget cut to 2 trials 6 bits are 3 chunks
+    @pytest.mark.parametrize("n_grid, bits, chunk_trials, pools", [
+        pytest.param("10", "500", None, [], id="10-500-pools0"),
+        pytest.param("10,20", "500", None, [2], id="10,20-500-pools1"),
+        pytest.param("100000", "6", 2, [3], id="100000-6-pools2"),
     ])
-    def test_at_most_one_worker_per_task(self, tmp_path, pool_sizes, n_grid, bits, pools):
+    def test_at_most_one_worker_per_task(self, tmp_path, monkeypatch, pool_sizes, n_grid,
+                                         bits, chunk_trials, pools):
+        if chunk_trials is not None:
+            monkeypatch.setattr(simulator.ScenarioConfig, "chunk_trials", chunk_trials)
         assert main(["ber", "--n", n_grid, "--snr-db=-5", "--bits", bits, "--jobs", "4",
                      "--out", str(tmp_path / "b.csv")]) == 0
         assert pool_sizes == pools
