@@ -13,6 +13,7 @@ conjugated, ``<a, b> = sum_i conj(a_i) * b_i``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +71,9 @@ class ChannelPair:
         object.__setattr__(self, "h_pu", h_pu)
         object.__setattr__(self, "h_su", h_su)
 
-    @property
+    @functools.cached_property
     def rho(self) -> complex:
-        """Correlation <h_su, h_pu> (conjugate-first convention)."""
+        """Correlation <h_su, h_pu> (conjugate-first convention), computed once."""
         return inner_product(self.h_su, self.h_pu)
 
     @property

@@ -52,8 +52,9 @@ from .sumrate import closed_form_norms, linspace, paper_closed_form_norms, sweep
 
 # bumped when a subcommand's bytes change for one input (ber/2: stream kernel, /3: theory's P_e,
 # /4: no k, m or rho_phase in the manifest, /5: one normal draw per sample component,
-# /6: one Gamma(N) draw per bit, /7: chunks of a fixed trial count)
-SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 7, "sumrate": 1}
+# /6: one Gamma(N) draw per bit, /7: chunks of a fixed trial count,
+# /8: one binomial bit-1 count per chunk)
+SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 8, "sumrate": 1}
 PDF_POINTS = 2000  # theory --pdf-points default, recorded in every theory manifest
 
 

@@ -10,10 +10,13 @@ are Gaussian and the 1/m-scaled IFFT is unitary up to scale, so bit b's
 received samples are exactly i.i.d. CN(0, P_b) with window power
 P_b = |gains[b]|^2 / m + sigma_n^2, whatever the block alignment.  Each
 sample's power is then P_b times a unit exponential, and a sum of N
-independent unit exponentials is exactly Gamma(N, 1): a chunk draws one
-standard Gamma(N) variate per trial (numpy's Marsaglia-Tsang sampler) and
-scales it by its bit's P_b.  The detector sees only the window energy, so
-nothing it could measure is lost.
+independent unit exponentials is exactly Gamma(N, 1).  The bits are i.i.d.
+fair and independent of the energies, so a chunk's trials are exchangeable:
+it draws its bit-1 count once, ``ones`` ~ Binomial(trials, 1/2) (numpy's
+BTPE sampler, or inversion up to 60 trials), then one standard Gamma(N)
+variate per trial (numpy's Marsaglia-Tsang sampler), and scales the first
+``ones`` variates by P_1 and the rest by P_0.  The detector sees only the
+window energy, so nothing it could measure is lost.
 
 K = 8 antennas, arg(rho) = 0 and m = 64 subcarriers are fixed: after phase
 alignment |gains[1]| depends on g, alpha and |rho| alone, and the link sets
@@ -127,18 +130,21 @@ class BerResult:
 
 
 def _chunk_energies(rng, n_trials, n, m, gains, noise_std):
-    """(bits, energies) for ``n_trials`` equiprobable OOK bits, one Gamma(N) draw per bit.
+    """(ones, energies) for ``n_trials`` equiprobable OOK bits, one Gamma(N) draw per bit.
 
-    A bit's N received samples are i.i.d. complex Gaussian with power
-    |gains[bit]|^2 / m from the 1/m-power signal plus 2 ``noise_std``^2 from
-    the AWGN (``noise_std`` per component), so its energy is exactly that
-    power times a standard Gamma(N) variate.
+    ``ones`` ~ Binomial(n_trials, 1/2) is drawn first: the first ``ones``
+    energies are bit 1's, the rest bit 0's.  A bit's N received samples are
+    i.i.d. complex Gaussian with power |gains[bit]|^2 / m from the 1/m-power
+    signal plus 2 ``noise_std``^2 from the AWGN (``noise_std`` per
+    component), so its energy is exactly that power times a standard
+    Gamma(N) variate, scaled in place.
     """
-    bits = rng.integers(0, 2, size=n_trials)
-    power = np.abs(gains) ** 2 / m + 2.0 * noise_std**2
+    ones = int(rng.binomial(n_trials, 0.5))
+    power0, power1 = np.abs(gains) ** 2 / m + 2.0 * noise_std**2
     energies = rng.standard_gamma(n, size=n_trials)
-    energies *= power[bits]
-    return bits, energies
+    energies[:ones] *= power1
+    energies[ones:] *= power0
+    return ones, energies
 
 
 def chunk_errors(config: ScenarioConfig, chunk: int) -> int:
@@ -148,10 +154,11 @@ def chunk_errors(config: ScenarioConfig, chunk: int) -> int:
         np.random.SeedSequence(entropy=config.master_seed, spawn_key=(chunk,))
     )
     n_trials = min(config.chunk_trials, config.n_bits - chunk * config.chunk_trials)
-    bits, energies = _chunk_energies(
+    ones, energies = _chunk_energies(
         rng, n_trials, config.n_samples, _M_SUBCARRIERS, gains, noise_std
     )
-    return int(np.count_nonzero((energies > threshold) != bits))
+    misses = np.count_nonzero(energies[:ones] <= threshold)
+    return int(misses + np.count_nonzero(energies[ones:] > threshold))
 
 
 def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult]:
@@ -160,9 +167,10 @@ def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult
     The tasks are generated as they run, never held in a list.  More than
     one worker maps them over a thread pool of at most ``jobs``, one per
     task and per usable CPU.  Threads parallelize the draws: numpy's bulk
-    ``integers`` and ``standard_gamma`` release the GIL, and a full chunk's
-    Python work is about 1% of its draws.  Links resolve first, so bad input
-    raises before any worker starts, and every thread reads the same link.
+    ``standard_gamma`` releases the GIL, and a full chunk's Python work,
+    its one ``binomial`` draw included, is about 1% of its draws.  Links
+    resolve first, so bad input raises before any worker starts, and every
+    thread reads the same link.
     """
     check("jobs", jobs)
     analytic_pe = [config.link[3] for config in configs]

@@ -25,6 +25,7 @@ consistent with the constructive solution.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,13 +42,16 @@ class WeightSet:
     xi is the average of the two squared norms; the transmitted vectors are
     ``omega_k / sqrt(xi)`` so the average transmitted squared norm is 1.
     xi > 1 means extra power is burned to satisfy the channel geometry; xi
-    must be positive and finite.
+    must be positive and finite.  xi is computed once, so the vectors are
+    made read-only.
     """
 
     omega0: np.ndarray
     omega1: np.ndarray
 
     def __post_init__(self):
+        self.omega0.setflags(write=False)
+        self.omega1.setflags(write=False)
         check("xi", self.xi)
 
     @property
@@ -60,9 +64,9 @@ class WeightSet:
         """|omega1|^2."""
         return float(np.vdot(self.omega1, self.omega1).real)
 
-    @property
+    @functools.cached_property
     def xi(self) -> float:
-        """Mean squared norm of the two weight vectors."""
+        """Mean squared norm of the two weight vectors, computed once."""
         return 0.5 * (self.norm0_sq + self.norm1_sq)
 
     def tx_weight(self, bit: int) -> np.ndarray:
@@ -79,6 +83,14 @@ def solve_min_norm(pair: ChannelPair, b_su: complex, b_pu: complex) -> np.ndarra
     nullspace of the constraints.  ``ChannelPair`` has already checked the
     shapes, the unit norms and rho; the targets must be finite.
     """
+    return _solve_min_norm(pair, (b_su, b_pu))[0]
+
+
+def _solve_min_norm(pair: ChannelPair, *targets: tuple[complex, complex]) -> np.ndarray:
+    """One row omega per (b_su, b_pu) target, each a right-hand side of one Gram solve.
+
+    The K and near-singular checks run once for all targets.
+    """
     try:
         check("k", pair.k)
     except ValueError as exc:
@@ -90,8 +102,11 @@ def solve_min_norm(pair: ChannelPair, b_su: complex, b_pu: complex) -> np.ndarra
         )
     c = np.stack([pair.h_su, pair.h_pu])  # rows apply as plain-transpose products
     gram = c @ c.conj().T
-    b = np.array([check("b_su", b_su), check("b_pu", b_pu)], dtype=complex)
-    return c.conj().T @ np.linalg.solve(gram, b)
+    b = np.array([[check("b_su", b_su), check("b_pu", b_pu)] for b_su, b_pu in targets],
+                 dtype=complex)
+    # omega = C^H x, elementwise so that a row's bits do not depend on how many are solved
+    x_su, x_pu = np.linalg.solve(gram, b.T)[:, :, None]
+    return x_su * pair.h_su.conj() + x_pu * pair.h_pu.conj()
 
 
 def build_weight_set(pair: ChannelPair, alpha: float) -> WeightSet:
@@ -106,7 +121,7 @@ def build_weight_set(pair: ChannelPair, alpha: float) -> WeightSet:
     """
     theta = cmath.phase(pair.rho) if pair.rho != 0 else 0.0
     b_pu = math.sqrt(1.0 - check("alpha", alpha))
-    return WeightSet(
-        omega0=solve_min_norm(pair, 0.0, b_pu),
-        omega1=solve_min_norm(pair, math.sqrt(alpha) * cmath.exp(-1j * theta), b_pu),
+    omega0, omega1 = _solve_min_norm(
+        pair, (0.0, b_pu), (math.sqrt(alpha) * cmath.exp(-1j * theta), b_pu)
     )
+    return WeightSet(omega0=omega0, omega1=omega1)

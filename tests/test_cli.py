@@ -381,12 +381,12 @@ class TestBerCommand:
 
 GOLDEN_ROWS = [
     (["ber", "--n", "10,100", "--snr-db=-10:0:5", "--bits", "8192", "--seed", "7"],
-     "138b592a28fd2d6f831ce5f795cc59c8509a802810bb1c33d518e2465a3ac689",
-     "3ac0dfecf69b51f9659e4c2caf1ab6b4f2f76e3d9424134db59f7f349abe5200"),
+     "6d80a5d4856af186ffeec610813d5abfecc505f0438e91823d771239c0244189",
+     "fa67caa9b8f6d03a423eb3b844b7b29ec70cbc5dc67aa1b0b23de975ee747843"),
     (["ber", "--n", "20", "--snr-db=-2.5", "--bits", "20000", "--rho", "0.6",
       "--alpha", "0.4", "--seed", "3"],
-     "ccfc19321d50ad14e1fb22de03d69eb4d567764d2c9d70ebc321328aee6483c7",
-     "8ddf6238c8bd4daae6752fa84edc0853e550f7ad2a482443947b58af6e4bd047"),
+     "97f7280e6f33a85390029277ed767ed3267c5eaa35b8e108ad3c0131b7c445e6",
+     "b35c311895cbf4459bc54c031ac4d4974916288b4432304a6f9e7374b8dc4228"),
     (["sumrate", "--gamma-db", "30", "--rho", "0.1,0.5", "--g", "1.0"],
      "f3c59c0b99eb548e3c3b9fc2b9be1be65e45383ea1761e3d7122db384fc93163",
      "9aa1ed887d775c8deda2afc2bfa79f17ee27835d584ba15794b59f1fb40d8045"),
@@ -413,7 +413,7 @@ GOLDEN_IDS = ["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db", "wei
 )
 def test_golden_rows(tmp_path, argv, digest):
     # SHA-256 of the data rows (no '#' lines, joined by newlines) as released
-    # in the subcommand's current schema (ber/7; the others /1); a change
+    # in the subcommand's current schema (ber/8; the others /1); a change
     # here changes published numbers
     out = tmp_path / "golden.csv"
     assert main(argv + ["--out", str(out)]) == 0
@@ -456,7 +456,7 @@ GOLDEN_CONFIG = (
 )
 GOLDEN_FILES = [(argv, digest) for argv, _, digest in GOLDEN_ROWS] + [
     (["ber", "--config", "{cfg}", "--g", "0.9"],
-     "e23899605264fbecc871fd76baf748d494b3f894d35029ca09408700f6d8d876"),
+     "b98e9e58e6e713c8b6ea863e374fd4e2e4b61abcc002ca0ae3167d7f079be261"),
     (["theory", "--n", "1,20", "--snr-db=-3,0", "--pdf-points", "50", "--pdf-out", "{pdf}"],
      "94f5fd98a02953ceaa2d416f8aecff38c07ded33f936029a5344910168b0fb04"),
 ]

@@ -9,7 +9,7 @@ import pytest
 
 from intermod import simulator
 from intermod.channel import make_correlated_pair
-from intermod.detector import log_gamma_tails
+from intermod.detector import log_gamma_tails, optimal_threshold
 from intermod.simulator import (
     CHUNK_TRIALS, ScenarioConfig, _chunk_energies, chunk_errors, run_ber_grid,
 )
@@ -115,21 +115,21 @@ class TestTransmitOokBit:
         pair, ws = scenario
         rng = np.random.default_rng(6)
         sigma_n_sq = 1e-3
-        bits, energies = _chunk_energies(
+        ones, energies = _chunk_energies(
             rng, 4000, 64, 64, response_gains(pair, ws), math.sqrt(sigma_n_sq / 2)
         )
-        assert energies[bits == 0].mean() / 64 == pytest.approx(sigma_n_sq, rel=0.02)
+        assert energies[ones:].mean() / 64 == pytest.approx(sigma_n_sq, rel=0.02)
 
     def test_bit1_power_matches_received_power(self, scenario):
         # rho = 0: sigma_r^2 = (1/64) * 0.3 / 0.85
         pair, ws = scenario
         rng = np.random.default_rng(7)
         sigma_n_sq = 1e-3
-        bits, energies = _chunk_energies(
+        ones, energies = _chunk_energies(
             rng, 4000, 64, 64, response_gains(pair, ws), math.sqrt(sigma_n_sq / 2)
         )
         want = sigma_n_sq + (1 / 64) * 0.3 / 0.85
-        assert energies[bits == 1].mean() / 64 == pytest.approx(want, rel=0.02)
+        assert energies[:ones].mean() / 64 == pytest.approx(want, rel=0.02)
 
     def test_pu_side_power_identical_for_both_bits(self):
         pair = make_correlated_pair(8, 0.6, 0.8, seed=8)
@@ -153,8 +153,8 @@ class TestDetectOokBit:
     def test_energy_above_threshold(self):
         # no noise: only bit 1 carries energy, so any small threshold decides right
         rng = np.random.default_rng(1)
-        bits, energies = _chunk_energies(rng, 1000, 8, 64, np.array([0.0, 1.0 + 0.0j]), 0.0)
-        assert np.array_equal(energies > 1e-12, bits == 1)
+        ones, energies = _chunk_energies(rng, 1000, 8, 64, np.array([0.0, 1.0 + 0.0j]), 0.0)
+        assert np.array_equal(energies > 1e-12, np.arange(1000) < ones)
 
     def test_false_alarm_rate(self):
         # noise-only symbols at delta*: rate = Q(N, delta/sigma_n^2)
@@ -185,19 +185,80 @@ class TestStreamKernel:
             assert abs(res.n_errors - aligned_errors(cfg)) <= band, (n, snr_db)
 
     def test_first_energies_of_chunk_0_are_pinned(self, monkeypatch):
-        # the kernel's stream by name, not only through a digest: the bits, then
-        # one Gamma(N) variate per trial; rel 1e-12 leaves room for the solved gains' rounding
+        # the kernel's stream by name, not only through a digest: the bit-1
+        # count, then one Gamma(N) variate per trial, the bit-1 block first;
+        # rel 1e-12 leaves room for the solved gains' rounding
         cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=3000, master_seed=37)
         kernel, drawn = simulator._chunk_energies, []
         monkeypatch.setattr(
             simulator, "_chunk_energies", lambda *args: drawn.append(kernel(*args)) or drawn[-1]
         )
         chunk_errors(cfg, 0)
-        bits, energies = drawn[0]
-        assert bits[:4].tolist() == [0, 1, 1, 0]
+        ones, energies = drawn[0]
+        assert ones == 1514
         assert energies[:4].tolist() == pytest.approx([
-            0.08797457838074128, 0.39491433433474443, 0.2674925819783976, 0.17674509280006648,
+            0.2082085682029532, 0.2358393796951085, 0.1453440845172321, 0.13681518116531957,
         ], rel=1e-12)
+        assert energies[ones:ones + 4].tolist() == pytest.approx([
+            0.2328360461504256, 0.09475475017760655, 0.25131176390118637, 0.20331181501050863,
+        ], rel=1e-12)
+
+    def test_bit1_count_is_drawn_before_the_gammas(self):
+        # the order is part of the stream: one binomial, then the Gamma(N) block
+        gains, noise_std = np.array([0.5, 1.0 + 0.0j]), 0.1
+        ones, energies = _chunk_energies(np.random.default_rng(3), 1000, 10, 64, gains, noise_std)
+        rng = np.random.default_rng(3)
+        assert ones == rng.binomial(1000, 0.5)
+        power0, power1 = np.abs(gains) ** 2 / 64 + 2 * noise_std**2
+        variates = rng.standard_gamma(10, 1000)
+        np.testing.assert_array_equal(energies[:ones], variates[:ones] * power1)
+        np.testing.assert_array_equal(energies[ones:], variates[ones:] * power0)
+
+    def test_bit1_share_of_many_chunks_is_half(self, monkeypatch):
+        # six chunks, the last of one trial: the summed bit-1 counts lie within
+        # 4 sigma of half the trials, sigma = sqrt(trials) / 2
+        cfg = ScenarioConfig(n_samples=1, snr_db=-5.0, n_bits=5 * CHUNK_TRIALS + 1,
+                             master_seed=83)
+        kernel, counts = simulator._chunk_energies, []
+
+        def record(*args):
+            ones, energies = kernel(*args)
+            counts.append((ones, energies.size))
+            return ones, energies
+
+        monkeypatch.setattr(simulator, "_chunk_energies", record)
+        run_ber_grid([cfg])
+        assert [size for _, size in counts] == [CHUNK_TRIALS] * 5 + [1]
+        ones = sum(count for count, _ in counts)
+        assert abs(ones - cfg.n_bits / 2) <= 4 * 0.5 * math.sqrt(cfg.n_bits)
+
+    def test_false_alarms_and_misses_each_match_their_tail(self, monkeypatch):
+        # at a three-chunk point with rho > 0, the false alarms among bit-0
+        # trials lie within 4 sigma of Q(N, delta) and the misses among bit-1
+        # trials within 4 sigma of P(N, delta / (1 + snr)); together they are
+        # the chunks' error counts
+        cfg = ScenarioConfig(n_samples=20, snr_db=-2.5, n_bits=3 * CHUNK_TRIALS,
+                             alpha=0.4, rho_mag=0.6, master_seed=89)
+        threshold = cfg.link[2]
+        kernel, tallies = simulator._chunk_energies, []
+
+        def record(*args):
+            ones, energies = kernel(*args)
+            tallies.append((energies.size - ones, np.count_nonzero(energies[ones:] > threshold),
+                            ones, np.count_nonzero(energies[:ones] <= threshold)))
+            return ones, energies
+
+        monkeypatch.setattr(simulator, "_chunk_energies", record)
+        result = run_ber_grid([cfg])[0]
+        zeros, false_alarms, ones, misses = np.sum(tallies, axis=0)
+        assert len(tallies) == 3
+        assert false_alarms + misses == result.n_errors
+        snr = 10 ** (cfg.snr_db / 10)
+        delta = optimal_threshold(cfg.n_samples, snr)
+        p_fa = math.exp(log_gamma_tails(cfg.n_samples, delta)[1])
+        p_miss = math.exp(log_gamma_tails(cfg.n_samples, delta / (1 + snr))[0])
+        for count, trials, p in ((false_alarms, zeros, p_fa), (misses, ones, p_miss)):
+            assert abs(count - trials * p) <= 4 * math.sqrt(trials * p * (1 - p))
 
     def test_each_chunk_draws_its_own_substream(self, monkeypatch):
         # chunk c seeds from (master_seed, c), so three chunks open on three
@@ -207,9 +268,9 @@ class TestStreamKernel:
         kernel, first = simulator._chunk_energies, []
 
         def record(*args):
-            bits, energies = kernel(*args)
+            ones, energies = kernel(*args)
             first.append(energies[0])
-            return bits, energies
+            return ones, energies
 
         monkeypatch.setattr(simulator, "_chunk_energies", record)
         run_ber_grid([cfg])
@@ -228,16 +289,17 @@ class TestStreamKernel:
 
 
 class TestInPlaceKernel:
-    """The kernel holds per-trial arrays only: bits, Gamma variates and gathered window power."""
+    """The kernel holds one per-trial array, its scaled Gamma variates, and one decision mask."""
 
     @pytest.mark.parametrize("n", [100, 1000, 10**6])
     def test_one_chunk_peaks_near_its_symbol_buffer(self, n):
-        # three 8-byte values per trial, whatever N; 4 KiB covers the
-        # substream's SeedSequence, PCG64 and Generator objects
+        # one 8-byte variate and at most one 1-byte decision per trial,
+        # whatever N; 4 KiB covers the substream's SeedSequence, PCG64 and
+        # Generator objects
         bits = CHUNK_TRIALS  # one full chunk
         cfg = ScenarioConfig(n_samples=n, snr_db=-5.0, n_bits=bits, master_seed=47)
         cfg.link  # resolve outside the trace
-        trial_bytes = cfg.chunk_trials * 3 * 8
+        trial_bytes = cfg.chunk_trials * (8 + 1)
         tracemalloc.start()
         try:
             chunk_errors(cfg, 0)
@@ -284,6 +346,16 @@ class TestNumpyStream:
         # its gamma sampler fails here by name, at both ends of the N domain
         rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0,)))
         assert rng.standard_gamma(shape, 4).tolist() == first
+
+    @pytest.mark.parametrize("trials, first", [
+        (1, [1, 0, 1, 1]), (CHUNK_TRIALS, [32610, 32744, 32990, 32597]),
+    ])
+    def test_first_binomials_of_a_chunk_substream_are_pinned(self, trials, first):
+        # each chunk opens on one Binomial(trials, 1/2) draw: inversion for a
+        # short last chunk, BTPE for a full one; a numpy that changes either
+        # sampler fails here by name
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0,)))
+        assert [int(rng.binomial(trials, 0.5)) for _ in range(4)] == first
 
 
 class TestRunBer:

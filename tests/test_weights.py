@@ -1,10 +1,14 @@
+import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from intermod.channel import ChannelPair, IllConditionedCorrelationError, make_correlated_pair
+from intermod import channel
+from intermod.channel import (
+    NEAR_SINGULAR_TOL, ChannelPair, IllConditionedCorrelationError, make_correlated_pair,
+)
 from intermod.sumrate import closed_form_norms, paper_closed_form_norms
 from intermod.weights import WeightSet, build_weight_set, solve_min_norm
 
@@ -169,6 +173,9 @@ class TestBuildWeightSet:
         ws = WeightSet(omega0=np.array([0.0, 1.0, 0.0]), omega1=np.array([1.0, 1.0, 1.0]))
         assert (ws.norm0_sq, ws.norm1_sq, ws.xi) == (1.0, 3.0, 2.0)
         np.testing.assert_array_equal(ws.tx_weight(1), ws.omega1 / math.sqrt(2.0))
+        # xi is computed once, so a vector changed in place would leave it stale
+        with pytest.raises(ValueError, match="read-only"):
+            ws.omega1[0] = 2.0
 
     @pytest.mark.parametrize("omega", [np.zeros(3), np.array([1.0, math.nan, 0.0])])
     def test_rejects_xi_not_positive_and_finite(self, omega):
@@ -197,6 +204,37 @@ class TestBuildWeightSet:
             alpha / ws.xi, abs=1e-9
         )
 
+    def test_one_gram_solve_equals_two_single_solves(self):
+        # both vectors are right-hand sides of one solve; each must equal its
+        # own solve_min_norm, also at |rho|^2 just inside the near-singular
+        # tolerance, where the Gram inverse reaches 1 / NEAR_SINGULAR_TOL
+        rng = np.random.default_rng(31)
+        for idx in range(60):
+            if idx % 3:
+                rho_mag = float(rng.uniform(0.0, 0.95))
+            else:
+                rho_mag = math.sqrt(1.0 - float(rng.uniform(1.01, 2.0)) * NEAR_SINGULAR_TOL)
+            pair = make_correlated_pair(int(rng.integers(3, 16)), rho_mag,
+                                        float(rng.uniform(0, 2 * np.pi)),
+                                        seed=int(rng.integers(0, 2**31)))
+            alpha = float(rng.uniform(0.0, 0.99))
+            ws = build_weight_set(pair, alpha)
+            b_pu = math.sqrt(1 - alpha)
+            b_su = math.sqrt(alpha) * cmath.exp(-1j * cmath.phase(pair.rho))
+            np.testing.assert_allclose(ws.omega0, solve_min_norm(pair, 0.0, b_pu),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ws.omega1, solve_min_norm(pair, b_su, b_pu),
+                                       rtol=0, atol=1e-12)
+
+    def test_rejects_what_solve_min_norm_rejects(self):
+        two = ChannelPair(h_pu=np.array([1.0, 0.0]), h_su=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="K >= 3"):
+            build_weight_set(two, 0.3)
+        for excess in (1.01, 2.0):  # |rho|^2 just past the tolerance, and further
+            rho_mag = math.sqrt(1.0 - NEAR_SINGULAR_TOL / excess)
+            with pytest.raises(IllConditionedCorrelationError, match="near-singular"):
+                build_weight_set(make_correlated_pair(4, rho_mag, seed=0), 0.3)
+
     def test_xi_channel_independent(self):
         alpha, rho_mag = 0.4, 0.65
         xis = []
@@ -213,3 +251,22 @@ class TestBuildWeightSet:
             assert xi == pytest.approx(1.0 / (1.0 - rho**2), abs=1e-12)
         assert values == sorted(values)
         assert all(xi >= 1.0 for xi in values)
+
+
+def test_a_link_computes_rho_once_and_xi_once(monkeypatch):
+    # the pair's rho serves the near-singular check and the phase target; the
+    # weight set's xi serves its own check and both tx_weight calls
+    pair = make_correlated_pair(8, 0.6, 0.9, seed=14)
+    products, norms = [], []
+    real_product, real_norm = channel.inner_product, WeightSet.norm0_sq
+
+    def count_product(a, b):
+        products.append(1)
+        return real_product(a, b)
+
+    monkeypatch.setattr(channel, "inner_product", count_product)
+    monkeypatch.setattr(WeightSet, "norm0_sq",
+                        property(lambda ws: norms.append(1) or real_norm.fget(ws)))
+    ws = build_weight_set(pair, 0.3)
+    ws.tx_weight(0), ws.tx_weight(1)
+    assert (len(products), len(norms)) == (1, 1)
