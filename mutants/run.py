@@ -20,8 +20,8 @@ makes the suite hang, which a CI time limit turns into a failure.
 Before any mutant, the named tests must pass on an unmutated copy.  Exit
 status: 0 if every mutant fails its own test or times out in it; 1 if one
 survives, or is caught only by other tests; 2 if the list is wrong (an old
-text not found exactly once, or a named test failing or timing out
-unmutated).
+text not found exactly once, or a golden test named, each such entry
+listed; or a named test failing or timing out unmutated).
 """
 
 from __future__ import annotations
@@ -75,12 +75,15 @@ def first_failure(result: subprocess.CompletedProcess | None) -> str:
 
 def main() -> int:
     mutants = json.loads((ROOT / "mutants" / "mutants.json").read_text(encoding="utf-8"))
-    for mutant in mutants:
+    bad_entries = 0
+    for mutant in mutants:  # every bad entry is listed before the run stops
         count = (ROOT / mutant["file"]).read_text(encoding="utf-8").count(mutant["old"])
         if count != 1 or "golden" in mutant["test"]:
             print(f"bad entry {mutant['name']!r}: old text found {count} times in "
                   f"{mutant['file']}, test {mutant['test']}")
-            return 2
+            bad_entries += 1
+    if bad_entries:
+        return 2
     with tempfile.TemporaryDirectory() as scratch:
         clean = pytest(copy_tree(Path(scratch)), *sorted({m["test"] for m in mutants}))
         if clean is None or clean.returncode != 0:

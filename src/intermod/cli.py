@@ -287,11 +287,11 @@ def cmd_ber(args) -> int:
 
     rows = []
     for (n, snr_db), res in zip(grid, results):
+        ci95 = 1.96 * math.sqrt(res.ber * (1.0 - res.ber) / res.n_bits)
         band = 3.0 * math.sqrt(res.analytic_pe * (1.0 - res.analytic_pe) / res.n_bits)
         within = abs(res.ber - res.analytic_pe) <= band
         rows.append(
-            (n, snr_db, res.n_bits, res.n_errors, res.ber, res.analytic_pe,
-             res.per_point_ci95, within)
+            (n, snr_db, res.n_bits, res.n_errors, res.ber, res.analytic_pe, ci95, within)
         )
     _write_csv(
         args.out,

@@ -5,23 +5,26 @@ the SU receives a scaled OFDM sample stream plus AWGN and integrates N
 sample powers against the detector threshold.  The measured BER is compared
 against the analytic error probability for the same parameters.
 
-The kernel draws no OFDM symbols and no samples.  The subcarrier symbols
-are Gaussian and the 1/m-scaled IFFT is unitary up to scale, so bit b's
-received samples are exactly i.i.d. CN(0, P_b) with window power
-P_b = |gains[b]|^2 / m + sigma_n^2, whatever the block alignment.  Each
-sample's power is then P_b times a unit exponential, and a sum of N
-independent unit exponentials is exactly Gamma(N, 1).  The bits are i.i.d.
-fair and independent of the energies, so a chunk's trials are exchangeable:
-it draws its bit-1 count once, ``ones`` ~ Binomial(trials, 1/2) (numpy's
-BTPE sampler, or inversion up to 60 trials), then one standard Gamma(N)
-variate per trial (numpy's Marsaglia-Tsang sampler), and scales the first
-``ones`` variates by P_1 and the rest by P_0.  The detector sees only the
-window energy, so nothing it could measure is lost.
+The kernel works in noise units, as the detector does (every power and the
+threshold are divided by sigma_n^2), and draws no OFDM symbols and no
+samples.  The subcarrier symbols are Gaussian and the 1/m-scaled IFFT is
+unitary up to scale, so bit b's received samples are exactly i.i.d.
+CN(0, P_b) whatever the block alignment, with P_1 = 1 + snr and P_0 = 1
+plus the bit-0 solver residue.  Each sample's power is then P_b times a
+unit exponential, and a sum of N independent unit exponentials is exactly
+Gamma(N, 1).  The bits are i.i.d. fair and independent of the energies, so
+a chunk's trials are exchangeable: it draws its bit-1 count once, ``ones``
+~ Binomial(trials, 1/2) (numpy's BTPE sampler, or inversion up to 60
+trials), then one standard Gamma(N) variate per trial (numpy's
+Marsaglia-Tsang sampler), and scales the first ``ones`` variates by P_1
+and the rest by P_0.  The detector sees only the window energy, so nothing
+it could measure is lost.
 
-K = 8 antennas, arg(rho) = 0 and m = 64 subcarriers are fixed: after phase
-alignment |gains[1]| depends on g, alpha and |rho| alone, and the link sets
-the noise floor from the sample power 1/m, so another K or phase would
-only draw another realization of the same statistics, and m cancels.
+K = 8 antennas and arg(rho) = 0 are fixed: after phase alignment |gain1|
+depends on g, alpha and |rho| alone, so another K or phase would only draw
+another realization of the same statistics; the draw is kept to measure
+the bit-0 solver residue.  The m subcarriers scale the signal and the
+noise floor alike, so m cancels and the code carries none.
 
 Reproducibility contract: a run is fully determined by the scenario's
 master seed and the fixed trial budget CHUNK_TRIALS.  A chunk holds
@@ -41,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import os
 from dataclasses import dataclass, fields
 
@@ -54,8 +56,6 @@ from .weights import build_weight_set
 
 #: Antennas per channel draw; after phase alignment xi depends on alpha and |rho| alone.
 _K_ANTENNAS = 8
-#: Subcarriers per OFDM block; Gaussian symbols give CN(0, 1/m) samples for every m.
-_M_SUBCARRIERS = 64
 
 
 @dataclass(frozen=True)
@@ -84,28 +84,25 @@ class ScenarioConfig:
 
     @functools.cached_property
     def link(self):
-        """(gains, noise_std, threshold, analytic_pe) of the scenario.
+        """(power0, power1, threshold, analytic_pe) of the scenario, in units of sigma_n^2.
 
-        gains are the solved SU responses g * h_su^T omega_bit / sqrt(xi) to
-        the two weight vectors.  sigma_r^2 = power1 = |gains[1]|^2 * sample_var,
-        which equals sample_var * alpha g^2 / xi by the constraint construction.
-        P_e comes from N and the linear SNR alone, as in ``theory``; sigma_n^2
-        = power1 / snr sets noise_std and the absolute threshold.  For
-        alpha = 0 the SNR is undefined, the noise floor defaults to sample_var,
-        and P_e = 0.5.  Bit 0 is modelled as noise only, so an SNR whose noise
-        floor is not far above the power of the bit-0 response (solver
-        residue) is rejected.
+        sigma_n^2 is the bit-1 signal power over the linear SNR, so power1 =
+        1 + snr, and power0 adds the bit-0 solver residue, leak = snr
+        |gain0|^2 / |gain1|^2, with gain_b = g h_su^T omega_b / sqrt(xi) the
+        solved SU response.  The threshold and P_e come from N and the SNR
+        alone, as in ``theory``.  For alpha = 0 the SNR is undefined: the
+        floor is the sample power, the threshold N and P_e 0.5.  Bit 0 is
+        modelled as noise only, so a leak of 1e-12 or more is rejected.
         """
         pair = make_correlated_pair(_K_ANTENNAS, self.rho_mag, seed=self.master_seed)
         weights = build_weight_set(pair, self.alpha)
-        gains = np.array([self.g * complex(pair.h_su @ weights.tx_weight(bit)) for bit in (0, 1)])
-        sample_var = 1.0 / _M_SUBCARRIERS
-        power0, power1 = (abs(complex(gain)) ** 2 * sample_var for gain in gains)
+        gain0_sq, gain1_sq = (abs(self.g * complex(pair.h_su @ weights.tx_weight(bit))) ** 2
+                              for bit in (0, 1))
         snr = db_to_linear(self.snr_db)
-        if power1 < 1e-18 * sample_var:  # nulled response leaves only solver residue
-            return gains, math.sqrt(sample_var / 2.0), self.n_samples * sample_var, 0.5
-        sigma_n_sq = power1 / snr
-        if power0 >= 1e-12 * sigma_n_sq:
+        if gain1_sq < 1e-18:  # nulled response leaves only solver residue
+            return 1 + gain0_sq, 1 + gain1_sq, self.n_samples, 0.5
+        leak = snr * gain0_sq / gain1_sq
+        if leak >= 1e-12:
             raise ValueError(
                 f"snr_db={self.snr_db:g} puts the noise floor within 1e12x of the power of "
                 "the bit-0 solver residue; the detector model needs bit 0 to be noise only"
@@ -115,7 +112,7 @@ class ScenarioConfig:
         except ValueError as exc:  # only the floor is left to raise
             raise ValueError(f"snr_db={self.snr_db:g}: {exc}") from exc
         pe = error_probability(self.n_samples, snr, delta)
-        return gains, math.sqrt(sigma_n_sq / 2.0), sigma_n_sq * delta, pe
+        return 1 + leak, 1 + snr, delta, pe
 
 
 @dataclass(frozen=True)
@@ -124,23 +121,23 @@ class BerResult:
 
     n_bits: int
     n_errors: int
-    ber: float
     analytic_pe: float
-    per_point_ci95: float
+
+    @property
+    def ber(self) -> float:
+        return self.n_errors / self.n_bits
 
 
-def _chunk_energies(rng, n_trials, n, m, gains, noise_std):
+def _chunk_energies(rng, n_trials, n, power0, power1):
     """(ones, energies) for ``n_trials`` equiprobable OOK bits, one Gamma(N) draw per bit.
 
     ``ones`` ~ Binomial(n_trials, 1/2) is drawn first: the first ``ones``
     energies are bit 1's, the rest bit 0's.  A bit's N received samples are
-    i.i.d. complex Gaussian with power |gains[bit]|^2 / m from the 1/m-power
-    signal plus 2 ``noise_std``^2 from the AWGN (``noise_std`` per
-    component), so its energy is exactly that power times a standard
-    Gamma(N) variate, scaled in place.
+    i.i.d. complex Gaussian with window power ``power1`` or ``power0``, so
+    its energy is exactly that power times a standard Gamma(N) variate,
+    scaled in place.
     """
     ones = int(rng.binomial(n_trials, 0.5))
-    power0, power1 = np.abs(gains) ** 2 / m + 2.0 * noise_std**2
     energies = rng.standard_gamma(n, size=n_trials)
     energies[:ones] *= power1
     energies[ones:] *= power0
@@ -149,14 +146,12 @@ def _chunk_energies(rng, n_trials, n, m, gains, noise_std):
 
 def chunk_errors(config: ScenarioConfig, chunk: int) -> int:
     """Bit errors in chunk ``chunk`` of a scenario, from its own RNG substream."""
-    gains, noise_std, threshold, _ = config.link
+    power0, power1, threshold, _ = config.link
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.master_seed, spawn_key=(chunk,))
     )
     n_trials = min(config.chunk_trials, config.n_bits - chunk * config.chunk_trials)
-    ones, energies = _chunk_energies(
-        rng, n_trials, config.n_samples, _M_SUBCARRIERS, gains, noise_std
-    )
+    ones, energies = _chunk_energies(rng, n_trials, config.n_samples, power0, power1)
     misses = np.count_nonzero(energies[:ones] <= threshold)
     return int(misses + np.count_nonzero(energies[ones:] > threshold))
 
@@ -194,7 +189,5 @@ def _tally(configs, analytic_pe, counts):
     results = []
     for config, pe in zip(configs, analytic_pe):
         n_errors = sum(itertools.islice(counts, config.n_chunks))
-        ber = n_errors / config.n_bits
-        ci95 = 1.96 * math.sqrt(ber * (1.0 - ber) / config.n_bits)
-        results.append(BerResult(config.n_bits, n_errors, ber, pe, ci95))
+        results.append(BerResult(config.n_bits, n_errors, pe))
     return results

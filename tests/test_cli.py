@@ -367,6 +367,18 @@ class TestBerCommand:
         ber = read_csv(tmp_path / "b.csv")[1]
         assert [r["analytic_pe"] for r in ber] == [r["pe"] for r in theory]
 
+    def test_ci_definition(self, tmp_path):
+        # ci95 is the 95% normal-approximation half-width of the row's BER,
+        # from the row's own counts, to the printed digit
+        out = tmp_path / "b.csv"
+        assert main(["ber", "--n", "10", "--snr-db=-5,0", "--bits", "5000", "--seed", "23",
+                     "--out", str(out)]) == 0
+        for row in read_csv(out)[1]:
+            n_bits, n_errors = int(row["n_bits"]), int(row["n_errors"])
+            ber = n_errors / n_bits
+            assert n_errors > 0
+            assert row["ci95"] == cli._fmt(1.96 * math.sqrt(ber * (1 - ber) / n_bits))
+
     def test_schema(self, tmp_path):
         out = tmp_path / "b.csv"
         assert main(["ber", "--n", "10", "--snr-db", "-5", "--bits", "2000",

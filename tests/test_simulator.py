@@ -9,25 +9,31 @@ import pytest
 
 from intermod import simulator
 from intermod.channel import make_correlated_pair
-from intermod.detector import log_gamma_tails, optimal_threshold
+from intermod.detector import db_to_linear, log_gamma_tails, optimal_threshold
 from intermod.simulator import (
     CHUNK_TRIALS, ScenarioConfig, _chunk_energies, chunk_errors, run_ber_grid,
 )
 from intermod.weights import build_weight_set
 from test_cli import pin_cpus
 
-UNIT_GAINS = np.array([1.0, 1.0], dtype=complex)  # both bits: bare OFDM samples
 ALIGNED_CHUNK_TRIALS = 8192
+M_SUBCARRIERS = 64  # the OFDM block of the physical-unit references below
 
 
 def aligned_errors(config):
     """Bit errors of a scenario by the former block-aligned kernel, kept as a reference.
 
     Each bit drew whole OFDM blocks of its own and kept their first N
-    samples; chunks were 8192 trials, each from its own substream.
+    samples; chunks were 8192 trials, each from its own substream.  It works
+    in physical units: it solves the config's pair for its own gains, sets
+    sigma_n^2 from the bit-1 gain and the SNR, and scales the link's
+    threshold by it.
     """
-    gains, noise_std, threshold, _ = config.link
-    n, m = config.n_samples, simulator._M_SUBCARRIERS
+    pair = make_correlated_pair(simulator._K_ANTENNAS, config.rho_mag, seed=config.master_seed)
+    gains = config.g * response_gains(pair, build_weight_set(pair, config.alpha))
+    n, m = config.n_samples, M_SUBCARRIERS
+    sigma_n_sq = abs(gains[1]) ** 2 / m / db_to_linear(config.snr_db)
+    noise_std, threshold = math.sqrt(sigma_n_sq / 2), sigma_n_sq * config.link[2]
     n_errors = 0
     for chunk in range(-(-config.n_bits // ALIGNED_CHUNK_TRIALS)):
         rng = np.random.default_rng(
@@ -53,28 +59,8 @@ def response_gains(pair, ws):
 
 
 class TestGenerateOfdmSamples:
-    """OFDM sample generation inside the Monte Carlo kernel (noise off, unit gains)."""
-
-    def test_per_sample_power(self):
-        rng = np.random.default_rng(1)
-        _, energies = _chunk_energies(rng, 10**4, 100, 64, UNIT_GAINS, 0.0)
-        assert energies.mean() / 100 == pytest.approx(1 / 64, rel=0.02)
-
-    def test_marginals_near_gaussian(self):
-        # N = 1: the energy is one sample's power, exponential for a circular
-        # complex Gaussian sample, so its second moment is twice its squared mean
-        rng = np.random.default_rng(2)
-        _, energies = _chunk_energies(rng, 10**5, 1, 16, UNIT_GAINS, 0.0)
-        x = energies / energies.mean()
-        assert np.mean(x**2) == pytest.approx(2.0, abs=0.1)
-
-    def test_gaussian_mode_mean_block_energy(self):
-        # N = m: each energy is one whole block
-        rng = np.random.default_rng(4)
-        m = 64
-        _, energies = _chunk_energies(rng, 2000, m, m, UNIT_GAINS, 0.0)
-        assert energies.mean() == pytest.approx(1.0, rel=0.02)
-        assert energies.std() > 0.05  # Gaussian symbols: block energy fluctuates
+    """The scenario's inputs, checked where they enter; the kernel's moments are
+    TestRunBer.test_energy_moments."""
 
     def test_domain(self):
         with pytest.raises(ValueError, match="n_samples must be >= 1 and <= 1000000"):
@@ -104,32 +90,31 @@ class TestGenerateOfdmSamples:
 
 
 class TestTransmitOokBit:
-    """The per-bit SU signal in the kernel: gains[bit] * samples + AWGN."""
+    """The per-bit SU window powers: |gains[bit]|^2 / m of signal plus the noise floor."""
 
     @pytest.fixture
     def scenario(self):
+        # window powers in noise units for a physical floor sigma_n^2 = 1e-3,
+        # as ScenarioConfig.link sets them from the solved gains
         pair = make_correlated_pair(8, 0.0, 0.0, seed=5)
-        return pair, build_weight_set(pair, 0.3)
+        gain0, gain1 = response_gains(pair, build_weight_set(pair, 0.3))
+        sigma_n_sq = 1e-3
+        snr = abs(gain1) ** 2 / M_SUBCARRIERS / sigma_n_sq
+        return sigma_n_sq, 1 + snr * abs(gain0) ** 2 / abs(gain1) ** 2, 1 + snr
 
     def test_bit0_is_noise_only(self, scenario):
-        pair, ws = scenario
+        _, power0, power1 = scenario
         rng = np.random.default_rng(6)
-        sigma_n_sq = 1e-3
-        ones, energies = _chunk_energies(
-            rng, 4000, 64, 64, response_gains(pair, ws), math.sqrt(sigma_n_sq / 2)
-        )
-        assert energies[ones:].mean() / 64 == pytest.approx(sigma_n_sq, rel=0.02)
+        ones, energies = _chunk_energies(rng, 4000, 64, power0, power1)
+        assert energies[ones:].mean() / 64 == pytest.approx(1.0, rel=0.02)  # the floor alone
 
     def test_bit1_power_matches_received_power(self, scenario):
         # rho = 0: sigma_r^2 = (1/64) * 0.3 / 0.85
-        pair, ws = scenario
+        sigma_n_sq, power0, power1 = scenario
         rng = np.random.default_rng(7)
-        sigma_n_sq = 1e-3
-        ones, energies = _chunk_energies(
-            rng, 4000, 64, 64, response_gains(pair, ws), math.sqrt(sigma_n_sq / 2)
-        )
+        ones, energies = _chunk_energies(rng, 4000, 64, power0, power1)
         want = sigma_n_sq + (1 / 64) * 0.3 / 0.85
-        assert energies[:ones].mean() / 64 == pytest.approx(want, rel=0.02)
+        assert energies[:ones].mean() * sigma_n_sq / 64 == pytest.approx(want, rel=0.02)
 
     def test_pu_side_power_identical_for_both_bits(self):
         pair = make_correlated_pair(8, 0.6, 0.8, seed=8)
@@ -147,26 +132,24 @@ class TestDetectOokBit:
     def test_all_zero_samples(self):
         # nulled response and no noise: zero energy, so every bit decides 0
         rng = np.random.default_rng(0)
-        _, energies = _chunk_energies(rng, 100, 10, 64, np.zeros(2, dtype=complex), 0.0)
+        _, energies = _chunk_energies(rng, 100, 10, 0.0, 0.0)
         assert np.all(energies == 0.0)
 
     def test_energy_above_threshold(self):
         # no noise: only bit 1 carries energy, so any small threshold decides right
         rng = np.random.default_rng(1)
-        ones, energies = _chunk_energies(rng, 1000, 8, 64, np.array([0.0, 1.0 + 0.0j]), 0.0)
+        ones, energies = _chunk_energies(rng, 1000, 8, 0.0, 1.0)
         assert np.array_equal(energies > 1e-12, np.arange(1000) < ones)
 
     def test_false_alarm_rate(self):
-        # noise-only symbols at delta*: rate = Q(N, delta/sigma_n^2)
-        n, sigma_n_sq = 10, 0.5
-        delta = 1.4 * n * sigma_n_sq
+        # noise-only symbols in noise units at delta: rate = Q(N, delta)
+        n = 10
+        delta = 1.4 * n
         rng = np.random.default_rng(9)
         trials = 10**5
-        _, energies = _chunk_energies(
-            rng, trials, n, 16, np.zeros(2, dtype=complex), math.sqrt(sigma_n_sq / 2)
-        )
+        _, energies = _chunk_energies(rng, trials, n, 1.0, 1.0)
         rate = np.mean(energies > delta)
-        want = math.exp(log_gamma_tails(n, delta / sigma_n_sq)[1])
+        want = math.exp(log_gamma_tails(n, delta)[1])
         assert abs(rate - want) < 3 * math.sqrt(want * (1 - want) / trials)
 
 
@@ -186,9 +169,14 @@ class TestStreamKernel:
 
     def test_first_energies_of_chunk_0_are_pinned(self, monkeypatch):
         # the kernel's stream by name, not only through a digest: the bit-1
-        # count, then one Gamma(N) variate per trial, the bit-1 block first;
-        # rel 1e-12 leaves room for the solved gains' rounding
+        # count, then one Gamma(N) variate per trial, the bit-1 block first.
+        # The pins are physical energies at m = 64 subcarriers; in noise
+        # units each is divided by sigma_n^2, taken from the solved bit-1
+        # gain, and rel 1e-12 leaves room for that gain's rounding
         cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=3000, master_seed=37)
+        pair = make_correlated_pair(simulator._K_ANTENNAS, 0.0, seed=37)
+        gain1 = response_gains(pair, build_weight_set(pair, cfg.alpha))[1]
+        sigma_n_sq = abs(gain1) ** 2 / M_SUBCARRIERS / db_to_linear(cfg.snr_db)
         kernel, drawn = simulator._chunk_energies, []
         monkeypatch.setattr(
             simulator, "_chunk_energies", lambda *args: drawn.append(kernel(*args)) or drawn[-1]
@@ -196,20 +184,19 @@ class TestStreamKernel:
         chunk_errors(cfg, 0)
         ones, energies = drawn[0]
         assert ones == 1514
-        assert energies[:4].tolist() == pytest.approx([
+        assert energies[:4].tolist() == pytest.approx([pin / sigma_n_sq for pin in (
             0.2082085682029532, 0.2358393796951085, 0.1453440845172321, 0.13681518116531957,
-        ], rel=1e-12)
-        assert energies[ones:ones + 4].tolist() == pytest.approx([
+        )], rel=1e-12)
+        assert energies[ones:ones + 4].tolist() == pytest.approx([pin / sigma_n_sq for pin in (
             0.2328360461504256, 0.09475475017760655, 0.25131176390118637, 0.20331181501050863,
-        ], rel=1e-12)
+        )], rel=1e-12)
 
     def test_bit1_count_is_drawn_before_the_gammas(self):
         # the order is part of the stream: one binomial, then the Gamma(N) block
-        gains, noise_std = np.array([0.5, 1.0 + 0.0j]), 0.1
-        ones, energies = _chunk_energies(np.random.default_rng(3), 1000, 10, 64, gains, noise_std)
+        power0, power1 = 1.25, 3.0
+        ones, energies = _chunk_energies(np.random.default_rng(3), 1000, 10, power0, power1)
         rng = np.random.default_rng(3)
         assert ones == rng.binomial(1000, 0.5)
-        power0, power1 = np.abs(gains) ** 2 / 64 + 2 * noise_std**2
         variates = rng.standard_gamma(10, 1000)
         np.testing.assert_array_equal(energies[:ones], variates[:ones] * power1)
         np.testing.assert_array_equal(energies[ones:], variates[ones:] * power0)
@@ -309,33 +296,53 @@ class TestInPlaceKernel:
         assert peak < 1.25 * trial_bytes + 4096
 
 
+LINK_CASES = [
+    (10, -5.0, 0.3, 0.0, 1.0), (1000, -10.0, 0.05, 0.6, 2.5),
+    (1, 10.0, 0.9, 0.3, 0.5), (10**5, -20.0, 0.5, 0.9, 1.0),
+    (10, 180.0, 0.3, 0.0, 1.0),  # the bit-0 residue shows in power0's last digits
+]
+
+
 class TestLink:
-    @pytest.mark.parametrize("n, snr_db, alpha, rho, g", [
-        (10, -5.0, 0.3, 0.0, 1.0), (1000, -10.0, 0.05, 0.6, 2.5),
-        (1, 10.0, 0.9, 0.3, 0.5), (10**5, -20.0, 0.5, 0.9, 1.0),
-    ])
+    """The link in noise units: every power and the threshold divided by sigma_n^2."""
+
+    @pytest.mark.parametrize("n, snr_db, alpha, rho, g", LINK_CASES[:4])
     def test_threshold_is_sigma_n_sq_times_the_optimal_one(self, n, snr_db, alpha, rho, g):
-        # sigma_n^2 N ln(1+s)(1+s)/s, with sigma_n^2 from the solved bit-1 gain
+        # sigma_n^2 delta* in physical units, so delta* itself, bit for bit
         cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=1, alpha=alpha, rho_mag=rho,
                              g=g, master_seed=67)
-        _, noise_std, threshold, _ = cfg.link
+        assert cfg.link[2] == optimal_threshold(n, db_to_linear(snr_db))
+
+    @pytest.mark.parametrize("n, snr_db, alpha, rho, g", LINK_CASES)
+    def test_window_powers_are_one_plus_their_snr(self, n, snr_db, alpha, rho, g):
+        # bit 1 carries the SNR; bit 0 the solved residue of an independently
+        # built pair, which the link accepts only below 1e-12
+        cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=1, alpha=alpha, rho_mag=rho,
+                             g=g, master_seed=67)
+        power0, power1, _, _ = cfg.link
         pair = make_correlated_pair(simulator._K_ANTENNAS, rho, seed=67)
-        gain1 = g * response_gains(pair, build_weight_set(pair, alpha))[1]
-        s = 10 ** (snr_db / 10)
-        sigma_n_sq = abs(gain1) ** 2 / simulator._M_SUBCARRIERS / s
-        assert threshold == pytest.approx(sigma_n_sq * n * math.log1p(s) * (1 + s) / s,
-                                          rel=1e-9)
-        assert noise_std == pytest.approx(math.sqrt(sigma_n_sq / 2), rel=1e-9)
+        gain0, gain1 = g * response_gains(pair, build_weight_set(pair, alpha))
+        snr = db_to_linear(snr_db)
+        leak = snr * abs(gain0) ** 2 / abs(gain1) ** 2
+        assert power1 == 1 + snr
+        assert power0 == 1 + leak
+        assert leak < 1e-12
 
 
 class TestNumpyStream:
-    def test_first_normals_of_a_chunk_substream_are_pinned(self):
-        # every ber byte rests on SeedSequence, PCG64 and numpy's normal sampler;
-        # a numpy that moves any of them fails here by name, not through a digest
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0,)))
-        assert rng.standard_normal(4).tolist() == [
-            -0.6300679245787791, 1.4650846344213506, -0.43929262819424664, 2.13635728361371,
+    def test_first_normals_of_a_channel_draw_are_pinned(self):
+        # the only normals ber draws are the channel pair's, from
+        # default_rng(seed): they set the bit-0 residue and so each point's
+        # noise-floor check; a numpy that moves PCG64 or its normal sampler
+        # fails here by name, not through a digest
+        normals = np.random.default_rng(7).standard_normal(8)
+        assert normals[:4].tolist() == [
+            0.0012301533574825742, 0.2987455375084699, -0.2741378553622176, -0.8905918387572742,
         ]
+        # K = 4: h_pu is the first 4 normals plus j times the next 4, normalized
+        h_pu = make_correlated_pair(4, 0.0, seed=7).h_pu
+        np.testing.assert_allclose(h_pu * np.linalg.norm(normals),
+                                   normals[:4] + 1j * normals[4:], rtol=1e-12)
 
     @pytest.mark.parametrize("shape, first", [
         (10, [7.837054795476291, 8.364166528557453, 12.86905773981876, 10.59155180087116]),
@@ -416,29 +423,21 @@ class TestRunBer:
         assert abs(res.n_errors - cfg.n_bits * res.analytic_pe) <= 4 * sigma
         assert elapsed < 1.0
 
-    def test_ci_definition(self):
-        cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=5000, master_seed=23)
-        res = run_ber_grid([cfg])[0]
-        assert res.per_point_ci95 == pytest.approx(
-            1.96 * math.sqrt(res.ber * (1 - res.ber) / res.n_bits), abs=1e-15
-        )
-
-    def test_energy_moments(self):
-        # bit-1 symbol energies: mean N(sr+sn) within 1%, variance N(sr+sn)^2
+    @pytest.mark.parametrize("n, power, seed", [
+        pytest.param(10, 1 + 10 ** (-5.0 / 10.0), 31, id="bit1-at-minus-5-db"),
+        pytest.param(100, 1 / 64, 1, id="per-sample-power"),
+        # N = 1: one sample's power, exponential for a circular complex Gaussian
+        pytest.param(1, 1 / 16, 2, id="one-sample-exponential"),
+        # N = m: one whole OFDM block, whose energy fluctuates with Gaussian symbols
+        pytest.param(64, 1 / 64, 4, id="one-ofdm-block"),
+    ])
+    def test_energy_moments(self, n, power, seed):
+        # window energies at power P: mean N P within 1%, variance N P^2
         # within 5%, over 1e5 symbols
-        pair = make_correlated_pair(8, 0.0, 0.0, seed=29)
-        ws = build_weight_set(pair, 0.3)
-        n, m = 10, 64
-        gain1 = response_gains(pair, ws)[1]
-        sigma_r_sq = abs(gain1) ** 2 / m
-        sigma_n_sq = sigma_r_sq / 10 ** (-5.0 / 10.0)
-        rng = np.random.default_rng(31)
-        _, energies = _chunk_energies(
-            rng, 10**5, n, m, np.full(2, gain1), math.sqrt(sigma_n_sq / 2)
-        )
-        scale = sigma_r_sq + sigma_n_sq
-        assert energies.mean() == pytest.approx(n * scale, rel=0.01)
-        assert energies.var() == pytest.approx(n * scale**2, rel=0.05)
+        rng = np.random.default_rng(seed)
+        _, energies = _chunk_energies(rng, 10**5, n, power, power)
+        assert energies.mean() == pytest.approx(n * power, rel=0.01)
+        assert energies.var() == pytest.approx(n * power**2, rel=0.05)
 
 
 class TestRunBerGrid:
