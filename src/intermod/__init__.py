@@ -6,7 +6,8 @@ validation, and sum-rate optimization.
 
 Each public name is imported from its home module on first use (PEP 562),
 so the scalar analytics (detector, sumrate) load without numpy, and the
-vector layers (channel, weights, simulator) load it only when used.
+vector layers (channel, weights, simulator) load it only when used.  The
+simulator needs neither channel nor weights: its link is N and the SNR.
 """
 
 import importlib

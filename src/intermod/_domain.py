@@ -34,7 +34,7 @@ _TABLE = (
     ("x snr threshold gamma energy",      float,   "[", 0, inf, ")"),
     ("scale xi",                          float,   "(", 0, inf, ")"),
     ("g",                                 float,   "[", 0, 10**6, "]"),  # 120 dB
-    ("alpha rho_mag rho",                 float,   "[", 0, 1, ")"),
+    ("alpha rho_mag",                     float,   "[", 0, 1, ")"),
     ("pe_target",                         float,   "(", 0, 0.5, ")"),
     ("rho_phase snr_db gamma_db",         float,   "(", -inf, inf, ")"),
     ("b_su b_pu",                         complex, "(", -inf, inf, ")"),

@@ -53,8 +53,8 @@ from .sumrate import closed_form_norms, linspace, paper_closed_form_norms, sweep
 # bumped when a subcommand's bytes change for one input (ber/2: stream kernel, /3: theory's P_e,
 # /4: no k, m or rho_phase in the manifest, /5: one normal draw per sample component,
 # /6: one Gamma(N) draw per bit, /7: chunks of a fixed trial count,
-# /8: one binomial bit-1 count per chunk)
-SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 8, "sumrate": 1}
+# /8: one binomial bit-1 count per chunk, /9: no alpha, rho or g in the manifest)
+SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 9, "sumrate": 1}
 PDF_POINTS = 2000  # theory --pdf-points default, recorded in every theory manifest
 
 
@@ -123,10 +123,7 @@ OPTIONS = {
         ("--n", "n_grid", partial(_grid, "n", cast=int), "10,100", "integration-length grid"),
         ("--snr-db", "snr_grid", partial(_grid, "snr_db"), "-10:0:5", "SNR grid in dB"),
         ("--bits", "bits", int, 20000, "bits per grid point"),
-        # ScenarioConfig's defaults, written out so that reading them imports no numpy
-        ("--alpha", "alpha", float, 0.3, "SU power coefficient"),
-        ("--rho", "rho", float, 0.0, "|rho|"),
-        ("--g", "g", float, 1.0, "SU/PU gain ratio"),
+        # ScenarioConfig's default, written out so that reading it imports no numpy
         ("--seed", "seed", int, 0, "master seed"),
         ("--jobs", "jobs", int, 1, "parallel workers; never changes results"),
     ),
@@ -280,8 +277,7 @@ def cmd_ber(args) -> int:
         seq = np.random.SeedSequence(entropy=params["seed"], spawn_key=(idx,))
         point_seed = int(seq.generate_state(1, np.uint64)[0])
         points.append(ScenarioConfig(
-            n_samples=n, snr_db=snr_db, n_bits=params["bits"], alpha=params["alpha"],
-            rho_mag=params["rho"], g=params["g"], master_seed=point_seed,
+            n_samples=n, snr_db=snr_db, n_bits=params["bits"], master_seed=point_seed,
         ))
     results = run_ber_grid(points, jobs)
 

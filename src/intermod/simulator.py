@@ -9,8 +9,8 @@ The kernel works in noise units, as the detector does (every power and the
 threshold are divided by sigma_n^2), and draws no OFDM symbols and no
 samples.  The subcarrier symbols are Gaussian and the 1/m-scaled IFFT is
 unitary up to scale, so bit b's received samples are exactly i.i.d.
-CN(0, P_b) whatever the block alignment, with P_1 = 1 + snr and P_0 = 1
-plus the bit-0 solver residue.  Each sample's power is then P_b times a
+CN(0, P_b) whatever the block alignment, with P_1 = 1 + snr and P_0 = 1:
+bit 0 is noise only.  Each sample's power is then P_b times a
 unit exponential, and a sum of N independent unit exponentials is exactly
 Gamma(N, 1).  The bits are i.i.d. fair and independent of the energies, so
 a chunk's trials are exchangeable: it draws its bit-1 count once, ``ones``
@@ -18,12 +18,7 @@ a chunk's trials are exchangeable: it draws its bit-1 count once, ``ones``
 trials), then one standard Gamma(N) variate per trial (numpy's
 Marsaglia-Tsang sampler), and scales the first ``ones`` variates by P_1
 and the rest by P_0.  The detector sees only the window energy, so nothing
-it could measure is lost.
-
-K = 8 antennas and arg(rho) = 0 are fixed: after phase alignment |gain1|
-depends on g, alpha and |rho| alone, so another K or phase would only draw
-another realization of the same statistics; the draw is kept to measure
-the bit-0 solver residue.  The m subcarriers scale the signal and the
+it could measure is lost.  The m subcarriers scale the signal and the
 noise floor alike, so m cancels and the code carries none.
 
 Reproducibility contract: a run is fully determined by the scenario's
@@ -50,12 +45,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._domain import CHUNK_TRIALS, check
-from .channel import make_correlated_pair
 from .detector import db_to_linear, error_probability, optimal_threshold
-from .weights import build_weight_set
-
-#: Antennas per channel draw; after phase alignment xi depends on alpha and |rho| alone.
-_K_ANTENNAS = 8
 
 
 @dataclass(frozen=True)
@@ -65,9 +55,6 @@ class ScenarioConfig:
     n_samples: int
     snr_db: float
     n_bits: int
-    alpha: float = 0.3
-    rho_mag: float = 0.0
-    g: float = 1.0
     master_seed: int = 0
 
     def __post_init__(self):
@@ -86,33 +73,16 @@ class ScenarioConfig:
     def link(self):
         """(power0, power1, threshold, analytic_pe) of the scenario, in units of sigma_n^2.
 
-        sigma_n^2 is the bit-1 signal power over the linear SNR, so power1 =
-        1 + snr, and power0 adds the bit-0 solver residue, leak = snr
-        |gain0|^2 / |gain1|^2, with gain_b = g h_su^T omega_b / sqrt(xi) the
-        solved SU response.  The threshold and P_e come from N and the SNR
-        alone, as in ``theory``.  For alpha = 0 the SNR is undefined: the
-        floor is the sample power, the threshold N and P_e 0.5.  Bit 0 is
-        modelled as noise only, so a leak of 1e-12 or more is rejected.
+        Bit 0 is noise only and bit 1 adds the SU's per-sample SNR, so the
+        window powers are 1 and 1 + snr; the threshold and P_e come from N
+        and the SNR alone, as in ``theory``.
         """
-        pair = make_correlated_pair(_K_ANTENNAS, self.rho_mag, seed=self.master_seed)
-        weights = build_weight_set(pair, self.alpha)
-        gain0_sq, gain1_sq = (abs(self.g * complex(pair.h_su @ weights.tx_weight(bit))) ** 2
-                              for bit in (0, 1))
-        snr = db_to_linear(self.snr_db)
-        if gain1_sq < 1e-18:  # nulled response leaves only solver residue
-            return 1 + gain0_sq, 1 + gain1_sq, self.n_samples, 0.5
-        leak = snr * gain0_sq / gain1_sq
-        if leak >= 1e-12:
-            raise ValueError(
-                f"snr_db={self.snr_db:g} puts the noise floor within 1e12x of the power of "
-                "the bit-0 solver residue; the detector model needs bit 0 to be noise only"
-            )
-        try:
+        try:  # the dB value overflows, or lies below the threshold's floor
+            snr = db_to_linear(self.snr_db)
             delta = optimal_threshold(self.n_samples, snr)
-        except ValueError as exc:  # only the floor is left to raise
+        except ValueError as exc:
             raise ValueError(f"snr_db={self.snr_db:g}: {exc}") from exc
-        pe = error_probability(self.n_samples, snr, delta)
-        return 1 + leak, 1 + snr, delta, pe
+        return 1.0, 1 + snr, delta, error_probability(self.n_samples, snr, delta)
 
 
 @dataclass(frozen=True)
@@ -139,7 +109,8 @@ def _chunk_energies(rng, n_trials, n, power0, power1):
     """
     ones = int(rng.binomial(n_trials, 0.5))
     energies = rng.standard_gamma(n, size=n_trials)
-    energies[:ones] *= power1
+    with np.errstate(over="ignore"):  # +inf decides bit 1, as the exact energy would
+        energies[:ones] *= power1
     energies[ones:] *= power0
     return ones, energies
 

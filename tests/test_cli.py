@@ -116,6 +116,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, key", [
         ("ber", "bitz"), ("sumrate", "m"), ("theory", "pdf_points"), ("weights", "n_grid"),
         ("ber", "k"), ("ber", "m"), ("ber", "rho_phase"),  # the transmitter is fixed
+        ("ber", "alpha"), ("ber", "rho"), ("ber", "g"),  # the link is N and the SNR alone
     ])
     def test_unknown_key_rejected(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "run.cfg"
@@ -239,11 +240,9 @@ class TestTheoryCommand:
 
 class TestBerCommand:
     def test_defaults_are_the_scenario_defaults(self):
-        # the CLI writes them out, so that it can start without numpy
+        # the CLI writes the seed's out, so that it can start without numpy
         defaults = {key: default for _, key, _, default, _ in cli.OPTIONS["ber"]}
-        config = simulator.ScenarioConfig
-        assert (defaults["alpha"], defaults["rho"], defaults["g"], defaults["seed"]) == (
-            config.alpha, config.rho_mag, config.g, config.master_seed)
+        assert defaults["seed"] == simulator.ScenarioConfig.master_seed
 
     def test_jobs_do_not_change_results(self, tmp_path):
         argv = ["ber", "--n", "10,20", "--snr-db=-5,0", "--bits", "4000",
@@ -358,6 +357,22 @@ class TestBerCommand:
             assert rows[0]["n_errors"] == "0"
             assert rows[0]["within_3sigma"] == "1"
 
+    @pytest.mark.parametrize("n, snr_db, bits", [
+        ("10", "340", "100"), ("10", "3000", "100"), ("1000000", "3080", "10"),
+    ])
+    def test_top_of_the_snr_domain_prints_finite_rows(self, tmp_path, n, snr_db, bits):
+        # a row wherever theory prints one; at N = 1e6 and 3080 dB the bit-1
+        # energies overflow to +inf, still above the threshold, with no warning
+        grid = ["--n", n, f"--snr-db={snr_db}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ber", *grid, "--bits", bits, "--out", str(tmp_path / "b.csv")]) == 0
+        assert main(["theory", *grid, "--out", str(tmp_path / "t.csv")]) == 0
+        row = read_csv(tmp_path / "b.csv")[1][0]
+        assert all(math.isfinite(float(row[key])) for key in row)
+        assert row["n_errors"] == "0"
+        assert row["analytic_pe"] == read_csv(tmp_path / "t.csv")[1][0]["pe"]
+
     def test_analytic_pe_is_theory_pe(self, tmp_path):
         # both come from (N, linear SNR), so the columns agree to the byte
         grid = ["--n", "1000,10000", "--snr-db=-10:0:21"]
@@ -394,11 +409,13 @@ class TestBerCommand:
 GOLDEN_ROWS = [
     (["ber", "--n", "10,100", "--snr-db=-10:0:5", "--bits", "8192", "--seed", "7"],
      "6d80a5d4856af186ffeec610813d5abfecc505f0438e91823d771239c0244189",
-     "fa67caa9b8f6d03a423eb3b844b7b29ec70cbc5dc67aa1b0b23de975ee747843"),
-    (["ber", "--n", "20", "--snr-db=-2.5", "--bits", "20000", "--rho", "0.6",
-      "--alpha", "0.4", "--seed", "3"],
+     # manifest lines removed, ber/9, data rows unchanged
+     "f8ee575dcb5a48b62f10ba1c94f50b3e2aba1b8fd2dfc80b0186756aae05ba5f"),
+    # named for the --rho 0.6 --alpha 0.4 it was first run at, which never moved a row
+    (["ber", "--n", "20", "--snr-db=-2.5", "--bits", "20000", "--seed", "3"],
      "97f7280e6f33a85390029277ed767ed3267c5eaa35b8e108ad3c0131b7c445e6",
-     "b35c311895cbf4459bc54c031ac4d4974916288b4432304a6f9e7374b8dc4228"),
+     # manifest lines removed, ber/9, data rows unchanged
+     "901fa36ca23938641cc199a3ad25c8b42de4488c3e88d653386cb220e350d0c0"),
     (["sumrate", "--gamma-db", "30", "--rho", "0.1,0.5", "--g", "1.0"],
      "f3c59c0b99eb548e3c3b9fc2b9be1be65e45383ea1761e3d7122db384fc93163",
      "9aa1ed887d775c8deda2afc2bfa79f17ee27835d584ba15794b59f1fb40d8045"),
@@ -425,8 +442,8 @@ GOLDEN_IDS = ["ber-sweep", "ber-correlated", "sumrate-30db", "sumrate-0db", "wei
 )
 def test_golden_rows(tmp_path, argv, digest):
     # SHA-256 of the data rows (no '#' lines, joined by newlines) as released
-    # in the subcommand's current schema (ber/8; the others /1); a change
-    # here changes published numbers
+    # in the subcommand's current schema (ber/9, whose rows are ber/8's;
+    # the others /1); a change here changes published numbers
     out = tmp_path / "golden.csv"
     assert main(argv + ["--out", str(out)]) == 0
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
@@ -462,13 +479,11 @@ def test_golden_ber_decisions_clear_their_thresholds(tmp_path, monkeypatch, argv
 
 
 # Every key the ber subcommand reads, from a config file; jobs is not recorded
-GOLDEN_CONFIG = (
-    "n_grid = 10,30\nsnr_grid = -6:-2:3\nbits = 3000\nseed = 11\njobs = 2\n"
-    "alpha = 0.25\nrho = 0.4\ng = 1.2\n"
-)
+GOLDEN_CONFIG = "n_grid = 10,30\nsnr_grid = -6:-2:3\nbits = 3000\nseed = 11\njobs = 2\n"
 GOLDEN_FILES = [(argv, digest) for argv, _, digest in GOLDEN_ROWS] + [
-    (["ber", "--config", "{cfg}", "--g", "0.9"],
-     "b98e9e58e6e713c8b6ea863e374fd4e2e4b61abcc002ca0ae3167d7f079be261"),
+    (["ber", "--config", "{cfg}", "--jobs", "1"],  # a flag over a config key
+     # manifest lines removed, ber/9, data rows unchanged
+     "2c8ee39a5c07141eb130cc619db048fa5f8e4c9ac7a7ad16813f72c3e9630fbd"),
     (["theory", "--n", "1,20", "--snr-db=-3,0", "--pdf-points", "50", "--pdf-out", "{pdf}"],
      "94f5fd98a02953ceaa2d416f8aecff38c07ded33f936029a5344910168b0fb04"),
 ]
@@ -539,6 +554,9 @@ class TestUsageErrors:
         ["ber", "--k", "8"],  # no subcommand takes the fixed transmitter's knobs
         ["ber", "--m", "64"],
         ["ber", "--rho-phase", "1"],
+        ["ber", "--alpha", "0.3"],  # nor any knob of the link but N and the SNR
+        ["ber", "--rho", "0.5"],
+        ["ber", "--g", "2"],
     ])
     def test_ber_only_flags_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -546,7 +564,7 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["ber", "--n", "10", "--snr-db", "0", "--rho", "1"],
+        ["ber", "--n", "10", "--snr-db=3083", "--bits", "100"],  # 10^308.3 overflows
         ["theory", "--snr-db=nan"],
         ["sumrate", "--gamma-db=nan"],
         ["sumrate", "--pe-target=inf"],
@@ -558,8 +576,8 @@ class TestUsageErrors:
         ["ber", "--n", "10", "--snr-db=4000", "--bits", "100"],
         ["ber", "--n", "10", "--snr-db=-4000", "--bits", "100"],
         ["sumrate", "--gamma-db=-4000", "--alpha", "0.1", "--rho", "0.1"],
-        ["ber", "--n", "10", "--snr-db=3000", "--bits", "100"],
-        ["ber", "--n", "10", "--snr-db=340", "--bits", "100"],
+        ["ber", "--n", "10", "--snr-db=-3000", "--bits", "100"],
+        ["ber", "--n", "10", "--snr-db", "0", "--bits", "0"],
         ["theory", "--n", "1:2:3"],
         ["theory", "--n", "2.7"],
         ["weights", "--alpha="],
@@ -577,13 +595,13 @@ class TestUsageErrors:
         ["sumrate", "--n-max", "0"],
         ["sumrate", "--alpha", "0", "--n-max", "1000001"],  # no search reads it
         ["sumrate", "--gamma-db", "10", "--alpha", "0", "--g", "-1"],
-        ["ber", "--n", "10", "--snr-db", "0", "--g", "-1"],
+        ["ber", "--n", "10", "--snr-db", "0", "--jobs", "0"],
         ["ber", "--n", "10", "--snr-db", "0", "--seed", "-1"],
-        ["ber", "--n", "10", "--snr-db=4000", "--alpha", "0"],  # nulled SU response
+        ["ber", "--n", "10", "--snr-db", "0", "--bits", "abc"],
         ["sumrate", "--gamma-db", "10", "--alpha", "0", "--rho", "1.5"],
         ["sumrate", "--gamma-db", "10", "--alpha", "0", "--pe-target", "0.9"],
         ["theory", "--n", "10", "--snr-db", "0", "--pdf-points", "5"],  # no --pdf-out
-        ["ber", "--n", "10", "--snr-db", "0", "--bits", "10", "--g", "1e160"],  # g^2 overflows
+        ["sumrate", "--g", "1e160", "--alpha", "0.3"],  # g^2 overflows
         ["sumrate", "--g", "1e300", "--alpha", "0.3"],
     ])
     def test_bad_number_rejected_at_once(self, argv, capsys):
@@ -593,11 +611,12 @@ class TestUsageErrors:
         assert "invalid-parameter" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["ber", "--n", "10", "--snr-db", "0", "--bits", "10", "--g", "1e160"],
+        ["sumrate", "--g", "1e160", "--alpha", "0.3"],
         ["sumrate", "--g", "1e300", "--alpha", "0.3"],
     ])
     def test_overflowing_gain_names_g(self, argv, capsys):
-        # ber died with an OverflowError traceback; sumrate blamed the SU SNR
+        # g^2 overflows at both; ber once died here with an OverflowError
+        # traceback, and sumrate blamed the SU SNR
         assert main(argv) == 3
         assert "g must be" in capsys.readouterr().err
 

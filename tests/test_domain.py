@@ -23,8 +23,7 @@ PAIR = intermod.make_correlated_pair(4, 0.3, seed=1)
 
 # One valid call per public entry point with a table parameter.
 VALID = {
-    "ScenarioConfig": dict(n_samples=10, snr_db=0.0, n_bits=10, alpha=0.3, rho_mag=0.2,
-                           g=1.0, master_seed=1),
+    "ScenarioConfig": dict(n_samples=10, snr_db=0.0, n_bits=10, master_seed=1),
     "build_weight_set": dict(pair=PAIR, alpha=0.3),
     "closed_form_norms": dict(alpha=0.3, rho_mag=0.5),
     "energy_pdf": dict(epsilon=1.0, n=10, scale=1.0),

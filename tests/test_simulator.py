@@ -3,6 +3,7 @@ import multiprocessing.pool
 import sys
 import time
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from intermod.weights import build_weight_set
 from test_cli import pin_cpus
 
 ALIGNED_CHUNK_TRIALS = 8192
+# The physical transmitter of the references below: K antennas, alpha, |rho|
+# and g; the simulator's link needs none of them, only N and the SNR
+K_ANTENNAS, ALPHA, RHO, G = 8, 0.3, 0.0, 1.0
 M_SUBCARRIERS = 64  # the OFDM block of the physical-unit references below
 
 
@@ -25,12 +29,12 @@ def aligned_errors(config):
 
     Each bit drew whole OFDM blocks of its own and kept their first N
     samples; chunks were 8192 trials, each from its own substream.  It works
-    in physical units: it solves the config's pair for its own gains, sets
-    sigma_n^2 from the bit-1 gain and the SNR, and scales the link's
-    threshold by it.
+    in physical units: it draws a channel pair from the config's seed,
+    solves it for its own gains, sets sigma_n^2 from the bit-1 gain and the
+    SNR, and scales the link's threshold by it.
     """
-    pair = make_correlated_pair(simulator._K_ANTENNAS, config.rho_mag, seed=config.master_seed)
-    gains = config.g * response_gains(pair, build_weight_set(pair, config.alpha))
+    pair = make_correlated_pair(K_ANTENNAS, RHO, seed=config.master_seed)
+    gains = G * response_gains(pair, build_weight_set(pair, ALPHA))
     n, m = config.n_samples, M_SUBCARRIERS
     sigma_n_sq = abs(gains[1]) ** 2 / m / db_to_linear(config.snr_db)
     noise_std, threshold = math.sqrt(sigma_n_sq / 2), sigma_n_sq * config.link[2]
@@ -53,27 +57,25 @@ def aligned_errors(config):
 
 
 def response_gains(pair, ws):
-    """SU responses h_su^T omega_bit / sqrt(xi) at g = 1 for bits 0 and 1, as
-    ScenarioConfig.link builds them."""
+    """SU responses h_su^T omega_bit / sqrt(xi) at g = 1 for bits 0 and 1."""
     return np.array([complex(pair.h_su @ ws.tx_weight(bit)) for bit in (0, 1)])
 
 
-class TestGenerateOfdmSamples:
+class TestScenarioDomain:
     """The scenario's inputs, checked where they enter; the kernel's moments are
     TestRunBer.test_energy_moments."""
 
     def test_domain(self):
         with pytest.raises(ValueError, match="n_samples must be >= 1 and <= 1000000"):
-            ScenarioConfig(n_samples=10**6 + 1, snr_db=0.0, n_bits=1, alpha=0.0)
-        # g scales the SU response, so the link checks it right after the channel draw
-        for g in (-1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="g must be nonnegative"):
-                ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100, g=g).link
+            ScenarioConfig(n_samples=10**6 + 1, snr_db=0.0, n_bits=1)
         with pytest.raises(ValueError, match="master_seed must be >= 0"):
             ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=10, master_seed=-1)
-        # the SNR is read even where alpha = 0 leaves nothing for it to scale
-        with pytest.raises(ValueError, match="4000.0 dB"):
-            ScenarioConfig(n_samples=10, snr_db=4000.0, n_bits=100, alpha=0.0).link
+        # the dB value must give a finite ratio; the link says which value did not
+        with pytest.raises(ValueError, match="snr_db=4000: 4000.0 dB"):
+            ScenarioConfig(n_samples=10, snr_db=4000.0, n_bits=100).link
+        # no transmitter knob: the link is N and the SNR alone
+        assert [field.name for field in fields(ScenarioConfig)] == [
+            "n_samples", "snr_db", "n_bits", "master_seed"]
 
     @pytest.mark.parametrize("name, value", [
         ("n_samples", 10.5), ("n_bits", 100.5), ("master_seed", 1.5),
@@ -89,15 +91,15 @@ class TestGenerateOfdmSamples:
         assert cfg.link[3] == ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100).link[3]
 
 
-class TestTransmitOokBit:
+class TestWindowPowers:
     """The per-bit SU window powers: |gains[bit]|^2 / m of signal plus the noise floor."""
 
     @pytest.fixture
     def scenario(self):
         # window powers in noise units for a physical floor sigma_n^2 = 1e-3,
-        # as ScenarioConfig.link sets them from the solved gains
-        pair = make_correlated_pair(8, 0.0, 0.0, seed=5)
-        gain0, gain1 = response_gains(pair, build_weight_set(pair, 0.3))
+        # from the gains solved for a physical channel draw
+        pair = make_correlated_pair(K_ANTENNAS, RHO, 0.0, seed=5)
+        gain0, gain1 = G * response_gains(pair, build_weight_set(pair, ALPHA))
         sigma_n_sq = 1e-3
         snr = abs(gain1) ** 2 / M_SUBCARRIERS / sigma_n_sq
         return sigma_n_sq, 1 + snr * abs(gain0) ** 2 / abs(gain1) ** 2, 1 + snr
@@ -126,7 +128,7 @@ class TestTransmitOokBit:
         assert p0 == pytest.approx(want, rel=1e-9)
 
 
-class TestDetectOokBit:
+class TestDecisionEnergies:
     """The energies chunk_errors compares against its threshold."""
 
     def test_all_zero_samples(self):
@@ -174,8 +176,8 @@ class TestStreamKernel:
         # units each is divided by sigma_n^2, taken from the solved bit-1
         # gain, and rel 1e-12 leaves room for that gain's rounding
         cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=3000, master_seed=37)
-        pair = make_correlated_pair(simulator._K_ANTENNAS, 0.0, seed=37)
-        gain1 = response_gains(pair, build_weight_set(pair, cfg.alpha))[1]
+        pair = make_correlated_pair(K_ANTENNAS, RHO, seed=37)
+        gain1 = G * response_gains(pair, build_weight_set(pair, ALPHA))[1]
         sigma_n_sq = abs(gain1) ** 2 / M_SUBCARRIERS / db_to_linear(cfg.snr_db)
         kernel, drawn = simulator._chunk_energies, []
         monkeypatch.setattr(
@@ -220,12 +222,12 @@ class TestStreamKernel:
         assert abs(ones - cfg.n_bits / 2) <= 4 * 0.5 * math.sqrt(cfg.n_bits)
 
     def test_false_alarms_and_misses_each_match_their_tail(self, monkeypatch):
-        # at a three-chunk point with rho > 0, the false alarms among bit-0
-        # trials lie within 4 sigma of Q(N, delta) and the misses among bit-1
-        # trials within 4 sigma of P(N, delta / (1 + snr)); together they are
-        # the chunks' error counts
+        # at a three-chunk point, the false alarms among bit-0 trials lie
+        # within 4 sigma of Q(N, delta) and the misses among bit-1 trials
+        # within 4 sigma of P(N, delta / (1 + snr)); together they are the
+        # chunks' error counts
         cfg = ScenarioConfig(n_samples=20, snr_db=-2.5, n_bits=3 * CHUNK_TRIALS,
-                             alpha=0.4, rho_mag=0.6, master_seed=89)
+                             master_seed=89)
         threshold = cfg.link[2]
         kernel, tallies = simulator._chunk_energies, []
 
@@ -297,44 +299,36 @@ class TestInPlaceKernel:
 
 
 LINK_CASES = [
-    (10, -5.0, 0.3, 0.0, 1.0), (1000, -10.0, 0.05, 0.6, 2.5),
-    (1, 10.0, 0.9, 0.3, 0.5), (10**5, -20.0, 0.5, 0.9, 1.0),
-    (10, 180.0, 0.3, 0.0, 1.0),  # the bit-0 residue shows in power0's last digits
+    (10, -5.0), (1000, -10.0), (1, 10.0), (10**5, -20.0),
+    (10, 180.0),  # above 150 dB: bit 0 stays noise only, with no solver residue to check
+    (10**6, 3080.0),  # near the top of the dB domain, where 10^(snr_db/10) overflows
 ]
 
 
 class TestLink:
     """The link in noise units: every power and the threshold divided by sigma_n^2."""
 
-    @pytest.mark.parametrize("n, snr_db, alpha, rho, g", LINK_CASES[:4])
-    def test_threshold_is_sigma_n_sq_times_the_optimal_one(self, n, snr_db, alpha, rho, g):
-        # sigma_n^2 delta* in physical units, so delta* itself, bit for bit
-        cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=1, alpha=alpha, rho_mag=rho,
-                             g=g, master_seed=67)
+    @pytest.mark.parametrize("n, snr_db", LINK_CASES)
+    def test_threshold_is_the_optimal_one(self, n, snr_db):
+        # delta* itself, bit for bit
+        cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=1, master_seed=67)
         assert cfg.link[2] == optimal_threshold(n, db_to_linear(snr_db))
 
-    @pytest.mark.parametrize("n, snr_db, alpha, rho, g", LINK_CASES)
-    def test_window_powers_are_one_plus_their_snr(self, n, snr_db, alpha, rho, g):
-        # bit 1 carries the SNR; bit 0 the solved residue of an independently
-        # built pair, which the link accepts only below 1e-12
-        cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=1, alpha=alpha, rho_mag=rho,
-                             g=g, master_seed=67)
+    @pytest.mark.parametrize("n, snr_db", LINK_CASES)
+    def test_window_powers_are_one_plus_their_snr(self, n, snr_db):
+        # bit 0 is noise only; bit 1 adds the SNR
+        cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=1, master_seed=67)
         power0, power1, _, _ = cfg.link
-        pair = make_correlated_pair(simulator._K_ANTENNAS, rho, seed=67)
-        gain0, gain1 = g * response_gains(pair, build_weight_set(pair, alpha))
-        snr = db_to_linear(snr_db)
-        leak = snr * abs(gain0) ** 2 / abs(gain1) ** 2
-        assert power1 == 1 + snr
-        assert power0 == 1 + leak
-        assert leak < 1e-12
+        assert power0 == 1.0
+        assert power1 == 1 + db_to_linear(snr_db)
 
 
 class TestNumpyStream:
     def test_first_normals_of_a_channel_draw_are_pinned(self):
-        # the only normals ber draws are the channel pair's, from
-        # default_rng(seed): they set the bit-0 residue and so each point's
-        # noise-floor check; a numpy that moves PCG64 or its normal sampler
-        # fails here by name, not through a digest
+        # ber draws no normals, but the channel pair does, from
+        # default_rng(seed), and the physical references above solve their
+        # gains from it; a numpy that moves PCG64 or its normal sampler
+        # fails here by name, not through those references
         normals = np.random.default_rng(7).standard_normal(8)
         assert normals[:4].tolist() == [
             0.0012301533574825742, 0.2987455375084699, -0.2741378553622176, -0.8905918387572742,
@@ -377,44 +371,28 @@ class TestRunBer:
         other = ScenarioConfig(n_samples=20, snr_db=-5.0, n_bits=20000, master_seed=4)
         assert run_ber_grid([cfg])[0].n_errors != run_ber_grid([other])[0].n_errors
 
-    def test_alpha_zero_is_blind_guessing(self):
-        cfg = ScenarioConfig(
-            n_samples=10, snr_db=0.0, n_bits=20000, alpha=0.0, master_seed=11
-        )
-        res = run_ber_grid([cfg])[0]
-        assert res.analytic_pe == 0.5
-        assert abs(res.ber - 0.5) < 3 * math.sqrt(0.25 / cfg.n_bits)
-
     def test_high_snr_error_free(self):
         cfg = ScenarioConfig(n_samples=50, snr_db=10.0, n_bits=10**5, master_seed=13)
         res = run_ber_grid([cfg])[0]
         assert res.analytic_pe < 1e-8
         assert res.n_errors == 0
 
-    def test_matches_theory(self):
-        cfg = ScenarioConfig(n_samples=50, snr_db=-5.0, n_bits=2 * 10**5, master_seed=17)
-        res = run_ber_grid([cfg])[0]
-        band = 3 * math.sqrt(res.analytic_pe * (1 - res.analytic_pe) / cfg.n_bits)
-        assert abs(res.ber - res.analytic_pe) <= band
-
-    def test_matches_theory_with_correlated_channels(self):
-        # nonzero rho: threshold must track the actual SU response
-        cfg = ScenarioConfig(
-            n_samples=20, snr_db=-2.5, n_bits=10**5,
-            alpha=0.4, rho_mag=0.6, master_seed=19,
-        )
-        res = run_ber_grid([cfg])[0]
-        band = 3 * math.sqrt(res.analytic_pe * (1 - res.analytic_pe) / cfg.n_bits)
-        assert abs(res.ber - res.analytic_pe) <= band
-
-    @pytest.mark.parametrize("n, snr_db, rho, seed", [
-        (10**4, -15.0, 0.0, 71), (10**5, -20.0, 0.6, 73), (10**6, -25.0, 0.3, 79),
+    @pytest.mark.parametrize("n, snr_db, bits, seed", [
+        (50, -5.0, 2 * 10**5, 17), (20, -2.5, 10**5, 19),
     ])
-    def test_matches_theory_up_to_the_top_of_the_n_domain(self, n, snr_db, rho, seed):
+    def test_matches_theory(self, n, snr_db, bits, seed):
+        cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=bits, master_seed=seed)
+        res = run_ber_grid([cfg])[0]
+        band = 3 * math.sqrt(res.analytic_pe * (1 - res.analytic_pe) / cfg.n_bits)
+        assert abs(res.ber - res.analytic_pe) <= band
+
+    @pytest.mark.parametrize("n, snr_db, seed", [
+        (10**4, -15.0, 71), (10**5, -20.0, 73), (10**6, -25.0, 79),
+    ])
+    def test_matches_theory_up_to_the_top_of_the_n_domain(self, n, snr_db, seed):
         # one Gamma draw per bit and 2^16 bits per chunk at every N: 2e5 bits
         # at P_e ~ 0.06 take a fraction of a second even at N = 1e6
-        cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=2 * 10**5, alpha=0.4,
-                             rho_mag=rho, master_seed=seed)
+        cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=2 * 10**5, master_seed=seed)
         start = time.perf_counter()
         res = run_ber_grid([cfg])[0]
         elapsed = time.perf_counter() - start
@@ -480,8 +458,8 @@ class TestRunBerGrid:
         pin_cpus(monkeypatch, 2)
         with pytest.raises(AssertionError, match="a pool of 2 started"):  # good input reaches it
             run_ber_grid(list(self.CONFIGS), jobs=2)
-        bad = ScenarioConfig(n_samples=10, snr_db=3000.0, n_bits=100)
-        with pytest.raises(ValueError, match="noise floor"):
+        bad = ScenarioConfig(n_samples=10, snr_db=-3000.0, n_bits=100)
+        with pytest.raises(ValueError, match="too small to place a threshold"):
             run_ber_grid([*self.CONFIGS, bad], jobs=2)
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_ber_grid(list(self.CONFIGS), jobs=0)
@@ -508,14 +486,14 @@ class TestRunBerGrid:
         # links resolve before the pool starts, so no chunk's thread builds one
         pin_cpus(monkeypatch, 2)
         calls = []
-        real = simulator.make_correlated_pair
+        real = simulator.optimal_threshold
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["seed"])
-            return real(*args, **kwargs)
+        def counted(n, snr):
+            calls.append(n)
+            return real(n, snr)
 
-        monkeypatch.setattr(simulator, "make_correlated_pair", counted)
+        monkeypatch.setattr(simulator, "optimal_threshold", counted)
         configs = [ScenarioConfig(n_samples=n, snr_db=-5.0, n_bits=3 * CHUNK_TRIALS,
                                   master_seed=seed) for n, seed in ((10, 43), (1000, 59))]
         run_ber_grid(configs, jobs=2)
-        assert calls == [43, 59]
+        assert calls == [10, 1000]
