@@ -1,10 +1,10 @@
 """Monte Carlo BER against the analytic error probability.
 
-A waveform-level simulation (weight toggling per OOK bit, N-sample energy
-detection of the received OFDM samples plus AWGN) measured against the
-Gamma-model prediction, for two integration lengths across an SNR sweep.
-The samples are i.i.d. complex Gaussian, so each bit's energy is drawn
-exactly, as one Gamma(N) variate scaled by that bit's window power.
+A simulated N-sample energy detector (weight toggling per OOK bit, the
+received OFDM samples plus AWGN) measured against the Gamma-model
+prediction, for two integration lengths across an SNR sweep.  The samples
+are i.i.d. complex Gaussian, so each bit's energy is drawn exactly, as one
+Gamma(N) variate compared with the detector's tail point for that bit.
 """
 
 import math

@@ -1,8 +1,8 @@
 """Interference-modulation link analysis library.
 
 Beamforming-weight design for OOK-over-interference multiple access,
-analytic energy-detector performance, waveform-level Monte Carlo
-validation, and sum-rate optimization.
+analytic energy-detector performance, its Monte Carlo validation,
+and sum-rate optimization.
 
 Each public name is imported from its home module on first use (PEP 562),
 so the scalar analytics (detector, sumrate) load without numpy, and the

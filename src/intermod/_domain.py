@@ -23,9 +23,6 @@ inf = math.inf
 
 #: Largest integration length N, and gamma shape s, the tails are checked for.
 N_MAX = 10**6
-#: Trials (bits) per RNG substream, whatever N, fixed so chunk boundaries
-#: never depend on the execution environment.
-CHUNK_TRIALS = 1 << 16
 
 _TABLE = (
     # names                               kind     domain

@@ -46,8 +46,7 @@ from functools import partial
 
 from . import __version__
 from ._domain import N_MAX, check
-from .detector import (DEFAULT_PE_TARGET, db_to_linear, error_probability, mixture_energy_pdf,
-                       optimal_threshold)
+from .detector import DEFAULT_PE_TARGET, _operating_point, mixture_energy_pdf
 from .sumrate import closed_form_norms, linspace, paper_closed_form_norms, sweep_sum_rates
 
 # bumped when a subcommand's bytes change for one input (ber/2: stream kernel, /3: theory's P_e,
@@ -230,18 +229,14 @@ def cmd_theory(args) -> int:
     pdf_rows = []
     for n in params["n_grid"]:
         for snr_db in params["snr_grid"]:
-            snr = db_to_linear(snr_db)  # sigma_r^2 in noise units, sigma_n^2 = 1
-            try:
-                delta = optimal_threshold(n, snr)
-            except ValueError as exc:  # n and snr lie in their domains; only the floor is left
-                raise ValueError(f"snr_grid: snr_db={snr_db:g}: {exc}") from exc
-            rows.append((n, snr_db, snr, 1.0, delta, error_probability(n, snr, delta)))
+            snr, delta, pe = _operating_point(n, snr_db)  # snr is sigma_r^2, sigma_n^2 = 1
+            rows.append((n, snr_db, snr, 1.0, delta, pe))
             if args.pdf_out:
                 # cover both mixture components well past their tails
                 scale_hi = snr + 1.0
                 eps_max = n * scale_hi + (12.0 + 12.0 * math.sqrt(n)) * scale_hi
                 if not math.isfinite(eps_max):
-                    raise ValueError(f"snr_grid: snr_db={snr_db:g}: the PDF range overflows")
+                    raise ValueError(f"snr_db={snr_db:g}: the PDF range overflows")
                 eps_grid = linspace(0.0, eps_max, pdf_points)
                 dens = mixture_energy_pdf(eps_grid, n, snr)
                 pdf_rows.extend((n, snr_db, e, float(d)) for e, d in zip(eps_grid, dens))

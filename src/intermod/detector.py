@@ -253,6 +253,17 @@ def error_probability(n: int, snr: float, threshold: float) -> float:
     return math.exp(log_error_probability(n, snr, threshold))
 
 
+def _operating_point(n: int, snr_db: float) -> tuple[float, float, float]:
+    # (snr, delta*, P_e) at N and an SNR in dB, the one point theory prints and ber simulates;
+    # a dB value that overflows, or lies below the threshold's floor, raises naming snr_db
+    try:
+        snr = db_to_linear(snr_db)
+        delta = optimal_threshold(n, snr)
+    except ValueError as exc:
+        raise ValueError(f"snr_db={snr_db:g}: {exc}") from exc
+    return snr, delta, error_probability(n, snr, delta)
+
+
 def energy_pdf(epsilon, n: int, scale: float):
     """Gamma(shape n, scale) density of the N-sample symbol energy.
 

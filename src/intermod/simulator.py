@@ -1,25 +1,26 @@
-"""Waveform-level Monte Carlo validation of the analytic detector model.
+"""Monte Carlo validation of the analytic detector model.
 
 Each OOK bit toggles the xi-normalized weight vector at the transmitter;
-the SU receives a scaled OFDM sample stream plus AWGN and integrates N
-sample powers against the detector threshold.  The measured BER is compared
-against the analytic error probability for the same parameters.
+the SU integrates N received sample powers against the detector threshold.
+The measured BER is compared against the analytic error probability for
+the same parameters.
 
-The kernel works in noise units, as the detector does (every power and the
-threshold are divided by sigma_n^2), and draws no OFDM symbols and no
-samples.  The subcarrier symbols are Gaussian and the 1/m-scaled IFFT is
-unitary up to scale, so bit b's received samples are exactly i.i.d.
-CN(0, P_b) whatever the block alignment, with P_1 = 1 + snr and P_0 = 1:
-bit 0 is noise only.  Each sample's power is then P_b times a
-unit exponential, and a sum of N independent unit exponentials is exactly
-Gamma(N, 1).  The bits are i.i.d. fair and independent of the energies, so
-a chunk's trials are exchangeable: it draws its bit-1 count once, ``ones``
-~ Binomial(trials, 1/2) (numpy's BTPE sampler, or inversion up to 60
-trials), then one standard Gamma(N) variate per trial (numpy's
-Marsaglia-Tsang sampler), and scales the first ``ones`` variates by P_1
-and the rest by P_0.  The detector sees only the window energy, so nothing
-it could measure is lost.  The m subcarriers scale the signal and the
-noise floor alike, so m cancels and the code carries none.
+The kernel works in noise units, as the detector does, and draws no OFDM
+symbols and no samples.  The subcarrier symbols are Gaussian and the
+1/m-scaled IFFT is unitary up to scale, so bit b's received samples are
+exactly i.i.d. CN(0, P_b) whatever the block alignment, with P_0 = 1 (noise
+only) and P_1 = 1 + snr; m scales the signal and the noise floor alike, so
+it cancels.  A sum of N unit exponentials is exactly Gamma(N, 1), so bit b's
+energy is P_b times a standard Gamma(N) variate, and the kernel compares
+the variate itself with the point at which the detector takes its tail:
+bit 0 errs above delta* (false alarm, Q(N, delta*)), bit 1 at or below
+delta*/(1 + snr) (miss, P(N, delta*/(1 + snr))).  The bits are i.i.d. fair
+and independent of the energies, so a chunk's trials are exchangeable: it
+draws its bit-1 count once, ``ones`` ~ Binomial(trials, 1/2) (numpy's BTPE
+sampler, or inversion up to 60 trials), then one standard Gamma(N) variate
+per trial (numpy's Marsaglia-Tsang sampler), the first ``ones`` of them
+bit 1's.  The detector sees only the window energy, so nothing it could
+measure is lost.
 
 Reproducibility contract: a run is fully determined by the scenario's
 master seed and the fixed trial budget CHUNK_TRIALS.  A chunk holds
@@ -44,8 +45,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._domain import CHUNK_TRIALS, check
-from .detector import db_to_linear, error_probability, optimal_threshold
+from ._domain import check
+from .detector import _operating_point
+
+#: Trials (bits) per RNG substream, whatever N, fixed so chunk boundaries
+#: never depend on the execution environment.
+CHUNK_TRIALS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,18 +76,15 @@ class ScenarioConfig:
 
     @functools.cached_property
     def link(self):
-        """(power0, power1, threshold, analytic_pe) of the scenario, in units of sigma_n^2.
+        """(x_fa, x_miss, analytic_pe): the two tail points and P_e, in units of sigma_n^2.
 
-        Bit 0 is noise only and bit 1 adds the SU's per-sample SNR, so the
-        window powers are 1 and 1 + snr; the threshold and P_e come from N
-        and the SNR alone, as in ``theory``.
+        A bit-0 variate errs above x_fa = delta* and a bit-1 variate at or
+        below x_miss = delta*/(1 + snr), the points at which the detector
+        evaluates Q and P; delta* and P_e come from N and the SNR alone, as
+        in ``theory``.
         """
-        try:  # the dB value overflows, or lies below the threshold's floor
-            snr = db_to_linear(self.snr_db)
-            delta = optimal_threshold(self.n_samples, snr)
-        except ValueError as exc:
-            raise ValueError(f"snr_db={self.snr_db:g}: {exc}") from exc
-        return 1.0, 1 + snr, delta, error_probability(self.n_samples, snr, delta)
+        snr, delta, pe = _operating_point(self.n_samples, self.snr_db)
+        return delta, delta / (snr + 1.0), pe
 
 
 @dataclass(frozen=True)
@@ -98,33 +100,26 @@ class BerResult:
         return self.n_errors / self.n_bits
 
 
-def _chunk_energies(rng, n_trials, n, power0, power1):
-    """(ones, energies) for ``n_trials`` equiprobable OOK bits, one Gamma(N) draw per bit.
+def _chunk_variates(rng, n_trials, n):
+    """(ones, variates) for ``n_trials`` equiprobable OOK bits, one Gamma(N) draw per bit.
 
     ``ones`` ~ Binomial(n_trials, 1/2) is drawn first: the first ``ones``
-    energies are bit 1's, the rest bit 0's.  A bit's N received samples are
-    i.i.d. complex Gaussian with window power ``power1`` or ``power0``, so
-    its energy is exactly that power times a standard Gamma(N) variate,
-    scaled in place.
+    standard Gamma(N) variates are bit 1's, the rest bit 0's.
     """
     ones = int(rng.binomial(n_trials, 0.5))
-    energies = rng.standard_gamma(n, size=n_trials)
-    with np.errstate(over="ignore"):  # +inf decides bit 1, as the exact energy would
-        energies[:ones] *= power1
-    energies[ones:] *= power0
-    return ones, energies
+    return ones, rng.standard_gamma(n, size=n_trials)
 
 
 def chunk_errors(config: ScenarioConfig, chunk: int) -> int:
     """Bit errors in chunk ``chunk`` of a scenario, from its own RNG substream."""
-    power0, power1, threshold, _ = config.link
+    x_fa, x_miss, _ = config.link
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.master_seed, spawn_key=(chunk,))
     )
     n_trials = min(config.chunk_trials, config.n_bits - chunk * config.chunk_trials)
-    ones, energies = _chunk_energies(rng, n_trials, config.n_samples, power0, power1)
-    misses = np.count_nonzero(energies[:ones] <= threshold)
-    return int(misses + np.count_nonzero(energies[ones:] > threshold))
+    ones, variates = _chunk_variates(rng, n_trials, config.n_samples)
+    misses = np.count_nonzero(variates[:ones] <= x_miss)
+    return int(misses + np.count_nonzero(variates[ones:] > x_fa))
 
 
 def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult]:
@@ -139,7 +134,7 @@ def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult
     thread reads the same link.
     """
     check("jobs", jobs)
-    analytic_pe = [config.link[3] for config in configs]
+    analytic_pe = [config.link[2] for config in configs]
     tasks = ((config, chunk) for config in configs for chunk in range(config.n_chunks))
     n_tasks = sum(config.n_chunks for config in configs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

@@ -361,8 +361,9 @@ class TestBerCommand:
         ("10", "340", "100"), ("10", "3000", "100"), ("1000000", "3080", "10"),
     ])
     def test_top_of_the_snr_domain_prints_finite_rows(self, tmp_path, n, snr_db, bits):
-        # a row wherever theory prints one; at N = 1e6 and 3080 dB the bit-1
-        # energies overflow to +inf, still above the threshold, with no warning
+        # a row wherever theory prints one, with no warning; at N = 1e6 and
+        # 3080 dB the miss point delta*/(1 + snr) is near 7e-300, still below
+        # every bit-1 variate, so no bit errs
         grid = ["--n", n, f"--snr-db={snr_db}"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -452,29 +453,31 @@ def test_golden_rows(tmp_path, argv, digest):
 
 @pytest.mark.parametrize("argv", [case[0] for case in GOLDEN_ROWS[:2]], ids=GOLDEN_IDS[:2])
 def test_golden_ber_decisions_clear_their_thresholds(tmp_path, monkeypatch, argv):
-    # every golden trial's energy lies at least 1e-9 (relative) from its
-    # threshold, so FFT or summation rounding (~1e-15) cannot flip a golden
-    # bit; a kernel change that makes these bytes hang on rounding fails here
-    configs, energies = [], []
-    run_grid, chunk_energies = simulator.run_ber_grid, simulator._chunk_energies
+    # every golden trial's variate lies at least 1e-9 (relative) from its
+    # class's tail point, delta* for bit 0 and delta*/(1 + snr) for bit 1, so
+    # rounding in either point (~1e-15) cannot flip a golden bit; a kernel
+    # change that makes these bytes hang on rounding fails here
+    configs, draws = [], []
+    run_grid, chunk_variates = simulator.run_ber_grid, simulator._chunk_variates
 
     def record_grid(points, jobs):
         configs.extend(points)
         return run_grid(points, jobs=1)  # one process, so every chunk is recorded here
 
     def record_chunk(*args):
-        result = chunk_energies(*args)
-        energies.append(result[1])
-        return result
+        draws.append(chunk_variates(*args))
+        return draws[-1]
 
     monkeypatch.setattr(simulator, "run_ber_grid", record_grid)
-    monkeypatch.setattr(simulator, "_chunk_energies", record_chunk)
+    monkeypatch.setattr(simulator, "_chunk_variates", record_chunk)
     assert main(argv + ["--out", str(tmp_path / "ber.csv")]) == 0
-    chunks = iter(energies)
+    chunks = iter(draws)
     for config in configs:
-        threshold = config.link[2]
+        x_fa, x_miss, _ = config.link
         for _ in range(config.n_chunks):
-            assert np.min(np.abs(next(chunks) / threshold - 1.0)) >= 1e-9
+            ones, variates = next(chunks)
+            for block, point in ((variates[:ones], x_miss), (variates[ones:], x_fa)):
+                assert np.min(np.abs(block / point - 1.0), initial=np.inf) >= 1e-9
     assert next(chunks, None) is None
 
 
@@ -627,15 +630,19 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "gamma_db and g" in err and "snr must be" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["theory", "--n", "10", "--snr-db=-400"],
-        ["ber", "--n", "10", "--bits", "10", "--snr-db=-3000"],
-    ])
-    def test_threshold_floor_names_snr_db(self, argv, capsys):
-        # the SNR lies below optimal_threshold's double-precision floor
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert "snr_db=" in err and "too small to place a threshold" in err
+    @pytest.mark.parametrize("snr_db, reason", [
+        ("4000", "is not a positive finite ratio"),  # 10^400 overflows a double
+        ("-3000", "too small to place a threshold"),  # below optimal_threshold's floor
+    ], ids=["overflow", "floor"])
+    def test_threshold_floor_names_snr_db(self, snr_db, reason, capsys):
+        # theory and ber resolve a point through one function, so one bad
+        # snr_db prints one message
+        errors = []
+        for command in ("theory", "ber"):
+            assert main([command, "--n", "10", f"--snr-db={snr_db}"]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert f"snr_db={snr_db}: " in errors[0] and reason in errors[0]
 
     def test_negative_seed_names_seed(self, capsys):
         assert main(["ber", "--n", "10", "--snr-db", "0", "--seed", "-1"]) == 3

@@ -12,7 +12,7 @@ from intermod import simulator
 from intermod.channel import make_correlated_pair
 from intermod.detector import db_to_linear, log_gamma_tails, optimal_threshold
 from intermod.simulator import (
-    CHUNK_TRIALS, ScenarioConfig, _chunk_energies, chunk_errors, run_ber_grid,
+    CHUNK_TRIALS, ScenarioConfig, _chunk_variates, chunk_errors, run_ber_grid,
 )
 from intermod.weights import build_weight_set
 from test_cli import pin_cpus
@@ -31,13 +31,13 @@ def aligned_errors(config):
     samples; chunks were 8192 trials, each from its own substream.  It works
     in physical units: it draws a channel pair from the config's seed,
     solves it for its own gains, sets sigma_n^2 from the bit-1 gain and the
-    SNR, and scales the link's threshold by it.
+    SNR, and scales the link's threshold delta* by it.
     """
     pair = make_correlated_pair(K_ANTENNAS, RHO, seed=config.master_seed)
     gains = G * response_gains(pair, build_weight_set(pair, ALPHA))
     n, m = config.n_samples, M_SUBCARRIERS
     sigma_n_sq = abs(gains[1]) ** 2 / m / db_to_linear(config.snr_db)
-    noise_std, threshold = math.sqrt(sigma_n_sq / 2), sigma_n_sq * config.link[2]
+    noise_std, threshold = math.sqrt(sigma_n_sq / 2), sigma_n_sq * config.link[0]
     n_errors = 0
     for chunk in range(-(-config.n_bits // ALIGNED_CHUNK_TRIALS)):
         rng = np.random.default_rng(
@@ -88,69 +88,21 @@ class TestScenarioDomain:
         cfg = ScenarioConfig(
             n_samples=np.int32(10), snr_db=0.0, n_bits=np.int64(100), master_seed=np.uint8(0),
         )
-        assert cfg.link[3] == ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100).link[3]
-
-
-class TestWindowPowers:
-    """The per-bit SU window powers: |gains[bit]|^2 / m of signal plus the noise floor."""
-
-    @pytest.fixture
-    def scenario(self):
-        # window powers in noise units for a physical floor sigma_n^2 = 1e-3,
-        # from the gains solved for a physical channel draw
-        pair = make_correlated_pair(K_ANTENNAS, RHO, 0.0, seed=5)
-        gain0, gain1 = G * response_gains(pair, build_weight_set(pair, ALPHA))
-        sigma_n_sq = 1e-3
-        snr = abs(gain1) ** 2 / M_SUBCARRIERS / sigma_n_sq
-        return sigma_n_sq, 1 + snr * abs(gain0) ** 2 / abs(gain1) ** 2, 1 + snr
-
-    def test_bit0_is_noise_only(self, scenario):
-        _, power0, power1 = scenario
-        rng = np.random.default_rng(6)
-        ones, energies = _chunk_energies(rng, 4000, 64, power0, power1)
-        assert energies[ones:].mean() / 64 == pytest.approx(1.0, rel=0.02)  # the floor alone
-
-    def test_bit1_power_matches_received_power(self, scenario):
-        # rho = 0: sigma_r^2 = (1/64) * 0.3 / 0.85
-        sigma_n_sq, power0, power1 = scenario
-        rng = np.random.default_rng(7)
-        ones, energies = _chunk_energies(rng, 4000, 64, power0, power1)
-        want = sigma_n_sq + (1 / 64) * 0.3 / 0.85
-        assert energies[:ones].mean() * sigma_n_sq / 64 == pytest.approx(want, rel=0.02)
-
-    def test_pu_side_power_identical_for_both_bits(self):
-        pair = make_correlated_pair(8, 0.6, 0.8, seed=8)
-        ws = build_weight_set(pair, 0.3)
-        p0 = abs(pair.h_pu @ ws.tx_weight(0)) ** 2
-        p1 = abs(pair.h_pu @ ws.tx_weight(1)) ** 2
-        want = (1 - 0.3) / ws.xi
-        assert abs(p0 - p1) / want < 1e-9
-        assert p0 == pytest.approx(want, rel=1e-9)
+        assert cfg.link == ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100).link
 
 
 class TestDecisionEnergies:
-    """The energies chunk_errors compares against its threshold."""
-
-    def test_all_zero_samples(self):
-        # nulled response and no noise: zero energy, so every bit decides 0
-        rng = np.random.default_rng(0)
-        _, energies = _chunk_energies(rng, 100, 10, 0.0, 0.0)
-        assert np.all(energies == 0.0)
-
-    def test_energy_above_threshold(self):
-        # no noise: only bit 1 carries energy, so any small threshold decides right
-        rng = np.random.default_rng(1)
-        ones, energies = _chunk_energies(rng, 1000, 8, 0.0, 1.0)
-        assert np.array_equal(energies > 1e-12, np.arange(1000) < ones)
+    """The standard Gamma(N) variates, a bit-0 energy in noise units, that chunk_errors
+    compares against its two tail points."""
 
     def test_false_alarm_rate(self):
-        # noise-only symbols in noise units at delta: rate = Q(N, delta)
+        # bit-0 variates are noise-only energies in noise units: rate above delta = Q(N, delta)
         n = 10
         delta = 1.4 * n
         rng = np.random.default_rng(9)
         trials = 10**5
-        _, energies = _chunk_energies(rng, trials, n, 1.0, 1.0)
-        rate = np.mean(energies > delta)
+        _, variates = _chunk_variates(rng, trials, n)
+        rate = np.mean(variates > delta)
         want = math.exp(log_gamma_tails(n, delta)[1])
         assert abs(rate - want) < 3 * math.sqrt(want * (1 - want) / trials)
 
@@ -172,50 +124,49 @@ class TestStreamKernel:
     def test_first_energies_of_chunk_0_are_pinned(self, monkeypatch):
         # the kernel's stream by name, not only through a digest: the bit-1
         # count, then one Gamma(N) variate per trial, the bit-1 block first.
-        # The pins are physical energies at m = 64 subcarriers; in noise
-        # units each is divided by sigma_n^2, taken from the solved bit-1
-        # gain, and rel 1e-12 leaves room for that gain's rounding
+        # The pins are physical energies at m = 64 subcarriers; a variate is
+        # the energy divided by the bit's window power, sigma_n^2 for bit 0
+        # and (1 + snr) sigma_n^2 for bit 1, with sigma_n^2 taken from the
+        # solved bit-1 gain, and rel 1e-12 leaves room for that gain's rounding
         cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=3000, master_seed=37)
         pair = make_correlated_pair(K_ANTENNAS, RHO, seed=37)
         gain1 = G * response_gains(pair, build_weight_set(pair, ALPHA))[1]
-        sigma_n_sq = abs(gain1) ** 2 / M_SUBCARRIERS / db_to_linear(cfg.snr_db)
-        kernel, drawn = simulator._chunk_energies, []
+        snr = db_to_linear(cfg.snr_db)
+        sigma_n_sq = abs(gain1) ** 2 / M_SUBCARRIERS / snr
+        kernel, drawn = simulator._chunk_variates, []
         monkeypatch.setattr(
-            simulator, "_chunk_energies", lambda *args: drawn.append(kernel(*args)) or drawn[-1]
+            simulator, "_chunk_variates", lambda *args: drawn.append(kernel(*args)) or drawn[-1]
         )
         chunk_errors(cfg, 0)
-        ones, energies = drawn[0]
+        ones, variates = drawn[0]
         assert ones == 1514
-        assert energies[:4].tolist() == pytest.approx([pin / sigma_n_sq for pin in (
+        assert variates[:4].tolist() == pytest.approx([pin / sigma_n_sq / (1 + snr) for pin in (
             0.2082085682029532, 0.2358393796951085, 0.1453440845172321, 0.13681518116531957,
         )], rel=1e-12)
-        assert energies[ones:ones + 4].tolist() == pytest.approx([pin / sigma_n_sq for pin in (
+        assert variates[ones:ones + 4].tolist() == pytest.approx([pin / sigma_n_sq for pin in (
             0.2328360461504256, 0.09475475017760655, 0.25131176390118637, 0.20331181501050863,
         )], rel=1e-12)
 
     def test_bit1_count_is_drawn_before_the_gammas(self):
         # the order is part of the stream: one binomial, then the Gamma(N) block
-        power0, power1 = 1.25, 3.0
-        ones, energies = _chunk_energies(np.random.default_rng(3), 1000, 10, power0, power1)
+        ones, variates = _chunk_variates(np.random.default_rng(3), 1000, 10)
         rng = np.random.default_rng(3)
         assert ones == rng.binomial(1000, 0.5)
-        variates = rng.standard_gamma(10, 1000)
-        np.testing.assert_array_equal(energies[:ones], variates[:ones] * power1)
-        np.testing.assert_array_equal(energies[ones:], variates[ones:] * power0)
+        np.testing.assert_array_equal(variates, rng.standard_gamma(10, 1000))
 
     def test_bit1_share_of_many_chunks_is_half(self, monkeypatch):
         # six chunks, the last of one trial: the summed bit-1 counts lie within
         # 4 sigma of half the trials, sigma = sqrt(trials) / 2
         cfg = ScenarioConfig(n_samples=1, snr_db=-5.0, n_bits=5 * CHUNK_TRIALS + 1,
                              master_seed=83)
-        kernel, counts = simulator._chunk_energies, []
+        kernel, counts = simulator._chunk_variates, []
 
         def record(*args):
-            ones, energies = kernel(*args)
-            counts.append((ones, energies.size))
-            return ones, energies
+            ones, variates = kernel(*args)
+            counts.append((ones, variates.size))
+            return ones, variates
 
-        monkeypatch.setattr(simulator, "_chunk_energies", record)
+        monkeypatch.setattr(simulator, "_chunk_variates", record)
         run_ber_grid([cfg])
         assert [size for _, size in counts] == [CHUNK_TRIALS] * 5 + [1]
         ones = sum(count for count, _ in counts)
@@ -228,16 +179,16 @@ class TestStreamKernel:
         # chunks' error counts
         cfg = ScenarioConfig(n_samples=20, snr_db=-2.5, n_bits=3 * CHUNK_TRIALS,
                              master_seed=89)
-        threshold = cfg.link[2]
-        kernel, tallies = simulator._chunk_energies, []
+        x_fa, x_miss, _ = cfg.link
+        kernel, tallies = simulator._chunk_variates, []
 
         def record(*args):
-            ones, energies = kernel(*args)
-            tallies.append((energies.size - ones, np.count_nonzero(energies[ones:] > threshold),
-                            ones, np.count_nonzero(energies[:ones] <= threshold)))
-            return ones, energies
+            ones, variates = kernel(*args)
+            tallies.append((variates.size - ones, np.count_nonzero(variates[ones:] > x_fa),
+                            ones, np.count_nonzero(variates[:ones] <= x_miss)))
+            return ones, variates
 
-        monkeypatch.setattr(simulator, "_chunk_energies", record)
+        monkeypatch.setattr(simulator, "_chunk_variates", record)
         result = run_ber_grid([cfg])[0]
         zeros, false_alarms, ones, misses = np.sum(tallies, axis=0)
         assert len(tallies) == 3
@@ -254,14 +205,14 @@ class TestStreamKernel:
         # different variates; on one shared substream they would all repeat chunk 0's
         cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=2 * CHUNK_TRIALS + 1,
                              master_seed=37)
-        kernel, first = simulator._chunk_energies, []
+        kernel, first = simulator._chunk_variates, []
 
         def record(*args):
-            ones, energies = kernel(*args)
-            first.append(energies[0])
-            return ones, energies
+            ones, variates = kernel(*args)
+            first.append(variates[0])
+            return ones, variates
 
-        monkeypatch.setattr(simulator, "_chunk_energies", record)
+        monkeypatch.setattr(simulator, "_chunk_variates", record)
         run_ber_grid([cfg])
         assert cfg.n_chunks == 3
         assert len(set(first)) == 3
@@ -278,7 +229,7 @@ class TestStreamKernel:
 
 
 class TestInPlaceKernel:
-    """The kernel holds one per-trial array, its scaled Gamma variates, and one decision mask."""
+    """The kernel holds one per-trial array, its raw Gamma(N) variates, and one decision mask."""
 
     @pytest.mark.parametrize("n", [100, 1000, 10**6])
     def test_one_chunk_peaks_near_its_symbol_buffer(self, n):
@@ -300,27 +251,28 @@ class TestInPlaceKernel:
 
 LINK_CASES = [
     (10, -5.0), (1000, -10.0), (1, 10.0), (10**5, -20.0),
-    (10, 180.0),  # above 150 dB: bit 0 stays noise only, with no solver residue to check
-    (10**6, 3080.0),  # near the top of the dB domain, where 10^(snr_db/10) overflows
+    (10, 180.0),  # the miss point near 4e-16, far below every bit-1 variate
+    (10**6, 3080.0),  # near the top of the dB domain (about 3082 dB); the miss point near 7e-300
 ]
 
 
 class TestLink:
-    """The link in noise units: every power and the threshold divided by sigma_n^2."""
+    """The link in noise units: the detector's two tail points, divided by sigma_n^2."""
 
     @pytest.mark.parametrize("n, snr_db", LINK_CASES)
     def test_threshold_is_the_optimal_one(self, n, snr_db):
-        # delta* itself, bit for bit
+        # the false-alarm point is delta* itself, bit for bit
         cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=1, master_seed=67)
-        assert cfg.link[2] == optimal_threshold(n, db_to_linear(snr_db))
+        assert cfg.link[0] == optimal_threshold(n, db_to_linear(snr_db))
 
     @pytest.mark.parametrize("n, snr_db", LINK_CASES)
-    def test_window_powers_are_one_plus_their_snr(self, n, snr_db):
-        # bit 0 is noise only; bit 1 adds the SNR
+    def test_miss_point_is_the_threshold_over_one_plus_snr(self, n, snr_db):
+        # bit 1's energy is (1 + snr) times its variate; the point is the one
+        # at which the detector evaluates P, bit for bit
         cfg = ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=1, master_seed=67)
-        power0, power1, _, _ = cfg.link
-        assert power0 == 1.0
-        assert power1 == 1 + db_to_linear(snr_db)
+        x_fa, x_miss, _ = cfg.link
+        assert x_miss == x_fa / (db_to_linear(snr_db) + 1.0)
+        assert 0.0 < x_miss < x_fa
 
 
 class TestNumpyStream:
@@ -401,21 +353,17 @@ class TestRunBer:
         assert abs(res.n_errors - cfg.n_bits * res.analytic_pe) <= 4 * sigma
         assert elapsed < 1.0
 
-    @pytest.mark.parametrize("n, power, seed", [
-        pytest.param(10, 1 + 10 ** (-5.0 / 10.0), 31, id="bit1-at-minus-5-db"),
-        pytest.param(100, 1 / 64, 1, id="per-sample-power"),
-        # N = 1: one sample's power, exponential for a circular complex Gaussian
-        pytest.param(1, 1 / 16, 2, id="one-sample-exponential"),
-        # N = m: one whole OFDM block, whose energy fluctuates with Gaussian symbols
-        pytest.param(64, 1 / 64, 4, id="one-ofdm-block"),
-    ])
-    def test_energy_moments(self, n, power, seed):
-        # window energies at power P: mean N P within 1%, variance N P^2
-        # within 5%, over 1e5 symbols
+    # N = 1 is one sample's power, exponential for a circular complex
+    # Gaussian; N = 64 is one whole OFDM block, whose energy fluctuates with
+    # Gaussian symbols
+    @pytest.mark.parametrize("n, seed", [(1, 2), (10, 31), (64, 4), (100, 1)])
+    def test_energy_moments(self, n, seed):
+        # a window energy in noise units is its power times a standard Gamma(N)
+        # variate: mean N within 1%, variance N within 5%, over 1e5 draws
         rng = np.random.default_rng(seed)
-        _, energies = _chunk_energies(rng, 10**5, n, power, power)
-        assert energies.mean() == pytest.approx(n * power, rel=0.01)
-        assert energies.var() == pytest.approx(n * power**2, rel=0.05)
+        _, variates = _chunk_variates(rng, 10**5, n)
+        assert variates.mean() == pytest.approx(n, rel=0.01)
+        assert variates.var() == pytest.approx(n, rel=0.05)
 
 
 class TestRunBerGrid:
@@ -486,13 +434,13 @@ class TestRunBerGrid:
         # links resolve before the pool starts, so no chunk's thread builds one
         pin_cpus(monkeypatch, 2)
         calls = []
-        real = simulator.optimal_threshold
+        real = simulator._operating_point
 
-        def counted(n, snr):
+        def counted(n, snr_db):
             calls.append(n)
-            return real(n, snr)
+            return real(n, snr_db)
 
-        monkeypatch.setattr(simulator, "optimal_threshold", counted)
+        monkeypatch.setattr(simulator, "_operating_point", counted)
         configs = [ScenarioConfig(n_samples=n, snr_db=-5.0, n_bits=3 * CHUNK_TRIALS,
                                   master_seed=seed) for n, seed in ((10, 43), (1000, 59))]
         run_ber_grid(configs, jobs=2)
