@@ -630,11 +630,21 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "gamma_db and g" in err and "snr must be" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--n", "10", "--snr-db=-400"],
+        ["ber", "--n", "10", "--bits", "10", "--snr-db=-3000"],
+    ])
+    def test_threshold_floor_names_snr_db(self, argv, capsys):
+        # the SNR lies below optimal_threshold's double-precision floor
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "snr_db=" in err and "too small to place a threshold" in err
+
     @pytest.mark.parametrize("snr_db, reason", [
         ("4000", "is not a positive finite ratio"),  # 10^400 overflows a double
         ("-3000", "too small to place a threshold"),  # below optimal_threshold's floor
     ], ids=["overflow", "floor"])
-    def test_threshold_floor_names_snr_db(self, snr_db, reason, capsys):
+    def test_theory_and_ber_print_one_snr_db_message(self, snr_db, reason, capsys):
         # theory and ber resolve a point through one function, so one bad
         # snr_db prints one message
         errors = []
