@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines
 _EXPORTS = {
-    "channel": "ChannelPair IllConditionedCorrelationError inner_product make_correlated_pair",
+    "channel": "ChannelPair IllConditionedCorrelationError make_correlated_pair",
     "detector": "energy_pdf error_probability find_n_alpha log_error_probability "
                 "log_gamma_tails mixture_energy_pdf optimal_threshold",
     "simulator": "BerResult ScenarioConfig run_ber_grid",

@@ -8,12 +8,11 @@ construction) instead of drawing them from a geometric model.  The SU/PU
 amplitude gain ratio ``g`` scales the SU response downstream of the pair.
 
 Inner-product convention used throughout the package: the FIRST argument is
-conjugated, ``<a, b> = sum_i conj(a_i) * b_i``.
+conjugated, ``<a, b> = sum_i conj(a_i) * b_i``, which is ``np.vdot(a, b)``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,19 +27,6 @@ _UNIT_NORM_TOL = 1e-12
 
 class IllConditionedCorrelationError(ValueError):
     """Raised when |rho|^2 is within NEAR_SINGULAR_TOL of 1."""
-
-
-def inner_product(a, b) -> complex:
-    """Complex inner product ``<a, b> = sum_i conj(a_i) * b_i``.
-
-    The first argument is conjugated.  Under this convention
-    ``rho = inner_product(h_su, h_pu)``.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
 
 
 @dataclass(frozen=True)
@@ -71,15 +57,10 @@ class ChannelPair:
         object.__setattr__(self, "h_pu", h_pu)
         object.__setattr__(self, "h_su", h_su)
 
-    @functools.cached_property
-    def rho(self) -> complex:
-        """Correlation <h_su, h_pu> (conjugate-first convention), computed once."""
-        return inner_product(self.h_su, self.h_pu)
-
     @property
-    def k(self) -> int:
-        """Number of transmit antennas."""
-        return self.h_pu.shape[0]
+    def rho(self) -> complex:
+        """Correlation <h_su, h_pu> (conjugate-first convention)."""
+        return complex(np.vdot(self.h_su, self.h_pu))
 
     @property
     def near_singular(self) -> bool:
@@ -118,7 +99,7 @@ def make_correlated_pair(
     h_pu = _complex_gaussian(rng, k)
     h_pu /= np.linalg.norm(h_pu)
     v = _complex_gaussian(rng, k)
-    u = v - inner_product(h_pu, v) * h_pu
+    u = v - np.vdot(h_pu, v) * h_pu
     u /= np.linalg.norm(u)
     rho = rho_mag * np.exp(1j * rho_phase)
     # <c*x, y> = conj(c) <x, y>, so the h_pu coefficient is conj(rho).

@@ -66,13 +66,10 @@ class ScenarioConfig:
         for field in fields(self):
             check(field.name, getattr(self, field.name))
 
-    #: Trials per chunk, the same for every N.
-    chunk_trials = CHUNK_TRIALS
-
     @property
     def n_chunks(self) -> int:
         """Chunks the trials fill; the last one may be partial."""
-        return -(-self.n_bits // self.chunk_trials)
+        return -(-self.n_bits // CHUNK_TRIALS)
 
     @functools.cached_property
     def link(self):
@@ -116,7 +113,7 @@ def chunk_errors(config: ScenarioConfig, chunk: int) -> int:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.master_seed, spawn_key=(chunk,))
     )
-    n_trials = min(config.chunk_trials, config.n_bits - chunk * config.chunk_trials)
+    n_trials = min(CHUNK_TRIALS, config.n_bits - chunk * CHUNK_TRIALS)
     ones, variates = _chunk_variates(rng, n_trials, config.n_samples)
     misses = np.count_nonzero(variates[:ones] <= x_miss)
     return int(misses + np.count_nonzero(variates[ones:] > x_fa))

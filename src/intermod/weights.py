@@ -25,7 +25,6 @@ consistent with the constructive solution.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,8 +41,8 @@ class WeightSet:
     xi is the average of the two squared norms; the transmitted vectors are
     ``omega_k / sqrt(xi)`` so the average transmitted squared norm is 1.
     xi > 1 means extra power is burned to satisfy the channel geometry; xi
-    must be positive and finite.  xi is computed once, so the vectors are
-    made read-only.
+    must be positive and finite.  xi is checked when the set is built, so
+    the vectors are made read-only.
     """
 
     omega0: np.ndarray
@@ -64,9 +63,9 @@ class WeightSet:
         """|omega1|^2."""
         return float(np.vdot(self.omega1, self.omega1).real)
 
-    @functools.cached_property
+    @property
     def xi(self) -> float:
-        """Mean squared norm of the two weight vectors, computed once."""
+        """Mean squared norm of the two weight vectors."""
         return 0.5 * (self.norm0_sq + self.norm1_sq)
 
     def tx_weight(self, bit: int) -> np.ndarray:
@@ -81,18 +80,11 @@ def solve_min_norm(pair: ChannelPair, b_su: complex, b_pu: complex) -> np.ndarra
     Solves the underdetermined 2-constraint system via the pseudoinverse,
     ``omega = C^H (C C^H)^{-1} b``; the result has no component in the
     nullspace of the constraints.  ``ChannelPair`` has already checked the
-    shapes, the unit norms and rho; the targets must be finite.
-    """
-    return _solve_min_norm(pair, (b_su, b_pu))[0]
-
-
-def _solve_min_norm(pair: ChannelPair, *targets: tuple[complex, complex]) -> np.ndarray:
-    """One row omega per (b_su, b_pu) target, each a right-hand side of one Gram solve.
-
-    The K and near-singular checks run once for all targets.
+    shapes and the unit norms; K >= 3, a |rho| not near 1 and finite targets
+    are checked here.
     """
     try:
-        check("k", pair.k)
+        check("k", len(pair.h_pu))
     except ValueError as exc:
         raise ValueError(f"weight solving requires K >= 3 antennas; {exc}") from None
     if pair.near_singular:
@@ -100,13 +92,9 @@ def _solve_min_norm(pair: ChannelPair, *targets: tuple[complex, complex]) -> np.
             f"|rho|^2 = {abs(pair.rho)**2!r} is too close to 1; "
             "the constraint Gram matrix is near-singular"
         )
+    b = np.array([check("b_su", b_su), check("b_pu", b_pu)], dtype=complex)
     c = np.stack([pair.h_su, pair.h_pu])  # rows apply as plain-transpose products
-    gram = c @ c.conj().T
-    b = np.array([[check("b_su", b_su), check("b_pu", b_pu)] for b_su, b_pu in targets],
-                 dtype=complex)
-    # omega = C^H x, elementwise so that a row's bits do not depend on how many are solved
-    x_su, x_pu = np.linalg.solve(gram, b.T)[:, :, None]
-    return x_su * pair.h_su.conj() + x_pu * pair.h_pu.conj()
+    return c.conj().T @ np.linalg.solve(c @ c.conj().T, b)
 
 
 def build_weight_set(pair: ChannelPair, alpha: float) -> WeightSet:
@@ -121,7 +109,7 @@ def build_weight_set(pair: ChannelPair, alpha: float) -> WeightSet:
     """
     theta = cmath.phase(pair.rho) if pair.rho != 0 else 0.0
     b_pu = math.sqrt(1.0 - check("alpha", alpha))
-    omega0, omega1 = _solve_min_norm(
-        pair, (0.0, b_pu), (math.sqrt(alpha) * cmath.exp(-1j * theta), b_pu)
+    return WeightSet(
+        omega0=solve_min_norm(pair, 0.0, b_pu),
+        omega1=solve_min_norm(pair, math.sqrt(alpha) * cmath.exp(-1j * theta), b_pu),
     )
-    return WeightSet(omega0=omega0, omega1=omega1)

@@ -4,45 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from intermod.channel import (
-    ChannelPair,
-    inner_product,
-    make_correlated_pair,
-)
-
-
-def test_inner_product_self_is_one():
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    v /= np.linalg.norm(v)
-    assert inner_product(v, v) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_inner_product_orthogonal_is_zero():
-    a = np.array([1.0, 0.0, 0.0], dtype=complex)
-    b = np.array([0.0, 1.0, 0.0], dtype=complex)
-    assert inner_product(a, b) == 0.0
+from intermod.channel import ChannelPair, make_correlated_pair
 
 
 def test_inner_product_conjugates_first_argument():
-    # hand computation on a 2-entry vector: <v, c v> = c for unit v, |c| = 1
+    # rho = <h_su, h_pu> conjugates h_su: for unit v and |c| = 1,
+    # <v, c v> = c and <c v, v> = conj(c)
     v = np.array([1.0, 1j]) / np.sqrt(2.0)
     c = np.exp(1j * 0.7)
-    assert inner_product(v, c * v) == pytest.approx(c, abs=1e-12)
-    assert inner_product(c * v, v) == pytest.approx(np.conj(c), abs=1e-12)
+    assert ChannelPair(h_pu=c * v, h_su=v).rho == pytest.approx(c, abs=1e-12)
+    assert ChannelPair(h_pu=v, h_su=c * v).rho == pytest.approx(np.conj(c), abs=1e-12)
     # explicit: conj([1, -1j]/sqrt2) . ([c, cj]/sqrt2) = (c + c)/2
     by_hand = (np.conj(v[0]) * c * v[0]) + (np.conj(v[1]) * c * v[1])
-    assert inner_product(v, c * v) == pytest.approx(by_hand, abs=1e-12)
-
-
-def test_inner_product_length_mismatch():
-    with pytest.raises(ValueError):
-        inner_product(np.ones(3), np.ones(4))
+    assert ChannelPair(h_pu=c * v, h_su=v).rho == pytest.approx(by_hand, abs=1e-12)
 
 
 def test_pair_orthogonal_construction():
     pair = make_correlated_pair(4, 0.0, 1.3, seed=11)
-    assert abs(inner_product(pair.h_su, pair.h_pu)) < 1e-10
+    assert abs(np.vdot(pair.h_su, pair.h_pu)) < 1e-10
 
 
 def test_pair_requested_correlation_hit():
@@ -50,7 +29,7 @@ def test_pair_requested_correlation_hit():
     pair = make_correlated_pair(8, 0.8, np.pi / 3, seed=7)
     want = 0.8 * np.exp(1j * np.pi / 3)
     assert abs(pair.rho - want) < 1e-10
-    assert abs(inner_product(pair.h_su, pair.h_pu) - want) < 1e-10
+    assert abs(np.vdot(pair.h_su, pair.h_pu) - want) < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -98,12 +77,19 @@ def test_near_singular_flag():
 
 def test_pair_validates_stored_fields():
     pair = make_correlated_pair(4, 0.3, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not unit-norm"):
         ChannelPair(h_pu=2 * pair.h_pu, h_su=pair.h_su)
+    for h_pu, h_su in ((pair.h_pu, pair.h_su[:3]), (pair.h_pu[None, :], pair.h_su[None, :])):
+        with pytest.raises(ValueError, match="1-D vectors of equal length"):
+            ChannelPair(h_pu=h_pu, h_su=h_su)
+    # a NaN norm passes the unit-norm comparison, so the finite check must catch it
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            ChannelPair(h_pu=[1.0, bad, 0.0], h_su=[0.0, 1.0, 0.0])
 
 
 def test_pair_stores_only_its_vectors():
     pair = make_correlated_pair(6, 0.4, 0.2, seed=5)
     assert [f.name for f in dataclasses.fields(ChannelPair)] == ["h_pu", "h_su"]
     # rho is derived from the stored vectors, bit for bit
-    assert pair.rho == inner_product(pair.h_su, pair.h_pu)
+    assert pair.rho == np.vdot(pair.h_su, pair.h_pu)

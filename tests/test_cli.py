@@ -325,7 +325,7 @@ class TestBerCommand:
     def test_at_most_one_worker_per_task(self, tmp_path, monkeypatch, pool_sizes, n_grid,
                                          bits, chunk_trials, pools):
         if chunk_trials is not None:
-            monkeypatch.setattr(simulator.ScenarioConfig, "chunk_trials", chunk_trials)
+            monkeypatch.setattr(simulator, "CHUNK_TRIALS", chunk_trials)
         assert main(["ber", "--n", n_grid, "--snr-db=-5", "--bits", bits, "--jobs", "4",
                      "--out", str(tmp_path / "b.csv")]) == 0
         assert pool_sizes == pools

@@ -55,7 +55,7 @@ COMPOSED_VALID = {
                            pe_target=1e-3, n_max=100),
 }
 # Parameters that are not scalars: vectors, channel pairs, grids, config lists.
-EXEMPT_PARAMETERS = {"a", "b", "h_pu", "h_su", "omega0", "omega1", "pair", "epsilon",
+EXEMPT_PARAMETERS = {"h_pu", "h_su", "omega0", "omega1", "pair", "epsilon",
                      "alpha_grid", "rho_grid", "g_grid", "configs"}
 # Grids whose every point is checked as the named scalar parameter.
 GRID_POINTS = {"rho_grid": "rho_mag", "g_grid": "g"}

@@ -225,10 +225,10 @@ class TestStreamKernel:
     ])
     def test_chunks_follow_the_trial_budget(self, n, bits, trials, chunks):
         cfg = ScenarioConfig(n_samples=n, snr_db=0.0, n_bits=bits)
-        assert (cfg.chunk_trials, cfg.n_chunks) == (trials, chunks)
+        assert (CHUNK_TRIALS, cfg.n_chunks) == (trials, chunks)
 
 
-class TestInPlaceKernel:
+class TestKernelMemory:
     """The kernel holds one per-trial array, its raw Gamma(N) variates, and one decision mask."""
 
     @pytest.mark.parametrize("n", [100, 1000, 10**6])
@@ -239,7 +239,7 @@ class TestInPlaceKernel:
         bits = CHUNK_TRIALS  # one full chunk
         cfg = ScenarioConfig(n_samples=n, snr_db=-5.0, n_bits=bits, master_seed=47)
         cfg.link  # resolve outside the trace
-        trial_bytes = cfg.chunk_trials * (8 + 1)
+        trial_bytes = CHUNK_TRIALS * (8 + 1)
         tracemalloc.start()
         try:
             chunk_errors(cfg, 0)

@@ -1,11 +1,9 @@
-import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from intermod import channel
 from intermod.channel import (
     NEAR_SINGULAR_TOL, ChannelPair, IllConditionedCorrelationError, make_correlated_pair,
 )
@@ -67,7 +65,7 @@ class TestSolveMinNorm:
             solve_min_norm(pair, b_su, b_pu)
 
 
-class TestPhaseAlignTargets:
+class TestOokOneTargets:
     """The OOK-one targets build_weight_set solves for, read off h_su^T omega1."""
 
     def test_definition(self):
@@ -173,7 +171,8 @@ class TestBuildWeightSet:
         ws = WeightSet(omega0=np.array([0.0, 1.0, 0.0]), omega1=np.array([1.0, 1.0, 1.0]))
         assert (ws.norm0_sq, ws.norm1_sq, ws.xi) == (1.0, 3.0, 2.0)
         np.testing.assert_array_equal(ws.tx_weight(1), ws.omega1 / math.sqrt(2.0))
-        # xi is computed once, so a vector changed in place would leave it stale
+        # xi is checked when the set is built, so a vector changed in place
+        # could make it zero or NaN unchecked
         with pytest.raises(ValueError, match="read-only"):
             ws.omega1[0] = 2.0
 
@@ -184,13 +183,17 @@ class TestBuildWeightSet:
             WeightSet(omega0=omega, omega1=omega)
 
     def test_constraints_pre_normalization(self):
-        pair = make_correlated_pair(8, 0.6, 2.2, seed=10)
+        # also at |rho|^2 just inside the near-singular tolerance, where the
+        # Gram inverse reaches 1 / NEAR_SINGULAR_TOL and |omega0| is about 800,
+        # so the SU null rounds to about 2e-10 and gets the other rows' 1e-9
         alpha = 0.35
-        ws = build_weight_set(pair, alpha)
-        assert abs(pair.h_su @ ws.omega1) == pytest.approx(math.sqrt(alpha), abs=1e-9)
-        assert abs(pair.h_pu @ ws.omega1) == pytest.approx(math.sqrt(1 - alpha), abs=1e-9)
-        assert abs(pair.h_su @ ws.omega0) < 1e-10
-        assert abs(pair.h_pu @ ws.omega0) == pytest.approx(math.sqrt(1 - alpha), abs=1e-9)
+        for rho_mag, null_tol in ((0.6, 1e-10), (math.sqrt(1.0 - 1.01 * NEAR_SINGULAR_TOL), 1e-9)):
+            pair = make_correlated_pair(8, rho_mag, 2.2, seed=10)
+            ws = build_weight_set(pair, alpha)
+            assert abs(pair.h_su @ ws.omega1) == pytest.approx(math.sqrt(alpha), abs=1e-9)
+            assert abs(pair.h_pu @ ws.omega1) == pytest.approx(math.sqrt(1 - alpha), abs=1e-9)
+            assert abs(pair.h_su @ ws.omega0) < null_tol
+            assert abs(pair.h_pu @ ws.omega0) == pytest.approx(math.sqrt(1 - alpha), abs=1e-9)
 
     def test_normalized_powers(self):
         # scaling by 1/sqrt(xi) scales received powers by 1/xi
@@ -203,28 +206,6 @@ class TestBuildWeightSet:
         assert abs(pair.h_su @ ws.tx_weight(1)) ** 2 == pytest.approx(
             alpha / ws.xi, abs=1e-9
         )
-
-    def test_one_gram_solve_equals_two_single_solves(self):
-        # both vectors are right-hand sides of one solve; each must equal its
-        # own solve_min_norm, also at |rho|^2 just inside the near-singular
-        # tolerance, where the Gram inverse reaches 1 / NEAR_SINGULAR_TOL
-        rng = np.random.default_rng(31)
-        for idx in range(60):
-            if idx % 3:
-                rho_mag = float(rng.uniform(0.0, 0.95))
-            else:
-                rho_mag = math.sqrt(1.0 - float(rng.uniform(1.01, 2.0)) * NEAR_SINGULAR_TOL)
-            pair = make_correlated_pair(int(rng.integers(3, 16)), rho_mag,
-                                        float(rng.uniform(0, 2 * np.pi)),
-                                        seed=int(rng.integers(0, 2**31)))
-            alpha = float(rng.uniform(0.0, 0.99))
-            ws = build_weight_set(pair, alpha)
-            b_pu = math.sqrt(1 - alpha)
-            b_su = math.sqrt(alpha) * cmath.exp(-1j * cmath.phase(pair.rho))
-            np.testing.assert_allclose(ws.omega0, solve_min_norm(pair, 0.0, b_pu),
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(ws.omega1, solve_min_norm(pair, b_su, b_pu),
-                                       rtol=0, atol=1e-12)
 
     def test_rejects_what_solve_min_norm_rejects(self):
         two = ChannelPair(h_pu=np.array([1.0, 0.0]), h_su=np.array([0.0, 1.0]))
@@ -252,21 +233,3 @@ class TestBuildWeightSet:
         assert values == sorted(values)
         assert all(xi >= 1.0 for xi in values)
 
-
-def test_a_link_computes_rho_once_and_xi_once(monkeypatch):
-    # the pair's rho serves the near-singular check and the phase target; the
-    # weight set's xi serves its own check and both tx_weight calls
-    pair = make_correlated_pair(8, 0.6, 0.9, seed=14)
-    products, norms = [], []
-    real_product, real_norm = channel.inner_product, WeightSet.norm0_sq
-
-    def count_product(a, b):
-        products.append(1)
-        return real_product(a, b)
-
-    monkeypatch.setattr(channel, "inner_product", count_product)
-    monkeypatch.setattr(WeightSet, "norm0_sq",
-                        property(lambda ws: norms.append(1) or real_norm.fget(ws)))
-    ws = build_weight_set(pair, 0.3)
-    ws.tx_weight(0), ws.tx_weight(1)
-    assert (len(products), len(norms)) == (1, 1)
