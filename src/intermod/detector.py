@@ -54,26 +54,25 @@ def log_gamma_tails(s: float, x: float) -> tuple[float, float]:
     non-finite input, or a loop at its iteration cap.
     """
     check("s", s)  # the stated accuracy holds there; callers pass s = N
-    upper = check("x", x) >= s + 1.0  # the branch evaluated; the other tail is its complement
-    log_tail = _log_tail(s, x, math.lgamma(s), upper)
-    other = _log_complement(log_tail)
-    return (other, log_tail) if upper else (log_tail, other)
+    return _log_tails(s, check("x", x), math.lgamma(s))
 
 
-def _log_tail(s: float, x: float, lgamma_s: float, upper: bool) -> float:
-    # ln Q(s, x) if upper else ln P(s, x), for s and x checked by the caller
+def _log_tails(s: float, x: float, lgamma_s: float) -> tuple[float, float]:
+    # (ln P, ln Q) for s and x checked by the caller: the continued fraction that converges
+    # at x gives one tail, and the other is its complement
     if x == 0.0:
-        return 0.0 if upper else -math.inf
+        return -math.inf, 0.0
     log_prefactor = s * math.log(x) - x - lgamma_s
     if x < s + 1.0:
         log_p = math.log(_lower_gamma_cf(s, x)) + log_prefactor
-        return _log_complement(log_p) if upper else log_p
+        return log_p, _log_complement(log_p)
     log_q = math.log(_upper_gamma_cf(s, x)) + log_prefactor
-    return log_q if upper else _log_complement(log_q)
+    return _log_complement(log_q), log_q
 
 
-def _no_convergence(loop: str, s: float, x: float) -> ValueError:
-    return ValueError(f"{loop} did not converge in {_ITMAX} iterations for s={s!r}, x={x!r}")
+def _no_convergence(s: float, x: float) -> ValueError:
+    return ValueError("incomplete gamma continued fraction did not converge in "
+                      f"{_ITMAX} iterations for s={s!r}, x={x!r}")
 
 
 def _log_complement(log_tail: float) -> float:
@@ -103,7 +102,7 @@ def _lower_gamma_cf(s: float, x: float) -> float:
         if abs(delta - 1.0) <= _EPS:
             break
     else:
-        raise _no_convergence("incomplete gamma continued fraction", s, x)
+        raise _no_convergence(s, x)
     return h
 
 
@@ -112,8 +111,7 @@ def _upper_gamma_cf(s: float, x: float) -> float:
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
+    d = h = 1.0 / b
     for i in range(1, _ITMAX):
         an = -i * (i - s)
         b += 2.0
@@ -129,7 +127,7 @@ def _upper_gamma_cf(s: float, x: float) -> float:
         if abs(delta - 1.0) <= _EPS:
             break
     else:
-        raise _no_convergence("incomplete gamma continued fraction", s, x)
+        raise _no_convergence(s, x)
     return h
 
 
@@ -174,8 +172,8 @@ def _log_pe(n: int, snr: float, threshold: float) -> float:
     if snr == 0.0:  # Q and P at one point sum to 1
         return math.log(0.5)
     lgamma_n = math.lgamma(n)
-    log_fa = _log_tail(n, threshold, lgamma_n, upper=True)  # false alarm: Q
-    log_miss = _log_tail(n, threshold / (snr + 1.0), lgamma_n, upper=False)
+    log_fa = _log_tails(n, threshold, lgamma_n)[1]  # false alarm: Q
+    log_miss = _log_tails(n, threshold / (snr + 1.0), lgamma_n)[0]  # miss: P
     return math.log(0.5) + max(log_fa, log_miss) + math.log1p(math.exp(-abs(log_fa - log_miss)))
 
 
@@ -276,20 +274,11 @@ def energy_pdf(epsilon, n: int, scale: float):
     eps = np.asarray(epsilon, dtype=float)
     check("energy", float(eps.min(initial=0.0)))  # NaN if any energy is
     check("energy", float(eps.max(initial=0.0)))
-    out = np.zeros_like(eps)
-    pos = eps > 0.0
-    log_pdf = (
-        (n - 1) * np.log(eps, where=pos, out=np.zeros_like(eps))
-        - eps / scale
-        - math.lgamma(n)
-        - n * math.log(scale)
-    )
-    out[pos] = np.exp(log_pdf[pos])
+    with np.errstate(divide="ignore", invalid="ignore"):  # at 0: density 0, or NaN if n = 1
+        out = np.exp((n - 1) * np.log(eps) - eps / scale - math.lgamma(n) - n * math.log(scale))
     if n == 1:
         out = np.where(eps == 0.0, 1.0 / scale, out)
-    if np.isscalar(epsilon) or np.ndim(epsilon) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(epsilon) == 0 else out
 
 
 def mixture_energy_pdf(epsilon, n: int, snr: float):

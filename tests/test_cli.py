@@ -256,15 +256,17 @@ class TestBerCommand:
 
     def test_jobs_do_not_change_a_multi_chunk_point(self, tmp_path):
         # 2e5 bits are 4 chunks of at most 2^16 trials, which 2 or 4 workers
-        # share out
-        argv = ["ber", "--n", "1000", "--snr-db=-10", "--bits", "200000", "--seed", "5"]
-        outputs = []
-        for jobs in ("1", "2", "4"):
-            out = tmp_path / f"b{jobs}.csv"
-            assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
-            outputs.append(out.read_text().replace(str(out), "OUT"))
-        assert outputs[1] == outputs[0]
-        assert outputs[2] == outputs[0]
+        # share out; 131073 bits are 3 chunks, the last holding one trial,
+        # whose bit is drawn by binomial(1, 1/2)
+        for bits in ("200000", "131073"):
+            argv = ["ber", "--n", "1000", "--snr-db=-10", "--bits", bits, "--seed", "5"]
+            outputs = []
+            for jobs in ("1", "2", "4"):
+                out = tmp_path / f"b{bits}_{jobs}.csv"
+                assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+                outputs.append(out.read_text().replace(str(out), "OUT"))
+            assert outputs[1] == outputs[0], bits
+            assert outputs[2] == outputs[0], bits
 
     def test_distinct_grid_points_draw_distinct_streams(self, tmp_path, monkeypatch):
         # each (N, SNR) point seeds its chunks from its own spawned master seed

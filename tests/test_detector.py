@@ -143,6 +143,8 @@ class TestRegularizedLowerGamma:
     @pytest.mark.parametrize("s", [1.0, 1e3, 1e6])
     def test_upper_tail_converges_near_the_top_of_the_double_range(self, s, monkeypatch):
         monkeypatch.setattr(detector, "_ITMAX", 1000)
+        if s == 1.0:  # Q(1, x) = e^-x, so ln Q is -x to the last bit
+            assert log_gamma_tails(1.0, 1e308) == (0.0, -1e308)
         for x in (1e300, 1e307, 4.5e307, 1e308, 1.7e308):
             log_p, log_q = log_gamma_tails(s, x)
             assert log_p == 0.0
@@ -212,6 +214,12 @@ class TestEnergyPdf:
         np.testing.assert_allclose(
             energy_pdf(eps, 1, 2.0), np.exp(-eps / 2.0) / 2.0, atol=1e-14
         )
+        # a 0-d energy gives a Python float and an array of energies an array,
+        # on the n = 1 branch and off it
+        for n in (1, 3):
+            for scalar in (1.5, np.float64(1.5), np.array(1.5)):
+                assert type(energy_pdf(scalar, n, 2.0)) is float
+            assert type(energy_pdf(np.array([1.5]), n, 2.0)) is np.ndarray
 
     def test_moments(self):
         n, scale = 7, 0.3
@@ -357,7 +365,8 @@ class TestErrorProbability:
             assert f1 == pytest.approx(f0, rel=1e-9)
 
     def test_equals_the_sum_of_the_public_tails_bit_for_bit(self):
-        # the private single-tail path must give log_gamma_tails' numbers on both branches
+        # P_e is the log-sum-exp of log_gamma_tails' own Q at delta and P at delta/(1 + snr),
+        # bit for bit, on both continued fractions' branches
         rng = np.random.default_rng(1717)
         cases = [(7, 2.0, 0.0), (1, 1e-6, 0.0)]
         for _ in range(400):
