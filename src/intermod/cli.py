@@ -49,10 +49,7 @@ from ._domain import N_MAX, check
 from .detector import DEFAULT_PE_TARGET, _operating_point, mixture_energy_pdf
 from .sumrate import closed_form_norms, linspace, paper_closed_form_norms, sweep_sum_rates
 
-# bumped when a subcommand's bytes change for one input (ber/2: stream kernel, /3: theory's P_e,
-# /4: no k, m or rho_phase in the manifest, /5: one normal draw per sample component,
-# /6: one Gamma(N) draw per bit, /7: chunks of a fixed trial count,
-# /8: one binomial bit-1 count per chunk, /9: no alpha, rho or g in the manifest)
+# bumped when a subcommand's bytes change for one input; README records each bump
 SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 9, "sumrate": 1}
 PDF_POINTS = 2000  # theory --pdf-points default, recorded in every theory manifest
 

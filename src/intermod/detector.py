@@ -82,10 +82,13 @@ def _log_complement(log_tail: float) -> float:
 
 def _lower_gamma_cf(s: float, x: float) -> float:
     # P(s, x) without its prefactor by the modified Lentz method, x < s + 1 (DLMF sec. 8.9):
-    # 1/(s + a1/(s+1 + a2/(s+2 + ...))) with the pairs a = -(s+k-1) x, then k x
+    # 1/(s + a1/(s+1 + a2/(s+2 + ...))) with the pairs a = -(s+k-1) x, then k x.  At term j,
+    # c is s + 1 for j = 1, then at least s + j for even j and above j - 1 for odd j, and so
+    # is every denominator past the first; only the first, s + 1 - x, can vanish, and it
+    # rounds to 0 at s = 10, x = nextafter(11, 0)
     tiny = 1e-300
     b = s
-    c = 1.0 / tiny
+    c = math.inf
     d = h = 1.0 / b
     for k in range(1, _ITMAX):
         for an in (-(s + k - 1.0) * x, k * x):
@@ -94,8 +97,6 @@ def _lower_gamma_cf(s: float, x: float) -> float:
             if abs(d) < tiny:
                 d = tiny
             c = b + an / c
-            if abs(c) < tiny:
-                c = tiny
             d = 1.0 / d
             delta = d * c
             h *= delta
@@ -107,20 +108,17 @@ def _lower_gamma_cf(s: float, x: float) -> float:
 
 
 def _upper_gamma_cf(s: float, x: float) -> float:
-    # Q(s, x) without its prefactor by the modified Lentz method, x >= s + 1
-    tiny = 1e-300
+    # Q(s, x) without its prefactor by the modified Lentz method, x >= s + 1.  There b >= 2i + 2,
+    # a = i(s - i) >= 0 up to i = s and |a| over the last denominator is at most i - s past it,
+    # so at step i the denominator and c are both at least i + 1: neither needs a guard
     b = x + 1.0 - s
-    c = 1.0 / tiny
+    c = math.inf
     d = h = 1.0 / b
     for i in range(1, _ITMAX):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta

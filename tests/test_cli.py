@@ -689,3 +689,11 @@ class TestUsageErrors:
     def test_bad_grid_exit_code(self, capsys):
         assert main(["theory", "--n", "1:2"]) == 3
         assert "invalid-parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--out", "{tmp}/missing/t.csv"],  # the output's directory does not exist
+        ["ber", "--config", "{tmp}/missing.cfg"],
+    ], ids=["out", "config"])
+    def test_unreadable_or_unwritable_path_exits_4(self, argv, tmp_path, capsys):
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 4
+        assert capsys.readouterr().err.startswith("error: io: ")

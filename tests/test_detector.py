@@ -175,8 +175,10 @@ class TestLowerContinuedFraction:
 
     # The grid's worst point, x = s + 0.5 at s = 1e6, takes 556 pairs, so a
     # cap of 1000 bounds the loop; a power series needs ~8600 terms there.
+    # At s = 10 and 685672 the first denominator, s + 1 - x, rounds to 0 at
+    # x = nextafter(s + 1, 0), so the fraction's one guard fires there.
     @pytest.mark.parametrize("side", ["below", "above"])
-    @pytest.mark.parametrize("s", [1.0, 1.5, 37.3, 1e3, 1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("s", [1.0, 1.5, 10.0, 37.3, 1e3, 1e4, 1e5, 685672.0, 1e6])
     def test_against_mpmath_near_the_branch(self, s, side, monkeypatch):
         monkeypatch.setattr(detector, "_ITMAX", 1000)
         for x in self.grid(s, side):

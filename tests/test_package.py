@@ -29,7 +29,9 @@ def test_lazy_exports_are_their_home_modules_objects():
 def test_analytic_subcommands_never_import_numpy():
     argvs = [["theory"], ["weights"], ["sumrate"], ["sumrate", "--alpha", "0.01,0.1"]]
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, sys, intermod\n"
+        "assert 'intermod.sumrate' not in sys.modules\n"  # so the package's __getattr__ imports it
+        "assert intermod.sumrate is sys.modules['intermod.sumrate']\n"
         "from intermod.cli import main\n"
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
