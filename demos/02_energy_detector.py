@@ -8,16 +8,18 @@ This script shows the two conditional densities, the error-minimizing
 threshold where they cross, and how the error probability falls with N.
 """
 
+import math
+
 import numpy as np
 
-from intermod import energy_pdf, error_probability, optimal_threshold
+from intermod import energy_pdf, log_error_probability, optimal_threshold
 
 for snr_db in (0.0, 5.0):
     snr = 10 ** (snr_db / 10)
     print(f"SNR = {snr_db:g} dB (linear {snr:g}, energies in units of sigma_n^2)")
     for n in (1, 10, 100, 1000):
         delta = optimal_threshold(n, snr)
-        pe = error_probability(n, snr, delta)
+        pe = math.exp(log_error_probability(n, snr, delta))
         f0 = energy_pdf(delta, n, 1.0)
         f1 = energy_pdf(delta, n, 1.0 + snr)
         print(

@@ -1,4 +1,4 @@
-"""Physics mutants: every one-line defect in mutants.json must fail a test.
+"""Mutants: every one-line defect in mutants.json must fail a test.
 
 Usage, from the repository root:
 

@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 # home module -> the public names it defines
 _EXPORTS = {
     "channel": "ChannelPair IllConditionedCorrelationError make_correlated_pair",
-    "detector": "energy_pdf error_probability find_n_alpha log_error_probability "
-                "log_gamma_tails mixture_energy_pdf optimal_threshold",
+    "detector": "energy_pdf find_n_alpha log_error_probability log_gamma_tails "
+                "mixture_energy_pdf optimal_threshold",
     "simulator": "BerResult ScenarioConfig run_ber_grid",
     "sumrate": "SumRatePoint closed_form_norms default_alpha_grid paper_closed_form_norms "
                "sweep_sum_rates",

@@ -244,11 +244,6 @@ def _n_alpha(snr: float, log_target: float, cap: int, met: int | None = None) ->
     return hi
 
 
-def error_probability(n: int, snr: float, threshold: float) -> float:
-    """exp(log_error_probability(...)); 0 where P_e underflows a double."""
-    return math.exp(log_error_probability(n, snr, threshold))
-
-
 def _operating_point(n: int, snr_db: float) -> tuple[float, float, float]:
     # (snr, delta*, P_e) at N and an SNR in dB, the one point theory prints and ber simulates;
     # a dB value that overflows, or lies below the threshold's floor, raises naming snr_db
@@ -257,7 +252,7 @@ def _operating_point(n: int, snr_db: float) -> tuple[float, float, float]:
         delta = optimal_threshold(n, snr)
     except ValueError as exc:
         raise ValueError(f"snr_db={snr_db:g}: {exc}") from exc
-    return snr, delta, error_probability(n, snr, delta)
+    return snr, delta, math.exp(_log_pe(n, snr, delta))
 
 
 def energy_pdf(epsilon, n: int, scale: float):

@@ -8,17 +8,38 @@ pinned here; nothing is deferred to later calibration.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
 from intermod.channel import make_correlated_pair
-from intermod.detector import error_probability, log_gamma_tails, optimal_threshold
+from intermod.detector import log_error_probability, log_gamma_tails, optimal_threshold
 from intermod.simulator import ScenarioConfig, run_ber_grid
 from intermod.sumrate import closed_form_norms, paper_closed_form_norms, sweep_sum_rates
 from intermod.weights import build_weight_set, solve_min_norm
-from test_detector import quadrature_lower_gamma
 
 BASELINE_30DB = math.log2(1001.0)
+
+
+def quadrature_lower_gamma(s: float, x: float) -> float:
+    """High-precision quadrature oracle for P(s, x), independent of the
+    continued-fraction implementation.
+
+    Substituting t = x e^{-v} maps the integral onto [0, inf) with a smooth
+    exponentially-decaying integrand, and the endpoint magnitude is factored
+    out so the quadrature runs near unit scale.  This stays accurate even
+    when the original integrand spikes at the endpoint (large s with x << s,
+    where P is astronomically small)."""
+    mpmath.mp.dps = 40
+    lognorm = mpmath.loggamma(s)
+    logx = mpmath.log(x)
+    log_peak = s * logx - x - lognorm  # log-integrand at v = 0
+
+    def integrand(v):
+        return mpmath.e ** (s * (logx - v) - x * mpmath.e ** (-v) - lognorm - log_peak)
+
+    points = [0, mpmath.log(x / s), mpmath.inf] if x > s else [0, mpmath.inf]
+    return float(mpmath.quad(integrand, points) * mpmath.e**log_peak)
 
 
 def _report(idx, detail=""):
@@ -101,9 +122,9 @@ def test_criterion_4_threshold_optimality():
         for snr_db in (-10.0, 0.0, 10.0):
             sr = 10 ** (snr_db / 10)
             delta_star = optimal_threshold(n, sr)
-            pe_star = error_probability(n, sr, delta_star)
+            pe_star = math.exp(log_error_probability(n, sr, delta_star))
             grid = np.linspace(0.2 * delta_star, 5 * delta_star, 1000)
-            best_on_grid = min(error_probability(n, sr, d) for d in grid)
+            best_on_grid = min(math.exp(log_error_probability(n, sr, d)) for d in grid)
             assert pe_star <= best_on_grid + 1e-15
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -143,12 +164,10 @@ def test_criterion_6_monte_carlo_vs_theory():
 
 
 def test_criterion_7_energy_statistics():
-    pair = make_correlated_pair(8, 0.0, 0.0, seed=7)
-    ws = build_weight_set(pair, 0.3)
+    # in noise units: sigma_n^2 = 1, and the bit-1 gain sqrt(m snr) gives sigma_r^2 = snr
     n, m, trials = 10, 64, 10**5
-    gain = complex(pair.h_su @ ws.tx_weight(1))  # g = 1
-    sigma_r_sq = abs(gain) ** 2 / m
-    sigma_n_sq = sigma_r_sq / 10 ** (-5.0 / 10.0)
+    sigma_n_sq, sigma_r_sq = 1.0, 10 ** (-5.0 / 10.0)
+    gain = math.sqrt(m * sigma_r_sq)
     rng = np.random.default_rng(77)
     sym = (rng.standard_normal((trials, m)) + 1j * rng.standard_normal((trials, m))) / math.sqrt(2)
     samples = np.fft.ifft(sym, axis=1)[:, :n]

@@ -7,7 +7,7 @@ import pytest
 from intermod.channel import ChannelPair, make_correlated_pair
 
 
-def test_inner_product_conjugates_first_argument():
+def test_rho_conjugates_h_su():
     # rho = <h_su, h_pu> conjugates h_su: for unit v and |c| = 1,
     # <v, c v> = c and <c v, v> = conj(c)
     v = np.array([1.0, 1j]) / np.sqrt(2.0)

@@ -218,7 +218,6 @@ class TestTheoryCommand:
             eps, dens = map(np.array, zip(*pts))
             assert np.trapezoid(dens, eps) == pytest.approx(1.0, abs=1e-3)
 
-
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_nonpositive_pdf_points_rejected(self, tmp_path, capsys, points):
         pdf = tmp_path / "p.csv"

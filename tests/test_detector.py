@@ -1,5 +1,4 @@
 import math
-import time
 
 import mpmath
 import numpy as np
@@ -11,33 +10,11 @@ from intermod import detector
 from intermod.detector import (
     db_to_linear,
     energy_pdf,
-    error_probability,
     log_error_probability,
     log_gamma_tails,
     mixture_energy_pdf,
     optimal_threshold,
 )
-
-
-def quadrature_lower_gamma(s: float, x: float) -> float:
-    """High-precision quadrature oracle for P(s, x), independent of the
-    series/continued-fraction implementation.
-
-    Substituting t = x e^{-v} maps the integral onto [0, inf) with a smooth
-    exponentially-decaying integrand, and the endpoint magnitude is factored
-    out so the quadrature runs near unit scale.  This stays accurate even
-    when the original integrand spikes at the endpoint (large s with x << s,
-    where P is astronomically small)."""
-    mpmath.mp.dps = 40
-    lognorm = mpmath.loggamma(s)
-    logx = mpmath.log(x)
-    log_peak = s * logx - x - lognorm  # log-integrand at v = 0
-
-    def integrand(v):
-        return mpmath.e ** (s * (logx - v) - x * mpmath.e ** (-v) - lognorm - log_peak)
-
-    points = [0, mpmath.log(x / s), mpmath.inf] if x > s else [0, mpmath.inf]
-    return float(mpmath.quad(integrand, points) * mpmath.e**log_peak)
 
 
 def mpmath_tails(s: float, x: float):
@@ -77,8 +54,14 @@ def lower_p(s: float, x: float) -> float:
     return math.exp(log_gamma_tails(s, x)[0])
 
 
+def pe(n, snr, threshold):
+    """P_e read off its log."""
+    return math.exp(log_error_probability(n, snr, threshold))
+
+
 class TestRegularizedLowerGamma:
-    """P(s, x) and Q(s, x) through log_gamma_tails."""
+    """P(s, x) and Q(s, x) through log_gamma_tails; test_criterion_5_special_functions
+    checks P against a quadrature oracle."""
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 3.0])
     def test_shape_one_identity(self, x):
@@ -96,25 +79,11 @@ class TestRegularizedLowerGamma:
         assert log_gamma_tails(5.0, 0.0) == (-math.inf, 0.0)
         assert lower_p(5.0, 1e4) == pytest.approx(1.0, abs=1e-14)
 
-    @pytest.mark.parametrize("s", [1.0, 2.0, 10.0, 50.0, 200.0])
-    @pytest.mark.parametrize("frac", [0.1, 1.0, 10.0])
-    def test_against_quadrature_oracle(self, s, frac):
-        x = frac * s
-        want = quadrature_lower_gamma(s, x)
-        got = lower_p(s, x)
-        assert got == pytest.approx(want, rel=1e-10)
-
     def test_large_shape_no_overflow(self):
         # Gamma(N) overflows doubles near N=171; the regularized form must not
         p = lower_p(10_000.0, 10_000.0)
         assert 0.4 < p < 0.6
         assert lower_p(1e6, 1e6 + 5e3) == pytest.approx(1.0, abs=1e-3)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma_tails(0.0, 1.0)
-        with pytest.raises(ValueError):
-            log_gamma_tails(1.0, -1.0)
 
     @pytest.mark.parametrize("s", [1e-20, 0.5, 1.0 - 1e-12])
     def test_shape_below_one_rejected(self, s):
@@ -122,15 +91,6 @@ class TestRegularizedLowerGamma:
         # ln P rounds to 0 and Q read as its complement came out 0, not 5.6e-21
         with pytest.raises(ValueError, match="s must be >= 1"):
             log_gamma_tails(s, 0.5)
-
-    @pytest.mark.parametrize("s, x", [
-        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0),
-    ])
-    def test_non_finite_rejected_at_once(self, s, x):
-        start = time.monotonic()
-        with pytest.raises(ValueError, match="finite"):
-            log_gamma_tails(s, x)
-        assert time.monotonic() - start < 0.1
 
     @pytest.mark.parametrize("x", [50.0, 150.0])  # lower, upper continued fraction
     def test_exhausted_loop_raises(self, x, monkeypatch):
@@ -196,20 +156,6 @@ class TestLowerContinuedFraction:
                 assert_tails_match_mpmath(s, x)
 
 
-class TestDomainOfN:
-    def test_shape_above_n_max_rejected(self):
-        assert log_gamma_tails(1e6, 1e6)[0] < 0.0
-        with pytest.raises(ValueError, match="<= 1000000"):
-            log_gamma_tails(1e6 + 1.0, 1e6)
-        with pytest.raises(ValueError, match="<= 1000000"):
-            log_gamma_tails(1e11, 1e11)
-
-    def test_error_probability_above_n_max_rejected(self):
-        snr = db_to_linear(-40.0)
-        with pytest.raises(ValueError, match="<= 1000000"):
-            error_probability(10**9, snr, optimal_threshold(10**9, snr))
-
-
 class TestEnergyPdf:
     def test_shape_one_is_exponential(self):
         eps = np.linspace(0.0, 5.0, 50)
@@ -241,17 +187,11 @@ class TestEnergyPdf:
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            energy_pdf(1.0, 0, 1.0)
-        with pytest.raises(ValueError):
-            energy_pdf(-1.0, 2, 1.0)
-        with pytest.raises(ValueError):
-            energy_pdf(1.0, 2, 0.0)
-        bad = [(math.nan, 10, 1.0), (math.inf, 10, 1.0), (np.array([1.0, math.nan]), 10, 1.0),
-               (1.0, math.inf, 1.0), (1.0, 10, math.nan), (1.0, 10, math.inf)]
-        for args in bad:
-            with pytest.raises(ValueError, match="must be (nonnegative and )?finite"):
-                energy_pdf(*args)
+        # the scalar domain tables cannot reach an array's energies
+        for energies in (-1.0, math.nan, math.inf, np.array([1.0, math.nan]),
+                         np.array([2.0, -1.0])):
+            with pytest.raises(ValueError, match="energy must be nonnegative and finite"):
+                energy_pdf(energies, 10, 1.0)
         with pytest.raises(ValueError, match="energy must be nonnegative and finite"):
             mixture_energy_pdf(math.nan, 10, 1.0)
 
@@ -274,79 +214,37 @@ class TestOptimalThreshold:
             for snr_db in (-10.0, 0.0, 10.0):
                 assert optimal_threshold(n, 10 ** (snr_db / 10)) > 0.0
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            optimal_threshold(0, 1.0)
-        with pytest.raises(ValueError):
-            optimal_threshold(1, 0.0)
-        with pytest.raises(ValueError, match="snr must be nonnegative"):
-            optimal_threshold(1, -1.0)
-
-    @pytest.mark.parametrize("args", [
-        (math.nan, 1.0), (1, math.nan), (1, math.inf), (1, -math.inf),
-    ])
-    def test_non_finite_rejected_at_once(self, args):
-        start = time.monotonic()
-        with pytest.raises(ValueError, match="finite"):
-            optimal_threshold(*args)
-        assert time.monotonic() - start < 0.1
-
-    @pytest.mark.parametrize("snr", [1e-40, 1e-17])
+    @pytest.mark.parametrize("snr", [0.0, 1e-40, 1e-17])
     def test_unresolvable_snr_rejected(self, snr):
-        # 1 - 1/(1 + snr) rounds to 0
+        # 1 - 1/(1 + snr) rounds to 0, or is 0
         with pytest.raises(ValueError, match="too small"):
             optimal_threshold(10, snr)
 
 
 class TestErrorProbability:
+    """P_e through log_error_probability, the one public P_e;
+    test_criterion_4_threshold_optimality scans its optimal threshold."""
+
     def test_n1_closed_form(self):
         # gamma(1, x) = 1 - e^{-x}: P_e = 0.5 (e^{-2ln2} + 1 - e^{-ln2}) = 0.375
         delta = 2 * math.log(2)
-        assert error_probability(1, 1.0, delta) == pytest.approx(0.375, abs=1e-14)
+        assert pe(1, 1.0, delta) == pytest.approx(0.375, abs=1e-14)
 
     def test_degenerate_signal(self):
-        assert error_probability(5, 0.0, 5.0) == 0.5
-
-    @pytest.mark.parametrize("args", [
-        (0, 1.0, 1.0), (1, -1.0, 1.0), (1, 1.0, -1.0),
-    ])
-    def test_domain(self, args):
-        with pytest.raises(ValueError):
-            error_probability(*args)
-
-    @pytest.mark.parametrize("args", [
-        (math.nan, 1.0, 5.0), (5, math.nan, 5.0), (5, math.inf, 5.0),
-        (5, 1.0, math.nan), (5, 1.0, math.inf),
-    ])
-    def test_non_finite_rejected_at_once(self, args):
-        start = time.monotonic()
-        with pytest.raises(ValueError, match="finite"):
-            error_probability(*args)
-        assert time.monotonic() - start < 0.1
+        assert pe(5, 0.0, 5.0) == 0.5
 
     def test_monotone_decreasing_in_n(self):
         values = []
         for n in (1, 10, 100):
             delta = optimal_threshold(n, 1.0)
-            values.append(error_probability(n, 1.0, delta))
+            values.append(pe(n, 1.0, delta))
         assert values[0] > values[1] > values[2]
 
     def test_bounded_by_half(self):
         for n in (1, 10, 100):
             for snr_db in (-20.0, 0.0, 20.0):
                 sr = 10 ** (snr_db / 10)
-                pe = error_probability(n, sr, optimal_threshold(n, sr))
-                assert 0.0 <= pe <= 0.5
-
-    def test_threshold_optimality_scan(self):
-        for n in (1, 10, 100):
-            for snr_db in (-10.0, 0.0, 10.0):
-                sr = 10 ** (snr_db / 10)
-                delta_star = optimal_threshold(n, sr)
-                pe_star = error_probability(n, sr, delta_star)
-                grid = np.linspace(0.2 * delta_star, 5 * delta_star, 1000)
-                pes = [error_probability(n, sr, d) for d in grid]
-                assert pe_star <= min(pes) + 1e-15
+                assert 0.0 <= pe(n, sr, optimal_threshold(n, sr)) <= 0.5
 
     @pytest.mark.parametrize("n, snr_db", [(1000, 0.0), (2000, 0.0), (200, 10.0)])
     def test_deep_tail_against_mpmath(self, n, snr_db):
@@ -355,8 +253,7 @@ class TestErrorProbability:
         want = mpmath_error_probability(n, snr)
         log_pe = log_error_probability(n, snr, optimal_threshold(n, snr))
         assert log_pe == pytest.approx(float(mpmath.log(want)), abs=1e-12)
-        got = error_probability(n, snr, optimal_threshold(n, snr))
-        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        assert math.exp(log_pe) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_density_crossing_at_threshold(self):
         for n in (1, 10, 100):

@@ -2,20 +2,26 @@
 
 The out-of-domain cases are generated from ``_domain.DOMAINS``: for each
 parameter of each public entry point, each point of its rho and g grids, and
-each CLI option, NaN, +-inf, the value just past each bound and, for counts,
-a non-integral value and True.
+each CLI option, None, NaN, +-inf, the value just past each bound and, for
+counts, a non-integral value, an integral float and True.  This module is the
+one home of every such rejection; each is timed, as it must come before any
+work.
 """
 
+import cmath
+import dataclasses
 import functools
 import inspect
 import math
+import re
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import intermod
-from intermod import cli
+from intermod import cli, simulator  # noqa: F401  loaded here, so no timed CLI call imports it
 from intermod._domain import DOMAINS, check
 from intermod.cli import main
 
@@ -27,7 +33,6 @@ VALID = {
     "build_weight_set": dict(pair=PAIR, alpha=0.3),
     "closed_form_norms": dict(alpha=0.3, rho_mag=0.5),
     "energy_pdf": dict(epsilon=1.0, n=10, scale=1.0),
-    "error_probability": dict(n=10, snr=1.0, threshold=15.0),
     "find_n_alpha": dict(snr=1.0, pe_target=1e-3, n_max=100),
     "log_error_probability": dict(n=10, snr=1.0, threshold=15.0),
     "log_gamma_tails": dict(s=10.0, x=5.0),
@@ -48,11 +53,12 @@ def one_curve_sweep(gamma_db, rho_mag, g, alpha_grid, pe_target, n_max):
                                     pe_target=pe_target, n_max=n_max)[0]
 
 
-# Call forms built on a public entry point, with one valid call each.
-COMPOSED = {"sweep_sum_rate": one_curve_sweep}
+# Call forms built on a public entry point, and the sum rate's SU SNR, with one valid call each.
+COMPOSED = {"sweep_sum_rate": one_curve_sweep, "su_snr": intermod.sumrate.su_snr}
 COMPOSED_VALID = {
     "sweep_sum_rate": dict(gamma_db=10.0, rho_mag=0.3, g=1.0, alpha_grid=[0.0],
                            pe_target=1e-3, n_max=100),
+    "su_snr": dict(alpha=0.3, rho_mag=0.5, g=1.0, gamma=1000.0),
 }
 # Parameters that are not scalars: vectors, channel pairs, grids, config lists.
 EXEMPT_PARAMETERS = {"h_pu", "h_su", "omega0", "omega1", "pair", "epsilon",
@@ -64,9 +70,9 @@ EXEMPT_NAMES = {"BerResult", "SumRatePoint", "IllConditionedCorrelationError"}
 
 
 def out_of_domain(name):
-    """NaN, +-inf, the value just past each finite bound, and a non-integral or bool count."""
+    """None, NaN, +-inf, the value just past each finite bound, and a count that is not an int."""
     kind, lb, lo, hi, rb = DOMAINS[name]
-    values = [math.nan, math.inf, -math.inf]
+    values = [None, math.nan, math.inf, -math.inf]
     if kind is complex:
         values += [complex(0.0, math.inf), np.complex128(complex(1.0, math.nan))]
     if lo > -math.inf:
@@ -74,8 +80,23 @@ def out_of_domain(name):
     if hi < math.inf:
         values.append(hi if rb == ")" else hi + 1 if kind is int else math.nextafter(hi, math.inf))
     if kind is int:
-        values += [lo + 0.5, True]  # a bool is a numbers.Integral, but not a count
+        values += [lo + 0.5, float(lo), True]  # a bool is a numbers.Integral, but not a count
     return values
+
+
+def states_why(name, value, message):
+    """Whether a rejection says what was wrong: "an integer" for a count that is not an
+    int, "finite" (or a bounded interval) for None or a non-finite value, and otherwise
+    each finite end of the domain, a real's 0 as nonnegative or positive."""
+    kind, lb, lo, hi, rb = DOMAINS[name]
+    requirement = message.split(" must be ", 1)[1].rsplit(", got ", 1)[0]
+    if kind is int and type(value) is not int:
+        return requirement == "an integer"
+    if value is None or not cmath.isfinite(value):
+        return "finite" in requirement or requirement.startswith("in ")
+    return all(re.search(rf"(?<![\d.]){re.escape(str(end))}(?![\d.])", requirement)
+               or end == 0 and ("nonnegative" if bracket == "[" else "positive") in requirement
+               for bracket, end in ((lb, lo), (rb, hi)) if math.isfinite(end))
 
 
 LIBRARY_VALID = {**VALID, **COMPOSED_VALID}
@@ -89,9 +110,11 @@ LIBRARY_CASES = [
 
 @pytest.mark.parametrize("entry, name, value", LIBRARY_CASES)
 def test_out_of_domain_value_names_its_parameter(entry, name, value):
-    call = COMPOSED.get(entry) or getattr(intermod, entry)
+    call = COMPOSED.get(entry) or getattr(intermod, entry)  # imported before the clock starts
+    start = time.perf_counter()
     with pytest.raises(ValueError, match=rf"(^|\W){name} must be "):
         call(**{**LIBRARY_VALID[entry], name: value})
+    assert time.perf_counter() - start < 0.1  # rejected at once
 
 
 GRID_CASES = [
@@ -117,8 +140,15 @@ def test_every_public_parameter_is_in_the_table_or_exempt():
         assert set(names) <= set(DOMAINS) | EXEMPT_PARAMETERS, entry
         if set(names) & set(DOMAINS):
             assert list(VALID[entry]) == names, entry
-    for entry, kwargs in VALID.items():
-        getattr(intermod, entry)(**kwargs)  # the baseline call is valid
+    for entry, kwargs in LIBRARY_VALID.items():
+        call = COMPOSED.get(entry) or getattr(intermod, entry)
+        want = call(**kwargs)  # the baseline call is valid
+        counts = [name for name in kwargs if name in DOMAINS and DOMAINS[name][0] is int]
+        for numpy_int in (np.int32, np.int64) if counts else ():
+            # and so is each count given as a numpy integer, with the same result
+            got = call(**{**kwargs, **{name: numpy_int(kwargs[name]) for name in counts}})
+            np.testing.assert_equal(*(dataclasses.asdict(result) if dataclasses.is_dataclass(result)
+                                      else result for result in (got, want)))
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))
@@ -129,8 +159,9 @@ def test_each_end_is_open_or_closed_as_stated(name):
             inside = end if bracket in "[]" else math.nextafter(end, inward)
             assert check(name, inside) == inside
     for value in out_of_domain(name):
-        with pytest.raises(ValueError, match=f"^{name} must be "):
+        with pytest.raises(ValueError, match=f"^{name} must be ") as raised:
             check(name, value)
+        assert states_why(name, value, str(raised.value)), str(raised.value)
 
 
 def test_counts_that_size_arrays_have_ceilings():
@@ -183,7 +214,10 @@ def test_out_of_domain_option_exits_3(tmp_path, capsys, prefix, flag, key, text)
         cfg.write_text(f"{key} = {text}\n")
         routes.append(["--config", str(cfg)])
     for route in routes:
+        start = time.perf_counter()
         assert main(argv + route + ["--out", str(tmp_path / "out.csv")]) == 3
+        assert time.perf_counter() - start < 1.0  # rejected at once
         err = capsys.readouterr().err
         assert "invalid-parameter" in err and "Traceback" not in err
+        assert (key or "pdf_points") in err  # the key the text was given under
     assert not (tmp_path / "out.csv").exists() and not pdf.exists()

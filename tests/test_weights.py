@@ -66,7 +66,8 @@ class TestSolveMinNorm:
 
 
 class TestOokOneTargets:
-    """The OOK-one targets build_weight_set solves for, read off h_su^T omega1."""
+    """The OOK-one targets build_weight_set solves for, read off h_su^T omega1; the phase
+    scan of test_criterion_2_min_norm_oracle shows that -arg(rho) gives the least norm."""
 
     def test_definition(self):
         # b_pu = sqrt(1 - alpha), b_su = sqrt(alpha) exp(-j arg(rho))
@@ -90,23 +91,10 @@ class TestOokOneTargets:
         ws = build_weight_set(pair, 0.3)
         assert pair.h_su @ ws.omega1 == pytest.approx(math.sqrt(0.3), abs=1e-12)
 
-    def test_phase_grid_search_oracle(self):
-        # solve at 360 candidate phases; the phase build_weight_set targets must win
-        alpha, rho_mag, phase = 0.3, 0.5, 0.8
-        pair = make_correlated_pair(7, rho_mag, phase, seed=4)
-        phases = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
-        norms = []
-        for p in phases:
-            omega = solve_min_norm(pair, math.sqrt(alpha) * np.exp(1j * p), math.sqrt(1 - alpha))
-            norms.append(np.vdot(omega, omega).real)
-        best = phases[int(np.argmin(norms))]
-        want = np.angle(pair.h_su @ build_weight_set(pair, alpha).omega1) % (2 * np.pi)
-        assert abs(want - (-phase) % (2 * np.pi)) < 1e-9
-        diff = abs((best - want + np.pi) % (2 * np.pi) - np.pi)
-        assert diff <= 2 * np.pi / 360
-
 
 class TestClosedForms:
+    """test_criterion_2_min_norm_oracle checks them against the solver on random tuples."""
+
     @pytest.mark.parametrize(
         "alpha,rho,expect",
         [
@@ -130,25 +118,12 @@ class TestClosedForms:
         )
         assert paper_closed_form_norms(0.3, 0.5)[1] > closed_form_norms(0.3, 0.5)[1]
 
-    def test_domain_checks(self):
-        for bad in ((1.0, 0.5), (-0.1, 0.5), (0.5, 1.0), (0.5, -0.1)):
-            with pytest.raises(ValueError):
-                closed_form_norms(*bad)
-
-    def test_matches_solver_on_random_tuples(self):
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            alpha = float(rng.uniform(0.0, 0.9))
-            rho_mag = float(rng.uniform(0.0, 0.95))
-            pair = make_correlated_pair(
-                int(rng.integers(3, 16)), rho_mag, float(rng.uniform(0, 2 * np.pi)),
-                seed=int(rng.integers(0, 2**31)),
-            )
-            ws = build_weight_set(pair, alpha)
-            n0, n1, xi = closed_form_norms(alpha, rho_mag)
-            assert ws.norm0_sq == pytest.approx(n0, abs=1e-9)
-            assert ws.norm1_sq == pytest.approx(n1, abs=1e-9)
-            assert ws.xi == pytest.approx(xi, abs=1e-9)
+    def test_match_the_solver_at_three_antennas(self):
+        # the fewest antennas the solver takes, which the criterion does not draw
+        alpha, rho_mag = 0.45, 0.85
+        ws = build_weight_set(make_correlated_pair(3, rho_mag, 2.5, seed=21), alpha)
+        got = (ws.norm0_sq, ws.norm1_sq, ws.xi)
+        assert got == pytest.approx(closed_form_norms(alpha, rho_mag), abs=1e-9)
 
 
 class TestBuildWeightSet:
@@ -215,16 +190,6 @@ class TestBuildWeightSet:
             rho_mag = math.sqrt(1.0 - NEAR_SINGULAR_TOL / excess)
             with pytest.raises(IllConditionedCorrelationError, match="near-singular"):
                 build_weight_set(make_correlated_pair(4, rho_mag, seed=0), 0.3)
-
-    def test_xi_channel_independent(self):
-        alpha, rho_mag = 0.4, 0.65
-        xis = []
-        for seed in range(10):
-            pair = make_correlated_pair(
-                4 + seed, rho_mag, 0.37 * seed, seed=seed * 101 + 5
-            )
-            xis.append(build_weight_set(pair, alpha).xi)
-        assert max(xis) - min(xis) < 1e-9
 
     def test_xi_at_alpha_zero_increases_with_rho(self):
         values = [closed_form_norms(0.0, r)[2] for r in (0.0, 0.3, 0.6, 0.9)]
