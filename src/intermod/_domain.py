@@ -1,16 +1,16 @@
 """The domain of every public scalar parameter, stated once, and its one check.
 
 DOMAINS maps a parameter name to (kind, bracket, lower, upper, bracket): kind
-is int, float or complex (bounded in |value|); "[" or "]" closes an end and
-"(" or ")" opens it.  A float or complex value must also be finite, and an int
-value an int or a numpy integer, not a bool.  Counts that size arrays have a
+is int, float or complex (bounded in |value|); "[" or "]" closes an end and "("
+or ")" opens it.  A float or complex value must also be finite, and an int
+value an int or a numpy integer, not a bool, which check returns as a plain int
+(an unsigned numpy one wraps in arithmetic).  Counts that size arrays have a
 ceiling, so an oversized request fails before it allocates.  check runs once
-per public call, and the library's own calls reuse what their caller
-checked: a P_e evaluation checks N, snr and the threshold once, not again in
-each tail, and a sum-rate sweep checks its grids, target and cap once, and
-its searches and P_e probes run no check.  check runs per grid point, so it
-compares against bounds closed in advance and formats a message only when it
-raises.
+per public call, and the library's own calls reuse what their caller checked: a
+P_e evaluation checks N, snr and the threshold once, not again in each tail,
+and a sum-rate sweep checks its grids, target and cap once, and its searches
+and P_e probes run no check.  check runs per grid point, so it compares against
+bounds closed in advance and formats a message only when it raises.
 """
 
 from __future__ import annotations
@@ -48,13 +48,13 @@ _CLOSED = {  # (lower, upper, kind), an open end moved one double inward
 
 
 def check(name: str, value):
-    """value, if it lies in the domain of parameter ``name``; else ValueError naming it."""
+    """value, an integer as a plain int, if it lies in the domain of ``name``; else ValueError."""
     lo, hi, kind = _CLOSED[name]
     try:
         if lo <= (abs(value) if kind is complex else value) <= hi and (
             kind is not int or _is_int(value)
         ):
-            return value
+            return int(value) if _is_int(value) else value
     except TypeError:  # not a number, or a complex where a real belongs
         pass
     raise ValueError(f"{name} must be {_requirement(name, value)}, got {value!r}")

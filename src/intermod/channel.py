@@ -92,7 +92,7 @@ def make_correlated_pair(
         rho_phase: requested arg(rho) in radians.
         seed: RNG seed, an integer >= 0.
     """
-    check("k", k)
+    k = check("k", k)
     check("rho_mag", rho_mag)
     check("rho_phase", rho_phase)
     rng = np.random.default_rng(check("seed", seed))

@@ -53,7 +53,7 @@ def log_gamma_tails(s: float, x: float) -> tuple[float, float]:
     s ln s (~1e-9 at s = 1e6).  Raises ValueError for s outside [1, N_MAX],
     non-finite input, or a loop at its iteration cap.
     """
-    check("s", s)  # the stated accuracy holds there; callers pass s = N
+    s = check("s", s)  # the stated accuracy holds there; callers pass s = N
     return _log_tails(s, check("x", x), math.lgamma(s))
 
 
@@ -160,8 +160,8 @@ def log_error_probability(n: int, snr: float, threshold: float) -> float:
     summed in the log domain from the two incomplete gamma tails, so it is
     exact in both tails.  Degenerate snr = 0 gives exactly ln 0.5.
     """
-    check("n", n)
-    check("threshold", threshold)
+    n = check("n", n)
+    threshold = check("threshold", threshold)
     return _log_pe(n, check("snr", snr), threshold)
 
 
@@ -262,7 +262,7 @@ def energy_pdf(epsilon, n: int, scale: float):
     """
     import numpy as np  # the only vector code here, so the scalar analytics load without numpy
 
-    check("n", n)
+    n = check("n", n)
     check("scale", scale)
     eps = np.asarray(epsilon, dtype=float)
     check("energy", float(eps.min(initial=0.0)))  # NaN if any energy is

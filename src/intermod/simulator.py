@@ -55,7 +55,7 @@ CHUNK_TRIALS = 1 << 16
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one BER measurement point, each field checked against its domain."""
+    """Full description of one BER measurement point, each field stored as checked."""
 
     n_samples: int
     snr_db: float
@@ -64,7 +64,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for field in fields(self):
-            check(field.name, getattr(self, field.name))
+            object.__setattr__(self, field.name, check(field.name, getattr(self, field.name)))
 
     @property
     def n_chunks(self) -> int:

@@ -125,9 +125,9 @@ def sweep_sum_rates(
 
     alpha = 0 entries report the no-modulation baseline log2(1 + gamma)
     with no SU rate; all other entries use the modulated-regime PU rate
-    with the solver-consistent xi.  Every point of rho_grid and g_grid and
-    the scalar arguments are checked before any search, so a grid with no
-    alpha > 0 lets none of them through unread.
+    with the solver-consistent xi.  Every point of rho_grid, g_grid and
+    alpha_grid and the scalar arguments are checked before any search, so a
+    grid with no alpha > 0 lets none of them through unread.
 
     N_alpha depends only on the SU SNR (for the pe_target and n_max that all
     curves share), so the alpha > 0 points of all curves are solved together
@@ -141,11 +141,11 @@ def sweep_sum_rates(
     rho_grid = [check("rho_mag", rho) for rho in rho_grid]
     g_grid = [check("g", g) for g in g_grid]
     log_target = math.log(check("pe_target", pe_target))
-    check("n_max", n_max)
+    n_max = check("n_max", n_max)
     gamma = db_to_linear(check("gamma_db", gamma_db))
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()
-    alphas = [float(alpha) for alpha in alpha_grid]
+    alphas = [float(check("alpha", alpha)) for alpha in alpha_grid]
     curves = [(rho, g) for rho in rho_grid for g in g_grid]
     norms = {(rho, alpha): closed_form_norms(alpha, rho) for rho in rho_grid for alpha in alphas
              if alpha != 0.0}  # the norms hang on (rho, alpha) only, not on g

@@ -1,11 +1,11 @@
 """One domain table checks every public scalar parameter, by name.
 
 The out-of-domain cases are generated from ``_domain.DOMAINS``: for each
-parameter of each public entry point, each point of its rho and g grids, and
-each CLI option, None, NaN, +-inf, the value just past each bound and, for
+parameter of each public entry point, each point of its rho, g and alpha grids,
+and each CLI option, None, NaN, +-inf, the value just past each bound and, for
 counts, a non-integral value, an integral float and True.  This module is the
-one home of every such rejection; each is timed, as it must come before any
-work.
+one home of every such rejection; each is timed, and a library one must make no
+P_e evaluation, as it must come before any work.
 """
 
 import cmath
@@ -24,6 +24,7 @@ import intermod
 from intermod import cli, simulator  # noqa: F401  loaded here, so no timed CLI call imports it
 from intermod._domain import DOMAINS, check
 from intermod.cli import main
+from test_sumrate import pe_calls  # noqa: F401  a fixture: the P_e evaluations a test makes
 
 PAIR = intermod.make_correlated_pair(4, 0.3, seed=1)
 
@@ -35,15 +36,16 @@ VALID = {
     "energy_pdf": dict(epsilon=1.0, n=10, scale=1.0),
     "find_n_alpha": dict(snr=1.0, pe_target=1e-3, n_max=100),
     "log_error_probability": dict(n=10, snr=1.0, threshold=15.0),
-    "log_gamma_tails": dict(s=10.0, x=5.0),
+    "log_gamma_tails": dict(s=10, x=15.0),
     "make_correlated_pair": dict(k=4, rho_mag=0.3, rho_phase=0.1, seed=1),
     "mixture_energy_pdf": dict(epsilon=1.0, n=10, snr=1.0),
     "optimal_threshold": dict(n=10, snr=1.0),
     "paper_closed_form_norms": dict(alpha=0.3, rho_mag=0.5),
     "run_ber_grid": dict(configs=[], jobs=1),
     "solve_min_norm": dict(pair=PAIR, b_su=0.5, b_pu=0.5),
+    # alpha = 0.3 searches, so a check made after the searches would show as evaluations
     "sweep_sum_rates": dict(gamma_db=10.0, rho_grid=[0.3, 0.5], g_grid=[1.0, 2.0],
-                            alpha_grid=[0.0], pe_target=1e-3, n_max=100),
+                            alpha_grid=[0.0, 0.3], pe_target=1e-3, n_max=100),
 }
 
 
@@ -53,7 +55,8 @@ def one_curve_sweep(gamma_db, rho_mag, g, alpha_grid, pe_target, n_max):
                                     pe_target=pe_target, n_max=n_max)[0]
 
 
-# Call forms built on a public entry point, and the sum rate's SU SNR, with one valid call each.
+# Call forms built on a public entry point, and the sum rate's SU SNR, with one valid call each;
+# the one-curve sweep's grid has no alpha > 0, so its n_max is checked though no search reads it.
 COMPOSED = {"sweep_sum_rate": one_curve_sweep, "su_snr": intermod.sumrate.su_snr}
 COMPOSED_VALID = {
     "sweep_sum_rate": dict(gamma_db=10.0, rho_mag=0.3, g=1.0, alpha_grid=[0.0],
@@ -64,7 +67,7 @@ COMPOSED_VALID = {
 EXEMPT_PARAMETERS = {"h_pu", "h_su", "omega0", "omega1", "pair", "epsilon",
                      "alpha_grid", "rho_grid", "g_grid", "configs"}
 # Grids whose every point is checked as the named scalar parameter.
-GRID_POINTS = {"rho_grid": "rho_mag", "g_grid": "g"}
+GRID_POINTS = {"rho_grid": "rho_mag", "g_grid": "g", "alpha_grid": "alpha"}
 # Records the library returns, and an exception.
 EXEMPT_NAMES = {"BerResult", "SumRatePoint", "IllConditionedCorrelationError"}
 
@@ -109,12 +112,13 @@ LIBRARY_CASES = [
 
 
 @pytest.mark.parametrize("entry, name, value", LIBRARY_CASES)
-def test_out_of_domain_value_names_its_parameter(entry, name, value):
+def test_out_of_domain_value_names_its_parameter(entry, name, value, pe_calls):
     call = COMPOSED.get(entry) or getattr(intermod, entry)  # imported before the clock starts
     start = time.perf_counter()
     with pytest.raises(ValueError, match=rf"(^|\W){name} must be "):
         call(**{**LIBRARY_VALID[entry], name: value})
     assert time.perf_counter() - start < 0.1  # rejected at once
+    assert pe_calls[0] == 0  # and before any search
 
 
 GRID_CASES = [
@@ -127,11 +131,12 @@ GRID_CASES = [
 
 
 @pytest.mark.parametrize("entry, grid, at, value", GRID_CASES)
-def test_out_of_domain_grid_point_names_its_parameter(entry, grid, at, value):
+def test_out_of_domain_grid_point_names_its_parameter(entry, grid, at, value, pe_calls):
     points = list(VALID[entry][grid])
     points[at] = value
     with pytest.raises(ValueError, match=rf"(^|\W){GRID_POINTS[grid]} must be "):
         getattr(intermod, entry)(**{**VALID[entry], grid: points})
+    assert pe_calls[0] == 0  # rejected before any search
 
 
 def test_every_public_parameter_is_in_the_table_or_exempt():
@@ -143,12 +148,14 @@ def test_every_public_parameter_is_in_the_table_or_exempt():
     for entry, kwargs in LIBRARY_VALID.items():
         call = COMPOSED.get(entry) or getattr(intermod, entry)
         want = call(**kwargs)  # the baseline call is valid
-        counts = [name for name in kwargs if name in DOMAINS and DOMAINS[name][0] is int]
-        for numpy_int in (np.int32, np.int64) if counts else ():
-            # and so is each count given as a numpy integer, with the same result
-            got = call(**{**kwargs, **{name: numpy_int(kwargs[name]) for name in counts}})
+        integers = [name for name in kwargs if name in DOMAINS and type(kwargs[name]) is int]
+        for numpy_int in (np.int32, np.int64, np.uint8, np.uint64) if integers else ():
+            # and so is each integer given as a numpy one, signed or unsigned, with the same
+            # result: check binds it as a plain int, so a config's fields, and its link, match
+            got = call(**{**kwargs, **{name: numpy_int(kwargs[name]) for name in integers}})
             np.testing.assert_equal(*(dataclasses.asdict(result) if dataclasses.is_dataclass(result)
                                       else result for result in (got, want)))
+            assert repr(got) == repr(want), (entry, numpy_int)
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))

@@ -61,12 +61,6 @@ class TestScenarioDomain:
         assert [field.name for field in fields(ScenarioConfig)] == [
             "n_samples", "snr_db", "n_bits", "master_seed"]
 
-    def test_numpy_integer_counts_accepted(self):
-        cfg = ScenarioConfig(
-            n_samples=np.int32(10), snr_db=0.0, n_bits=np.int64(100), master_seed=np.uint8(0),
-        )
-        assert cfg.link == ScenarioConfig(n_samples=10, snr_db=0.0, n_bits=100).link
-
 
 class TestDecisionEnergies:
     """The standard Gamma(N) variates, a bit-0 energy in noise units, that chunk_errors

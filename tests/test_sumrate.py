@@ -144,10 +144,6 @@ class TestFindNAlpha:
         assert mpmath_error_probability(n_alpha, snr) < mpmath.mpf(1e-320)
         assert mpmath_error_probability(n_alpha - 1, snr) >= mpmath.mpf(1e-320)
 
-    def test_n_max_above_domain_rejected(self):
-        with pytest.raises(ValueError, match="n_max must be >= 1 and <= 1000000"):
-            find_n_alpha(su_snr(0.1, 0.1, 1.0, GAMMA_30DB), n_max=10**6 + 1)
-
     def test_every_probe_threshold_is_optimal_threshold_bit_for_bit(self, monkeypatch):
         # each probe's threshold comes from the detector's delta* core, as optimal_threshold's does
         probes = []
@@ -209,33 +205,7 @@ class TestSearchAgainstBisection:
 
 class TestSweepAgainstPerPoint:
     """The sweep solves in rising SU-SNR order with each search capped by the last
-    N_alpha found; its rows must be the per-point searches' answers in grid order."""
-
-    @pytest.mark.parametrize("n_max", [1, 2, 100, 10**6])
-    def test_same_n_alpha_as_a_search_per_point(self, n_max):
-        rng = np.random.default_rng([1800, n_max])
-        # one loose curve that reaches N = 1, so later searches have no room below it
-        curves = [(40.0, 1e-2, 0.1, 2.0)] + [
-            (rng.uniform(-10.0, 40.0), 10 ** rng.uniform(-12.0, -2.0), rng.uniform(0.0, 0.9),
-             0.0 if rng.random() < 0.1 else math.exp(rng.uniform(math.log(0.5), math.log(2.0))))
-            for _ in range(12)
-        ]
-        kinds = set()
-        for gamma_db, pe_target, rho, g in curves:
-            alphas = [0.0, *10 ** rng.uniform(-4.0, math.log10(0.99), 24)]
-            alphas += list(rng.choice(alphas, 5))  # duplicates, so tied SNRs
-            rng.shuffle(alphas)
-            gamma = 10.0 ** (gamma_db / 10.0)
-            want = [find_n_alpha(su_snr(a, rho, g, gamma), pe_target, n_max) if a else None
-                    for a in alphas]
-            pts = sweep_sum_rates(gamma_db, [rho], [g], alpha_grid=alphas, pe_target=pe_target,
-                                  n_max=n_max)[0]
-            assert [pt.alpha for pt in pts] == alphas
-            assert [pt.n_alpha for pt in pts] == want, (gamma_db, pe_target, rho, g)
-            met = [n for n in want if n is not None]
-            kinds.add("none reachable" if not met else "tie" if len(set(met)) < len(met)
-                      else "all distinct")
-        assert "none reachable" in kinds and "tie" in kinds
+    N_alpha found; TestSweepsAcrossCurves checks its rows against a search per point."""
 
     def test_searches_stop_below_the_last_n_alpha_found(self, pe_calls):
         # the 30 dB default curve: per point every search probes N = n_max first
@@ -273,8 +243,11 @@ class TestSweepsAcrossCurves:
     def test_same_rows_as_each_point_and_each_curve(self, n_max):
         rng = np.random.default_rng([2000, n_max])
         kinds = set()
-        for gamma_db, pe_target in [(40.0, 1e-2), (0.0, 1e-5),
-                                    (rng.uniform(-5.0, 35.0), 10 ** rng.uniform(-9.0, -2.0))]:
+        # a loose call, whose curves reach N = 1 and leave later searches no room below it,
+        # a strict one, and four random ones: 72 curves, 48 of them at a random (gamma, target)
+        calls = [(40.0, 1e-2), (0.0, 1e-5)] + [
+            (rng.uniform(-10.0, 40.0), 10 ** rng.uniform(-12.0, -2.0)) for _ in range(4)]
+        for gamma_db, pe_target in calls:
             rho_grid = list(rng.uniform(0.0, 0.9, 2))
             rho_grid.append(rho_grid[0])  # a duplicate curve, so tied SNRs across curves
             # g = 0: a curve that nothing reaches; the last g repeats
@@ -308,7 +281,6 @@ class TestSweepsAcrossCurves:
         sweep_sum_rates(30.0, self.HIGHSNR_RHO, self.HIGHSNR_G)
         # absolute counts: a ratio would hide a search that got dearer on both sides
         assert pe_calls[0] < per_curve <= 3050
-        assert pe_calls[0] <= 2550
 
     @pytest.mark.parametrize("gamma_db, rho_grid, g_grid, bound", [
         (30.0, HIGHSNR_RHO, HIGHSNR_G, 2550), (0.0, LOWSNR_RHO, LOWSNR_G, 950),
@@ -357,30 +329,6 @@ class TestSearchAgainstSimulator:
 class TestSweepSumRate:
     """Rows of one curve; test_criterion_9_baseline_anchor and
     test_criterion_10_qualitative_sum_rate_curves check the baseline and the curves' shape."""
-
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"g": -1.0}, "g must be nonnegative"),
-        ({"rho_mag": 1.0}, "rho_mag must be in"),
-        ({"rho_mag": 1.5}, "rho_mag must be in"),
-        ({"pe_target": 0.0}, "pe_target"),
-        ({"pe_target": 0.5}, "pe_target"),
-        ({"pe_target": 0.9}, "pe_target"),
-        ({"g": math.inf}, "g must be nonnegative"),
-        ({"g": math.nan}, "g must be nonnegative"),
-    ])
-    def test_bad_input_rejected_without_any_search(self, kwargs, message, pe_calls):
-        args = {"gamma_db": 10.0, "rho_mag": 0.1, "g": 1.0, **kwargs}
-        rho, g = args.pop("rho_mag"), args.pop("g")
-        with pytest.raises(ValueError, match=message):
-            sweep_sum_rates(rho_grid=[rho], g_grid=[g], alpha_grid=[0.0], **args)
-        # the bad value may also sit anywhere in a longer grid, behind curves that would search
-        for at in range(3):
-            rho_grid, g_grid = [0.3, 0.6], [0.5, 2.0]
-            rho_grid.insert(at, rho)
-            g_grid.insert(2 - at, g)
-            with pytest.raises(ValueError, match=message):
-                sweep_sum_rates(rho_grid=rho_grid, g_grid=g_grid, alpha_grid=[0.0, 0.3], **args)
-        assert pe_calls[0] == 0
 
     def test_alpha_zero_baseline_anchor(self):
         for rho in (0.1, 0.5, 0.9):

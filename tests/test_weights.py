@@ -55,15 +55,6 @@ class TestSolveMinNorm:
         with pytest.raises(IllConditionedCorrelationError):
             solve_min_norm(near, 0.0, 1.0)
 
-    @pytest.mark.parametrize("b_su, b_pu", [
-        (math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (0.5, complex(0.0, math.inf)),
-    ])
-    def test_rejects_non_finite_targets(self, b_su, b_pu):
-        # they returned NaN vectors
-        pair = make_correlated_pair(4, 0.3, seed=0)
-        with pytest.raises(ValueError, match="b_(su|pu) must be finite"):
-            solve_min_norm(pair, b_su, b_pu)
-
 
 class TestOokOneTargets:
     """The OOK-one targets build_weight_set solves for, read off h_su^T omega1; the phase
