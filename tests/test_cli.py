@@ -557,9 +557,44 @@ class TestUsageErrors:
          "pdf_points tabulates nothing without --pdf-out"),
     ]
 
-    @pytest.mark.parametrize("argv, message", REJECTIONS, ids=[
+    @pytest.mark.parametrize("argv", [argv for argv, _ in REJECTIONS], ids=[
         argv.replace(" --", "--").replace(" ", "=") for argv, _ in REJECTIONS])
-    def test_rejected_at_once_naming_its_cause(self, argv, message, tmp_path, capsys):
+    def test_rejected_at_once_naming_its_cause(self, argv, tmp_path, capsys):
+        self.assert_rejected(argv, tmp_path, capsys)
+
+    # rows of the table under the test IDs they had before it
+    @pytest.mark.parametrize("argv", [
+        pytest.param("theory --n 10 --snr-db=-400", id="argv5"),
+        pytest.param("ber --n 10 --snr-db=-3000 --bits 100", id="argv12"),
+        pytest.param("theory --n inf:inf:1", id="argv20"),
+        pytest.param("weights --alpha 0:inf:3", id="argv21"),
+        pytest.param("theory --n 10,1000001", id="argv24"),
+    ])
+    def test_bad_number_rejected_at_once(self, argv, tmp_path, capsys):
+        self.assert_rejected(argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param("theory --n 10 --snr-db=-400", id="argv0"),
+        pytest.param("ber --n 10 --snr-db=-3000 --bits 100", id="argv1"),
+    ])
+    def test_threshold_floor_names_snr_db(self, argv, tmp_path, capsys):
+        self.assert_rejected(argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param("theory --n inf:inf:1", id="argv0-n_grid-'inf:inf:1'"),
+        pytest.param("weights --alpha 0:inf:3", id="argv1-alpha_grid-'0:inf:3'"),
+    ])
+    def test_bad_grid_message_names_key_and_spec(self, argv, tmp_path, capsys):
+        self.assert_rejected(argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("argv", [pytest.param("theory --n 10,1000001", id="argv0-n_grid")])
+    def test_n_above_domain_names_key(self, argv, tmp_path, capsys):
+        self.assert_rejected(argv, tmp_path, capsys)
+
+    def assert_rejected(self, argv, tmp_path, capsys):
+        """Exit 3 within 1 s, stderr one line starting with the row's message, no warning
+        and no output file."""
+        message = dict(self.REJECTIONS)[argv]
         out, pdf = tmp_path / "out.csv", tmp_path / "pdf.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

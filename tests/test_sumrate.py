@@ -205,7 +205,33 @@ class TestSearchAgainstBisection:
 
 class TestSweepAgainstPerPoint:
     """The sweep solves in rising SU-SNR order with each search capped by the last
-    N_alpha found; TestSweepsAcrossCurves checks its rows against a search per point."""
+    N_alpha found; its rows must be the per-point searches' answers in grid order."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 100, 10**6])
+    def test_same_n_alpha_as_a_search_per_point(self, n_max):
+        rng = np.random.default_rng([1800, n_max])
+        # one loose curve that reaches N = 1, so later searches have no room below it
+        curves = [(40.0, 1e-2, 0.1, 2.0)] + [
+            (rng.uniform(-10.0, 40.0), 10 ** rng.uniform(-12.0, -2.0), rng.uniform(0.0, 0.9),
+             0.0 if rng.random() < 0.1 else math.exp(rng.uniform(math.log(0.5), math.log(2.0))))
+            for _ in range(12)
+        ]
+        kinds = set()
+        for gamma_db, pe_target, rho, g in curves:
+            alphas = [0.0, *10 ** rng.uniform(-4.0, math.log10(0.99), 24)]
+            alphas += list(rng.choice(alphas, 5))  # duplicates, so tied SNRs
+            rng.shuffle(alphas)
+            gamma = 10.0 ** (gamma_db / 10.0)
+            want = [find_n_alpha(su_snr(a, rho, g, gamma), pe_target, n_max) if a else None
+                    for a in alphas]
+            pts = sweep_sum_rates(gamma_db, [rho], [g], alpha_grid=alphas, pe_target=pe_target,
+                                  n_max=n_max)[0]
+            assert [pt.alpha for pt in pts] == alphas
+            assert [pt.n_alpha for pt in pts] == want, (gamma_db, pe_target, rho, g)
+            met = [n for n in want if n is not None]
+            kinds.add("none reachable" if not met else "tie" if len(set(met)) < len(met)
+                      else "all distinct")
+        assert "none reachable" in kinds and "tie" in kinds
 
     def test_searches_stop_below_the_last_n_alpha_found(self, pe_calls):
         # the 30 dB default curve: per point every search probes N = n_max first
@@ -243,11 +269,8 @@ class TestSweepsAcrossCurves:
     def test_same_rows_as_each_point_and_each_curve(self, n_max):
         rng = np.random.default_rng([2000, n_max])
         kinds = set()
-        # a loose call, whose curves reach N = 1 and leave later searches no room below it,
-        # a strict one, and four random ones: 72 curves, 48 of them at a random (gamma, target)
-        calls = [(40.0, 1e-2), (0.0, 1e-5)] + [
-            (rng.uniform(-10.0, 40.0), 10 ** rng.uniform(-12.0, -2.0)) for _ in range(4)]
-        for gamma_db, pe_target in calls:
+        for gamma_db, pe_target in [(40.0, 1e-2), (0.0, 1e-5),
+                                    (rng.uniform(-5.0, 35.0), 10 ** rng.uniform(-9.0, -2.0))]:
             rho_grid = list(rng.uniform(0.0, 0.9, 2))
             rho_grid.append(rho_grid[0])  # a duplicate curve, so tied SNRs across curves
             # g = 0: a curve that nothing reaches; the last g repeats
