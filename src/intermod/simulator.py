@@ -78,7 +78,7 @@ class ScenarioConfig:
         A bit-0 variate errs above x_fa = delta* and a bit-1 variate at or
         below x_miss = delta*/(1 + snr), the points at which the detector
         evaluates Q and P; delta* and P_e come from N and the SNR alone, as
-        in ``theory``.
+        in ``theory``, and the snr_db domain leaves no link that fails.
         """
         snr, delta, pe = _operating_point(self.n_samples, self.snr_db)
         return delta, delta / (snr + 1.0), pe
@@ -126,9 +126,8 @@ def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult
     one worker maps them over a thread pool of at most ``jobs``, one per
     task and per usable CPU.  Threads parallelize the draws: numpy's bulk
     ``standard_gamma`` releases the GIL, and a full chunk's Python work,
-    its one ``binomial`` draw included, is about 1% of its draws.  Links
-    resolve first, so bad input raises before any worker starts, and every
-    thread reads the same link.
+    its one ``binomial`` draw included, is about 1% of its draws.  A link
+    cannot fail; links resolve first, so that every thread reads one link.
     """
     check("jobs", jobs)
     analytic_pe = [config.link[2] for config in configs]

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaincinv, gammainccinv
 
-from intermod import detector
+from intermod import _domain, detector
 from intermod.detector import (
     db_to_linear,
     energy_pdf,
@@ -278,7 +278,24 @@ class TestErrorProbability:
 
 
 class TestDbToLinear:
-    @pytest.mark.parametrize("db", [4000.0, -4000.0, math.nan, math.inf, -math.inf])
-    def test_unrepresentable_rejected(self, db):
-        with pytest.raises(ValueError, match="dB"):
-            db_to_linear(db)
+    @pytest.mark.parametrize("end, names", [
+        ("DB_MAX", ("snr_db", "gamma_db")),
+        ("GAMMA_DB_MIN", ("gamma_db",)),
+        ("SNR_DB_MIN", ("snr_db",)),
+    ])
+    def test_each_db_end_is_an_edge_of_the_conversion(self, end, names):
+        # each committed end of a dB domain gives a positive finite ratio, with a threshold at
+        # the SNR's lower end, and the next double outward does not: there the ratio
+        # overflows, rounds to 0, or leaves 1 + snr at 1, so no threshold exists
+        db = getattr(_domain, end)
+        assert all(db in _domain.DOMAINS[name][2:4] for name in names)
+        assert 0.0 < db_to_linear(db) < math.inf
+        outward = math.nextafter(db, math.copysign(math.inf, db))
+        if end == "DB_MAX":
+            with pytest.raises(OverflowError):
+                db_to_linear(outward)
+        elif end == "GAMMA_DB_MIN":
+            assert db_to_linear(outward) == 0.0
+        else:
+            assert detector._optimal_threshold(1, db_to_linear(db)) is not None
+            assert detector._optimal_threshold(1, db_to_linear(outward)) is None

@@ -2,10 +2,12 @@
 
 The out-of-domain cases are generated from ``_domain.DOMAINS``: for each
 parameter of each public entry point, each point of its rho, g and alpha grids,
-and each CLI option, None, NaN, +-inf, the value just past each bound and, for
-counts, a non-integral value, an integral float and True.  This module is the
-one home of every such rejection; each is timed, and a library one must make no
-P_e evaluation, as it must come before any work.
+and each CLI option, None, NaN, +-inf, the value just past each bound, both
+bools, Python's and numpy's, and, for counts, a non-integral value and an
+integral float.  The dB bounds are the edges of the ratio 10**(dB/10), so past
+each of them this module generates the rejection that a failed conversion once
+made.  It is the one home of every such rejection; each is timed, and a library
+one must make no P_e evaluation, as it must come before any work.
 """
 
 import cmath
@@ -73,9 +75,10 @@ EXEMPT_NAMES = {"BerResult", "SumRatePoint", "IllConditionedCorrelationError"}
 
 
 def out_of_domain(name):
-    """None, NaN, +-inf, the value just past each finite bound, and a count that is not an int."""
+    """None, NaN, +-inf, the value just past each finite bound, both bools, and a count that
+    is not an int."""
     kind, lb, lo, hi, rb = DOMAINS[name]
-    values = [None, math.nan, math.inf, -math.inf]
+    values = [None, math.nan, math.inf, -math.inf, True, False, np.True_, np.False_]  # no number
     if kind is complex:
         values += [complex(0.0, math.inf), np.complex128(complex(1.0, math.nan))]
     if lo > -math.inf:
@@ -83,7 +86,7 @@ def out_of_domain(name):
     if hi < math.inf:
         values.append(hi if rb == ")" else hi + 1 if kind is int else math.nextafter(hi, math.inf))
     if kind is int:
-        values += [lo + 0.5, float(lo), True]  # a bool is a numbers.Integral, but not a count
+        values += [lo + 0.5, float(lo)]
     return values
 
 
@@ -179,8 +182,15 @@ def test_counts_that_size_arrays_have_ceilings():
 def test_readme_states_every_domain():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Parameter domains", 1)[1].split("\n## ", 1)[0]
-    for name in DOMAINS:
+    for name, (_, _, lo, hi, _) in DOMAINS.items():
         assert f"`{name}`" in section, name
+        row = next(line for line in section.splitlines()
+                   if line.startswith("|") and f"`{name}`" in line)
+        for end in filter(math.isfinite, (lo, hi)):  # in full, or a power of ten as 1e6
+            power = f"{end:.0e}".replace("e+0", "e")
+            texts = {str(end), power} if float(power) == end else {str(end)}
+            assert any(re.search(rf"(?<![\d.e]){re.escape(text)}(?![\d.e])", row)
+                       for text in texts), (name, end)
 
 
 def option_cases():

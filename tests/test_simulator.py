@@ -1,5 +1,6 @@
 import math
 import multiprocessing.pool
+import re
 import sys
 import time
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from intermod import simulator
+from intermod._domain import DB_MAX, SNR_DB_MIN
 from intermod.detector import db_to_linear, log_gamma_tails, optimal_threshold
 from intermod.simulator import (
     CHUNK_TRIALS, ScenarioConfig, _chunk_variates, chunk_errors, run_ber_grid,
@@ -54,9 +56,11 @@ class TestScenarioDomain:
     TestRunBer.test_energy_moments."""
 
     def test_domain(self):
-        # the dB value must give a finite ratio; the link says which value did not
-        with pytest.raises(ValueError, match="snr_db=4000: 4000.0 dB"):
-            ScenarioConfig(n_samples=10, snr_db=4000.0, n_bits=100).link
+        # snr_db is checked when the config is built, against the ends where its ratio is
+        # finite and has a threshold, so no link can fail
+        with pytest.raises(ValueError, match=re.escape(
+                f"snr_db must be >= {SNR_DB_MIN!r} and <= {DB_MAX!r}, got 4000.0")):
+            ScenarioConfig(n_samples=10, snr_db=4000.0, n_bits=100)
         # no transmitter knob: the link is N and the SNR alone
         assert [field.name for field in fields(ScenarioConfig)] == [
             "n_samples", "snr_db", "n_bits", "master_seed"]
@@ -353,9 +357,8 @@ class TestRunBerGrid:
         pin_cpus(monkeypatch, 2)
         with pytest.raises(AssertionError, match="a pool of 2 started"):  # good input reaches it
             run_ber_grid(list(self.CONFIGS), jobs=2)
-        bad = ScenarioConfig(n_samples=10, snr_db=-3000.0, n_bits=100)
-        with pytest.raises(ValueError, match="too small to place a threshold"):
-            run_ber_grid([*self.CONFIGS, bad], jobs=2)
+        with pytest.raises(ValueError, match="snr_db must be >= "):  # fails when built, unrun
+            ScenarioConfig(n_samples=10, snr_db=-3000.0, n_bits=100)
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_ber_grid(list(self.CONFIGS), jobs=0)
         with pytest.raises(ValueError, match="jobs must be an integer"):
