@@ -2,21 +2,22 @@
 
 DOMAINS maps a parameter name to (kind, bracket, lower, upper, bracket): kind
 is int, float or complex (bounded in |value|); "[" or "]" closes an end and "("
-or ")" opens it.  A value must be a finite number of its kind, not a bool
-(Python's or numpy's); an int value may be a numpy integer, which check returns
-as a plain int (an unsigned numpy one wraps in arithmetic).  Counts that size
-arrays have a ceiling, so an oversized request fails before it allocates, and a
-dB value's ends are those of its ratio.  check runs once per public call, and
-the library's own calls reuse what their caller checked: a P_e evaluation
-checks N, snr and the threshold once, not again in each tail, and a sum-rate
-sweep checks its grids, target and cap once, and its searches and P_e probes
-run no check.  check runs per grid point, so it compares against bounds closed
-in advance and formats a message only when it raises.
+or ")" opens it.  check converts a value before it compares it: a
+numbers.Integral becomes a plain int (so a numpy integer, even an unsigned one,
+computes as a Python int), and any other numbers.Real, or numbers.Complex for a
+complex parameter, becomes a float or complex, so every real is compared and
+computed as a double.  A bool (Python's or numpy's), a str, a Decimal, an array
+of any rank or a complex where a real belongs is no number of its kind.  Counts
+that size arrays have a ceiling, so an oversized request fails before it
+allocates, and a dB value's ends are those of its ratio.  check runs once per
+public call, and the library's own calls reuse what their caller checked: a P_e
+evaluation checks N, snr and the threshold once, not again in each tail, and a
+sum-rate sweep checks its grids, target and cap once, and its searches and P_e
+probes run no check.  check runs per grid point, so it compares against bounds
+closed in advance and formats a message only when it raises.
 """
-
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 
@@ -47,40 +48,28 @@ _TABLE = (
     ("pdf_points count",                  int,     "[", 1, 10**5, "]"),
 )
 DOMAINS = {name: domain for names, *domain in _TABLE for name in names.split()}
-_CLOSED = {  # (lower, upper, kind), an open end moved one double inward
+_NUMBERS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex}
+_CLOSED = {  # (lower, upper, kind, its numbers ABC), an open end moved one double inward
     name: (math.nextafter(lo, hi) if lb == "(" else lo, math.nextafter(hi, lo) if rb == ")" else hi,
-           kind) for name, (kind, lb, lo, hi, rb) in DOMAINS.items()
+           kind, _NUMBERS[kind]) for name, (kind, lb, lo, hi, rb) in DOMAINS.items()
 }
 
 
 def check(name: str, value):
-    """value, an integer as a plain int, if it lies in the domain of ``name``; else ValueError."""
-    lo, hi, kind = _CLOSED[name]
-    try:
-        if lo <= (abs(value) if kind is complex else value) <= hi and (
-            _is_int(value) if kind is int else type(value).__name__ != "bool"  # nor numpy's bool
-        ):
-            return int(value) if _is_int(value) else value
-    except TypeError:  # not a number, or a complex where a real belongs
-        pass
+    """value as a plain int, float or complex, if it lies in the domain of ``name``; else
+    ValueError.  An integral value is returned as an int, whatever the kind of ``name``."""
+    lo, hi, kind, number_kind = _CLOSED[name]
+    if isinstance(value, number_kind) and not isinstance(value, bool):  # numpy's bool is no number
+        number = int(value) if isinstance(value, numbers.Integral) else kind(value)
+        if lo <= (abs(number) if kind is complex else number) <= hi:
+            return number
     raise ValueError(f"{name} must be {_requirement(name, value)}, got {value!r}")
 
 
 def _requirement(name: str, value) -> str:
+    """The row of ``name``: its interval, or "finite" where both ends are infinite."""
     kind, lb, lo, hi, rb = DOMAINS[name]
-    if kind is int and not _is_int(value):
-        return "an integer"
-    if type(value).__name__ == "bool":  # Python's or numpy's: it compares as 0 or 1, so say why
-        return f"{_requirement(name, 0.5)}, not a bool"
-    if rb == ")" and hi < inf:
-        return f"in {lb}{lo}, {hi})"
-    zero = "nonnegative and finite" if lb == "[" else "positive"  # a real's lower end at 0
-    words = [zero if kind is float and lo == 0 else f"{'>' if lb == '(' else '>='} {lo}"]
-    words = (words if lo > -inf else []) + ([f"<= {hi}"] if hi < inf else [])
-    finite = kind is int or isinstance(value, numbers.Number) and cmath.isfinite(value)
-    text = " and ".join(words)
-    return text if finite and text or "finite" in text else "finite"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    text = f"in {lb}{lo}, {hi}{rb}" if lo > -inf else "finite"
+    if kind is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        text = f"an integer {text}"
+    return f"{text}, not a bool" if type(value).__name__ == "bool" else text  # Python's or numpy's

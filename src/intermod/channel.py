@@ -93,8 +93,7 @@ def make_correlated_pair(
         seed: RNG seed, an integer >= 0.
     """
     k = check("k", k)
-    check("rho_mag", rho_mag)
-    check("rho_phase", rho_phase)
+    rho_mag, rho_phase = check("rho_mag", rho_mag), check("rho_phase", rho_phase)
     rng = np.random.default_rng(check("seed", seed))
     h_pu = _complex_gaussian(rng, k)
     h_pu /= np.linalg.norm(h_pu)

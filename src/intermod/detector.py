@@ -132,7 +132,8 @@ def optimal_threshold(n: int, snr: float) -> float:
     Raises ValueError when snr is too small for the two densities to differ
     in double precision.
     """
-    delta = _optimal_threshold(check("n", n), check("snr", snr))
+    n, snr = check("n", n), check("snr", snr)
+    delta = _optimal_threshold(n, snr)
     if delta is None:
         raise ValueError(f"snr = {snr:.3g} is too small to place a threshold in double precision")
     return delta
@@ -192,7 +193,7 @@ def find_n_alpha(
     threshold in double precision (snr = 0 included, as at alpha = 0, where
     P_e = 0.5 for every N).  n_max must be an integer in [1, N_MAX].
     """
-    check("snr", snr)
+    snr = check("snr", snr)
     log_target = math.log(check("pe_target", pe_target))
     return _n_alpha(snr, log_target, check("n_max", n_max))
 
@@ -254,7 +255,7 @@ def energy_pdf(epsilon, n: int, scale: float):
     import numpy as np  # the only vector code here, so the scalar analytics load without numpy
 
     n = check("n", n)
-    check("scale", scale)
+    scale = check("scale", scale)
     eps = np.asarray(epsilon, dtype=float)
     check("energy", float(eps.min(initial=0.0)))  # NaN if any energy is
     check("energy", float(eps.max(initial=0.0)))
@@ -271,6 +272,6 @@ def mixture_energy_pdf(epsilon, n: int, snr: float):
     Equal-weight mixture of the bit-1 density (scale 1 + snr) and the bit-0
     density (scale 1).
     """
-    check("n", n)
-    check("snr", snr)
+    n = check("n", n)
+    snr = check("snr", snr)
     return 0.5 * energy_pdf(epsilon, n, snr + 1.0) + 0.5 * energy_pdf(epsilon, n, 1.0)

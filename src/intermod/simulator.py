@@ -129,7 +129,7 @@ def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult
     its one ``binomial`` draw included, is about 1% of its draws.  A link
     cannot fail; links resolve first, so that every thread reads one link.
     """
-    check("jobs", jobs)
+    jobs = check("jobs", jobs)
     analytic_pe = [config.link[2] for config in configs]
     tasks = ((config, chunk) for config in configs for chunk in range(config.n_chunks))
     n_tasks = sum(config.n_chunks for config in configs)

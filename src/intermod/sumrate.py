@@ -34,8 +34,8 @@ from .detector import DEFAULT_PE_TARGET, db_to_linear
 
 def _norms(alpha: float, rho_mag: float, cross: float) -> tuple[float, float, float]:
     # cross is the cross-term coefficient: 2 matches the solver, 1 is the literature's
-    check("alpha", alpha)
-    denom = 1.0 - check("rho_mag", rho_mag) ** 2
+    alpha, rho_mag = check("alpha", alpha), check("rho_mag", rho_mag)
+    denom = 1.0 - rho_mag**2
     norm0_sq = (1.0 - alpha) / denom
     norm1_sq = (1.0 - cross * math.sqrt(alpha) * math.sqrt(1.0 - alpha) * rho_mag) / denom
     xi = 0.5 * (norm0_sq + norm1_sq)
@@ -79,8 +79,7 @@ class SumRatePoint:
 
 def su_snr(alpha: float, rho_mag: float, g: float, gamma: float) -> float:
     """SU per-sample OFDM SNR (linear) implied by the power bookkeeping."""
-    check("gamma", gamma)
-    check("g", g)
+    gamma, g, alpha = check("gamma", gamma), check("g", g), check("alpha", alpha)
     return _su_snr(alpha, closed_form_norms(alpha, rho_mag), g, gamma)
 
 

@@ -108,7 +108,8 @@ def build_weight_set(pair: ChannelPair, alpha: float) -> WeightSet:
     cross-check in tests).
     """
     theta = cmath.phase(pair.rho) if pair.rho != 0 else 0.0
-    b_pu = math.sqrt(1.0 - check("alpha", alpha))
+    alpha = check("alpha", alpha)
+    b_pu = math.sqrt(1.0 - alpha)
     return WeightSet(
         omega0=solve_min_norm(pair, 0.0, b_pu),
         omega1=solve_min_norm(pair, math.sqrt(alpha) * cmath.exp(-1j * theta), b_pu),

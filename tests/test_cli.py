@@ -543,7 +543,7 @@ class TestUsageErrors:
         ("weights --alpha 0.1:0.5:1",
          "alpha_grid: a one-point range must start where it stops in '0.1:0.5:1'"),
         ("ber --snr-db ,", "snr_grid is an empty grid"),
-        ("theory --n 10,1000001", "n_grid: n must be >= 1 and <= 1000000, got 1000001"),
+        ("theory --n 10,1000001", "n_grid: n must be in [1, 1000000], got 1000001"),
         ("theory --n 10 --snr-db 0 --pdf-points 5",
          "pdf_points tabulates nothing without --pdf-out"),
     ]
@@ -601,8 +601,8 @@ class TestUsageErrors:
             assert main([command, "--n", "10", f"--snr-db={snr_db}"]) == 3
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == (
-            f"error: invalid-parameter: snr_grid: snr_db must be >= {SNR_DB_MIN!r} "
-            f"and <= {DB_MAX!r}, got {float(snr_db)!r}\n")
+            f"error: invalid-parameter: snr_grid: snr_db must be in [{SNR_DB_MIN!r}, "
+            f"{DB_MAX!r}], got {float(snr_db)!r}\n")
 
     def test_n_at_domain_edge_accepted(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -183,9 +184,9 @@ class TestEnergyPdf:
         # the scalar domain tables cannot reach an array's energies
         for energies in (-1.0, math.nan, math.inf, np.array([1.0, math.nan]),
                          np.array([2.0, -1.0])):
-            with pytest.raises(ValueError, match="energy must be nonnegative and finite"):
+            with pytest.raises(ValueError, match=re.escape("energy must be in [0, inf), got ")):
                 energy_pdf(energies, 10, 1.0)
-        with pytest.raises(ValueError, match="energy must be nonnegative and finite"):
+        with pytest.raises(ValueError, match=re.escape("energy must be in [0, inf), got nan")):
             mixture_energy_pdf(math.nan, 10, 1.0)
 
 

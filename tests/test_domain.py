@@ -6,17 +6,23 @@ and each CLI option, None, NaN, +-inf, the value just past each bound, both
 bools, Python's and numpy's, and, for counts, a non-integral value and an
 integral float.  The dB bounds are the edges of the ratio 10**(dB/10), so past
 each of them this module generates the rejection that a failed conversion once
-made.  It is the one home of every such rejection; each is timed, and a library
-one must make no P_e evaluation, as it must come before any work.
+made.  The library and grid tables also pass each real parameter what is not a
+double: a float32 at each finite open end, where bounds moved one double inward
+round back onto the end in float32, and a Decimal, a str and arrays of an
+in-domain value.  It is the one home of every such
+rejection; each is timed, and a library one must make no P_e evaluation, as it
+must come before any work.
 """
 
-import cmath
 import dataclasses
 import functools
 import inspect
 import math
 import re
 import time
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -90,19 +96,26 @@ def out_of_domain(name):
     return values
 
 
+def not_doubles(name, inside):
+    """For a real parameter, a float32 at each finite open end of its domain, and a Decimal,
+    a str, a 0-d and a one-element array of ``inside``, a value in its domain."""
+    kind, lb, lo, hi, rb = DOMAINS[name]
+    if kind is not float:
+        return []
+    ends = [np.float32(end) for bracket, end in ((lb, lo), (rb, hi))
+            if bracket in "()" and math.isfinite(end)]
+    return ends + [Decimal(inside), str(inside), np.array(inside), np.array([inside])]
+
+
 def states_why(name, value, message):
-    """Whether a rejection says what was wrong: "an integer" for a count that is not an
-    int, "finite" (or a bounded interval) for None or a non-finite value, and otherwise
-    each finite end of the domain, a real's 0 as nonnegative or positive."""
+    """Whether a rejection states the table row: its interval, or "finite" where both ends
+    are infinite, after "an integer" for a count that is not an int, and says so of a bool."""
     kind, lb, lo, hi, rb = DOMAINS[name]
     requirement = message.split(" must be ", 1)[1].rsplit(", got ", 1)[0]
-    if kind is int and type(value) is not int:
-        return requirement == "an integer"
-    if value is None or not cmath.isfinite(value):
-        return "finite" in requirement or requirement.startswith("in ")
-    return all(re.search(rf"(?<![\d.]){re.escape(str(end))}(?![\d.])", requirement)
-               or end == 0 and ("nonnegative" if bracket == "[" else "positive") in requirement
-               for bracket, end in ((lb, lo), (rb, hi)) if math.isfinite(end))
+    interval = f"in {lb}{lo}, {hi}{rb}" if math.isfinite(lo) else "finite"
+    return (interval in requirement
+            and requirement.startswith("an integer ") == (kind is int and type(value) is not int)
+            and requirement.endswith(", not a bool") == (type(value).__name__ == "bool"))
 
 
 LIBRARY_VALID = {**VALID, **COMPOSED_VALID}
@@ -110,7 +123,7 @@ LIBRARY_CASES = [
     pytest.param(entry, name, value, id=f"{entry}-{name}-{value!r}")
     for entry, kwargs in LIBRARY_VALID.items()
     for name in kwargs if name not in EXEMPT_PARAMETERS
-    for value in out_of_domain(name)
+    for value in out_of_domain(name) + not_doubles(name, kwargs[name])
 ]
 
 
@@ -129,7 +142,7 @@ GRID_CASES = [
     for entry, kwargs in VALID.items()
     for grid in kwargs if grid in GRID_POINTS
     for at in range(len(kwargs[grid]))
-    for value in out_of_domain(GRID_POINTS[grid])
+    for value in out_of_domain(GRID_POINTS[grid]) + not_doubles(GRID_POINTS[grid], kwargs[grid][at])
 ]
 
 
@@ -156,9 +169,31 @@ def test_every_public_parameter_is_in_the_table_or_exempt():
             # and so is each integer given as a numpy one, signed or unsigned, with the same
             # result: check binds it as a plain int, so a config's fields, and its link, match
             got = call(**{**kwargs, **{name: numpy_int(kwargs[name]) for name in integers}})
-            np.testing.assert_equal(*(dataclasses.asdict(result) if dataclasses.is_dataclass(result)
-                                      else result for result in (got, want)))
-            assert repr(got) == repr(want), (entry, numpy_int)
+            assert_same(got, want, entry, numpy_int)
+        for real in (np.float32, Fraction):
+            # each real given as a float32 or a Fraction computes as the double of its value,
+            # with no warning: check binds it as a plain float, so no float32 arithmetic runs
+            given = as_real(kwargs, real)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = call(**given)
+            assert_same(got, call(**as_real(given, float)), entry, real)
+            assert caught == [], (entry, real)
+
+
+def assert_same(got, want, *where):
+    """got equals want, as values and as printed."""
+    np.testing.assert_equal(*(dataclasses.asdict(result) if dataclasses.is_dataclass(result)
+                              else result for result in (got, want)))
+    assert repr(got) == repr(want), where
+
+
+def as_real(kwargs, real):
+    """kwargs with each real table parameter, and each real grid point, given as ``real``."""
+    def cast(value):
+        return real(value) if isinstance(value, (float, np.float32, Fraction)) else value
+    return {name: [cast(point) for point in value] if name in GRID_POINTS else
+            cast(value) if name in DOMAINS else value for name, value in kwargs.items()}
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))
