@@ -6,15 +6,16 @@ or ")" opens it.  check converts a value before it compares it: a
 numbers.Integral becomes a plain int (so a numpy integer, even an unsigned one,
 computes as a Python int), and any other numbers.Real, or numbers.Complex for a
 complex parameter, becomes a float or complex, so every real is compared and
-computed as a double.  A bool (Python's or numpy's), a str, a Decimal, an array
-of any rank or a complex where a real belongs is no number of its kind.  Counts
-that size arrays have a ceiling, so an oversized request fails before it
-allocates, and a dB value's ends are those of its ratio.  check runs once per
-public call, and the library's own calls reuse what their caller checked: a P_e
-evaluation checks N, snr and the threshold once, not again in each tail, and a
-sum-rate sweep checks its grids, target and cap once, and its searches and P_e
-probes run no check.  check runs per grid point, so it compares against bounds
-closed in advance and formats a message only when it raises.
+computed as a double, and one too large for a double is rejected.  A bool
+(Python's or numpy's), a str, a Decimal, an array of any rank or a complex where
+a real belongs is no number of its kind.  Counts that size arrays have a
+ceiling, so an oversized request fails before it allocates, and a dB value's
+ends are those of its ratio.  check runs once per public call, and the
+library's own calls reuse what their caller checked: a P_e evaluation checks N,
+snr and the threshold once, not again in each tail, and a sum-rate sweep checks
+its grids, target and cap once, and its closed forms, searches and P_e probes
+run no check.  check runs per grid point, so it compares against bounds closed
+in advance and formats a message only when it raises.
 """
 from __future__ import annotations
 
@@ -60,7 +61,10 @@ def check(name: str, value):
     ValueError.  An integral value is returned as an int, whatever the kind of ``name``."""
     lo, hi, kind, number_kind = _CLOSED[name]
     if isinstance(value, number_kind) and not isinstance(value, bool):  # numpy's bool is no number
-        number = int(value) if isinstance(value, numbers.Integral) else kind(value)
+        try:
+            number = int(value) if isinstance(value, numbers.Integral) else kind(value)
+        except OverflowError:  # a real too large for a double, say a Fraction
+            number = math.nan  # which no bound admits
         if lo <= (abs(number) if kind is complex else number) <= hi:
             return number
     raise ValueError(f"{name} must be {_requirement(name, value)}, got {value!r}")

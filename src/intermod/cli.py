@@ -47,7 +47,7 @@ from functools import partial
 from . import __version__
 from ._domain import N_MAX, check
 from .detector import DEFAULT_PE_TARGET, _operating_point, mixture_energy_pdf
-from .sumrate import closed_form_norms, linspace, paper_closed_form_norms, sweep_sum_rates
+from .sumrate import _norms, linspace, sweep_sum_rates
 
 # bumped when a subcommand's bytes change for one input; README records each bump
 SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 9, "sumrate": 1}
@@ -202,9 +202,8 @@ def cmd_weights(args) -> int:
     rows = []
     for alpha in params["alpha_grid"]:
         for rho in params["rho_grid"]:
-            n0, n1, xi = closed_form_norms(alpha, rho)
-            _, _, xi_paper = paper_closed_form_norms(alpha, rho)
-            rows.append((alpha, rho, n0, n1, xi, xi_paper))
+            # both grids are checked; the closed forms and the literature's xi
+            rows.append((alpha, rho, *_norms(alpha, rho, 2.0), _norms(alpha, rho, 1.0)[2]))
     _write_csv(
         args.out,
         "weights",

@@ -19,13 +19,13 @@ grids, rho-major; one curve is ``sweep_sum_rates(gamma_db, [rho], [g])[0]``.
 For the target and cap that all curves of a call share, N_alpha is a
 function of the SU SNR alone, so the alpha > 0 points of every curve are
 searched in one rising-SNR order, each below the last N_alpha found, by
-the detector's search (``detector.find_n_alpha``).
+``detector._n_alpha``; it and the closed forms (``_norms``) run unchecked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._domain import N_MAX, check
 from . import detector
@@ -33,8 +33,7 @@ from .detector import DEFAULT_PE_TARGET, db_to_linear
 
 
 def _norms(alpha: float, rho_mag: float, cross: float) -> tuple[float, float, float]:
-    # cross is the cross-term coefficient: 2 matches the solver, 1 is the literature's
-    alpha, rho_mag = check("alpha", alpha), check("rho_mag", rho_mag)
+    # for a checked alpha and rho_mag; the cross-term coefficient is 2 (solver) or 1 (literature)
     denom = 1.0 - rho_mag**2
     norm0_sq = (1.0 - alpha) / denom
     norm1_sq = (1.0 - cross * math.sqrt(alpha) * math.sqrt(1.0 - alpha) * rho_mag) / denom
@@ -53,7 +52,7 @@ def closed_form_norms(alpha: float, rho_mag: float) -> tuple[float, float, float
     precision (the cross term carries the factor 2; see the ``weights``
     module docstring).
     """
-    return _norms(alpha, rho_mag, 2.0)
+    return _norms(check("alpha", alpha), check("rho_mag", rho_mag), 2.0)
 
 
 def paper_closed_form_norms(alpha: float, rho_mag: float) -> tuple[float, float, float]:
@@ -63,28 +62,23 @@ def paper_closed_form_norms(alpha: float, rho_mag: float) -> tuple[float, float,
     Kept for comparison only; it disagrees with the solved vectors whenever
     alpha > 0 and |rho| > 0.
     """
-    return _norms(alpha, rho_mag, 1.0)
+    return _norms(check("alpha", alpha), check("rho_mag", rho_mag), 1.0)
 
 
-@dataclass(frozen=True)
-class SumRatePoint:
-    """One alpha sample of a sum-rate curve."""
+class SumRatePoint(namedtuple("SumRatePoint", "alpha n_alpha pu_rate su_rate total")):
+    """One alpha sample of a sum-rate curve; n_alpha is None where no N <= n_max meets pe_target."""
 
-    alpha: float
-    n_alpha: int | None
-    pu_rate: float
-    su_rate: float
-    total: float
+    __slots__ = ()
 
 
 def su_snr(alpha: float, rho_mag: float, g: float, gamma: float) -> float:
     """SU per-sample OFDM SNR (linear) implied by the power bookkeeping."""
     gamma, g, alpha = check("gamma", gamma), check("g", g), check("alpha", alpha)
-    return _su_snr(alpha, closed_form_norms(alpha, rho_mag), g, gamma)
+    return _su_snr(alpha, _norms(alpha, check("rho_mag", rho_mag), 2.0), g, gamma)
 
 
 def _su_snr(alpha: float, norms: tuple[float, float, float], g: float, gamma: float) -> float:
-    # su_snr for a g and gamma checked by the caller, from closed_form_norms(alpha, rho_mag)
+    # su_snr for values checked by the caller, from _norms(alpha, rho_mag, 2.0)
     _, norm1_sq, xi = norms
     snr = gamma * g * g * alpha * norm1_sq / xi
     if not math.isfinite(snr):
@@ -146,7 +140,7 @@ def sweep_sum_rates(
         alpha_grid = default_alpha_grid()
     alphas = [float(check("alpha", alpha)) for alpha in alpha_grid]
     curves = [(rho, g) for rho in rho_grid for g in g_grid]
-    norms = {(rho, alpha): closed_form_norms(alpha, rho) for rho in rho_grid for alpha in alphas
+    norms = {(rho, alpha): _norms(alpha, rho, 2.0) for rho in rho_grid for alpha in alphas
              if alpha != 0.0}  # the norms hang on (rho, alpha) only, not on g
     snrs = {(c, i): _su_snr(alpha, norms[rho, alpha], g, gamma) for c, (rho, g) in enumerate(curves)
             for i, alpha in enumerate(alphas) if alpha != 0.0}
@@ -160,7 +154,7 @@ def sweep_sum_rates(
 
 
 def _point(alpha: float, norms, gamma: float, n_alpha: int | None) -> SumRatePoint:
-    """One curve row: the PU rate from closed_form_norms at alpha > 0, plus 1/N_alpha."""
+    """One curve row: the PU rate from the closed-form xi at alpha > 0, plus 1/N_alpha."""
     if alpha == 0.0:
         pu_rate = math.log2(1.0 + gamma)
     else:

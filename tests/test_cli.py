@@ -13,6 +13,7 @@ from intermod import cli, simulator
 from intermod._domain import DB_MAX, SNR_DB_MIN
 from intermod.cli import load_config, main, parse_grid
 from test_detector import mpmath_error_probability
+from test_sumrate import check_calls  # noqa: F401  a fixture: the domain checks a test makes
 
 
 def pin_cpus(monkeypatch, cpus):
@@ -154,6 +155,15 @@ class TestWeightsCommand:
         first = out1.read_bytes()
         assert main(argv + ["--out", str(out2)]) == 0
         assert out2.read_bytes() == first
+
+    @pytest.mark.parametrize("grids, checks", [
+        ([], 19 + 19 + 2),  # the default grids, two 19-point ranges
+        (["--alpha", "0.1,0.5", "--rho", "0:0.9:19"], 2 + 19 + 1),
+    ])
+    def test_one_check_per_grid_point_and_range_spec(self, tmp_path, grids, checks,
+                                                     check_calls):
+        assert main(["weights", *grids, "--out", str(tmp_path / "w.csv")]) == 0
+        assert check_calls[0] == checks
 
 
 class TestTheoryCommand:

@@ -9,7 +9,8 @@ each of them this module generates the rejection that a failed conversion once
 made.  The library and grid tables also pass each real parameter what is not a
 double: a float32 at each finite open end, where bounds moved one double inward
 round back onto the end in float32, and a Decimal, a str and arrays of an
-in-domain value.  It is the one home of every such
+in-domain value; each real and complex parameter also gets a Fraction too large
+for a double, of either sign.  It is the one home of every such
 rejection; each is timed, and a library one must make no P_e evaluation, as it
 must come before any work.
 """
@@ -35,6 +36,7 @@ from intermod.cli import main
 from test_sumrate import pe_calls  # noqa: F401  a fixture: the P_e evaluations a test makes
 
 PAIR = intermod.make_correlated_pair(4, 0.3, seed=1)
+HUGE = Fraction(10**400)  # a real that no double holds: float(HUGE) overflows
 
 # One valid call per public entry point with a table parameter.
 VALID = {
@@ -97,14 +99,22 @@ def out_of_domain(name):
 
 
 def not_doubles(name, inside):
-    """For a real parameter, a float32 at each finite open end of its domain, and a Decimal,
-    a str, a 0-d and a one-element array of ``inside``, a value in its domain."""
+    """For a real or complex parameter, +-HUGE; for a real one also a float32 at each finite
+    open end of its domain, and a Decimal, a str, a 0-d and a one-element array of ``inside``,
+    a value in its domain."""
     kind, lb, lo, hi, rb = DOMAINS[name]
     if kind is not float:
-        return []
+        return [] if kind is int else [HUGE, -HUGE]
     ends = [np.float32(end) for bracket, end in ((lb, lo), (rb, hi))
             if bracket in "()" and math.isfinite(end)]
-    return ends + [Decimal(inside), str(inside), np.array(inside), np.array([inside])]
+    return [HUGE, -HUGE, *ends, Decimal(inside), str(inside), np.array(inside), np.array([inside])]
+
+
+def label(value):
+    """value's repr for a test id, with +-HUGE's 401 digits written as a power of ten."""
+    if isinstance(value, Fraction) and abs(value) == HUGE:
+        return f"Fraction({'-' if value < 0 else ''}10**400)"
+    return repr(value)
 
 
 def states_why(name, value, message):
@@ -120,7 +130,7 @@ def states_why(name, value, message):
 
 LIBRARY_VALID = {**VALID, **COMPOSED_VALID}
 LIBRARY_CASES = [
-    pytest.param(entry, name, value, id=f"{entry}-{name}-{value!r}")
+    pytest.param(entry, name, value, id=f"{entry}-{name}-{label(value)}")
     for entry, kwargs in LIBRARY_VALID.items()
     for name in kwargs if name not in EXEMPT_PARAMETERS
     for value in out_of_domain(name) + not_doubles(name, kwargs[name])
@@ -138,7 +148,7 @@ def test_out_of_domain_value_names_its_parameter(entry, name, value, pe_calls):
 
 
 GRID_CASES = [
-    pytest.param(entry, grid, at, value, id=f"{entry}-{grid}[{at}]-{value!r}")
+    pytest.param(entry, grid, at, value, id=f"{entry}-{grid}[{at}]-{label(value)}")
     for entry, kwargs in VALID.items()
     for grid in kwargs if grid in GRID_POINTS
     for at in range(len(kwargs[grid]))
@@ -182,10 +192,18 @@ def test_every_public_parameter_is_in_the_table_or_exempt():
 
 
 def assert_same(got, want, *where):
-    """got equals want, as values and as printed."""
-    np.testing.assert_equal(*(dataclasses.asdict(result) if dataclasses.is_dataclass(result)
-                              else result for result in (got, want)))
+    """got equals want, as values and as printed, field by field where it is a record."""
+    np.testing.assert_equal(fields(got), fields(want))
     assert repr(got) == repr(want), where
+
+
+def fields(result):
+    """result with each record in it, a dataclass or a named tuple, as a dict of its fields."""
+    if dataclasses.is_dataclass(result):
+        return dataclasses.asdict(result)
+    if hasattr(result, "_asdict"):
+        return result._asdict()
+    return [fields(item) for item in result] if isinstance(result, list) else result
 
 
 def as_real(kwargs, real):

@@ -1,4 +1,5 @@
-"""The package imports each layer when it is first used, and the analytic CLI never imports numpy."""
+"""The package imports each layer when it is first used, and the analytic CLI imports no numpy,
+and none of the modules that dataclasses or typing would pull in."""
 
 import importlib
 import os
@@ -26,7 +27,12 @@ def test_lazy_exports_are_their_home_modules_objects():
         intermod.no_such_name  # noqa: B018
 
 
+# what a scalar subcommand must not load: numpy, and dataclasses or typing with what they import
+UNLOADED = ("numpy", "dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+
+
 def test_analytic_subcommands_never_import_numpy():
+    # -S: no site, whose .pth files may import typing themselves and so hide a regression
     argvs = [["theory"], ["weights"], ["sumrate"], ["sumrate", "--alpha", "0.01,0.1"]]
     code = (
         "import contextlib, io, sys, intermod\n"
@@ -36,9 +42,10 @@ def test_analytic_subcommands_never_import_numpy():
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        f"loaded = sys.modules.keys() & {set(UNLOADED)!r}\n"
+        "assert not loaded, loaded\n"
     )
     src = Path(intermod.__file__).resolve().parent.parent
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -1,11 +1,12 @@
 import functools
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from intermod import detector, find_n_alpha
+from intermod import _domain, cli, detector, find_n_alpha, sumrate
 from intermod.channel import make_correlated_pair
 from intermod.detector import (
     DEFAULT_PE_TARGET,
@@ -67,6 +68,23 @@ def pe_calls(monkeypatch):
         calls[0] += 1
 
     patch_pe(monkeypatch, count)
+    return calls
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Count the domain checks a test makes: check is wrapped where each module binds it."""
+    calls, real = [0], _domain.check
+
+    def counted(name, value):
+        calls[0] += 1
+        return real(name, value)
+
+    bound = [module for name, module in list(sys.modules.items())
+             if name.startswith("intermod.") and getattr(module, "check", None) is real]
+    for module in bound:
+        monkeypatch.setattr(module, "check", counted)
+    assert {cli, detector, sumrate} <= set(bound)
     return calls
 
 
@@ -377,6 +395,29 @@ class TestSweepSumRate:
             assert pt.total == pytest.approx(pt.pu_rate + pt.su_rate, abs=1e-12)
             if pt.n_alpha is not None:
                 assert pt.su_rate == pytest.approx(1.0 / pt.n_alpha, abs=1e-15)
+
+    def test_point_is_an_immutable_record_of_the_csv_columns(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert cli.main(["sumrate", "--rho", "0.1", "--alpha", "0.05", "--out", str(out)]) == 0
+        header = next(line for line in out.read_text().splitlines() if not line.startswith("#"))
+        assert ("rho_mag", "g", *SumRatePoint._fields) == tuple(header.split(","))
+        assert SumRatePoint._fields == ("alpha", "n_alpha", "pu_rate", "su_rate", "total")
+        pt = sweep_sum_rates(30.0, [0.1], [1.0], alpha_grid=[0.05])[0][0]
+        with pytest.raises(AttributeError):
+            pt.total = 0.0
+        with pytest.raises(AttributeError):  # no __dict__ to take a new field
+            pt.extra = 0.0
+        twin = SumRatePoint(*pt)
+        assert twin == pt and twin is not pt and hash(twin) == hash(pt)
+
+    @pytest.mark.parametrize("alpha_grid", [None, [0.0, 0.3, 0.6]])
+    def test_a_sweep_checks_each_value_once(self, alpha_grid, check_calls):
+        # each grid point, the target, the cap and gamma_db; the closed forms, the searches and
+        # their P_e probes check nothing again
+        rho_grid, g_grid = [0.1, 0.5, 0.9], [0.5, 1.0]
+        sweep_sum_rates(30.0, rho_grid, g_grid, alpha_grid)
+        alphas = default_alpha_grid() if alpha_grid is None else alpha_grid
+        assert 0 < check_calls[0] <= len(rho_grid) + len(g_grid) + len(alphas) + 3
 
     def test_unreachable_target_is_pure_loss(self):
         # xi > 1 with no SU rate: total must fall below the baseline
