@@ -225,7 +225,7 @@ def cmd_theory(args) -> int:
     pdf_rows = []
     for n in params["n_grid"]:
         for snr_db in params["snr_grid"]:
-            snr, delta, pe = _operating_point(n, snr_db)  # snr is sigma_r^2, sigma_n^2 = 1
+            snr, delta, _, pe = _operating_point(n, snr_db)  # snr is sigma_r^2, sigma_n^2 = 1
             rows.append((n, snr_db, snr, 1.0, delta, pe))
             if args.pdf_out:
                 # cover both mixture components well past their tails

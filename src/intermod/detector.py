@@ -239,12 +239,13 @@ def _n_alpha(snr: float, log_target: float, cap: int, met: int | None = None) ->
     return hi
 
 
-def _operating_point(n: int, snr_db: float) -> tuple[float, float, float]:
-    # (snr, delta*, P_e) at an n and snr_db checked by the caller, the one point theory prints
-    # and ber simulates; snr_db's domain gives a positive finite snr that has a threshold
+def _operating_point(n: int, snr_db: float) -> tuple[float, float, float, float]:
+    # (snr, delta*, delta*/(1 + snr), P_e) at a checked n and snr_db: the point theory prints
+    # and ber simulates, with the two points at which _log_pe takes Q and P; snr_db's domain
+    # gives a positive finite snr that has a threshold
     snr = db_to_linear(snr_db)
     delta = _optimal_threshold(n, snr)
-    return snr, delta, math.exp(_log_pe(n, snr, delta))
+    return snr, delta, delta / (snr + 1.0), math.exp(_log_pe(n, snr, delta))
 
 
 def energy_pdf(epsilon, n: int, scale: float):
@@ -252,18 +253,8 @@ def energy_pdf(epsilon, n: int, scale: float):
 
     Evaluated in the log domain; accepts scalars or arrays of energies.
     """
-    import numpy as np  # the only vector code here, so the scalar analytics load without numpy
-
-    n = check("n", n)
-    scale = check("scale", scale)
-    eps = np.asarray(epsilon, dtype=float)
-    check("energy", float(eps.min(initial=0.0)))  # NaN if any energy is
-    check("energy", float(eps.max(initial=0.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):  # at 0: density 0, or NaN if n = 1
-        out = np.exp((n - 1) * np.log(eps) - eps / scale - math.lgamma(n) - n * math.log(scale))
-    if n == 1:
-        out = np.where(eps == 0.0, 1.0 / scale, out)
-    return float(out) if np.ndim(epsilon) == 0 else out
+    n, scale, eps = check("n", n), check("scale", scale), _energies(epsilon)
+    return _energy_pdf(eps, n, scale)
 
 
 def mixture_energy_pdf(epsilon, n: int, snr: float):
@@ -272,6 +263,24 @@ def mixture_energy_pdf(epsilon, n: int, snr: float):
     Equal-weight mixture of the bit-1 density (scale 1 + snr) and the bit-0
     density (scale 1).
     """
-    n = check("n", n)
-    snr = check("snr", snr)
-    return 0.5 * energy_pdf(epsilon, n, snr + 1.0) + 0.5 * energy_pdf(epsilon, n, 1.0)
+    n, snr, eps = check("n", n), check("snr", snr), _energies(epsilon)
+    return 0.5 * _energy_pdf(eps, n, snr + 1.0) + 0.5 * _energy_pdf(eps, n, 1.0)
+
+
+def _energies(epsilon):
+    # epsilon as a float array, every energy checked through its min and max
+    import numpy as np  # the only vector code here, so the scalar analytics load without numpy
+    eps = np.asarray(epsilon, dtype=float)
+    check("energy", float(eps.min(initial=0.0)))  # NaN if any energy is
+    check("energy", float(eps.max(initial=0.0)))
+    return eps
+
+
+def _energy_pdf(eps, n: int, scale: float):
+    # energy_pdf for a float array eps and an n and scale checked by the caller
+    import numpy as np
+    with np.errstate(divide="ignore", invalid="ignore"):  # at 0: density 0, or NaN if n = 1
+        out = np.exp((n - 1) * np.log(eps) - eps / scale - math.lgamma(n) - n * math.log(scale))
+    if n == 1:
+        out = np.where(eps == 0.0, 1.0 / scale, out)
+    return float(out) if eps.ndim == 0 else out

@@ -14,13 +14,14 @@ it cancels.  A sum of N unit exponentials is exactly Gamma(N, 1), so bit b's
 energy is P_b times a standard Gamma(N) variate, and the kernel compares
 the variate itself with the point at which the detector takes its tail:
 bit 0 errs above delta* (false alarm, Q(N, delta*)), bit 1 at or below
-delta*/(1 + snr) (miss, P(N, delta*/(1 + snr))).  The bits are i.i.d. fair
-and independent of the energies, so a chunk's trials are exchangeable: it
-draws its bit-1 count once, ``ones`` ~ Binomial(trials, 1/2) (numpy's BTPE
-sampler, or inversion up to 60 trials), then one standard Gamma(N) variate
-per trial (numpy's Marsaglia-Tsang sampler), the first ``ones`` of them
-bit 1's.  The detector sees only the window energy, so nothing it could
-measure is lost.
+delta*/(1 + snr) (miss, P(N, delta*/(1 + snr))).  A ScenarioConfig holds
+these points, the detector's own, from when it is built.  The bits are
+i.i.d. fair and independent of the energies, so a chunk's trials are
+exchangeable: it draws its bit-1 count once, ``ones`` ~ Binomial(trials,
+1/2) (numpy's BTPE sampler, or inversion up to 60 trials), then one
+standard Gamma(N) variate per trial (numpy's Marsaglia-Tsang sampler), the
+first ``ones`` of them bit 1's.  The detector sees only the window energy,
+so nothing it could measure is lost.
 
 Reproducibility contract: a run is fully determined by the scenario's
 master seed and the fixed trial budget CHUNK_TRIALS.  A chunk holds
@@ -38,9 +39,9 @@ need the IFFT back, but it is a feature and is out of scope for now.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,23 +66,14 @@ class ScenarioConfig:
     def __post_init__(self):
         for field in fields(self):
             object.__setattr__(self, field.name, check(field.name, getattr(self, field.name)))
+        # link = (x_fa, x_miss, analytic_pe): the detector's tail points (in units of sigma_n^2)
+        # and P_e, set once; the snr_db domain leaves no link that fails
+        object.__setattr__(self, "link", _operating_point(self.n_samples, self.snr_db)[1:])
 
     @property
     def n_chunks(self) -> int:
         """Chunks the trials fill; the last one may be partial."""
         return -(-self.n_bits // CHUNK_TRIALS)
-
-    @functools.cached_property
-    def link(self):
-        """(x_fa, x_miss, analytic_pe): the two tail points and P_e, in units of sigma_n^2.
-
-        A bit-0 variate errs above x_fa = delta* and a bit-1 variate at or
-        below x_miss = delta*/(1 + snr), the points at which the detector
-        evaluates Q and P; delta* and P_e come from N and the SNR alone, as
-        in ``theory``, and the snr_db domain leaves no link that fails.
-        """
-        snr, delta, pe = _operating_point(self.n_samples, self.snr_db)
-        return delta, delta / (snr + 1.0), pe
 
 
 @dataclass(frozen=True)
@@ -119,18 +111,18 @@ def chunk_errors(config: ScenarioConfig, chunk: int) -> int:
     return int(misses + np.count_nonzero(variates[ones:] > x_fa))
 
 
-def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult]:
+def run_ber_grid(configs: Iterable[ScenarioConfig], jobs: int = 1) -> list[BerResult]:
     """Monte Carlo BER per scenario from one ``chunk_errors`` task per (scenario, chunk).
 
     The tasks are generated as they run, never held in a list.  More than
     one worker maps them over a thread pool of at most ``jobs``, one per
     task and per usable CPU.  Threads parallelize the draws: numpy's bulk
     ``standard_gamma`` releases the GIL, and a full chunk's Python work,
-    its one ``binomial`` draw included, is about 1% of its draws.  A link
-    cannot fail; links resolve first, so that every thread reads one link.
+    its one ``binomial`` draw included, is about 1% of its draws.  Each
+    config holds its link, the detector's tail points, from when it was
+    built, so a run computes none.
     """
-    jobs = check("jobs", jobs)
-    analytic_pe = [config.link[2] for config in configs]
+    configs, jobs = list(configs), check("jobs", jobs)
     tasks = ((config, chunk) for config in configs for chunk in range(config.n_chunks))
     n_tasks = sum(config.n_chunks for config in configs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -142,14 +134,11 @@ def run_ber_grid(configs: list[ScenarioConfig], jobs: int = 1) -> list[BerResult
             # starmap's batching: about four batches per worker
             chunksize = -(-n_tasks // (4 * workers))
             counts = pool.imap(lambda task: chunk_errors(*task), tasks, chunksize)
-            return _tally(configs, analytic_pe, counts)
-    return _tally(configs, analytic_pe, itertools.starmap(chunk_errors, tasks))
+            return _tally(configs, counts)
+    return _tally(configs, itertools.starmap(chunk_errors, tasks))
 
 
-def _tally(configs, analytic_pe, counts):
+def _tally(configs, counts):
     """One ``BerResult`` per config from its chunks' error counts, taken in task order."""
-    results = []
-    for config, pe in zip(configs, analytic_pe):
-        n_errors = sum(itertools.islice(counts, config.n_chunks))
-        results.append(BerResult(config.n_bits, n_errors, pe))
-    return results
+    return [BerResult(config.n_bits, sum(itertools.islice(counts, config.n_chunks)),
+                      config.link[2]) for config in configs]

@@ -13,7 +13,6 @@ from intermod import cli, simulator
 from intermod._domain import DB_MAX, SNR_DB_MIN
 from intermod.cli import load_config, main, parse_grid
 from test_detector import mpmath_error_probability
-from test_sumrate import check_calls  # noqa: F401  a fixture: the domain checks a test makes
 
 
 def pin_cpus(monkeypatch, cpus):
@@ -420,26 +419,20 @@ def test_golden_rows(tmp_path, argv, digest):
 
 
 @pytest.mark.parametrize("argv", [case[0] for case in GOLDEN_ROWS[:2]], ids=GOLDEN_IDS[:2])
-def test_golden_ber_decisions_clear_their_thresholds(tmp_path, monkeypatch, argv):
+def test_golden_ber_decisions_clear_their_thresholds(tmp_path, monkeypatch, argv, chunk_draws):
     # every golden trial's variate lies at least 1e-9 (relative) from its
     # class's tail point, delta* for bit 0 and delta*/(1 + snr) for bit 1, so
     # rounding in either point (~1e-15) cannot flip a golden bit; a kernel
     # change that makes these bytes hang on rounding fails here
-    configs, draws = [], []
-    run_grid, chunk_variates = simulator.run_ber_grid, simulator._chunk_variates
+    configs, run_grid = [], simulator.run_ber_grid
 
     def record_grid(points, jobs):
         configs.extend(points)
-        return run_grid(points, jobs=1)  # one process, so every chunk is recorded here
-
-    def record_chunk(*args):
-        draws.append(chunk_variates(*args))
-        return draws[-1]
+        return run_grid(points, jobs=1)  # one thread, so the chunks are recorded in task order
 
     monkeypatch.setattr(simulator, "run_ber_grid", record_grid)
-    monkeypatch.setattr(simulator, "_chunk_variates", record_chunk)
     assert main(argv + ["--out", str(tmp_path / "ber.csv")]) == 0
-    chunks = iter(draws)
+    chunks = iter(chunk_draws)
     for config in configs:
         x_fa, x_miss, _ = config.link
         for _ in range(config.n_chunks):

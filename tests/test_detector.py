@@ -180,6 +180,12 @@ class TestEnergyPdf:
         )[0]
         assert total == pytest.approx(1.0, abs=1e-8)
 
+    def test_mixture_checks_each_value_once(self, check_calls):
+        # n, snr and the energies' min and max; the two densities it mixes check nothing again
+        assert type(mixture_energy_pdf(np.linspace(0.0, 40.0, 9), 10, 2.0)) is np.ndarray
+        assert check_calls[0] == 4
+        assert type(mixture_energy_pdf(np.float64(12.0), 10, 2.0)) is float
+
     def test_domain(self):
         # the scalar domain tables cannot reach an array's energies
         for energies in (-1.0, math.nan, math.inf, np.array([1.0, math.nan]),

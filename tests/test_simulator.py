@@ -96,16 +96,12 @@ class TestStreamKernel:
             band = 3 * math.sqrt(2 * bits * res.analytic_pe * (1 - res.analytic_pe))
             assert abs(res.n_errors - aligned_errors(cfg)) <= band, (n, snr_db)
 
-    def test_first_energies_of_chunk_0_are_pinned(self, monkeypatch):
+    def test_first_energies_of_chunk_0_are_pinned(self, chunk_draws):
         # the kernel's stream by name, not only through a digest: the bit-1
         # count, then one standard Gamma(N) variate per trial, the bit-1 block first
         cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=3000, master_seed=37)
-        kernel, drawn = simulator._chunk_variates, []
-        monkeypatch.setattr(
-            simulator, "_chunk_variates", lambda *args: drawn.append(kernel(*args)) or drawn[-1]
-        )
         chunk_errors(cfg, 0)
-        ones, variates = drawn[0]
+        ones, variates = chunk_draws[0]
         assert ones == 1514
         assert variates[:4].tolist() == [
             9.070791711496454, 10.27455262310628, 6.33204449044979, 5.960475219788117]
@@ -119,25 +115,17 @@ class TestStreamKernel:
         assert ones == rng.binomial(1000, 0.5)
         np.testing.assert_array_equal(variates, rng.standard_gamma(10, 1000))
 
-    def test_bit1_share_of_many_chunks_is_half(self, monkeypatch):
+    def test_bit1_share_of_many_chunks_is_half(self, chunk_draws):
         # six chunks, the last of one trial: the summed bit-1 counts lie within
         # 4 sigma of half the trials, sigma = sqrt(trials) / 2
         cfg = ScenarioConfig(n_samples=1, snr_db=-5.0, n_bits=5 * CHUNK_TRIALS + 1,
                              master_seed=83)
-        kernel, counts = simulator._chunk_variates, []
-
-        def record(*args):
-            ones, variates = kernel(*args)
-            counts.append((ones, variates.size))
-            return ones, variates
-
-        monkeypatch.setattr(simulator, "_chunk_variates", record)
         run_ber_grid([cfg])
-        assert [size for _, size in counts] == [CHUNK_TRIALS] * 5 + [1]
-        ones = sum(count for count, _ in counts)
+        assert [variates.size for _, variates in chunk_draws] == [CHUNK_TRIALS] * 5 + [1]
+        ones = sum(count for count, _ in chunk_draws)
         assert abs(ones - cfg.n_bits / 2) <= 4 * 0.5 * math.sqrt(cfg.n_bits)
 
-    def test_false_alarms_and_misses_each_match_their_tail(self, monkeypatch):
+    def test_false_alarms_and_misses_each_match_their_tail(self, chunk_draws):
         # at a three-chunk point, the false alarms among bit-0 trials lie
         # within 4 sigma of Q(N, delta) and the misses among bit-1 trials
         # within 4 sigma of P(N, delta / (1 + snr)); together they are the
@@ -145,16 +133,10 @@ class TestStreamKernel:
         cfg = ScenarioConfig(n_samples=20, snr_db=-2.5, n_bits=3 * CHUNK_TRIALS,
                              master_seed=89)
         x_fa, x_miss, _ = cfg.link
-        kernel, tallies = simulator._chunk_variates, []
-
-        def record(*args):
-            ones, variates = kernel(*args)
-            tallies.append((variates.size - ones, np.count_nonzero(variates[ones:] > x_fa),
-                            ones, np.count_nonzero(variates[:ones] <= x_miss)))
-            return ones, variates
-
-        monkeypatch.setattr(simulator, "_chunk_variates", record)
         result = run_ber_grid([cfg])[0]
+        tallies = [(variates.size - ones, np.count_nonzero(variates[ones:] > x_fa),
+                    ones, np.count_nonzero(variates[:ones] <= x_miss))
+                   for ones, variates in chunk_draws]
         zeros, false_alarms, ones, misses = np.sum(tallies, axis=0)
         assert len(tallies) == 3
         assert false_alarms + misses == result.n_errors
@@ -165,22 +147,14 @@ class TestStreamKernel:
         for count, trials, p in ((false_alarms, zeros, p_fa), (misses, ones, p_miss)):
             assert abs(count - trials * p) <= 4 * math.sqrt(trials * p * (1 - p))
 
-    def test_each_chunk_draws_its_own_substream(self, monkeypatch):
+    def test_each_chunk_draws_its_own_substream(self, chunk_draws):
         # chunk c seeds from (master_seed, c), so three chunks open on three
         # different variates; on one shared substream they would all repeat chunk 0's
         cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=2 * CHUNK_TRIALS + 1,
                              master_seed=37)
-        kernel, first = simulator._chunk_variates, []
-
-        def record(*args):
-            ones, variates = kernel(*args)
-            first.append(variates[0])
-            return ones, variates
-
-        monkeypatch.setattr(simulator, "_chunk_variates", record)
         run_ber_grid([cfg])
         assert cfg.n_chunks == 3
-        assert len(set(first)) == 3
+        assert len({variates[0] for _, variates in chunk_draws}) == 3
 
     # the budget is 2^16 trials whatever N; changing it changes every
     # multi-chunk ber result
@@ -203,7 +177,6 @@ class TestKernelMemory:
         # Generator objects
         bits = CHUNK_TRIALS  # one full chunk
         cfg = ScenarioConfig(n_samples=n, snr_db=-5.0, n_bits=bits, master_seed=47)
-        cfg.link  # resolve outside the trace
         trial_bytes = CHUNK_TRIALS * (8 + 1)
         tracemalloc.start()
         try:
@@ -370,7 +343,6 @@ class TestRunBerGrid:
         # 2e5 full chunks: a task list would hold ~97 bytes a task
         cfg = ScenarioConfig(n_samples=10**6, snr_db=-5.0, n_bits=200_000 * CHUNK_TRIALS,
                              master_seed=53)
-        cfg.link  # resolve outside the trace
         monkeypatch.setattr(simulator, "chunk_errors", lambda config, chunk: chunk % 2)
         tracemalloc.start()
         try:
@@ -383,7 +355,7 @@ class TestRunBerGrid:
         assert peak < 1_000_000
 
     def test_a_threaded_run_builds_each_link_once(self, monkeypatch):
-        # links resolve before the pool starts, so no chunk's thread builds one
+        # a config builds its link when it is built, so no run, serial or threaded, builds one
         pin_cpus(monkeypatch, 2)
         calls = []
         real = simulator._operating_point
@@ -395,5 +367,14 @@ class TestRunBerGrid:
         monkeypatch.setattr(simulator, "_operating_point", counted)
         configs = [ScenarioConfig(n_samples=n, snr_db=-5.0, n_bits=3 * CHUNK_TRIALS,
                                   master_seed=seed) for n, seed in ((10, 43), (1000, 59))]
-        run_ber_grid(configs, jobs=2)
         assert calls == [10, 1000]
+        for jobs in (1, 2):
+            run_ber_grid(configs, jobs=jobs)
+            assert calls == [10, 1000], jobs
+
+    def test_a_one_shot_iterable_gives_the_lists_results(self, monkeypatch):
+        # the configs are read once, so a generator runs every point, serial or threaded
+        pin_cpus(monkeypatch, 2)
+        for jobs in (1, 2):
+            results = run_ber_grid((cfg for cfg in self.CONFIGS), jobs=jobs)
+            assert results == run_ber_grid(list(self.CONFIGS), jobs=jobs), jobs

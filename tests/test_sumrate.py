@@ -1,12 +1,11 @@
 import functools
 import math
-import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from intermod import _domain, cli, detector, find_n_alpha, sumrate
+from intermod import cli, detector, find_n_alpha
 from intermod.channel import make_correlated_pair
 from intermod.detector import (
     DEFAULT_PE_TARGET,
@@ -68,23 +67,6 @@ def pe_calls(monkeypatch):
         calls[0] += 1
 
     patch_pe(monkeypatch, count)
-    return calls
-
-
-@pytest.fixture
-def check_calls(monkeypatch):
-    """Count the domain checks a test makes: check is wrapped where each module binds it."""
-    calls, real = [0], _domain.check
-
-    def counted(name, value):
-        calls[0] += 1
-        return real(name, value)
-
-    bound = [module for name, module in list(sys.modules.items())
-             if name.startswith("intermod.") and getattr(module, "check", None) is real]
-    for module in bound:
-        monkeypatch.setattr(module, "check", counted)
-    assert {cli, detector, sumrate} <= set(bound)
     return calls
 
 
