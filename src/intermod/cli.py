@@ -12,6 +12,7 @@ theory --pdf-out import it when they run.
 
 Every CSV starts with '#'-prefixed manifest comment lines carrying the
 resolved parameter set, so a result file is reproducible on its own.
+Each CSV's schema version and columns are declared once, in CSV_FORMATS.
 Floating-point values are emitted with 12 significant digits; identical
 invocations produce byte-identical files.
 
@@ -49,8 +50,16 @@ from ._domain import N_MAX, check
 from .detector import DEFAULT_PE_TARGET, _operating_point, mixture_energy_pdf
 from .sumrate import _norms, linspace, sweep_sum_rates
 
-# bumped when a subcommand's bytes change for one input; README records each bump
-SCHEMA_VERSIONS = {"weights": 1, "theory": 1, "theory-pdf": 1, "ber": 9, "sumrate": 1}
+# (schema version, columns) per CSV; the version is bumped when the CSV's bytes change
+# for one input, and README records each bump
+CSV_FORMATS = {
+    "weights": (1, ("alpha", "rho_mag", "norm0_sq", "norm1_sq", "xi_oracle", "xi_paper_printed")),
+    "theory": (1, ("n", "snr_db", "sigma_r_sq", "sigma_n_sq", "threshold", "pe")),
+    "theory-pdf": (1, ("n", "snr_db", "epsilon", "density")),
+    "ber": (9, ("n", "snr_db", "n_bits", "n_errors", "ber", "analytic_pe", "ci95",
+                "within_3sigma")),
+    "sumrate": (1, ("rho_mag", "g", "alpha", "n_alpha", "pu_rate", "su_rate", "total")),
+}
 PDF_POINTS = 2000  # theory --pdf-points default, recorded in every theory manifest
 
 
@@ -59,7 +68,6 @@ def parse_grid(spec: str, cast=float) -> list:
 
     The caller checks the values; a range's span must be finite to be spaced.
     """
-    spec = spec.strip()
     parts = spec.split(":")
     if len(parts) not in (1, 3):
         raise ValueError(f"bad grid spec {spec!r}; expected start:stop:count")
@@ -179,15 +187,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, command, params, header, rows, footer_comments=()):
-    schema = f"{command}/{SCHEMA_VERSIONS[command]}"
-    lines = [f"# intermod {command} schema={schema} version={__version__}"]
+def _write_csv(path, command, params, rows, footers=()):
+    version, columns = CSV_FORMATS[command]
+    lines = [f"# intermod {command} schema={command}/{version} version={__version__}"]
     for key in sorted(params):
         lines.append(f"# {key}={_fmt(params[key])}")
-    lines.append(",".join(header))
+    lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    lines.extend(footer_comments)
+    lines.extend(footers)
     text = "\n".join(lines) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -204,13 +212,7 @@ def cmd_weights(args) -> int:
         for rho in params["rho_grid"]:
             # both grids are checked; the closed forms and the literature's xi
             rows.append((alpha, rho, *_norms(alpha, rho, 2.0), _norms(alpha, rho, 1.0)[2]))
-    _write_csv(
-        args.out,
-        "weights",
-        params,
-        ["alpha", "rho_mag", "norm0_sq", "norm1_sq", "xi_oracle", "xi_paper_printed"],
-        rows,
-    )
+    _write_csv(args.out, "weights", params, rows)
     return 0
 
 
@@ -236,58 +238,28 @@ def cmd_theory(args) -> int:
                 eps_grid = linspace(0.0, eps_max, pdf_points)
                 dens = mixture_energy_pdf(eps_grid, n, snr)
                 pdf_rows.extend((n, snr_db, e, float(d)) for e, d in zip(eps_grid, dens))
-    _write_csv(
-        args.out,
-        "theory",
-        params,
-        ["n", "snr_db", "sigma_r_sq", "sigma_n_sq", "threshold", "pe"],
-        rows,
-    )
+    _write_csv(args.out, "theory", params, rows)
     if args.pdf_out:
-        _write_csv(
-            args.pdf_out,
-            "theory-pdf",
-            params,
-            ["n", "snr_db", "epsilon", "density"],
-            pdf_rows,
-        )
+        _write_csv(args.pdf_out, "theory-pdf", params, pdf_rows)
     return 0
 
 
 def cmd_ber(args) -> int:
     """Monte Carlo BER vs analytic prediction"""
-    import numpy as np  # imported here, so the analytic subcommands never load numpy
-
-    from .simulator import ScenarioConfig, run_ber_grid
+    # imported here, so the analytic subcommands never load numpy
+    from .simulator import _grid_configs, run_ber_grid
 
     params = _options(args)
     jobs = params.pop("jobs")  # never changes the output, so not in the manifest
-    points = []
-    grid = [(n, snr_db) for n in params["n_grid"] for snr_db in params["snr_grid"]]
-    for idx, (n, snr_db) in enumerate(grid):
-        seq = np.random.SeedSequence(entropy=params["seed"], spawn_key=(idx,))
-        point_seed = int(seq.generate_state(1, np.uint64)[0])
-        points.append(ScenarioConfig(
-            n_samples=n, snr_db=snr_db, n_bits=params["bits"], master_seed=point_seed,
-        ))
-    results = run_ber_grid(points, jobs)
-
+    configs = _grid_configs(params["n_grid"], params["snr_grid"], params["bits"], params["seed"])
     rows = []
-    for (n, snr_db), res in zip(grid, results):
+    for config, res in zip(configs, run_ber_grid(configs, jobs)):
         ci95 = 1.96 * math.sqrt(res.ber * (1.0 - res.ber) / res.n_bits)
         band = 3.0 * math.sqrt(res.analytic_pe * (1.0 - res.analytic_pe) / res.n_bits)
         within = abs(res.ber - res.analytic_pe) <= band
-        rows.append(
-            (n, snr_db, res.n_bits, res.n_errors, res.ber, res.analytic_pe, ci95, within)
-        )
-    _write_csv(
-        args.out,
-        "ber",
-        params,
-        ["n", "snr_db", "n_bits", "n_errors", "ber", "analytic_pe", "ci95",
-         "within_3sigma"],
-        rows,
-    )
+        rows.append((config.n_samples, config.snr_db, res.n_bits, res.n_errors, res.ber,
+                     res.analytic_pe, ci95, within))
+    _write_csv(args.out, "ber", params, rows)
     return 0
 
 
@@ -311,14 +283,7 @@ def cmd_sumrate(args) -> int:
             f"alpha={_fmt(best.alpha)} total={_fmt(best.total)}"
         )
     params["n_alpha_points"] = len(curve)  # the manifest records the grid's length only
-    _write_csv(
-        args.out,
-        "sumrate",
-        params,
-        ["rho_mag", "g", "alpha", "n_alpha", "pu_rate", "su_rate", "total"],
-        rows,
-        footer_comments=footers,
-    )
+    _write_csv(args.out, "sumrate", params, rows, footers)
     return 0
 
 

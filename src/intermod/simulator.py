@@ -23,12 +23,15 @@ standard Gamma(N) variate per trial (numpy's Marsaglia-Tsang sampler), the
 first ``ones`` of them bit 1's.  The detector sees only the window energy,
 so nothing it could measure is lost.
 
-Reproducibility contract: a run is fully determined by the scenario's
-master seed and the fixed trial budget CHUNK_TRIALS.  A chunk holds
-CHUNK_TRIALS trials whatever N (the last one may hold fewer), since a trial
-costs one variate at every N, and draws from its own RNG substream spawned
-from (master_seed, chunk_index), so results do not depend on execution
-order, on which thread runs a chunk, or on the worker count.
+Reproducibility contract: a ``ber`` run is one seed tree, grown here.
+Grid point i, counted N-major over the (N, SNR) grid, takes the master seed
+SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1, uint64)[0]
+(``_grid_configs``); a scenario is then fully determined by its master seed
+and the fixed trial budget CHUNK_TRIALS.  A chunk holds CHUNK_TRIALS trials
+whatever N (the last one may hold fewer), since a trial costs one variate
+at every N, and draws from its own RNG substream spawned from (master_seed,
+chunk_index), so results do not depend on execution order, on which thread
+runs a chunk, or on the worker count.
 
 Scope: the subcarrier symbols are Gaussian, so the Monte Carlo checks the
 code against the Gamma energy model, not the Gaussian-signal assumption
@@ -87,6 +90,16 @@ class BerResult:
     @property
     def ber(self) -> float:
         return self.n_errors / self.n_bits
+
+
+def _grid_configs(n_grid, snr_grid, n_bits: int, seed: int) -> list[ScenarioConfig]:
+    """One scenario per (N, SNR) grid point, N-major, each on its own master seed."""
+    configs = []
+    for point, (n, snr_db) in enumerate(itertools.product(n_grid, snr_grid)):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(point,))
+        configs.append(ScenarioConfig(n_samples=n, snr_db=snr_db, n_bits=n_bits,
+                                      master_seed=int(seq.generate_state(1, np.uint64)[0])))
+    return configs
 
 
 def _chunk_variates(rng, n_trials, n):

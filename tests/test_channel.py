@@ -70,6 +70,15 @@ def test_pair_validates_stored_fields():
             ChannelPair(h_pu=[1.0, bad, 0.0], h_su=[0.0, 1.0, 0.0])
 
 
+def test_pair_stores_read_only_complex_vectors():
+    # the vectors are checked unit-norm when the pair is built, so they are stored read-only
+    pair = ChannelPair([1, 0, 0], [0, 1, 0])
+    for h in (pair.h_pu, pair.h_su):
+        assert type(h) is np.ndarray and h.dtype == np.complex128
+        with pytest.raises(ValueError, match="read-only"):
+            h[0] = 2.0
+
+
 def test_pair_stores_only_its_vectors():
     pair = make_correlated_pair(6, 0.4, 0.2, seed=5)
     assert [f.name for f in dataclasses.fields(ChannelPair)] == ["h_pu", "h_su"]

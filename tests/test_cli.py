@@ -55,6 +55,13 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             parse_grid("1:2:3", cast=int)  # int grids take no fractional point
 
+    def test_padded_spec_reads_as_unpadded_and_is_quoted_as_typed(self):
+        assert parse_grid(" 1:3:3 ", cast=int) == [1, 2, 3]
+        assert parse_grid(" 1, 10 ", cast=int) == [1, 10]
+        assert parse_grid(" 0.5 ") == [0.5]
+        with pytest.raises(ValueError, match=re.escape("bad grid spec ' 1:x:3 '")):
+            parse_grid(" 1:x:3 ", cast=int)
+
     @pytest.mark.parametrize("spec, cast", [
         ("inf:inf:1", float), ("0:inf:3", float), ("-inf:0:2", float), ("nan:1:2", float),
         ("1e308:-1e308:3", float),  # finite endpoints, overflowing span
@@ -504,6 +511,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_version_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "intermod 0.1.0\n"
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -202,6 +202,13 @@ class TestSearchAgainstBisection:
             counts[search] = pe_calls[0]
         assert counts[find_n_alpha] < 0.5 * counts[bisect_n_alpha]
 
+    def test_model_probes_pass_through_the_last_evaluation(self, pe_calls):
+        # the 0 dB default curve, one search per point: each model probe is shifted through
+        # the last exact f, the first through f(n_max); without that first shift it costs 606
+        for alpha in default_alpha_grid():
+            find_n_alpha(su_snr(alpha, 0.5, 1.0, 1.0))
+        assert pe_calls[0] <= 566
+
 
 class TestSweepAgainstPerPoint:
     """The sweep solves in rising SU-SNR order with each search capped by the last

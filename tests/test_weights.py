@@ -139,8 +139,9 @@ class TestBuildWeightSet:
         np.testing.assert_array_equal(ws.tx_weight(1), ws.omega1 / math.sqrt(2.0))
         # xi is checked when the set is built, so a vector changed in place
         # could make it zero or NaN unchecked
-        with pytest.raises(ValueError, match="read-only"):
-            ws.omega1[0] = 2.0
+        for omega in (ws.omega0, ws.omega1):
+            with pytest.raises(ValueError, match="read-only"):
+                omega[0] = 2.0
 
     @pytest.mark.parametrize("omega", [np.zeros(3), np.array([1.0, math.nan, 0.0])])
     def test_rejects_xi_not_positive_and_finite(self, omega):
