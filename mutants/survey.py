@@ -1,6 +1,6 @@
 """Statement survey: delete each statement of src/, and force each if, and see what fails.
 
-Usage, from the repository root (about 20 minutes on 2 CPUs; not run in CI):
+Usage, from the repository root (20 to 30 minutes on 2 CPUs; not run in CI):
 
     python3 mutants/survey.py
 
@@ -36,8 +36,6 @@ RESULT = Path(__file__).resolve().parent / "survey.txt"
 
 # (file, statement prefixes, reason): survivors that no test should catch
 KEPT = [
-    ("channel.py", ("h_su /= np.linalg.norm(h_su)",),
-     "changes rounding only: without it demo 01's spread line reads 3.11e-15, not 3.55e-15"),
     ("detector.py", ("if not probes:", "raise ValueError(f\"N_alpha search", "probes -= 1"),
      "the N_alpha probe bound turns a looping defect into a raise; a correct search never "
      "reaches it"),

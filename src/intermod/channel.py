@@ -103,5 +103,4 @@ def make_correlated_pair(
     rho = rho_mag * np.exp(1j * rho_phase)
     # <c*x, y> = conj(c) <x, y>, so the h_pu coefficient is conj(rho).
     h_su = np.conj(rho) * h_pu + np.sqrt(1.0 - rho_mag**2) * u
-    h_su /= np.linalg.norm(h_su)
     return ChannelPair(h_pu=h_pu, h_su=h_su)

@@ -39,10 +39,12 @@ def db_to_linear(db: float) -> float:
 def log_gamma_tails(s: float, x: float) -> tuple[float, float]:
     """(ln P, ln Q) of the regularized incomplete gammas P(s, x) and Q = 1 - P.
 
-    One continued fraction gives ln P for x < s + 1 and another gives ln Q
-    otherwise; the other tail is the complement.  Both run the modified
-    Lentz method until a factor lies within one ulp of 1, which takes at
-    most ~sqrt(s) steps, near x = s.  The prefactor x^s e^-x / Gamma(s)
+    One continued fraction gives ln P for x < s and another gives ln Q
+    otherwise; the other tail is the complement.  Split at s, neither meets
+    a zero denominator, so neither needs a guard.  Both run the modified
+    Lentz method until a factor lies within one ulp of 1, which takes the
+    most steps near x = s: about 9.5 s^(1/3) for Q and 5.7 s^(1/3) pairs
+    for P (955 and 573 at s = 1e6).  The prefactor x^s e^-x / Gamma(s)
     stays a log, so no tail underflows; the relative error is a few ulp of
     s ln s (~1e-9 at s = 1e6).  Raises ValueError for s outside [1, N_MAX],
     non-finite input, or a loop at its iteration cap.
@@ -57,7 +59,7 @@ def _log_tails(s: float, x: float, lgamma_s: float) -> tuple[float, float]:
     if x == 0.0:
         return -math.inf, 0.0
     log_prefactor = s * math.log(x) - x - lgamma_s
-    if x < s + 1.0:
+    if x < s:
         log_p = math.log(_lower_gamma_cf(s, x)) + log_prefactor
         return log_p, _log_complement(log_p)
     log_q = math.log(_upper_gamma_cf(s, x)) + log_prefactor
@@ -75,12 +77,10 @@ def _log_complement(log_tail: float) -> float:
 
 
 def _lower_gamma_cf(s: float, x: float) -> float:
-    # P(s, x) without its prefactor by the modified Lentz method, x < s + 1 (DLMF sec. 8.9):
+    # P(s, x) without its prefactor by the modified Lentz method, x < s (DLMF sec. 8.9):
     # 1/(s + a1/(s+1 + a2/(s+2 + ...))) with the pairs a = -(s+k-1) x, then k x.  At term j,
     # c is s + 1 for j = 1, then at least s + j for even j and above j - 1 for odd j, and so
-    # is every denominator past the first; only the first, s + 1 - x, can vanish, and it
-    # rounds to 0 at s = 10, x = nextafter(11, 0)
-    tiny = 1e-300
+    # is every denominator past the first, which is s + 1 - x > 1: none needs a guard
     b = s
     c = math.inf
     d = h = 1.0 / b
@@ -88,8 +88,6 @@ def _lower_gamma_cf(s: float, x: float) -> float:
         for an in (-(s + k - 1.0) * x, k * x):
             b += 1.0
             d = an * d + b
-            if abs(d) < tiny:
-                d = tiny
             c = b + an / c
             d = 1.0 / d
             delta = d * c
@@ -102,7 +100,7 @@ def _lower_gamma_cf(s: float, x: float) -> float:
 
 
 def _upper_gamma_cf(s: float, x: float) -> float:
-    # Q(s, x) without its prefactor by the modified Lentz method, x >= s + 1.  There b >= 2i + 2,
+    # Q(s, x) without its prefactor by the modified Lentz method, x >= s.  There b >= 2i + 1,
     # a = i(s - i) >= 0 up to i = s and |a| over the last denominator is at most i - s past it,
     # so at step i the denominator and c are both at least i + 1: neither needs a guard
     b = x + 1.0 - s

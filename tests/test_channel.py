@@ -38,10 +38,11 @@ def test_pair_invariants_random(seed):
     k = int(rng.integers(3, 20))
     rho_mag = float(rng.uniform(0.0, 0.95))
     phase = float(rng.uniform(0.0, 2 * np.pi))
-    pair = make_correlated_pair(k, rho_mag, phase, seed=seed)
-    assert np.linalg.norm(pair.h_pu) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(pair.h_su) == pytest.approx(1.0, abs=1e-12)
-    assert abs(abs(pair.rho) - rho_mag) < 1e-10
+    for k, rho_mag in ((k, rho_mag), (1024, rho_mag), (k, 0.999), (1024, 0.999)):
+        pair = make_correlated_pair(k, rho_mag, phase, seed=seed)
+        assert np.linalg.norm(pair.h_pu) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(pair.h_su) == pytest.approx(1.0, abs=1e-12)
+        assert abs(abs(pair.rho) - rho_mag) < 1e-10
 
 
 def test_pair_deterministic_and_seed_sensitive():

@@ -403,7 +403,7 @@ GOLDEN_ROWS = [
     (["theory"],
      "a15a3018e9c388ce9846a4f8792a1755ac5362010974b1aa7b98bac92ee6f942",
      "f2052f2d0b41b4051f196f60b222d0743fdcec51d0e29b2fb64727e0c1d9bb10"),
-    # gamma 0 dB: hundreds of incomplete-gamma continued fractions at s >= 1e5, ~sqrt(s) steps each
+    # gamma 0 dB: hundreds of incomplete-gamma fractions at s >= 1e5, ~10 s^(1/3) steps each
     (["sumrate", "--gamma-db", "0", "--rho", "0.461259", "--g", "0.726846,1.441498"],
      "9ba15a4749d39645610e7a425df5064829287c977b1bb386b2552b443e08d321",
      "88b61b5864333125207de6f720714bfad750c0cfd8b1e72c00ec7f65b3a87d8b"),

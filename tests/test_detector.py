@@ -105,6 +105,19 @@ class TestRegularizedLowerGamma:
             assert log_q == pytest.approx(-x + (s - 1.0) * math.log(x) - math.lgamma(s), rel=1e-15)
         assert log_error_probability(1, 1.0, 1e308) == math.log(0.5)
 
+    # Within 5 sqrt(s) of the mean s, the upper fraction's worst x took 955 steps at s = 1e6,
+    # about 9.5 s^(1/3), and the lower one's 573 pairs, about 5.7 s^(1/3); each cap below
+    # leaves at least 20% over the worst of those, at every s.
+    @pytest.mark.parametrize("s", [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6])
+    def test_steps_near_the_mean_grow_as_the_cube_root_of_s(self, s, monkeypatch):
+        xs = [s + k / 10.0 * math.sqrt(s) for k in range(-50, 51)]
+        xs += [s * (1.0 + sign * 10.0**-j) for j in range(1, 16) for sign in (-1.0, 1.0)]
+        for x in [*xs, math.nextafter(s, 0.0), s + 0.5]:
+            if x > 0.0:  # P's pairs below the mean, Q's steps at and above it
+                cap = math.ceil((7.0 if x < s else 12.0) * s ** (1.0 / 3.0)) + 10
+                monkeypatch.setattr(detector, "_ITMAX", cap)
+                log_gamma_tails(s, x)
+
     @pytest.mark.parametrize("s", [1.0, 2.5, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6])
     def test_both_tails_against_mpmath_down_to_1e_300(self, s):
         for tail in (0.3, 1e-5, 1e-17, 1e-50, 1e-150, 1e-300):
@@ -113,13 +126,15 @@ class TestRegularizedLowerGamma:
 
 
 class TestLowerContinuedFraction:
-    """ln P for x < s + 1 comes from a continued fraction; near x = s at
-    large s it needs the most steps, about sqrt(s) / 2 pairs."""
+    """ln P for x < s comes from the lower continued fraction and ln Q for
+    x >= s from the upper one; near x = s at large s each needs the most
+    steps, and at its one-ulp stop it must still match mpmath."""
 
     @staticmethod
     def grid(s, side):
         """Points of (0, s + 1) below the mean s, where P is the smaller
-        tail, or at and above it, where Q is."""
+        tail and the lower fraction gives it, or at and above it, where Q
+        is and the upper fraction gives it."""
         ks = (-0.9, 0.0, 0.5, 1.0, 2.0, 4.3, 8.0, 16.0, 64.0)
         xs = [s * (1.0 - k / math.sqrt(s)) for k in ks]
         xs += [math.nextafter(s + 1.0, 0.0), (s + 1.0) * (1.0 - 1e-12), s + 0.5, s * 1e-3]
@@ -127,10 +142,11 @@ class TestLowerContinuedFraction:
         assert xs, (s, side)
         return xs
 
-    # The grid's worst point, x = s + 0.5 at s = 1e6, takes 556 pairs, so a
-    # cap of 1000 bounds the loop; a power series needs ~8600 terms there.
-    # At s = 10 and 685672 the first denominator, s + 1 - x, rounds to 0 at
-    # x = nextafter(s + 1, 0), so the fraction's one guard fires there.
+    # The grid's worst point, x = s + 0.5 at s = 1e6, takes about 924 upper
+    # steps, so a cap of 1000 bounds the loop; a power series needs ~8600
+    # terms there.  At s = 10 and 685672 the lower fraction's first
+    # denominator, s + 1 - x, would round to 0 at x = nextafter(s + 1, 0),
+    # so the tails split at s, where it exceeds 1, and the upper one takes x.
     @pytest.mark.parametrize("side", ["below", "above"])
     @pytest.mark.parametrize("s", [1.0, 1.5, 10.0, 37.3, 1e3, 1e4, 1e5, 685672.0, 1e6])
     def test_against_mpmath_near_the_branch(self, s, side, monkeypatch):
@@ -231,7 +247,10 @@ class TestErrorProbability:
         assert pe(1, 1.0, delta) == pytest.approx(0.375, abs=1e-14)
 
     def test_degenerate_signal(self):
-        assert pe(5, 0.0, 5.0) == 0.5
+        # exactly 1/2, though P + Q rounds to 0.5000000000000001 at 3 (lower fraction) and
+        # 10 (upper): snr = 0 takes no tail
+        for threshold in (3.0, 5.0, 10.0):
+            assert pe(5, 0.0, threshold) == 0.5
 
     def test_monotone_decreasing_in_n(self):
         values = []
@@ -265,7 +284,7 @@ class TestErrorProbability:
 
     def test_equals_the_sum_of_the_public_tails_bit_for_bit(self):
         # P_e is the log-sum-exp of log_gamma_tails' own Q at delta and P at delta/(1 + snr),
-        # bit for bit, on both continued fractions' branches
+        # bit for bit, on both continued fractions' sides of the split at n
         rng = np.random.default_rng(1717)
         cases = [(7, 2.0, 0.0), (1, 1e-6, 0.0)]
         for _ in range(400):
@@ -280,7 +299,7 @@ class TestErrorProbability:
             b = log_gamma_tails(n, threshold / (snr + 1.0))[0]
             want = math.log(0.5) + max(a, b) + math.log1p(math.exp(-abs(a - b)))
             assert log_error_probability(n, snr, threshold) == want, (n, snr, threshold)
-            sides.add((threshold < n + 1.0, threshold / (snr + 1.0) < n + 1.0))
+            sides.add((threshold < n, threshold / (snr + 1.0) < n))
         assert sides == {(True, True), (False, True), (False, False)}
 
 
