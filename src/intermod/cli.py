@@ -127,7 +127,7 @@ OPTIONS = {
         ("--n", "n_grid", partial(_grid, "n", cast=int), "10,100", "integration-length grid"),
         ("--snr-db", "snr_grid", partial(_grid, "snr_db"), "-10:0:5", "SNR grid in dB"),
         ("--bits", "bits", int, 20000, "bits per grid point"),
-        # ScenarioConfig's default, written out so that reading it imports no numpy
+        # the entropy from which _grid_configs spawns each point's master seed
         ("--seed", "seed", int, 0, "master seed"),
         ("--jobs", "jobs", int, 1, "parallel workers; never changes results"),
     ),

@@ -40,11 +40,11 @@ def log_gamma_tails(s: float, x: float) -> tuple[float, float]:
     """(ln P, ln Q) of the regularized incomplete gammas P(s, x) and Q = 1 - P.
 
     One continued fraction gives ln P for x < s and another gives ln Q
-    otherwise; the other tail is the complement.  Split at s, neither meets
-    a zero denominator, so neither needs a guard.  Both run the modified
-    Lentz method until a factor lies within one ulp of 1, which takes the
-    most steps near x = s: about 9.5 s^(1/3) for Q and 5.7 s^(1/3) pairs
-    for P (955 and 573 at s = 1e6).  The prefactor x^s e^-x / Gamma(s)
+    otherwise; the other tail is the complement, at least 1/e.  Split at s,
+    neither meets a zero denominator, so neither needs a guard.  Both run
+    the modified Lentz method until a factor lies within one ulp of 1, which
+    takes the most steps near x = s: about 9.5 s^(1/3) for Q and 5.7 s^(1/3)
+    pairs for P (955 and 573 at s = 1e6).  The prefactor x^s e^-x / Gamma(s)
     stays a log, so no tail underflows; the relative error is a few ulp of
     s ln s (~1e-9 at s = 1e6).  Raises ValueError for s outside [1, N_MAX],
     non-finite input, or a loop at its iteration cap.
@@ -54,26 +54,22 @@ def log_gamma_tails(s: float, x: float) -> tuple[float, float]:
 
 
 def _log_tails(s: float, x: float, lgamma_s: float) -> tuple[float, float]:
-    # (ln P, ln Q) for s and x checked by the caller: the continued fraction that converges
-    # at x gives one tail, and the other is its complement
+    # (ln P, ln Q) for s and x checked by the caller: the continued fraction that converges at
+    # x gives one tail, below 1 - 1/e as P(s, x) < P(s, s) <= P(1, 1) for x < s and Q(s, x) <=
+    # Q(s, s) < 1/2 for x >= s, so the other, its complement, is at least 1/e
     if x == 0.0:
         return -math.inf, 0.0
     log_prefactor = s * math.log(x) - x - lgamma_s
     if x < s:
         log_p = math.log(_lower_gamma_cf(s, x)) + log_prefactor
-        return log_p, _log_complement(log_p)
+        return log_p, math.log(-math.expm1(log_p))
     log_q = math.log(_upper_gamma_cf(s, x)) + log_prefactor
-    return _log_complement(log_q), log_q
+    return math.log(-math.expm1(log_q)), log_q
 
 
 def _no_convergence(s: float, x: float) -> ValueError:
     return ValueError("incomplete gamma continued fraction did not converge in "
                       f"{_ITMAX} iterations for s={s!r}, x={x!r}")
-
-
-def _log_complement(log_tail: float) -> float:
-    # ln(1 - e^a); a tail that rounds to 1 leaves nothing for the other
-    return math.log(-math.expm1(log_tail)) if log_tail < 0.0 else -math.inf
 
 
 def _lower_gamma_cf(s: float, x: float) -> float:

@@ -127,13 +127,14 @@ def chunk_errors(config: ScenarioConfig, chunk: int) -> int:
 def run_ber_grid(configs: Iterable[ScenarioConfig], jobs: int = 1) -> list[BerResult]:
     """Monte Carlo BER per scenario from one ``chunk_errors`` task per (scenario, chunk).
 
-    The tasks are generated as they run, never held in a list.  More than
-    one worker maps them over a thread pool of at most ``jobs``, one per
-    task and per usable CPU.  Threads parallelize the draws: numpy's bulk
-    ``standard_gamma`` releases the GIL, and a full chunk's Python work,
-    its one ``binomial`` draw included, is about 1% of its draws.  Each
-    config holds its link, the detector's tail points, from when it was
-    built, so a run computes none.
+    In this process the tasks are generated as they run, never held in a
+    list.  More than one worker maps them over a thread pool of at most
+    ``jobs``, one per task and per usable CPU, whose task handler queues
+    every batch at once, so there memory grows with the number of chunks.
+    Threads parallelize the draws: numpy's bulk ``standard_gamma`` releases
+    the GIL, and a full chunk's Python work, its one ``binomial`` draw
+    included, is about 1% of its draws.  Each config holds its link, the
+    detector's tail points, from when it was built, so a run computes none.
     """
     configs, jobs = list(configs), check("jobs", jobs)
     tasks = ((config, chunk) for config in configs for chunk in range(config.n_chunks))

@@ -140,8 +140,8 @@ def sweep_sum_rates(
         alpha_grid = default_alpha_grid()
     alphas = [float(check("alpha", alpha)) for alpha in alpha_grid]
     curves = [(rho, g) for rho in rho_grid for g in g_grid]
-    norms = {(rho, alpha): _norms(alpha, rho, 2.0) for rho in rho_grid for alpha in alphas
-             if alpha != 0.0}  # the norms hang on (rho, alpha) only, not on g
+    norms = {(rho, alpha): _norms(alpha, rho, 2.0) for rho in rho_grid
+             for alpha in alphas}  # the norms hang on (rho, alpha) only, not on g
     snrs = {(c, i): _su_snr(alpha, norms[rho, alpha], g, gamma) for c, (rho, g) in enumerate(curves)
             for i, alpha in enumerate(alphas) if alpha != 0.0}
     n_alphas = {}
@@ -149,7 +149,7 @@ def sweep_sum_rates(
     for point, snr in sorted(snrs.items(), key=lambda item: item[1]):
         met = detector._n_alpha(snr, log_target, n_max, met)
         n_alphas[point] = met
-    return [[_point(alpha, norms.get((rho, alpha)), gamma, n_alphas.get((c, i)))
+    return [[_point(alpha, norms[rho, alpha], gamma, n_alphas.get((c, i)))
              for i, alpha in enumerate(alphas)] for c, (rho, _) in enumerate(curves)]
 
 

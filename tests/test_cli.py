@@ -211,7 +211,8 @@ class TestTheoryCommand:
 
 class TestBerCommand:
     def test_defaults_are_the_scenario_defaults(self):
-        # the CLI writes the seed's out, so that it can start without numpy
+        # --seed is the entropy of the run's seed tree, not a config default; the two
+        # defaults agree by choice
         defaults = {key: default for _, key, _, default, _ in cli.OPTIONS["ber"]}
         assert defaults["seed"] == simulator.ScenarioConfig.master_seed
 
@@ -258,6 +259,18 @@ class TestBerCommand:
             for seed in seeds
         }
         assert len(first_draws) == 4
+
+    @pytest.mark.parametrize("n_errors, within", [(401_465, "1"), (401_475, "0")])
+    def test_within_3sigma_is_three_sigmas_of_the_analytic_pe(self, tmp_path, monkeypatch,
+                                                              n_errors, within):
+        # 10^6 bits at P_e = 0.4: sigma = sqrt(0.4 * 0.6 / 10^6), and the measured BER lies
+        # 2.990 sigma from P_e with 401465 errors, 3.011 sigma with 401475
+        monkeypatch.setattr(simulator, "run_ber_grid", lambda points, jobs: [
+            simulator.BerResult(10**6, n_errors, 0.4) for _ in points])
+        out = tmp_path / "b.csv"
+        assert main(["ber", "--n", "10", "--snr-db=-5", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [row["within_3sigma"] for row in rows] == [within]
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):

@@ -147,6 +147,17 @@ class TestStreamKernel:
         for count, trials, p in ((false_alarms, zeros, p_fa), (misses, ones, p_miss)):
             assert abs(count - trials * p) <= 4 * math.sqrt(trials * p * (1 - p))
 
+    def test_a_variate_on_its_tail_point_errs_only_as_a_bit_1(self, monkeypatch):
+        # bit 1 errs at or below x_miss and bit 0 only above x_fa: with every bit-1 variate
+        # exactly at x_miss and every bit-0 one exactly at x_fa, each bit 1 is a miss and
+        # no bit 0 is a false alarm
+        cfg = ScenarioConfig(n_samples=10, snr_db=-5.0, n_bits=1000, master_seed=37)
+        x_fa, x_miss, _ = cfg.link
+        ones = 400
+        monkeypatch.setattr(simulator, "_chunk_variates", lambda rng, n_trials, n: (
+            ones, np.array([x_miss] * ones + [x_fa] * (n_trials - ones))))
+        assert chunk_errors(cfg, 0) == ones
+
     def test_each_chunk_draws_its_own_substream(self, chunk_draws):
         # chunk c seeds from (master_seed, c), so three chunks open on three
         # different variates; on one shared substream they would all repeat chunk 0's

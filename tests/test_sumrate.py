@@ -120,6 +120,16 @@ class TestFindNAlpha:
         if n_alpha > 1:
             assert pe_at(n_alpha - 1) >= 1e-5
 
+    @pytest.mark.parametrize("snr", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [5, 17, 40])
+    def test_a_target_equal_to_pe_is_not_met(self, snr, n):
+        # meeting the target is strict, P_e < target: at a target of exactly P_e(N), N
+        # misses it, so N + 1 is the answer, and a cap of N finds none
+        log_pe = log_error_probability(n, snr, optimal_threshold(n, snr))
+        assert math.log(math.exp(log_pe)) == log_pe  # the search sees P_e's own log
+        assert find_n_alpha(snr, math.exp(log_pe), 10**6) == n + 1
+        assert find_n_alpha(snr, math.exp(log_pe), n) is None
+
     def test_monotone_in_alpha(self):
         alphas = (0.01, 0.05, 0.1, 0.3, 0.6)
         ns = [find_n_alpha(su_snr(a, 0.1, 1.0, GAMMA_30DB)) for a in alphas]
